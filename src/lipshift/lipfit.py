@@ -11,12 +11,29 @@ partial value function
 
     V_k(z) = w_k (z - y_k)^2 + min_{|z - z'| <= u_{k-1}} V_{k-1}(z')
 
-is convex piecewise quadratic, so V_k' is nondecreasing piecewise linear and
-can be carried as a list of breakpoints.  The box-constrained minimization
-clips V' around its root, which shifts the negative branch left by the gap
-budget and the positive branch right.  A backward pass then recovers the
-unique minimizer.  The same file houses the isotonic min-max LSE, a fixed
-bandwidth kernel smoother, and the sup/L2 losses.
+is convex piecewise quadratic, so V_k' is increasing piecewise linear and is
+carried as its knots (position, value).  The box-constrained minimization
+clips V' around its root m: knots left of m move left by the gap budget u,
+knots right of it move right by u, and two zero-valued knots at m -/+ u
+bound the flat piece between.  Adding 2 w (z - y) then raises every value.
+A backward pass clips each step's root to recover the unique minimizer.
+
+The knots live on two stacks, plain lists whose tops are the knots next to
+the root: the left stack holds the knots with V' < 0 in increasing position,
+the right stack those with V' > 0 in decreasing position.  A knot is stored
+as (p, q) with position p + o and value q + a p + b, where o and b belong to
+its stack and the slope accumulator a is shared.  So clipping and adding
+touch no stored knot: clipping moves o by -u on the left and +u on the
+right, and adding 2 w (z - y) adds 2 w to a and 2 w (o - y) to each b.  Both
+stacks can share a because every knot's value has gained the same sum of
+2 w, and for the same reason a is also the slope of V' beyond the outermost
+knots.  When the root moves, the knots it passes leave the top of one stack
+for the other; in the new stack's coordinates (p, q) shifts by a constant,
+so a galloping search finds them and one slice moves them.  A fit costs
+O(n) steps plus one move per knot crossing the root.
+
+The same file houses the isotonic min-max LSE, a fixed bandwidth kernel
+smoother, and the sup/L2 losses.
 """
 
 from __future__ import annotations
@@ -33,7 +50,6 @@ __all__ = [
     "RegressionSample",
     "LipschitzFit",
     "fit_lipschitz_lse",
-    "evaluate",
     "fit_isotonic_lse",
     "isotonic_minmax",
     "isotonic_evaluate",
@@ -45,7 +61,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RegressionSample:
-    """(x, y) pairs stored sorted by x."""
+    """(x, y) pairs stored sorted by x; every value must be finite."""
 
     x: np.ndarray
     y: np.ndarray
@@ -55,6 +71,8 @@ class RegressionSample:
         y = np.atleast_1d(np.asarray(y, float))
         if x.size == 0 or x.shape != y.shape:
             raise InvalidInputError("sample needs matching nonempty x and y")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise InvalidInputError("sample holds NaN or infinite values")
         order = np.argsort(x, kind="stable")
         object.__setattr__(self, "x", x[order])
         object.__setattr__(self, "y", y[order])
@@ -94,55 +112,98 @@ def _merge_duplicates(x, y):
     return xu, ybar, w, extra
 
 
-def _pwl_root(xs, vs, s_left, s_right):
-    """Root of a nondecreasing piecewise-linear function with end slopes."""
-    if vs[0] > 0.0:
-        return xs[0] - vs[0] / s_left
-    if vs[-1] < 0.0:
-        return xs[-1] - vs[-1] / s_right
-    i = int(np.searchsorted(vs, 0.0, side="left"))
-    if vs[i] == 0.0:
-        return xs[i]
-    # vs[i-1] < 0 < vs[i]
-    return xs[i - 1] - vs[i - 1] * (xs[i] - xs[i - 1]) / (vs[i] - vs[i - 1])
+def _stack_roots(y, c, u):
+    """Roots r_0..r_{k-1} of V_0'..V_{k-1}' by the two-stack sweep of the
+    module docstring; y, c = 2 w and u are lists of floats."""
+    lp, lq, rp, rq = [y[0]], [0.0], [], []  # V_0' = c_0 (z - y_0): one knot, value 0
+    a = c[0]
+    ol = orr = 0.0
+    bl = br = -a * y[0]
+    roots = []
+    # One trailing step with zero gap and weight past the last point, so that
+    # each iteration starts with the root of V_i.
+    for ui, ci, yi in zip(u + [0.0], c[1:] + [0.0], y[1:] + [0.0]):
+        # Move the knots the root passed: those with V' > 0 atop the left
+        # stack, or those with V' < 0 atop the right one.
+        sign = 0.0
+        if lp and lq[-1] + a * lp[-1] + bl > 0.0:
+            sign, src_p, src_q, b, dst_p, dst_q, d = 1.0, lp, lq, bl, rp, rq, ol - orr
+            e = bl - br - a * d
+        elif rp and rq[-1] + a * rp[-1] + br < 0.0:
+            sign, src_p, src_q, b, dst_p, dst_q, d = -1.0, rp, rq, br, lp, lq, orr - ol
+            e = br - bl - a * d
+        if sign:
+            # galloping search for the lowest index hi with sign * V' > 0
+            hi = len(src_p) - 1
+            step = 1
+            lo = hi - 1
+            while lo >= 0 and sign * (src_q[lo] + a * src_p[lo] + b) > 0.0:
+                hi = lo
+                step += step
+                lo = hi - step
+            lo = max(lo, -1)
+            while hi - lo > 1:
+                mid = (lo + hi) >> 1
+                if sign * (src_q[mid] + a * src_p[mid] + b) > 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            moved_p = src_p[hi:]
+            moved_q = src_q[hi:]
+            del src_p[hi:], src_q[hi:]
+            moved_p.reverse()
+            moved_q.reverse()
+            dst_p += [p + d for p in moved_p]
+            dst_q += [q + e for q in moved_q]
+        vl = lq[-1] + a * lp[-1] + bl if lp else -1.0
+        vr = rq[-1] + a * rp[-1] + br if rp else 1.0
+        if vl == 0.0:  # the root is a knot; the clip below replaces it
+            m = lp.pop() + ol
+            lq.pop()
+        elif vr == 0.0:
+            m = rp.pop() + orr
+            rq.pop()
+        elif not rp:
+            m = lp[-1] + ol - vl / a
+        elif not lp:
+            m = rp[-1] + orr - vr / a
+        else:
+            xl = lp[-1] + ol
+            xr = rp[-1] + orr
+            m = xl - vl * (xr - xl) / (vr - vl)
+        roots.append(m)
+        # clip: zero-valued knots at m on both stacks, then shift the stacks apart
+        p = m - ol
+        lp.append(p)
+        lq.append(-(a * p + bl))
+        p = m - orr
+        rp.append(p)
+        rq.append(-(a * p + br))
+        ol -= ui
+        orr += ui
+        # add c_i (z - y_i)
+        a += ci
+        bl += ci * (ol - yi)
+        br += ci * (orr - yi)
+    return roots
 
 
-def fit_lipschitz_lse(sample: RegressionSample, L: float, tol: float = 1e-8) -> LipschitzFit:
-    """Exact minimizer of the slope-constrained least squares problem."""
-    if not 0.0 < L <= 1.0:
-        raise InvalidParameterError(f"Lipschitz budget must be in (0, 1], got {L}")
-    if tol <= 0.0:
-        raise InvalidParameterError("tol must be positive")
-    x, y = sample.x, sample.y
-    xu, ybar, w, extra = _merge_duplicates(x, y)
-    k = xu.size
-    gaps = L * np.diff(xu)
-
-    # V_1'(z) = 2 w_1 (z - ybar_1)
-    xs = np.array([ybar[0]])
-    vs = np.array([0.0])
-    s_left = s_right = 2.0 * w[0]
-    mids = np.empty(k - 1)
-    for i in range(1, k):
-        u = gaps[i - 1]
-        m = _pwl_root(xs, vs, s_left, s_right)
-        mids[i - 1] = m
-        neg = vs < 0.0
-        pos = vs > 0.0
-        xs = np.concatenate([xs[neg] - u, [m - u, m + u], xs[pos] + u])
-        vs = np.concatenate([vs[neg], [0.0, 0.0], vs[pos]])
-        vs = vs + 2.0 * w[i] * (xs - ybar[i])
-        s_left += 2.0 * w[i]
-        s_right += 2.0 * w[i]
-
-    f = np.empty(k)
-    f[-1] = _pwl_root(xs, vs, s_left, s_right)
-    for i in range(k - 2, -1, -1):
-        f[i] = np.clip(mids[i], f[i + 1] - gaps[i], f[i + 1] + gaps[i])
+def fit_lipschitz_lse(sample: RegressionSample, budget: float) -> LipschitzFit:
+    """Exact minimizer of the slope-constrained least squares problem with
+    Lipschitz constant L = budget in (0, 1]."""
+    if not 0.0 < budget <= 1.0:
+        raise InvalidParameterError(f"Lipschitz budget must be in (0, 1], got {budget}")
+    xu, ybar, w, extra = _merge_duplicates(sample.x, sample.y)
+    gaps = budget * np.diff(xu)
+    u = gaps.tolist()
+    f = _stack_roots(ybar.tolist(), (2.0 * w).tolist(), u)
+    for i in range(len(u) - 1, -1, -1):
+        f[i] = min(max(f[i], f[i + 1] - u[i]), f[i + 1] + u[i])
+    f = np.array(f)
 
     objective = float(np.sum(w * (f - ybar) ** 2) + extra)
     residual = _kkt_residual(f, ybar, w, gaps)
-    return LipschitzFit(knots=xu, values=f, budget=float(L),
+    return LipschitzFit(knots=xu, values=f, budget=float(budget),
                         objective=objective, kkt_residual=residual)
 
 
@@ -152,7 +213,9 @@ def _kkt_residual(f, ybar, w, gaps, active_tol=1e-7):
     Running multipliers nu_j (upper minus lower, per gap) follow from the
     stationarity equations in one sweep: nu_j = nu_{j-1} + 2 w_j (f_j - y_j).
     At the optimum nu ends at zero, vanishes on inactive gaps, and has the
-    sign of the active constraint elsewhere.
+    sign of the active constraint elsewhere.  When the gap budget is itself
+    below the tolerance, both bounds are active (rounding can even leave
+    f_{j+1} = f_j), so nu_j may take either sign.
     """
     nu = np.cumsum(2.0 * w * (f - ybar))
     res = abs(nu[-1])
@@ -160,15 +223,12 @@ def _kkt_residual(f, ybar, w, gaps, active_tol=1e-7):
         return res
     d = np.diff(f)
     inner = nu[:-1]
-    slack = gaps - np.abs(d)
-    upper = d > 0.0
-    viol = np.where(slack > active_tol * (1.0 + gaps), np.abs(inner),
-                    np.where(upper, np.maximum(0.0, -inner), np.maximum(0.0, inner)))
+    tol = active_tol * (1.0 + gaps)
+    upper = gaps - d <= tol
+    lower = gaps + d <= tol
+    viol = np.where(upper, np.where(lower, 0.0, np.maximum(0.0, -inner)),
+                    np.where(lower, np.maximum(0.0, inner), np.abs(inner)))
     return float(max(res, viol.max()))
-
-
-def evaluate(fit: LipschitzFit, x):
-    return fit.evaluate(x)
 
 
 def fit_isotonic_lse(sample: RegressionSample) -> np.ndarray:

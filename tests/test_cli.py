@@ -47,6 +47,12 @@ def test_fit_missing_file_exits_3(capsys):
     assert main(["fit", "--data", "/nonexistent.csv"]) == 3
 
 
+def test_fit_nan_cell_exits_3(tmp_path, capsys):
+    _write_xy(tmp_path / "d.csv", [0.1, 0.5, 0.9], [0.0, "nan", 1.0])
+    assert main(["fit", "--data", str(tmp_path / "d.csv")]) == 3
+    assert "NaN" in capsys.readouterr().err
+
+
 def test_transfer_subcommand(tmp_path, capsys):
     rng = np.random.default_rng(1)
     _write_xy(tmp_path / "s.csv", np.sort(rng.random(30)), rng.normal(size=30))

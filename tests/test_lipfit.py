@@ -1,4 +1,6 @@
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,10 @@ from lipshift.lipfit import (
     kernel_smoother,
     l2_risk,
     weighted_sup_loss,
+    _merge_duplicates,
 )
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def active_set_oracle(x, y, L):
@@ -49,6 +54,50 @@ def active_set_oracle(x, y, L):
         if np.all(np.abs(np.diff(f)) <= u + 1e-12):
             best = min(best, float(np.sum((y - f) ** 2)))
     return best
+
+
+def _pwl_root(xs, vs, s_left, s_right):
+    """Root of a nondecreasing piecewise-linear function with end slopes."""
+    if vs[0] > 0.0:
+        return xs[0] - vs[0] / s_left
+    if vs[-1] < 0.0:
+        return xs[-1] - vs[-1] / s_right
+    i = int(np.searchsorted(vs, 0.0, side="left"))
+    if vs[i] == 0.0:
+        return xs[i]
+    # vs[i-1] < 0 < vs[i]
+    return xs[i - 1] - vs[i - 1] * (xs[i] - xs[i - 1]) / (vs[i] - vs[i - 1])
+
+
+def breakpoint_dp_oracle(sample, budget):
+    """Fitted values by the O(n^2) breakpoint DP: V' is carried as arrays of
+    knot positions and values, rebuilt by concatenation at every step."""
+    xu, ybar, w, _ = _merge_duplicates(sample.x, sample.y)
+    k = xu.size
+    gaps = budget * np.diff(xu)
+
+    # V_1'(z) = 2 w_1 (z - ybar_1)
+    xs = np.array([ybar[0]])
+    vs = np.array([0.0])
+    s_left = s_right = 2.0 * w[0]
+    mids = np.empty(k - 1)
+    for i in range(1, k):
+        u = gaps[i - 1]
+        m = _pwl_root(xs, vs, s_left, s_right)
+        mids[i - 1] = m
+        neg = vs < 0.0
+        pos = vs > 0.0
+        xs = np.concatenate([xs[neg] - u, [m - u, m + u], xs[pos] + u])
+        vs = np.concatenate([vs[neg], [0.0, 0.0], vs[pos]])
+        vs = vs + 2.0 * w[i] * (xs - ybar[i])
+        s_left += 2.0 * w[i]
+        s_right += 2.0 * w[i]
+
+    f = np.empty(k)
+    f[-1] = _pwl_root(xs, vs, s_left, s_right)
+    for i in range(k - 2, -1, -1):
+        f[i] = np.clip(mids[i], f[i + 1] - gaps[i], f[i + 1] + gaps[i])
+    return f
 
 
 def monotone_oracle(y):
@@ -133,6 +182,17 @@ def test_empty_sample_rejected():
         RegressionSample([], [])
 
 
+@pytest.mark.parametrize("x, y", [
+    ([0.1, 0.5, 0.9], [0.0, np.nan, 1.0]),
+    ([0.1, 0.5, 0.9], [0.0, np.inf, 1.0]),
+    ([0.1, np.nan, 0.9], [0.0, 0.5, 1.0]),
+    ([0.1, 0.5, -np.inf], [0.0, 0.5, 1.0]),
+])
+def test_nonfinite_sample_rejected(x, y):
+    with pytest.raises(InvalidInputError):
+        RegressionSample(x, y)
+
+
 def test_bad_budget_rejected():
     s = RegressionSample([0.1], [0.0])
     for L in (0.0, -1.0, 1.5):
@@ -148,6 +208,42 @@ def test_fit_always_feasible_and_certified(ys, L):
     fit = fit_lipschitz_lse(RegressionSample(x, np.array(ys)), L)
     assert np.all(np.abs(np.diff(fit.values)) <= L * np.diff(fit.knots) + 1e-9)
     assert fit.kkt_residual <= 1e-8 * (1.0 + max(1e-12, np.max(np.abs(ys))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 2048),
+       seed=st.integers(0, 2**32 - 1),
+       family=st.sampled_from(["noise", "alternating", "cauchy"]),
+       scale=st.sampled_from([1e-3, 1.0, 1e3, 1e6]),
+       min_gap=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]),
+       tie_rate=st.sampled_from([0.0, 0.3]),
+       L=st.floats(0.05, 1.0))
+def test_stack_dp_matches_breakpoint_oracle(n, seed, family, scale, min_gap, tie_rate, L):
+    rng = np.random.default_rng(seed)
+    gaps = 10.0 ** rng.uniform(np.log10(min_gap), -2.0, n - 1)
+    gaps[rng.random(n - 1) < tie_rate] = 0.0
+    x = np.concatenate([[0.0], np.cumsum(gaps)])
+    if family == "noise":
+        y = scale * rng.standard_normal(n)
+    elif family == "alternating":
+        y = scale * 5.0 * (-1.0) ** np.arange(n)
+    else:
+        y = np.clip(scale * rng.standard_cauchy(n), -1e6, 1e6)
+    sample = RegressionSample(x, y)
+    fit = fit_lipschitz_lse(sample, L)
+    ymax = np.max(np.abs(y))
+    oracle = breakpoint_dp_oracle(sample, L)
+    assert np.max(np.abs(fit.values - oracle)) <= 1e-9 * (1.0 + ymax)
+    assert np.all(np.abs(np.diff(fit.values)) <= L * np.diff(fit.knots) + 1e-9)
+    assert fit.kkt_residual <= 1e-8 * (1.0 + ymax)
+
+
+def test_readme_quick_start_runs():
+    block = re.search(r"## Quick start\s+```python\n(.*?)```", README.read_text(), re.S)
+    scope = {}
+    exec(block.group(1), scope)
+    assert scope["fit"].budget == 1.0
+    assert scope["fit"].kkt_residual <= 1e-8 * (1.0 + np.max(np.abs(scope["y"])))
 
 
 # --- evaluation ---------------------------------------------------------
