@@ -228,7 +228,8 @@ def test_stack_dp_matches_breakpoint_oracle(n, seed, family, scale, min_gap, tie
     elif family == "alternating":
         y = scale * 5.0 * (-1.0) ** np.arange(n)
     else:
-        y = np.clip(scale * rng.standard_cauchy(n), -1e6, 1e6)
+        y = scale * rng.standard_cauchy(n)
+    y = np.clip(y, -1e6, 1e6)
     sample = RegressionSample(x, y)
     fit = fit_lipschitz_lse(sample, L)
     ymax = np.max(np.abs(y))
