@@ -14,24 +14,26 @@ import sys
 import numpy as np
 
 from . import densities, prooflab
-from .errors import ExperimentError, LipshiftError, NondifferentiablePointError
+from .errors import ExperimentError, InvalidInputError, LipshiftError, NondifferentiablePointError
 from .harness import ExperimentConfig, run_rate_experiment
 from .lipfit import RegressionSample, fit_lipschitz_lse
-from .spread import EmpiricalSpread, SpreadFunction
-from .transfer import TwoSampleData, fit_transfer
-
-
-def _load_dist(text):
-    return densities.from_spec(json.loads(text))
+from .spread import SpreadFunction
+from .transfer import fit_transfer
 
 
 def _read_xy_csv(path):
     rows = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].strip().lower() in ("x", "#"):
                 continue
-            rows.append((float(row[0]), float(row[1])))
+            try:
+                rows.append((float(row[0]), float(row[1])))
+            except (ValueError, IndexError) as exc:
+                raise InvalidInputError(
+                    f"{path}, line {reader.line_num}: expected two numbers x,y, got {row!r}"
+                ) from exc
     if not rows:
         raise LipshiftError(f"no data rows in {path}")
     xs, ys = zip(*rows)
@@ -39,7 +41,7 @@ def _read_xy_csv(path):
 
 
 def _cmd_spread(args, out):
-    d = _load_dist(args.dist)
+    d = densities.from_spec(args.dist)
     s = SpreadFunction(d, args.n)
     xs = np.linspace(0.0, 1.0, args.grid)
     t = s.at(xs)
@@ -73,19 +75,12 @@ def _cmd_fit(args, out):
 
 
 def _cmd_transfer(args, out):
-    data = TwoSampleData(
-        source=_read_xy_csv(args.source),
-        target=_read_xy_csv(args.target),
-        source_design=_load_dist(args.source_dist),
-        target_design=_load_dist(args.target_dist),
-    )
-    fit = fit_transfer(data, args.budget)
+    fit = fit_transfer(_read_xy_csv(args.source), _read_xy_csv(args.target), args.budget)
     xs = np.linspace(0.0, 1.0, args.grid)
     f1, f2 = fit.fit1.evaluate(xs), fit.fit2.evaluate(xs)
     sel = fit.selector(xs)
     combined = fit.evaluate(xs)
-    tp = EmpiricalSpread(data.source.x).at(xs)
-    tq = EmpiricalSpread(data.target.x).at(xs)
+    tp, tq = fit.spread1.at(xs), fit.spread2.at(xs)
     writer = csv.writer(out)
     writer.writerow(["x", "fit1", "fit2", "selector", "combined", "t_hat_P", "t_hat_Q"])
     for i, x in enumerate(xs):
@@ -95,7 +90,7 @@ def _cmd_transfer(args, out):
 
 
 def _cmd_doubling(args, out):
-    d = _load_dist(args.dist)
+    d = densities.from_spec(args.dist)
     value = densities.doubling_constant(d, args.eta_max)
     print(f"doubling constant estimate (eta <= {args.eta_max}): {value:.6g}", file=out)
     return 0
@@ -205,8 +200,6 @@ def build_parser():
     p = sub.add_parser("transfer", help="two-sample combined estimator")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--source-dist", required=True)
-    p.add_argument("--target-dist", required=True)
     p.add_argument("--budget", type=float, default=1.0)
     p.add_argument("--grid", type=int, default=101)
     p.set_defaults(func=_cmd_transfer)

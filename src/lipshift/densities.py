@@ -55,6 +55,21 @@ class DesignDistribution:
         return f"DesignDistribution(kind={self.kind!r}, params={self.params!r})"
 
 
+def _bisect_ppf(cdf, u, a, b):
+    """Inverse of a continuous nondecreasing CDF on [a, b] by 60 bisection
+    steps, so to (b - a) 2^-60 < 1e-12; a float for a single u."""
+    u = np.atleast_1d(np.asarray(u, float))
+    lo = np.full_like(u, a)
+    hi = np.full_like(u, b)
+    for _ in range(60):
+        midp = 0.5 * (lo + hi)
+        below = cdf(midp) < u
+        lo = np.where(below, midp, lo)
+        hi = np.where(below, hi, midp)
+    out = 0.5 * (lo + hi)
+    return out if out.size > 1 else float(out[0])
+
+
 def uniform() -> DesignDistribution:
     return DesignDistribution(
         kind="uniform",
@@ -166,20 +181,9 @@ def tabulated(grid, values) -> DesignDistribution:
         slope = (v[i + 1] - v[i]) / (g[i + 1] - g[i])
         return cum[i] + v[i] * dx + 0.5 * slope * dx**2
 
-    def ppf(u):
-        u = np.atleast_1d(np.asarray(u, float))
-        lo = np.full_like(u, g[0])
-        hi = np.full_like(u, g[-1])
-        for _ in range(60):  # (g[-1]-g[0]) 2^-60 < 1e-12
-            midp = 0.5 * (lo + hi)
-            below = cdf(midp) < u
-            lo = np.where(below, midp, lo)
-            hi = np.where(below, hi, midp)
-        out = 0.5 * (lo + hi)
-        return out if out.size > 1 else float(out[0])
-
     return DesignDistribution(
-        "tabulated", density, cdf, ppf, {"grid": g, "values": v}, sup_density=float(v.max())
+        "tabulated", density, cdf, lambda u: _bisect_ppf(cdf, u, g[0], g[-1]),
+        {"grid": g, "values": v}, sup_density=float(v.max())
     )
 
 
@@ -195,23 +199,11 @@ def mixture(p: DesignDistribution, q: DesignDistribution, weight_p: float) -> De
     def cdf(x):
         return w * p.cdf(x) + (1.0 - w) * q.cdf(x)
 
-    def ppf(u):
-        u = np.atleast_1d(np.asarray(u, float))
-        lo = np.zeros_like(u)
-        hi = np.ones_like(u)
-        for _ in range(60):
-            midp = 0.5 * (lo + hi)
-            below = cdf(midp) < u
-            lo = np.where(below, midp, lo)
-            hi = np.where(below, hi, midp)
-        out = 0.5 * (lo + hi)
-        return out if out.size > 1 else float(out[0])
-
     return DesignDistribution(
         "mixture",
         density,
         cdf,
-        ppf,
+        lambda u: _bisect_ppf(cdf, u, 0.0, 1.0),
         {"weight_p": w, "p": p, "q": q},
         sup_density=w * p.sup_density + (1.0 - w) * q.sup_density,
     )

@@ -6,6 +6,10 @@ fits log-log slopes of the mean loss against n.  Everything is driven by a
 JSON config and fully determined by (config, seed): replicate r at sample
 size n draws from the stream seeded with [seed, n, r], so adding replicates
 or sample sizes never disturbs existing draws.
+
+Each estimator and each loss is defined once, in the tables ESTIMATORS and
+LOSSES that config validation, the experiment loop and the tests share.
+Estimators run in table order, whatever order the config lists them in.
 """
 
 from __future__ import annotations
@@ -13,24 +17,20 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import densities
 from .densities import DesignDistribution
 from .errors import ConfigError, ExperimentError, InvalidInputError
-from .lipfit import (
-    RegressionSample,
-    fit_lipschitz_lse,
-    isotonic_evaluate,
-    l2_risk,
-    weighted_sup_loss,
-)
+from .lipfit import RegressionSample, fit_lipschitz_lse, isotonic_evaluate, kernel_smoother
 from .spread import SpreadFunction
-from .transfer import TwoSampleData, fit_transfer
+from .transfer import fit_transfer
 
 __all__ = [
+    "ESTIMATORS",
+    "LOSSES",
     "ExperimentConfig",
     "RateReport",
     "make_f0",
@@ -40,8 +40,6 @@ __all__ = [
 ]
 
 EVAL_GRID_SIZE = 201
-KNOWN_ESTIMATORS = ("lse", "kernel", "isotonic", "transfer")
-KNOWN_LOSSES = ("weighted_sup", "sup", "l2_q")
 
 
 def make_f0(spec: dict, delta: float):
@@ -70,7 +68,7 @@ def make_f0(spec: dict, delta: float):
 @dataclass
 class ExperimentConfig:
     distribution: DesignDistribution
-    f0_spec: dict
+    f0_spec: dict = field(default_factory=lambda: {"kind": "zero"})
     delta: float = 0.1
     n_grid: list = field(default_factory=lambda: [256, 512, 1024])
     m_grid: list | None = None
@@ -91,10 +89,10 @@ class ExperimentConfig:
         if list(self.n_grid) != sorted(self.n_grid) or len(self.n_grid) == 0:
             raise ConfigError("n_grid must be nonempty and ascending")
         for e in self.estimators:
-            if e not in KNOWN_ESTIMATORS:
+            if e not in ESTIMATORS:
                 raise ConfigError(f"unknown estimator {e!r}")
         for l in self.losses:
-            if l not in KNOWN_LOSSES:
+            if l not in LOSSES:
                 raise ConfigError(f"unknown loss {l!r}")
         if "transfer" in self.estimators:
             if self.target_distribution is None or self.m_grid is None:
@@ -103,29 +101,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj):
-        """Build from a JSON dict (or path contents already parsed)."""
+        """Build from a JSON object (or its text).  Keys are the field names,
+        with "f0" for f0_spec; absent keys take the field defaults."""
         if isinstance(obj, str):
             obj = json.loads(obj)
-        try:
-            dist = densities.from_spec(obj["distribution"])
-        except KeyError as exc:
-            raise ConfigError("config needs a 'distribution' entry") from exc
-        target = obj.get("target_distribution")
-        kwargs = dict(
-            distribution=dist,
-            f0_spec=obj.get("f0", {"kind": "zero"}),
-            delta=obj.get("delta", 0.1),
-            n_grid=list(obj.get("n_grid", [256, 512, 1024])),
-            m_grid=list(obj["m_grid"]) if "m_grid" in obj else None,
-            replicates=obj.get("replicates", 20),
-            seed=obj.get("seed", 0),
-            estimators=list(obj.get("estimators", ["lse"])),
-            losses=list(obj.get("losses", ["sup"])),
-            target_distribution=densities.from_spec(target) if target else None,
-            noise_sd=obj.get("noise_sd", 1.0),
-            bandwidth=obj.get("bandwidth", "rate"),
-            budget=obj.get("budget", 1.0),
-        )
+        kwargs = {("f0_spec" if key == "f0" else key): value for key, value in obj.items()}
+        unknown = set(obj) - {f.name for f in fields(cls) if f.name != "f0_spec"} - {"f0"}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if "distribution" not in obj:
+            raise ConfigError("config needs a 'distribution' entry")
+        kwargs["distribution"] = densities.from_spec(obj["distribution"])
+        if obj.get("target_distribution") is not None:
+            kwargs["target_distribution"] = densities.from_spec(obj["target_distribution"])
         try:
             return cls(**kwargs)
         except ConfigError:
@@ -146,12 +134,38 @@ def generate(config: ExperimentConfig, n: int, seed) -> RegressionSample:
     return _draw(config.distribution, config.f0, config.noise_sd, n, seed)
 
 
-def _kernel_eval_grid(sample: RegressionSample, d: DesignDistribution, h: float, grid):
-    """Triangular-kernel smoother evaluated on a whole grid at once."""
-    u = (sample.x[None, :] - grid[:, None]) / h
-    kern = np.maximum(1.0 - np.abs(u), 0.0)
-    px = d.density(grid)
-    return kern @ sample.y / (sample.n * h * px)
+def _lse(config, sample, grid, m, rep):
+    return fit_lipschitz_lse(sample, config.budget).evaluate(grid)
+
+
+def _isotonic(config, sample, grid, m, rep):
+    return isotonic_evaluate(sample, grid)
+
+
+def _kernel(config, sample, grid, m, rep):
+    n = sample.n
+    h = (np.log(n) / n) ** (1.0 / 3.0) if config.bandwidth == "rate" else float(config.bandwidth)
+    return kernel_smoother(sample, config.distribution, h, grid)
+
+
+def _transfer(config, sample, grid, m, rep):
+    target = _draw(config.target_distribution, config.f0, config.noise_sd,
+                   m, [config.seed + 1, m, rep])
+    return fit_transfer(sample, target, config.budget).evaluate(grid)
+
+
+# name -> estimate(config, sample, grid, m, replicate): the fit on the grid.
+# transfer draws its m-point target sample from the stream [seed + 1, m, r].
+ESTIMATORS = {"lse": _lse, "isotonic": _isotonic, "kernel": _kernel, "transfer": _transfer}
+
+# name -> loss(err, grid, t, q) from the error, t_n and the target density q
+# (the source density without a target design) on the grid; l2_q is the
+# trapezoid rule on the grid for the L2(Q) risk int err^2 q.
+LOSSES = {
+    "sup": lambda err, grid, t, q: float(np.max(np.abs(err))),
+    "weighted_sup": lambda err, grid, t, q: float(np.max(np.abs(err) / t)),
+    "l2_q": lambda err, grid, t, q: float(np.trapezoid(err**2 * q, grid)),
+}
 
 
 @dataclass
@@ -166,7 +180,7 @@ class RateReport:
             "rows": self.rows,
             "slopes": {f"{e}/{l}": v for (e, l), v in self.slopes.items()},
             "metadata": self.metadata,
-        }, indent=2, sort_keys=True)
+        }, indent=2, sort_keys=True, allow_nan=False)
 
     def write(self, report_path, losses_path):
         with open(report_path, "w") as fh:
@@ -192,39 +206,22 @@ def fit_loglog_slope(points):
     return float(slope), float(np.sqrt(cov[0, 0]))
 
 
-def _replicate_losses(config, n, m, rep, grid, spread_grid, f0_grid):
+def _replicate_losses(config, n, m, rep, grid, spread_grid, q_grid, f0_grid):
     """All requested (estimator, loss) values for one replicate."""
-    out = {}
     sample = generate(config, n, [config.seed, n, rep])
-    evals = {}
-    if "lse" in config.estimators:
-        evals["lse"] = fit_lipschitz_lse(sample, config.budget).evaluate(grid)
-    if "isotonic" in config.estimators:
-        evals["isotonic"] = isotonic_evaluate(sample, grid)
-    if "kernel" in config.estimators:
-        h = (np.log(n) / n) ** (1.0 / 3.0) if config.bandwidth == "rate" else float(config.bandwidth)
-        evals["kernel"] = _kernel_eval_grid(sample, config.distribution, h, grid)
-    if "transfer" in config.estimators:
-        target = _draw(config.target_distribution, config.f0, config.noise_sd,
-                       m, [config.seed + 1, m, rep])
-        data = TwoSampleData(sample, target, config.distribution, config.target_distribution)
-        evals["transfer"] = fit_transfer(data, config.budget).evaluate(grid)
-    q = config.target_distribution or config.distribution
-    for est, fx in evals.items():
-        err = fx - f0_grid
-        for loss in config.losses:
-            if loss == "sup":
-                out[(est, loss)] = float(np.max(np.abs(err)))
-            elif loss == "weighted_sup":
-                out[(est, loss)] = float(np.max(np.abs(err) / spread_grid))
-            else:  # l2_q, trapezoid on the evaluation grid against the target density
-                out[(est, loss)] = float(np.trapezoid(err**2 * q.density(grid), grid))
+    out = {}
+    for est, estimate in ESTIMATORS.items():
+        if est in config.estimators:
+            err = estimate(config, sample, grid, m, rep) - f0_grid
+            for loss in config.losses:
+                out[(est, loss)] = LOSSES[loss](err, grid, spread_grid, q_grid)
     return out
 
 
 def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     grid = np.linspace(0.0, 1.0, EVAL_GRID_SIZE)
     f0_grid = config.f0(grid)
+    q_grid = (config.target_distribution or config.distribution).density(grid)
     rows, loss_records = [], []
     failures = 0
     total = 0
@@ -239,8 +236,11 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
         for rep in range(config.replicates):
             total += 1
             try:
-                vals = _replicate_losses(config, n, m, rep, grid, spread_grid, f0_grid)
+                vals = _replicate_losses(config, n, m, rep, grid, spread_grid, q_grid, f0_grid)
+                ok = all(math.isfinite(v) for v in vals.values())
             except Exception:
+                ok = False
+            if not ok:  # a raise or a non-finite loss
                 failures += 1
                 continue
             for key, v in vals.items():

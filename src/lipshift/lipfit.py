@@ -1,4 +1,5 @@
-"""Least squares estimators on [0, 1] and the losses used to judge them.
+"""Least squares estimators on [0, 1] and the kernel smoother they are
+compared with.
 
 The Lipschitz-constrained LSE
 
@@ -32,16 +33,16 @@ for the other; in the new stack's coordinates (p, q) shifts by a constant,
 so a galloping search finds them and one slice moves them.  A fit costs
 O(n) steps plus one move per knot crossing the root.
 
-The same file houses the isotonic min-max LSE, a fixed bandwidth kernel
-smoother, and the sup/L2 losses.
+The same file houses the isotonic LSE (pool adjacent violators) and a
+fixed-bandwidth triangular-kernel smoother.  The losses that judge all of
+them, and the name -> estimator table that runs them, are in ``harness``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .densities import DesignDistribution
 from .errors import InvalidInputError, InvalidParameterError, ZeroDensityError
@@ -51,11 +52,8 @@ __all__ = [
     "LipschitzFit",
     "fit_lipschitz_lse",
     "fit_isotonic_lse",
-    "isotonic_minmax",
     "isotonic_evaluate",
     "kernel_smoother",
-    "weighted_sup_loss",
-    "l2_risk",
 ]
 
 
@@ -254,21 +252,6 @@ def fit_isotonic_lse(sample: RegressionSample) -> np.ndarray:
     return out
 
 
-def isotonic_minmax(sample: RegressionSample) -> np.ndarray:
-    """Direct min over i of max over j of (S_i - S_j)/(i - j) at each design
-    point; quadratic cost, kept as an independent cross-check of the fit."""
-    y = sample.y
-    n = y.size
-    s = np.concatenate([[0.0], np.cumsum(y)])
-    out = np.empty(n)
-    for k in range(1, n + 1):
-        i = np.arange(k, n + 1)
-        j = np.arange(0, k)
-        ratios = (s[i][:, None] - s[j][None, :]) / (i[:, None] - j[None, :])
-        out[k - 1] = ratios.max(axis=1).min()
-    return out
-
-
 def isotonic_evaluate(sample: RegressionSample, x) -> np.ndarray:
     """Piecewise-constant extension of the isotonic fit: the value at x is
     min_{i >= k+(x)} max_{j <= k-(x)} (S_i - S_j)/(i - j), which equals the
@@ -279,35 +262,23 @@ def isotonic_evaluate(sample: RegressionSample, x) -> np.ndarray:
     return fitted[idx]
 
 
-def kernel_smoother(sample: RegressionSample, d: DesignDistribution, h: float, x: float) -> float:
-    """Triangular-kernel smoother (1/(n h p(x))) sum y_i K((x_i - x)/h)."""
+def kernel_smoother(sample: RegressionSample, d: DesignDistribution, h: float, x):
+    """Triangular-kernel smoother (1/(n h p(x))) sum_i y_i K((x_i - x)/h).
+
+    Vectorized over x; the len(x) x n kernel matrix is built in place, so it
+    is the only temporary of that size.
+    """
     if h <= 0.0:
         raise InvalidParameterError(f"bandwidth must be positive, got {h}")
-    px = float(d.density(x))
-    if px <= 0.0:
-        raise ZeroDensityError(f"density vanishes at x={x}")
-    u = (sample.x - x) / h
-    kern = np.maximum(1.0 - np.abs(u), 0.0)
-    return float(np.sum(sample.y * kern) / (sample.n * h * px))
-
-
-def weighted_sup_loss(fit_eval, f0, t, grid) -> float:
-    """max over the grid of |fit(x) - f0(x)| / t(x)."""
-    grid = np.asarray(grid, float)
-    if grid.size == 0:
-        raise InvalidInputError("loss grid is empty")
-    tx = np.asarray(t(grid), float)
-    if np.any(tx <= 0.0):
-        raise InvalidParameterError("weight function must be positive on the grid")
-    return float(np.max(np.abs(np.asarray(fit_eval(grid)) - np.asarray(f0(grid))) / tx))
-
-
-def l2_risk(fit_eval, f0, q: DesignDistribution, nodes: int = 4097) -> float:
-    """Simpson quadrature of (fit - f0)^2 q over [0, 1]."""
-    if nodes < 16:
-        raise InvalidParameterError(f"need at least 16 quadrature nodes, got {nodes}")
-    if nodes % 2 == 0:
-        nodes += 1
-    xs = np.linspace(0.0, 1.0, nodes)
-    integrand = (np.asarray(fit_eval(xs)) - np.asarray(f0(xs))) ** 2 * q.density(xs)
-    return float(simpson(integrand, x=xs))
+    x = np.asarray(x, float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    px = d.density(x)
+    if np.any(px <= 0.0):
+        raise ZeroDensityError(f"density vanishes at x={x[np.argmax(px <= 0.0)]}")
+    kern = np.abs(sample.x[None, :] - x[:, None])
+    kern /= h
+    np.subtract(1.0, kern, out=kern)
+    np.maximum(kern, 0.0, out=kern)
+    out = kern @ sample.y / (sample.n * h * px)
+    return float(out[0]) if scalar else out

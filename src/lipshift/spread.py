@@ -15,6 +15,7 @@ import numpy as np
 
 from .densities import DesignDistribution, interval_mass
 from .errors import (
+    InvalidInputError,
     InvalidParameterError,
     NoBoundAvailableError,
     NondifferentiablePointError,
@@ -23,42 +24,31 @@ from .errors import (
 __all__ = [
     "SpreadFunction",
     "EmpiricalSpread",
-    "spread_at",
-    "spread_derivative",
-    "closed_form_bounds",
-    "empirical_spread",
     "vanishing_density_bounds",
 ]
 
 
+def _finite(x):
+    """x as a float array; NaN or infinite points are rejected."""
+    x = np.asarray(x, float)
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("spread evaluated at a NaN or infinite point")
+    return x
+
+
 class SpreadFunction:
-    """Evaluator for t_n bound to a (distribution, n) pair.
+    """Evaluator for t_n bound to a (distribution, n) pair."""
 
-    ``tol`` is the relative residual target for the defining equation.  An
-    optional uniform cache grid speeds up repeated bulk evaluation; cached
-    lookups interpolate linearly, with error bounded by the grid spacing
-    because t_n is 1-Lipschitz.
-    """
-
-    def __init__(self, distribution: DesignDistribution, n: int, tol: float = 1e-12,
-                 cache_nodes: int | None = None):
+    def __init__(self, distribution: DesignDistribution, n: int):
         if n <= 1:
             raise InvalidParameterError(f"spread function needs n > 1, got {n}")
         self.distribution = distribution
         self.n = int(n)
-        self.tol = float(tol)
         self.threshold = np.log(n) / n
-        self._cache_x = None
-        self._cache_t = None
-        if cache_nodes is not None:
-            if cache_nodes < 2:
-                raise InvalidParameterError("cache needs at least 2 nodes")
-            self._cache_x = np.linspace(0.0, 1.0, int(cache_nodes))
-            self._cache_t = self.at(self._cache_x)
 
     def at(self, x):
         """Solve the defining equation by bisection; vectorized over x."""
-        x = np.asarray(x, float)
+        x = _finite(x)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
         lo = np.full_like(x, np.sqrt(self.threshold) * (1.0 - 1e-9))
@@ -72,12 +62,6 @@ class SpreadFunction:
         t = 0.5 * (lo + hi)
         return float(t[0]) if scalar else t
 
-    def cached_at(self, x):
-        """Linear interpolation on the cache grid (build with cache_nodes)."""
-        if self._cache_x is None:
-            raise InvalidParameterError("no cache was built for this spread function")
-        return np.interp(np.asarray(x, float), self._cache_x, self._cache_t)
-
     def derivative(self, x: float) -> float:
         """Closed-form derivative of t_n; undefined where t_n(x) hits x or 1-x.
 
@@ -86,7 +70,7 @@ class SpreadFunction:
             t'(x) = [p(x-t) 1(t<=x) - p(x+t) 1(t<=1-x)]
                     / [2 log(n)/(n t^3) + p(x+t) 1(t<=1-x) + p(x-t) 1(t<=x)].
         """
-        x = float(x)
+        x = float(_finite(x))
         if not 0.0 < x < 1.0:
             raise NondifferentiablePointError(f"derivative defined on (0,1) only, got x={x}")
         t = self.at(x)
@@ -115,37 +99,24 @@ class SpreadFunction:
         d = self.distribution
         ln = self.threshold
         if d.kind == "uniform":
-            lo = (ln / 2.0) ** (1.0 / 3.0)
-            hi = ln ** (1.0 / 3.0)
-            return np.broadcast_to(lo, x.shape).copy() if x.ndim else lo, \
-                np.broadcast_to(hi, x.shape).copy() if x.ndim else hi
-        if d.kind == "power":
+            lo, hi = (ln / 2.0) ** (1.0 / 3.0), ln ** (1.0 / 3.0)
+        elif d.kind == "power":
             a = d.params["alpha"]
-            a_n = (ln / 2.0 ** (a + 1.0)) ** (1.0 / (a + 3.0))
-            lo_in = (ln / 2.0 ** (a + 1.0)) ** (1.0 / (a + 3.0))
-            hi_in = ln ** (1.0 / (a + 3.0))
-            with np.errstate(divide="ignore"):
-                xa = np.maximum(x, a_n) ** a
-            lo_out = (ln / (2.0 ** (a + 1.0) * (a + 1.0) * xa)) ** (1.0 / 3.0)
-            hi_out = (ln / xa) ** (1.0 / 3.0)
-            lo = np.where(x <= a_n, lo_in, lo_out)
-            hi = np.where(x <= a_n, hi_in, hi_out)
-            return (float(lo), float(hi)) if lo.ndim == 0 else (lo, hi)
-        if d.kind == "example3":
+            a_n = (ln / 2.0 ** (a + 1.0)) ** (1.0 / (a + 3.0))  # also the inner lower bound
+            xa = np.maximum(x, a_n) ** a
+            lo = np.where(x <= a_n, a_n, (ln / (2.0 ** (a + 1.0) * (a + 1.0) * xa)) ** (1.0 / 3.0))
+            hi = np.where(x <= a_n, ln ** (1.0 / (a + 3.0)), (ln / xa) ** (1.0 / 3.0))
+        elif d.kind == "example3":
             p = d.density(x)
-            lo = (ln / (3.0 * p)) ** (1.0 / 3.0)
-            hi = (2.0 * ln / p) ** (1.0 / 3.0)
-            return (float(lo), float(hi)) if np.ndim(lo) == 0 else (lo, hi)
-        if d.kind == "tabulated":
+            lo, hi = (ln / (3.0 * p)) ** (1.0 / 3.0), (2.0 * ln / p) ** (1.0 / 3.0)
+        elif d.kind == "tabulated" and d.params["values"].min() > 0.0:
             v = d.params["values"]
-            if v.min() > 0.0:
-                lo = (ln / (2.0 * v.max())) ** (1.0 / 3.0)
-                hi = (ln / v.min()) ** (1.0 / 3.0)
-                shape = np.shape(x)
-                if shape:
-                    return np.full(shape, lo), np.full(shape, hi)
-                return lo, hi
-        raise NoBoundAvailableError(f"no closed-form spread bound for kind {d.kind!r}")
+            lo, hi = (ln / (2.0 * v.max())) ** (1.0 / 3.0), (ln / v.min()) ** (1.0 / 3.0)
+        else:
+            raise NoBoundAvailableError(f"no closed-form spread bound for kind {d.kind!r}")
+        if x.ndim == 0:
+            return float(lo), float(hi)
+        return np.broadcast_to(lo, x.shape).copy(), np.broadcast_to(hi, x.shape).copy()
 
 
 def vanishing_density_bounds(n: int, alpha: float, bound: float):
@@ -173,7 +144,7 @@ class EmpiricalSpread:
     """
 
     def __init__(self, points):
-        pts = np.sort(np.asarray(points, float))
+        pts = np.sort(_finite(points))
         if pts.ndim != 1 or pts.size < 2:
             raise InvalidParameterError("empirical spread needs at least 2 points")
         self.points = pts
@@ -181,7 +152,7 @@ class EmpiricalSpread:
         self._floor = np.sqrt(np.log(self.n) / np.arange(1, self.n + 1))
 
     def at(self, x):
-        x = np.asarray(x, float)
+        x = _finite(x)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
         # n x grid distance matrix, sorted per column
@@ -189,20 +160,3 @@ class EmpiricalSpread:
         out = np.min(np.maximum(r, self._floor[:, None]), axis=0)
         return float(out[0]) if scalar else out
 
-
-# free-function aliases mirroring the method API
-
-def spread_at(s: SpreadFunction, x):
-    return s.at(x)
-
-
-def spread_derivative(s: SpreadFunction, x: float) -> float:
-    return s.derivative(x)
-
-
-def closed_form_bounds(s: SpreadFunction, x):
-    return s.closed_form_bounds(x)
-
-
-def empirical_spread(e: EmpiricalSpread, x):
-    return e.at(x)

@@ -21,24 +21,11 @@ from .lipfit import LipschitzFit, RegressionSample, fit_lipschitz_lse
 from .spread import EmpiricalSpread, SpreadFunction
 
 __all__ = [
-    "TwoSampleData",
     "TransferFit",
     "fit_transfer",
     "mixture_spread",
     "transfer_risk_integrals",
 ]
-
-
-@dataclass(frozen=True)
-class TwoSampleData:
-    source: RegressionSample
-    target: RegressionSample
-    source_design: DesignDistribution
-    target_design: DesignDistribution
-
-    def __post_init__(self):
-        if self.source.n < 2 or self.target.n < 2:
-            raise InvalidInputError("both samples need at least 2 points")
 
 
 @dataclass(frozen=True)
@@ -57,17 +44,20 @@ class TransferFit:
         return np.where(self.selector(x) == 1, self.fit1.evaluate(x), self.fit2.evaluate(x))
 
 
-def fit_transfer(data: TwoSampleData, L: float) -> TransferFit:
+def fit_transfer(source: RegressionSample, target: RegressionSample,
+                 budget: float) -> TransferFit:
     """Fit both LSEs and the pointwise smallest-estimated-rate selector.
 
     The empirical spreads use the design points only (no responses), each
     with its own sample-size threshold.
     """
+    if source.n < 2 or target.n < 2:
+        raise InvalidInputError("both samples need at least 2 points")
     return TransferFit(
-        fit1=fit_lipschitz_lse(data.source, L),
-        fit2=fit_lipschitz_lse(data.target, L),
-        spread1=EmpiricalSpread(data.source.x),
-        spread2=EmpiricalSpread(data.target.x),
+        fit1=fit_lipschitz_lse(source, budget),
+        fit2=fit_lipschitz_lse(target, budget),
+        spread1=EmpiricalSpread(source.x),
+        spread2=EmpiricalSpread(target.x),
     )
 
 

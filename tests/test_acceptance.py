@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from lipshift import densities
-from lipshift.harness import ExperimentConfig, _draw, generate, run_rate_experiment
+from lipshift.harness import LOSSES, ExperimentConfig, _draw, generate, run_rate_experiment
 from lipshift.lipfit import (
     RegressionSample,
     fit_isotonic_lse,
@@ -173,6 +173,10 @@ def test_07_transfer_risk_nonincreasing_in_target_size():
     cfg = ExperimentConfig(distribution=P, f0_spec=SINE_F0, seed=0)
     f0g = cfg.f0(EVAL_GRID)
     qg = Q.density(EVAL_GRID)
+
+    def l2(fg):
+        return LOSSES["l2_q"](fg - f0g, EVAL_GRID, None, qg)
+
     reps = 20
     combined = {m: [] for m in ms}
     single_1, single_2 = [], {m: [] for m in ms}
@@ -180,14 +184,14 @@ def test_07_transfer_risk_nonincreasing_in_target_size():
         src = _draw(P, cfg.f0, 1.0, n, [cfg.seed, n, rep])
         f1g = fit_lipschitz_lse(src, 1.0).evaluate(EVAL_GRID)
         t1 = EmpiricalSpread(src.x).at(EVAL_GRID)
-        single_1.append(np.trapezoid((f1g - f0g) ** 2 * qg, EVAL_GRID))
+        single_1.append(l2(f1g))
         for m in ms:
             tgt = _draw(Q, cfg.f0, 1.0, m, [cfg.seed + 1, m, rep])
             f2g = fit_lipschitz_lse(tgt, 1.0).evaluate(EVAL_GRID)
             t2 = EmpiricalSpread(tgt.x).at(EVAL_GRID)
             comb = np.where(t1 <= t2, f1g, f2g)
-            combined[m].append(np.trapezoid((comb - f0g) ** 2 * qg, EVAL_GRID))
-            single_2[m].append(np.trapezoid((f2g - f0g) ** 2 * qg, EVAL_GRID))
+            combined[m].append(l2(comb))
+            single_2[m].append(l2(f2g))
     means = {m: np.mean(combined[m]) for m in ms}
     ses = {m: np.std(combined[m], ddof=1) / np.sqrt(reps) for m in ms}
     for a, b in zip(ms, ms[1:]):

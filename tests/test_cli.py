@@ -53,14 +53,21 @@ def test_fit_nan_cell_exits_3(tmp_path, capsys):
     assert "NaN" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", [["0.5", "abc"], ["0.5"]])
+def test_fit_malformed_row_exits_3(tmp_path, capsys, row):
+    path = tmp_path / "d.csv"
+    path.write_text("x,y\n0.1,0.0\n" + ",".join(row) + "\n0.9,1.0\n")
+    assert main(["fit", "--data", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "line 3" in err
+
+
 def test_transfer_subcommand(tmp_path, capsys):
     rng = np.random.default_rng(1)
     _write_xy(tmp_path / "s.csv", np.sort(rng.random(30)), rng.normal(size=30))
     _write_xy(tmp_path / "t.csv", np.sort(rng.random(10)), rng.normal(size=10))
     code = main(["transfer", "--source", str(tmp_path / "s.csv"),
-                 "--target", str(tmp_path / "t.csv"),
-                 "--source-dist", UNIFORM, "--target-dist", UNIFORM,
-                 "--grid", "5"])
+                 "--target", str(tmp_path / "t.csv"), "--grid", "5"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "x,fit1,fit2,selector,combined,t_hat_P,t_hat_Q"
@@ -115,6 +122,27 @@ def test_simulate_rates_bad_config_exits_3(tmp_path, capsys):
     cfg.write_text(json.dumps({"distribution": {"kind": "uniform"},
                                "estimators": ["forest"]}))
     assert main(["simulate-rates", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
+
+def test_simulate_rates_unknown_key_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"distribution": {"kind": "uniform"},
+                               "n_grid": [32, 64, 128], "replicate": 2}))
+    assert main(["simulate-rates", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "replicate" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_simulate_rates_zero_density_kernel_fails(tmp_path, capsys):
+    # the kernel smoother divides by the design density, which vanishes at
+    # x = 0 for power(1); every replicate fails instead of reporting inf/NaN
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"distribution": {"kind": "power", "alpha": 1.0},
+                               "n_grid": [64, 128, 256], "replicates": 3,
+                               "estimators": ["kernel"], "losses": ["sup", "l2_q"]}))
+    assert main(["simulate-rates", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "9/9 replicates failed" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_simulate_rates_missing_config_exits_3(capsys):

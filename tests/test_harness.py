@@ -1,12 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from lipshift import densities
+from lipshift import densities, harness
 from lipshift.errors import ConfigError, ExperimentError, InvalidInputError
 from lipshift.harness import (
+    ESTIMATORS,
+    LOSSES,
     ExperimentConfig,
+    RateReport,
     fit_loglog_slope,
     generate,
     make_f0,
@@ -118,10 +122,19 @@ def test_config_from_json_roundtrip():
     {"distribution": {"kind": "uniform"}, "replicates": 0},
     {"distribution": {"kind": "uniform"}, "delta": 1.5},
     {"distribution": {"kind": "uniform"}, "estimators": ["transfer"]},
+    {"distribution": {"kind": "uniform"}, "replicate": 2},  # typo of "replicates"
 ])
 def test_config_rejects_bad_entries(bad):
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json(json.dumps(bad))
+
+
+def test_config_from_json_defaults_and_null_target():
+    cfg = ExperimentConfig.from_json({"distribution": {"kind": "uniform"},
+                                      "target_distribution": None})
+    assert cfg == ExperimentConfig(distribution=cfg.distribution)
+    assert cfg.f0_spec == {"kind": "zero"} and cfg.target_distribution is None
+    assert cfg.replicates == 20 and cfg.n_grid == [256, 512, 1024]
 
 
 def test_transfer_needs_matching_grids():
@@ -176,6 +189,36 @@ def test_lse_sup_loss_decreases_with_n():
              if r["estimator"] == "lse" and r["loss"] == "sup"]
     assert means[0] > means[1] > means[2]
     assert report.slopes[("lse", "sup")]["slope"] < -0.1
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_each_estimator_runs_every_loss(name):
+    cfg = _config(estimators=[name], losses=list(LOSSES), m_grid=[32, 64, 128],
+                  target_distribution=densities.power(1.0))
+    report = run_rate_experiment(cfg)
+    assert report.metadata["replicate_failures"] == 0
+    assert {(r["estimator"], r["loss"]) for r in report.rows} == {(name, l) for l in LOSSES}
+    assert len(report.losses) == 3 * 3 * len(LOSSES)
+    assert all(math.isfinite(rec["value"]) and rec["value"] > 0 for rec in report.losses)
+
+
+def test_estimators_run_in_table_order():
+    forward = run_rate_experiment(_config(estimators=["lse", "kernel", "isotonic"]))
+    backward = run_rate_experiment(_config(estimators=["isotonic", "kernel", "lse"]))
+    assert forward.losses == backward.losses
+    assert [rec["estimator"] for rec in forward.losses[:3]] == ["lse", "isotonic", "kernel"]
+
+
+def test_nonfinite_loss_is_a_replicate_failure(monkeypatch):
+    monkeypatch.setitem(harness.LOSSES, "sup", lambda err, grid, t, q: math.nan)
+    with pytest.raises(ExperimentError, match="9/9"):
+        run_rate_experiment(_config())
+
+
+def test_report_json_rejects_nonfinite():
+    report = RateReport(rows=[], losses=[], slopes={}, metadata={"x": math.inf})
+    with pytest.raises(ValueError):
+        report.to_json()
 
 
 def test_report_write_and_json(tmp_path):

@@ -1,0 +1,65 @@
+"""Static checks of the package source, with the standard library's ast.
+
+No linter ships with the test dependencies, so these keep two promises of
+the module layout: a module imports nothing it does not use (the package
+``__init__`` exists to re-export, so it is exempt), and every name listed in
+``__all__`` is defined at module level.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "lipshift"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree):
+    """Names bound by module-level imports, except ``from __future__``."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def _defined_names(tree):
+    """Names bound at module level by definitions, assignments and imports."""
+    names = set(_imported_names(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def _all_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def test_modules_found():
+    assert {p.stem for p in MODULES} >= {"densities", "harness", "lipfit", "spread", "transfer"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = [name for name in _imported_names(tree) if name not in used]
+    assert unused == [], f"{path.name} imports {unused} without using them"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_all_names_defined(path):
+    tree = ast.parse(path.read_text())
+    missing = [name for name in _all_names(tree) if name not in _defined_names(tree)]
+    assert missing == [], f"{path.name} lists undefined names {missing} in __all__"

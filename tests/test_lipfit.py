@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 
 from lipshift import densities
 from lipshift.errors import InvalidInputError, InvalidParameterError, ZeroDensityError
+from lipshift.harness import EVAL_GRID_SIZE, LOSSES
 from lipshift.lipfit import (
     LipschitzFit,
     RegressionSample,
     fit_isotonic_lse,
     fit_lipschitz_lse,
     isotonic_evaluate,
-    isotonic_minmax,
     kernel_smoother,
-    l2_risk,
-    weighted_sup_loss,
     _merge_duplicates,
 )
 
@@ -98,6 +96,21 @@ def breakpoint_dp_oracle(sample, budget):
     for i in range(k - 2, -1, -1):
         f[i] = np.clip(mids[i], f[i + 1] - gaps[i], f[i + 1] + gaps[i])
     return f
+
+
+def isotonic_minmax(sample):
+    """Direct min over i of max over j of (S_i - S_j)/(i - j) at each design
+    point; cubic cost, an independent cross-check of the PAVA fit."""
+    y = sample.y
+    n = y.size
+    s = np.concatenate([[0.0], np.cumsum(y)])
+    out = np.empty(n)
+    for k in range(1, n + 1):
+        i = np.arange(k, n + 1)
+        j = np.arange(0, k)
+        ratios = (s[i][:, None] - s[j][None, :]) / (i[:, None] - j[None, :])
+        out[k - 1] = ratios.max(axis=1).min()
+    return out
 
 
 def monotone_oracle(y):
@@ -330,30 +343,45 @@ def test_kernel_zero_density():
     s = RegressionSample([0.5], [1.0])
     with pytest.raises(ZeroDensityError):
         kernel_smoother(s, densities.power(1.0), h=0.1, x=0.0)
+    with pytest.raises(ZeroDensityError):
+        kernel_smoother(s, densities.power(1.0), h=0.1, x=np.linspace(0.0, 1.0, 11))
+
+
+def test_kernel_grid_matches_pointwise():
+    rng = np.random.default_rng(4)
+    s = RegressionSample(rng.random(300), rng.normal(size=300))
+    d = densities.power(0.5)
+    grid = np.linspace(0.01, 1.0, 37)
+    got = kernel_smoother(s, d, 0.1, grid)
+    want = [s.y @ np.maximum(1.0 - np.abs(s.x - x) / 0.1, 0.0) / (s.n * 0.1 * d.density(x))
+            for x in grid]
+    assert got.shape == grid.shape
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+    assert kernel_smoother(s, d, 0.1, grid[5]) == pytest.approx(got[5], rel=1e-12)
+    with pytest.raises(InvalidParameterError):
+        kernel_smoother(s, d, 0.0, grid)
 
 
 # --- losses -------------------------------------------------------------
 
 def test_weighted_sup_loss_basics():
     grid = np.linspace(0, 1, 101)
-    t = lambda x: 0.1 + 0.2 * np.asarray(x)  # noqa: E731
-    f0 = lambda x: np.sin(np.asarray(x))  # noqa: E731
-    assert weighted_sup_loss(f0, f0, t, grid) == 0.0
-    zero = lambda x: np.zeros_like(np.asarray(x, float))  # noqa: E731
-    assert weighted_sup_loss(t, zero, t, grid) == pytest.approx(1.0)
+    t = 0.1 + 0.2 * grid
+    q = np.ones_like(grid)
+    assert LOSSES["weighted_sup"](np.zeros_like(grid), grid, t, q) == 0.0
+    assert LOSSES["weighted_sup"](t, grid, t, q) == pytest.approx(1.0)
+    assert LOSSES["weighted_sup"](-t, grid, t, q) == pytest.approx(1.0)
 
 
 def test_l2_risk_analytic_cases():
-    u = densities.uniform()
-    f = lambda x: np.asarray(x, float)  # noqa: E731
-    zero = lambda x: np.zeros_like(np.asarray(x, float))  # noqa: E731
-    assert l2_risk(f, f, u) == 0.0
-    const = lambda x: np.full_like(np.asarray(x, float), 0.3)  # noqa: E731
-    assert l2_risk(const, zero, u) == pytest.approx(0.09, abs=1e-10)
-    # int x^2 * 2x dx = 1/2
-    assert l2_risk(f, zero, densities.power(1.0)) == pytest.approx(0.5, abs=1e-8)
-
-
-def test_l2_risk_node_floor():
-    with pytest.raises(InvalidParameterError):
-        l2_risk(lambda x: x, lambda x: x, densities.uniform(), nodes=8)
+    grid = np.linspace(0.0, 1.0, EVAL_GRID_SIZE)
+    h = 1.0 / (EVAL_GRID_SIZE - 1)
+    l2 = LOSSES["l2_q"]
+    q = densities.uniform().density(grid)
+    assert l2(np.zeros_like(grid), grid, None, q) == 0.0
+    assert l2(np.full_like(grid, 0.3), grid, None, q) == pytest.approx(0.09, abs=1e-12)
+    # int x^2 * 2x dx = 1/2.  By Euler-Maclaurin the trapezoid rule adds
+    # (h^2/12) (g(1) - g(0)) with g = 6x^2 the derivative of 2x^3, which is
+    # h^2/2, and nothing more, since the third derivative is constant.
+    q = densities.power(1.0).density(grid)
+    assert l2(grid, grid, None, q) == pytest.approx(0.5 + h**2 / 2.0, abs=1e-12)

@@ -3,6 +3,7 @@ import pytest
 
 from lipshift import densities
 from lipshift.errors import (
+    InvalidInputError,
     InvalidParameterError,
     NoBoundAvailableError,
     NondifferentiablePointError,
@@ -86,11 +87,16 @@ def test_invalid_n():
         SpreadFunction(densities.uniform(), 1)
 
 
-def test_cache_interpolation_error_bounded():
-    s = SpreadFunction(densities.uniform(), 1000, cache_nodes=257)
-    xs = np.linspace(0.0, 1.0, 1000)
-    # 1-Lipschitz => interpolation error at most the cache spacing
-    assert np.max(np.abs(s.cached_at(xs) - s.at(xs))) <= 1.0 / 256
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluators_reject_nonfinite_points(bad):
+    s = SpreadFunction(densities.uniform(), 100)
+    e = EmpiricalSpread([0.1, 0.5, 0.9])
+    for call in (lambda: s.at(bad), lambda: s.at(np.array([0.5, bad])),
+                 lambda: s.derivative(bad), lambda: e.at(bad),
+                 lambda: e.at(np.array([0.5, bad])),
+                 lambda: EmpiricalSpread([0.1, bad, 0.9])):
+        with pytest.raises(InvalidInputError):
+            call()
 
 
 # --- derivative ---------------------------------------------------------

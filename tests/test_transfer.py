@@ -3,14 +3,10 @@ import pytest
 
 from lipshift import densities
 from lipshift.errors import InvalidInputError
-from lipshift.lipfit import RegressionSample, fit_lipschitz_lse, l2_risk
+from lipshift.harness import EVAL_GRID_SIZE, LOSSES
+from lipshift.lipfit import RegressionSample, fit_lipschitz_lse
 from lipshift.spread import EmpiricalSpread, SpreadFunction
-from lipshift.transfer import (
-    TwoSampleData,
-    fit_transfer,
-    mixture_spread,
-    transfer_risk_integrals,
-)
+from lipshift.transfer import fit_transfer, mixture_spread, transfer_risk_integrals
 
 
 def _simulate(dist, n, f0, seed):
@@ -22,8 +18,7 @@ def _simulate(dist, n, f0, seed):
 def test_identical_samples_pick_source_everywhere():
     u = densities.uniform()
     s = _simulate(u, 50, np.sin, seed=0)
-    data = TwoSampleData(s, s, u, u)
-    fit = fit_transfer(data, 1.0)
+    fit = fit_transfer(s, s, 1.0)
     xs = np.linspace(0, 1, 101)
     assert np.all(fit.selector(xs) == 1)
     assert np.allclose(fit.evaluate(xs), fit.fit1.evaluate(xs))
@@ -34,22 +29,18 @@ def test_selector_prefers_target_in_source_gap():
     # source misses [0, 0.2] entirely; target is dense there
     src_x = 0.2 + 0.8 * np.sort(rng.random(200))
     tgt_x = np.sort(rng.random(400))
-    data = TwoSampleData(
-        RegressionSample(src_x, rng.normal(size=200)),
-        RegressionSample(tgt_x, rng.normal(size=400)),
-        densities.power(3.0), densities.uniform(),
-    )
-    fit = fit_transfer(data, 1.0)
+    fit = fit_transfer(RegressionSample(src_x, rng.normal(size=200)),
+                       RegressionSample(tgt_x, rng.normal(size=400)), 1.0)
     assert np.all(fit.selector(np.linspace(0.0, 0.1, 21)) == 2)
 
 
 def test_evaluation_contract_restated():
     u, p = densities.uniform(), densities.power(1.0)
-    data = TwoSampleData(_simulate(p, 80, np.cos, 1), _simulate(u, 60, np.cos, 2), p, u)
-    fit = fit_transfer(data, 1.0)
+    src, tgt = _simulate(p, 80, np.cos, 1), _simulate(u, 60, np.cos, 2)
+    fit = fit_transfer(src, tgt, 1.0)
     xs = np.linspace(0, 1, 101)
-    tp = EmpiricalSpread(data.source.x).at(xs)
-    tq = EmpiricalSpread(data.target.x).at(xs)
+    tp = EmpiricalSpread(src.x).at(xs)
+    tq = EmpiricalSpread(tgt.x).at(xs)
     want = np.where(tp <= tq, fit.fit1.evaluate(xs), fit.fit2.evaluate(xs))
     assert np.array_equal(fit.evaluate(xs), want)
 
@@ -57,17 +48,18 @@ def test_evaluation_contract_restated():
 def test_fits_match_single_sample_lse():
     u = densities.uniform()
     src, tgt = _simulate(u, 40, np.sin, 3), _simulate(u, 30, np.sin, 4)
-    fit = fit_transfer(TwoSampleData(src, tgt, u, u), 0.9)
+    fit = fit_transfer(src, tgt, 0.9)
     assert np.allclose(fit.fit1.values, fit_lipschitz_lse(src, 0.9).values)
     assert np.allclose(fit.fit2.values, fit_lipschitz_lse(tgt, 0.9).values)
 
 
 def test_small_samples_rejected():
-    u = densities.uniform()
     one = RegressionSample([0.5], [0.0])
     two = RegressionSample([0.2, 0.8], [0.0, 0.0])
     with pytest.raises(InvalidInputError):
-        TwoSampleData(one, two, u, u)
+        fit_transfer(one, two, 1.0)
+    with pytest.raises(InvalidInputError):
+        fit_transfer(two, one, 1.0)
 
 
 def test_selector_tracks_sample_size_imbalance():
@@ -75,7 +67,7 @@ def test_selector_tracks_sample_size_imbalance():
     # everywhere, so the selector should pick the source fit
     u = densities.uniform()
     src, tgt = _simulate(u, 10_000, np.sin, 6), _simulate(u, 1_000, np.sin, 7)
-    fit = fit_transfer(TwoSampleData(src, tgt, u, u), 1.0)
+    fit = fit_transfer(src, tgt, 1.0)
     xs = np.linspace(0, 1, 201)
     assert np.mean(fit.selector(xs) == 1) >= 0.95
     gap = SpreadFunction(u, 10_000).at(xs) < SpreadFunction(u, 1_000).at(xs)
@@ -154,13 +146,16 @@ def test_combined_risk_not_much_worse_than_best_single():
     P, Q = densities.power(2.0), densities.uniform()
     f0 = lambda x: 0.4 * np.sin(2 * np.pi * np.asarray(x))  # noqa: E731
     n, m = 2000, 500
+    grid = np.linspace(0.0, 1.0, EVAL_GRID_SIZE)
+    f0g, qg = f0(grid), Q.density(grid)
+
+    def l2(fitted):
+        return LOSSES["l2_q"](fitted.evaluate(grid) - f0g, grid, None, qg)
+
     ratios = []
     for seed in range(10):
         src = _simulate(P, n, f0, 100 + seed)
         tgt = _simulate(Q, m, f0, 200 + seed)
-        fit = fit_transfer(TwoSampleData(src, tgt, P, Q), 1.0)
-        risk = l2_risk(fit.evaluate, f0, Q, nodes=1025)
-        r1 = l2_risk(fit.fit1.evaluate, f0, Q, nodes=1025)
-        r2 = l2_risk(fit.fit2.evaluate, f0, Q, nodes=1025)
-        ratios.append(risk / min(r1, r2))
+        fit = fit_transfer(src, tgt, 1.0)
+        ratios.append(l2(fit) / min(l2(fit.fit1), l2(fit.fit2)))
     assert np.mean(ratios) <= 2.0
