@@ -265,8 +265,8 @@ def isotonic_evaluate(sample: RegressionSample, x) -> np.ndarray:
 def kernel_smoother(sample: RegressionSample, d: DesignDistribution, h: float, x):
     """Triangular-kernel smoother (1/(n h p(x))) sum_i y_i K((x_i - x)/h).
 
-    Vectorized over x; the len(x) x n kernel matrix is built in place, so it
-    is the only temporary of that size.
+    Vectorized over x.  No len(x) x n temporary outlives the expression that
+    builds the kernel matrix, so at most two such matrices are alive at once.
     """
     if h <= 0.0:
         raise InvalidParameterError(f"bandwidth must be positive, got {h}")
@@ -276,9 +276,6 @@ def kernel_smoother(sample: RegressionSample, d: DesignDistribution, h: float, x
     px = d.density(x)
     if np.any(px <= 0.0):
         raise ZeroDensityError(f"density vanishes at x={x[np.argmax(px <= 0.0)]}")
-    kern = np.abs(sample.x[None, :] - x[:, None])
-    kern /= h
-    np.subtract(1.0, kern, out=kern)
-    np.maximum(kern, 0.0, out=kern)
+    kern = np.maximum(1.0 - np.abs(sample.x[None, :] - x[:, None]) / h, 0.0)
     out = kern @ sample.y / (sample.n * h * px)
     return float(out[0]) if scalar else out
