@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -172,8 +173,9 @@ def _cmd_simulate(args, out):
     if args.seed is not None:
         obj["seed"] = args.seed
     config = ExperimentConfig.from_json(obj)
-    report = run_rate_experiment(config)
+    os.makedirs(args.out, exist_ok=True)
     outdir = args.out.rstrip("/")
+    report = run_rate_experiment(config)
     report.write(f"{outdir}/report.json", f"{outdir}/losses.csv")
     for (est, loss), val in sorted(report.slopes.items()):
         print(f"{est}/{loss}: slope {val['slope']:+.4f} (stderr {val['stderr']:.4f})", file=out)

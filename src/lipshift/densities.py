@@ -210,18 +210,31 @@ def mixture(p: DesignDistribution, q: DesignDistribution, weight_p: float) -> De
 
 
 def from_spec(spec) -> DesignDistribution:
-    """Build a distribution from a JSON object (or JSON string)."""
+    """Build a distribution from a JSON object (or JSON string).
+
+    A mixture nests its two components:
+    {"kind": "mixture", "p": {...}, "q": {...}, "weight_p": w}.
+    """
     if isinstance(spec, str):
         spec = json.loads(spec)
+    if not isinstance(spec, dict):
+        raise InvalidParameterError(f"distribution spec must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
-    if kind == "uniform":
-        return uniform()
-    if kind == "power":
-        return power(spec["alpha"])
-    if kind == "example3":
-        return example3(spec["n"])
-    if kind == "tabulated":
-        return tabulated(spec["grid"], spec["values"])
+    try:
+        if kind == "uniform":
+            return uniform()
+        if kind == "power":
+            return power(spec["alpha"])
+        if kind == "example3":
+            return example3(spec["n"])
+        if kind == "tabulated":
+            return tabulated(spec["grid"], spec["values"])
+        if kind == "mixture":
+            return mixture(from_spec(spec["p"]), from_spec(spec["q"]), spec["weight_p"])
+    except KeyError as exc:
+        raise InvalidParameterError(f"{kind} distribution spec needs key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"malformed {kind} distribution spec: {exc}") from None
     raise InvalidParameterError(f"unknown distribution kind: {kind!r}")
 
 

@@ -105,6 +105,8 @@ class ExperimentConfig:
         with "f0" for f0_spec; absent keys take the field defaults."""
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if not isinstance(obj, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(obj).__name__}")
         kwargs = {("f0_spec" if key == "f0" else key): value for key, value in obj.items()}
         unknown = set(obj) - {f.name for f in fields(cls) if f.name != "f0_spec"} - {"f0"}
         if unknown:

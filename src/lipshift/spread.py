@@ -6,7 +6,8 @@ t_n(x) is the unique positive solution of
 
 Since both factors are nondecreasing in t, the map t -> t^2 P([x +- t]) is
 nondecreasing, so plain bisection on [sqrt(log n / n), 1] converges to the
-smallest (hence the) solution.  Everything here is vectorized over x.
+smallest (hence the) solution.  The empirical version is an exact selection
+over the sorted sample.  Everything here is vectorized over x.
 """
 
 from __future__ import annotations
@@ -47,7 +48,15 @@ class SpreadFunction:
         self.threshold = np.log(n) / n
 
     def at(self, x):
-        """Solve the defining equation by bisection; vectorized over x."""
+        """Solve the defining equation by bisection; vectorized over x.
+
+        lo only ever holds points where t^2 P([x +- t]) < log n / n and hi
+        the other points (or 1).  Once every midpoint rounds to its lo or
+        its hi, the two are adjacent floats and every further step would
+        leave that midpoint as the answer, so the loop stops there: the
+        result is bit-identical to running all 200 steps, which stay only as
+        a cap.  That happens after 53 to 59 steps in practice.
+        """
         x = _finite(x)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
@@ -56,6 +65,8 @@ class SpreadFunction:
         d = self.distribution
         for _ in range(200):
             t = 0.5 * (lo + hi)
+            if np.all((t == lo) | (t == hi)):
+                break
             below = t**2 * interval_mass(d, x - t, x + t) < self.threshold
             lo = np.where(below, t, lo)
             hi = np.where(below, hi, t)
@@ -141,6 +152,17 @@ class EmpiricalSpread:
     r_1 <= ... <= r_n the sorted distances to x, the infimum equals
     min_k max(r_k, sqrt(log n / k)) -- the counting function only jumps at
     the r_k, and between jumps the best t is the root of t^2 k/n = log n/n.
+
+    r_k is nondecreasing and sqrt(log n / k) decreasing in k, so with
+    k* = min{k : r_k >= sqrt(log n / k)} the minimum is
+    min(sqrt(log n / (k* - 1)), r_k*).  `at` finds k* by binary search and
+    each r_k by selection, without sorting: the distances from x form two
+    ascending runs, x - X_(i) for the points below x and X_(i) - x for the
+    rest, and a binary search over how many of the k smallest come from the
+    first run gives the k-th smallest.  Each distance is the same float
+    subtraction as |X_i - x|, so the result is exact.  Cost per call:
+    O(G log^2 n) time and O(G) memory for G points x, after the O(n log n)
+    sort of the points at construction.
     """
 
     def __init__(self, points):
@@ -151,12 +173,41 @@ class EmpiricalSpread:
         self.n = pts.size
         self._floor = np.sqrt(np.log(self.n) / np.arange(1, self.n + 1))
 
+    def _kth_distance(self, x, s, k):
+        """k-th smallest |X_i - x| (1 <= k <= n), elementwise; the sorted
+        points below index s lie at or below x and the rest at or above."""
+        p, last = self.points, self.n - 1
+        # i = how many of the k smallest lie below x; the smallest i with
+        # i = s, i = k or (x - p[s-1-i]) >= (p[s+k-1-i] - x) is the split
+        lo = np.maximum(0, k - (self.n - s))
+        hi = np.minimum(k, s)
+        while np.any(lo < hi):
+            i = (lo + hi) // 2
+            left = x - p[np.clip(s - 1 - i, 0, last)]
+            right = p[np.clip(s + k - 1 - i, 0, last)] - x
+            done = (i >= s) | (i >= k) | (left >= right)
+            lo = np.where(done, lo, i + 1)
+            hi = np.where(done, i, hi)
+        left = np.where(hi > 0, x - p[np.clip(s - hi, 0, last)], -np.inf)
+        right = np.where(hi < k, p[np.clip(s + k - 1 - hi, 0, last)] - x, -np.inf)
+        return np.maximum(left, right)
+
     def at(self, x):
         x = _finite(x)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        # n x grid distance matrix, sorted per column
-        r = np.sort(np.abs(self.points[:, None] - x[None, :]), axis=0)
-        out = np.min(np.maximum(r, self._floor[:, None]), axis=0)
+        n = self.n
+        s = np.searchsorted(self.points, x)
+        # k* in [1, n + 1]; n + 1 stands for "r_k < sqrt(log n / k) for all k"
+        lo = np.ones(x.shape, int)
+        hi = np.full(x.shape, n + 1)
+        while np.any(lo < hi):
+            k = (lo + hi) // 2
+            kc = np.minimum(k, n)
+            done = (k > n) | (self._kth_distance(x, s, kc) >= self._floor[kc - 1])
+            lo = np.where(done, lo, k + 1)
+            hi = np.where(done, k, hi)
+        r = np.where(hi <= n, self._kth_distance(x, s, np.minimum(hi, n)), np.inf)
+        floor = np.where(hi >= 2, self._floor[np.maximum(hi - 2, 0)], np.inf)
+        out = np.minimum(r, floor)
         return float(out[0]) if scalar else out
-

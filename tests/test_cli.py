@@ -117,6 +117,39 @@ def test_simulate_rates_writes_outputs(tmp_path, capsys):
     assert "slope" in capsys.readouterr().out
 
 
+def test_simulate_rates_creates_nested_out_dir(tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"distribution": {"kind": "uniform"},
+                               "n_grid": [32, 64, 128], "replicates": 2,
+                               "estimators": ["lse"], "losses": ["sup"]}))
+    out = tmp_path / "results" / "run1"
+    assert main(["simulate-rates", "--config", str(cfg), "--out", f"{out}/"]) == 0
+    assert json.loads((out / "report.json").read_text())["slopes"]
+    assert (out / "losses.csv").exists()
+
+
+def test_simulate_rates_non_object_config_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    assert main(["simulate-rates", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_spread_mixture_spec(capsys):
+    spec = json.dumps({"kind": "mixture", "weight_p": 0.7,
+                       "p": {"kind": "power", "alpha": 2.0}, "q": {"kind": "uniform"}})
+    assert main(["spread", "--dist", spec, "--n", "100", "--grid", "11"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 12
+
+
+@pytest.mark.parametrize("nested", ['{"kind": "power"}', '{"kind": "power", "alpha": "x"}',
+                                    '5', '{"kind": "cauchy"}'])
+def test_spread_malformed_nested_spec_exits_3(capsys, nested):
+    spec = f'{{"kind": "mixture", "weight_p": 0.5, "p": {{"kind": "uniform"}}, "q": {nested}}}'
+    assert main(["spread", "--dist", spec, "--n", "100"]) == 3
+    assert "config error" in capsys.readouterr().err
+
+
 def test_simulate_rates_bad_config_exits_3(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"distribution": {"kind": "uniform"},

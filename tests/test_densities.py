@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -172,6 +174,35 @@ def test_from_spec_round_trip():
     assert t.kind == "tabulated"
     with pytest.raises(InvalidParameterError):
         densities.from_spec({"kind": "cauchy"})
+
+
+def test_from_spec_nested_mixture_matches_mixture():
+    spec = {"kind": "mixture", "weight_p": 0.3,
+            "p": {"kind": "power", "alpha": 2.0},
+            "q": {"kind": "mixture", "weight_p": 0.5, "p": {"kind": "uniform"},
+                  "q": {"kind": "tabulated", "grid": [0, 0.5, 1], "values": [0, 2, 0]}}}
+    built = densities.from_spec(json.dumps(spec))
+    inner = densities.mixture(densities.uniform(),
+                              densities.tabulated([0, 0.5, 1], [0, 2, 0]), 0.5)
+    want = densities.mixture(densities.power(2.0), inner, 0.3)
+    xs = np.linspace(-0.1, 1.1, 241)
+    assert built.kind == "mixture"
+    assert np.array_equal(built.cdf(xs), want.cdf(xs))
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "mixture", "p": {"kind": "uniform"}, "q": {"kind": "power"}, "weight_p": 0.5},
+    {"kind": "mixture", "p": {"kind": "uniform"}, "q": 5, "weight_p": 0.5},
+    {"kind": "mixture", "p": {"kind": "uniform"}, "q": {"kind": "uniform"}},
+    {"kind": "mixture", "p": {"kind": "uniform"}, "q": {"kind": "uniform"}, "weight_p": "a"},
+    {"kind": "mixture", "p": {"kind": "power", "alpha": "x"}, "q": {"kind": "uniform"},
+     "weight_p": 0.5},
+    {"kind": "tabulated", "grid": "abc", "values": [1, 1]},
+    [1, 2],
+])
+def test_from_spec_malformed_rejected(spec):
+    with pytest.raises(InvalidParameterError):
+        densities.from_spec(spec)
 
 
 def test_invalid_parameters_rejected():

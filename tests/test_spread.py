@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lipshift import densities
 from lipshift.errors import (
@@ -17,6 +21,98 @@ def brute_force_spread(d, n, x, steps=2_000_000):
     ts = np.linspace(np.sqrt(target) * 0.999, 1.0, steps)
     vals = ts**2 * densities.interval_mass(d, x - ts, x + ts)
     return ts[np.searchsorted(vals, target)]
+
+
+def fixed_bisection_oracle(s, x):
+    """Oracle: the 200-step bisection that SpreadFunction.at stops early."""
+    x = np.atleast_1d(np.asarray(x, float))
+    lo = np.full_like(x, np.sqrt(s.threshold) * (1.0 - 1e-9))
+    hi = np.ones_like(x)
+    for _ in range(200):
+        t = 0.5 * (lo + hi)
+        below = t**2 * densities.interval_mass(s.distribution, x - t, x + t) < s.threshold
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
+    return 0.5 * (lo + hi)
+
+
+def sorted_distance_oracle(points, x):
+    """Oracle: min_k max(r_k, sqrt(log n / k)) over the sorted n x grid
+    distance matrix, which EmpiricalSpread.at replaced by a selection."""
+    pts = np.sort(np.asarray(points, float))
+    n = pts.size
+    floor = np.sqrt(np.log(n) / np.arange(1, n + 1))
+    x = np.atleast_1d(np.asarray(x, float))
+    r = np.sort(np.abs(pts[:, None] - x[None, :]), axis=0)
+    return np.min(np.maximum(r, floor[:, None]), axis=0)
+
+
+ORACLE_DESIGNS = {
+    "tabulated": densities.tabulated([0.0, 0.2, 0.5, 0.8, 1.0], [1.0, 3.0, 0.5, 2.0, 1.0]),
+    "vanishing_tabulated": densities.tabulated([0.0, 0.5, 1.0], [0.0, 2.0, 0.0]),
+    "mixture": densities.mixture(densities.power(2.0), densities.uniform(), 0.7),
+    "power2": densities.power(2.0),
+    "power.5": densities.power(0.5),
+    "example3": densities.example3(4096),
+    "uniform": densities.uniform(),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(ORACLE_DESIGNS)),
+       n=st.integers(2, 10**6),
+       xs=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=30))
+def test_early_exit_matches_fixed_bisection(kind, n, xs):
+    s = SpreadFunction(ORACLE_DESIGNS[kind], n)
+    xs = np.array(xs + [0.0, 1.0, 0.5])
+    assert np.array_equal(s.at(xs), fixed_bisection_oracle(s, xs))
+
+
+@pytest.mark.parametrize("kind", ["tabulated", "mixture", "example3"])
+def test_early_exit_matches_fixed_bisection_on_grid(kind):
+    s = SpreadFunction(ORACLE_DESIGNS[kind], 4096)
+    xs = np.linspace(0.0, 1.0, 2001)
+    assert np.array_equal(s.at(xs), fixed_bisection_oracle(s, xs))
+    assert s.at(0.37) == fixed_bisection_oracle(s, 0.37)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 2048),
+       seed=st.integers(0, 2**32 - 1),
+       levels=st.sampled_from([0, 2, 7, 64]),
+       extra=st.lists(st.floats(-0.5, 1.5), max_size=10),
+       on_points=st.integers(0, 5))
+def test_selection_matches_sorted_distances(n, seed, levels, extra, on_points):
+    # levels > 0 rounds the sample to that many distinct values (ties and
+    # duplicated points); grid points also sit on sample points and
+    # outside [0, 1]
+    rng = np.random.default_rng(seed)
+    pts = rng.random(n)
+    if levels:
+        pts = np.round(pts * levels) / levels
+    xs = np.concatenate([np.linspace(-0.25, 1.25, 11), extra, pts[:on_points]])
+    e = EmpiricalSpread(pts)
+    assert np.array_equal(e.at(xs), sorted_distance_oracle(pts, xs))
+
+
+def test_selection_matches_sorted_distances_large_sample():
+    pts = densities.sample(densities.power(2.0), 30_000, seed=5)
+    xs = np.concatenate([np.linspace(0.0, 1.0, 201), pts[:5], [-1.0, 2.0]])
+    e = EmpiricalSpread(pts)
+    assert np.array_equal(e.at(xs), sorted_distance_oracle(pts, xs))
+    assert e.at(0.5) == sorted_distance_oracle(pts, 0.5)[0]
+
+
+def test_empirical_spread_memory_bounded():
+    e = EmpiricalSpread(densities.sample(densities.uniform(), 10**5, seed=3))
+    grid = np.linspace(0.0, 1.0, 201)
+    tracemalloc.start()
+    try:
+        e.at(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_uniform_interior_closed_form():
