@@ -79,9 +79,10 @@ def _cmd_transfer(args, out):
     fit = fit_transfer(_read_xy_csv(args.source), _read_xy_csv(args.target), args.budget)
     xs = np.linspace(0.0, 1.0, args.grid)
     f1, f2 = fit.fit1.evaluate(xs), fit.fit2.evaluate(xs)
-    sel = fit.selector(xs)
-    combined = fit.evaluate(xs)
     tp, tq = fit.spread1.at(xs), fit.spread2.at(xs)
+    # fit.selector(xs) and fit.evaluate(xs), with each spread computed once
+    sel = fit._choose(tp, tq)
+    combined = np.where(sel == 1, f1, f2)
     writer = csv.writer(out)
     writer.writerow(["x", "fit1", "fit2", "selector", "combined", "t_hat_P", "t_hat_Q"])
     for i, x in enumerate(xs):

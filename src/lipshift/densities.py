@@ -57,7 +57,9 @@ class DesignDistribution:
 
 def _bisect_ppf(cdf, u, a, b):
     """Inverse of a continuous nondecreasing CDF on [a, b] by 60 bisection
-    steps, so to (b - a) 2^-60 < 1e-12; a float for a single u."""
+    steps, so to (b - a) 2^-60 < 1e-12; shaped like u.  Only the mixture
+    uses it: its CDF has no closed-form inverse."""
+    shape = np.shape(u)
     u = np.atleast_1d(np.asarray(u, float))
     lo = np.full_like(u, a)
     hi = np.full_like(u, b)
@@ -66,8 +68,7 @@ def _bisect_ppf(cdf, u, a, b):
         below = cdf(midp) < u
         lo = np.where(below, midp, lo)
         hi = np.where(below, hi, midp)
-    out = 0.5 * (lo + hi)
-    return out if out.size > 1 else float(out[0])
+    return (0.5 * (lo + hi)).reshape(shape)
 
 
 def uniform() -> DesignDistribution:
@@ -150,7 +151,12 @@ def tabulated(grid, values) -> DesignDistribution:
 
     The density is zero outside [grid[0], grid[-1]]; the CDF is the exact
     integral of the interpolant (piecewise quadratic).  The inverse CDF is
-    solved by bisection to 1e-12.
+    exact too: u falls in the first segment i whose end mass cum[i+1] reaches
+    u, and x = grid[i] + dx with 0.5 s dx^2 + v_i dx = u - cum[i] (s the
+    segment's slope), solved as dx = 2 (u - cum[i]) / (v_i + sqrt(v_i^2 +
+    2 s (u - cum[i]))), which has no cancellation for either sign of s.  At
+    the mass of a zero-density stretch this gives the stretch's left end,
+    the smallest x with cdf(x) >= u.
     """
     g = np.asarray(grid, float)
     v = np.asarray(values, float)
@@ -174,16 +180,24 @@ def tabulated(grid, values) -> DesignDistribution:
         out = np.interp(x, g, v)
         return np.where((x < g[0]) | (x > g[-1]), 0.0, out)
 
+    slope = np.diff(v) / np.diff(g)
+
     def cdf(x):
         x = np.clip(np.asarray(x, float), g[0], g[-1])
         i = np.clip(np.searchsorted(g, x, side="right") - 1, 0, g.size - 2)
         dx = x - g[i]
-        slope = (v[i + 1] - v[i]) / (g[i + 1] - g[i])
-        return cum[i] + v[i] * dx + 0.5 * slope * dx**2
+        return cum[i] + v[i] * dx + 0.5 * slope[i] * dx**2
+
+    def ppf(u):
+        u = np.asarray(u, float)
+        i = np.clip(np.searchsorted(cum, u) - 1, 0, g.size - 2)
+        du = np.maximum(u - cum[i], 0.0)
+        den = v[i] + np.sqrt(np.maximum(v[i] ** 2 + 2.0 * slope[i] * du, 0.0))
+        dx = np.divide(2.0 * du, den, out=np.zeros_like(du), where=den > 0.0)
+        return np.minimum(g[i] + dx, g[i + 1])
 
     return DesignDistribution(
-        "tabulated", density, cdf, lambda u: _bisect_ppf(cdf, u, g[0], g[-1]),
-        {"grid": g, "values": v}, sup_density=float(v.max())
+        "tabulated", density, cdf, ppf, {"grid": g, "values": v}, sup_density=float(v.max())
     )
 
 

@@ -226,6 +226,7 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     q_grid = (config.target_distribution or config.distribution).density(grid)
     rows, loss_records = [], []
     failures = 0
+    ledger = {}  # exception type name -> {"count", "first_message"}
     total = 0
     m_grid = config.m_grid if config.m_grid is not None else [None] * len(config.n_grid)
     if len(m_grid) != len(config.n_grid):
@@ -239,11 +240,16 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
             total += 1
             try:
                 vals = _replicate_losses(config, n, m, rep, grid, spread_grid, q_grid, f0_grid)
-                ok = all(math.isfinite(v) for v in vals.values())
-            except Exception:
-                ok = False
-            if not ok:  # a raise or a non-finite loss
+            except Exception as exc:
+                failure = type(exc).__name__, str(exc)
+            else:
+                bad = next((key for key, v in vals.items() if not math.isfinite(v)), None)
+                failure = None if bad is None else (
+                    "NonFiniteLoss", f"{bad[0]}/{bad[1]} loss is {vals[bad]} at n={n}")
+            if failure is not None:
                 failures += 1
+                entry = ledger.setdefault(failure[0], {"count": 0, "first_message": failure[1]})
+                entry["count"] += 1
                 continue
             for key, v in vals.items():
                 cell.setdefault(key, []).append(v)
@@ -258,7 +264,9 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
                 "replicates": int(vals.size),
             })
     if failures > 0.05 * total:
-        raise ExperimentError(f"{failures}/{total} replicates failed")
+        kinds = "; ".join(f"{name} x{e['count']} ({e['first_message']})"
+                          for name, e in ledger.items())
+        raise ExperimentError(f"{failures}/{total} replicates failed: {kinds}")
     slopes = {}
     if len(config.n_grid) >= 3:
         for est in config.estimators:
@@ -273,6 +281,7 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     metadata = {
         "seed": config.seed,
         "replicate_failures": failures,
+        "failures": ledger,
         "grid_size": EVAL_GRID_SIZE,
         "doubling_constant": densities.doubling_constant(config.distribution, 0.1),
         "f0_lipschitz": config.f0_lip,

@@ -4,10 +4,12 @@ t_n(x) is the unique positive solution of
 
     t^2 * P([x - t, x + t] \\cap [0, 1]) = log(n) / n.
 
-Since both factors are nondecreasing in t, the map t -> t^2 P([x +- t]) is
-nondecreasing, so plain bisection on [sqrt(log n / n), 1] converges to the
-smallest (hence the) solution.  The empirical version is an exact selection
-over the sorted sample.  Everything here is vectorized over x.
+Since both factors are nondecreasing in t, g(t) = t^2 P([x +- t]) is
+nondecreasing, so a bracket [lo, hi] with g(lo) < log n / n <= g(hi) (or
+hi = 1) pins the (smallest, hence the) solution.  `SpreadFunction.at`
+shrinks that bracket with paired secant steps on g^(1/3) until lo and hi are
+adjacent floats.  The empirical version is an exact selection over the
+sorted sample.  Everything here is vectorized over x.
 """
 
 from __future__ import annotations
@@ -48,30 +50,73 @@ class SpreadFunction:
         self.threshold = np.log(n) / n
 
     def at(self, x):
-        """Solve the defining equation by bisection; vectorized over x.
+        """Solve the defining equation by a bracketed paired secant; vectorized.
 
-        lo only ever holds points where t^2 P([x +- t]) < log n / n and hi
-        the other points (or 1).  Once every midpoint rounds to its lo or
-        its hi, the two are adjacent floats and every further step would
-        leave that midpoint as the answer, so the loop stops there: the
-        result is bit-identical to running all 200 steps, which stay only as
-        a cap.  That happens after 53 to 59 steps in practice.
+        The bracket starts at [sqrt(log n / n) (1 - 1e-9), 1].  lo only ever
+        holds points where g(t) = t^2 P([x +- t]) < log n / n and hi the
+        other points (or 1), and a point stops once the midpoint of its
+        bracket rounds to lo or hi: lo and hi are then adjacent floats, the
+        certificate of a float crossing, and that midpoint is returned, as
+        bisection to the end would.  Each round makes one `interval_mass`
+        call on a pair (a, b) straddling the current root estimate, moves
+        the bracket ends onto a and b by the sign test, and takes the next
+        estimate from the secant through the pair on g^(1/3): g grows like
+        t^3 near the root (like 2 p(x) t^3 for a positive density), so its
+        cube root is nearly linear and the secant converges superlinearly.
+        The next pair's half-width is half the last step; after a pair that
+        misses the root it doubles instead.  A bracket that has not halved
+        over two rounds gets a quartile pair about its midpoint, which halves
+        it, so whatever g does the bracket halves at least every third round;
+        range(200) stays as a cap.  For n <= 10^6 a point in [0, 1] takes
+        about 9 rounds and at most 16 in the tests tried, against 53 to 59
+        bisection steps; points far outside [0, 1] and larger n take more
+        (at most 79 seen, at n = 10^15).
         """
         x = _finite(x)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
+        out = np.empty_like(x)
+        d, level = self.distribution, np.cbrt(self.threshold)
+        todo = np.arange(x.size)  # the points still solving; the arrays below follow it
         lo = np.full_like(x, np.sqrt(self.threshold) * (1.0 - 1e-9))
         hi = np.ones_like(x)
-        d = self.distribution
+        est = np.full_like(x, np.cbrt(0.5 * self.threshold))  # the root for p = 1
+        half = 0.5 * est  # half-width of the next pair
+        before = np.full_like(x, np.inf)  # bracket width at the start of the last round
         for _ in range(200):
             t = 0.5 * (lo + hi)
-            if np.all((t == lo) | (t == hi)):
-                break
-            below = t**2 * interval_mass(d, x - t, x + t) < self.threshold
-            lo = np.where(below, t, lo)
-            hi = np.where(below, hi, t)
-        t = 0.5 * (lo + hi)
-        return float(t[0]) if scalar else t
+            done = (t == lo) | (t == hi)
+            if done.any():
+                out[todo[done]] = t[done]
+                todo, x, lo, hi, est, half, before = (
+                    v[~done] for v in (todo, x, lo, hi, est, half, before))
+                if todo.size == 0:
+                    break
+            inner = np.nextafter(lo, hi), np.nextafter(hi, lo)
+            a = np.minimum(np.maximum(est - half, inner[0]), inner[1])
+            b = np.maximum(est + half, np.nextafter(est, np.inf))
+            b = np.minimum(np.maximum(b, inner[0]), inner[1])
+            t = np.concatenate([a, b])
+            xx = np.concatenate([x, x])
+            g = t**2 * interval_mass(d, xx - t, xx + t)
+            ga, gb = g[: x.size], g[x.size:]
+            a_below, b_below = ga < self.threshold, gb < self.threshold
+            lo2 = np.where(a_below, np.where(b_below, b, a), lo)
+            hi2 = np.where(a_below, np.where(b_below, hi, b), a)
+            ca, cb = np.cbrt(ga), np.cbrt(gb)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                secant = a + (level - ca) * (b - a) / (cb - ca)
+            # no usable secant (flat or off the bracket): step past the pair
+            secant = np.where((secant > lo2) & (secant < hi2), secant,
+                              np.where(b_below, b + 2.0 * (b - a), a - 2.0 * (b - a)))
+            step = np.abs(secant - est)
+            half = np.where(a_below & ~b_below, 0.5 * step, 2.0 * np.maximum(half, step))
+            slow = hi2 - lo2 > 0.5 * before
+            est = np.minimum(np.maximum(np.where(slow, 0.5 * (lo2 + hi2), secant), lo2), hi2)
+            half = np.where(slow, 0.25 * (hi2 - lo2), half)
+            before, lo, hi = hi - lo, lo2, hi2
+        out[todo] = 0.5 * (lo + hi)
+        return float(out[0]) if scalar else out
 
     def derivative(self, x: float) -> float:
         """Closed-form derivative of t_n; undefined where t_n(x) hits x or 1-x.

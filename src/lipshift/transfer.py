@@ -35,9 +35,14 @@ class TransferFit:
     spread1: EmpiricalSpread
     spread2: EmpiricalSpread
 
+    @staticmethod
+    def _choose(t1, t2):
+        """1 where the source spread t1 is <= the target spread t2, else 2."""
+        return np.where(t1 <= t2, 1, 2)
+
     def selector(self, x):
         """1 where the source spread is <= the target spread, else 2."""
-        return np.where(self.spread1.at(x) <= self.spread2.at(x), 1, 2)
+        return self._choose(self.spread1.at(x), self.spread2.at(x))
 
     def evaluate(self, x):
         x = np.asarray(x, float)

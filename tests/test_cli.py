@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from lipshift.cli import main
+from lipshift.cli import _read_xy_csv, main
+from lipshift.spread import EmpiricalSpread
+from lipshift.transfer import fit_transfer
 
 UNIFORM = json.dumps({"kind": "uniform"})
 
@@ -74,6 +76,26 @@ def test_transfer_subcommand(tmp_path, capsys):
     for line in lines[1:]:
         parts = line.split(",")
         assert parts[3] in ("1", "2")
+
+
+def test_transfer_computes_each_spread_once(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(2)
+    _write_xy(tmp_path / "s.csv", np.sort(rng.random(300)), rng.normal(size=300))
+    _write_xy(tmp_path / "t.csv", np.sort(rng.random(100)), rng.normal(size=100))
+    calls = []
+    at = EmpiricalSpread.at
+    monkeypatch.setattr(EmpiricalSpread, "at", lambda self, x: calls.append(self.n) or at(self, x))
+    args = ["transfer", "--source", str(tmp_path / "s.csv"),
+            "--target", str(tmp_path / "t.csv"), "--grid", "101"]
+    assert main(args) == 0
+    assert sorted(calls) == [100, 300]
+    monkeypatch.setattr(EmpiricalSpread, "at", at)
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+    fit = fit_transfer(_read_xy_csv(str(tmp_path / "s.csv")),
+                       _read_xy_csv(str(tmp_path / "t.csv")), 1.0)
+    xs = np.linspace(0.0, 1.0, 101)
+    assert [int(r[3]) for r in rows] == fit.selector(xs).tolist()
+    assert [r[4] for r in rows] == [f"{v:.12g}" for v in fit.evaluate(xs)]
 
 
 def test_doubling_check(capsys):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lipshift import densities
@@ -96,6 +98,50 @@ def test_ppf_inverts_cdf(d):
     us = np.linspace(1e-6, 1.0 - 1e-6, 97)
     xs = np.asarray(d.ppf(us))
     assert np.max(np.abs(np.asarray(d.cdf(xs)) - us)) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(nodes=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       zeros=st.sampled_from([0.0, 0.3, 0.6]))
+def test_tabulated_ppf_matches_bisection(nodes, seed, zeros):
+    # random node sets, with some density values set to zero
+    rng = np.random.default_rng(seed)
+    grid = np.sort(rng.choice(1001, nodes, replace=False)) / 1000.0
+    values = rng.uniform(0.0, 3.0, nodes)
+    values[rng.random(nodes) < zeros] = 0.0
+    assume(np.trapezoid(values, grid) > 0.0)
+    d = densities.tabulated(grid, values)
+    u = np.concatenate([[0.0], rng.random(1000)])
+    x = d.ppf(u)
+    assert np.max(np.abs(x - densities._bisect_ppf(d.cdf, u, grid[0], grid[-1]))) <= 1e-12
+    assert np.all((x >= grid[0]) & (x <= grid[-1]))
+
+
+@pytest.mark.parametrize("grid", [[0.0, 0.3, 0.6, 1.0], [0.0, 0.25, 0.75, 1.0],
+                                  [0.1, 0.2, 0.7, 0.9]])
+def test_tabulated_ppf_flat_stretch_takes_left_end(grid):
+    # values [1, 0, 0, 1]: the cdf equals u on all of [grid[1], grid[2]] for
+    # u its mass up to the stretch, and the smallest such x is grid[1].  The
+    # density vanishes there, so the float cdf stays within rounding of u
+    # over about sqrt(ulp / |slope|) ~ 1e-8 left of grid[1], which bounds how
+    # close bisection, which probes the float cdf, gets to it.
+    d = densities.tabulated(grid, [1.0, 0.0, 0.0, 1.0])
+    u = np.full(3, d.cdf(0.5 * (grid[1] + grid[2])))
+    x = d.ppf(u)
+    assert np.all(np.abs(x - grid[1]) <= 1e-12)
+    assert np.all(d.cdf(x) >= u)
+    assert np.all(np.abs(x - densities._bisect_ppf(d.cdf, u, grid[0], grid[-1])) <= 1e-8)
+
+
+@pytest.mark.parametrize("d", ALL_KINDS + [densities.mixture(densities.power(2.0),
+                                                             densities.uniform(), 0.7)],
+                         ids=lambda d: d.kind + str(d.params.get("alpha", "")))
+@pytest.mark.parametrize("shape", [(), (1,), (2, 3)])
+def test_ppf_keeps_input_shape(d, shape):
+    u = np.full(shape, 0.3)
+    x = d.ppf(u)
+    assert np.shape(x) == shape
+    assert np.all(x == d.ppf(0.3))
 
 
 def test_sample_deterministic_and_in_range():

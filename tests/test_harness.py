@@ -211,8 +211,27 @@ def test_estimators_run_in_table_order():
 
 def test_nonfinite_loss_is_a_replicate_failure(monkeypatch):
     monkeypatch.setitem(harness.LOSSES, "sup", lambda err, grid, t, q: math.nan)
-    with pytest.raises(ExperimentError, match="9/9"):
+    with pytest.raises(ExperimentError, match="9/9 replicates failed: NonFiniteLoss x9"):
         run_rate_experiment(_config())
+
+
+def test_failure_ledger_records_type_and_first_message(monkeypatch, tmp_path):
+    lse = ESTIMATORS["lse"]
+
+    def flaky(config, sample, grid, m, rep):
+        if sample.n == 128 and rep in (3, 7):
+            raise ZeroDivisionError(f"replicate {rep} divided by zero")
+        return lse(config, sample, grid, m, rep)
+
+    monkeypatch.setitem(harness.ESTIMATORS, "lse", flaky)
+    report = run_rate_experiment(_config(n_grid=[64, 128, 256, 512], replicates=20))
+    report.write(tmp_path / "report.json", tmp_path / "losses.csv")
+    meta = json.loads((tmp_path / "report.json").read_text())["metadata"]
+    assert meta["replicate_failures"] == 2  # 2 of 80, under the 5 % guard
+    assert meta["failures"] == {"ZeroDivisionError": {
+        "count": 2, "first_message": "replicate 3 divided by zero"}}
+    assert len(report.losses) == 78
+    assert run_rate_experiment(_config()).metadata["failures"] == {}
 
 
 def test_report_json_rejects_nonfinite():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipshift import densities
+from lipshift import densities, spread
 from lipshift.errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -24,7 +24,7 @@ def brute_force_spread(d, n, x, steps=2_000_000):
 
 
 def fixed_bisection_oracle(s, x):
-    """Oracle: the 200-step bisection that SpreadFunction.at stops early."""
+    """Oracle: the 200-step bisection that SpreadFunction.at replaced."""
     x = np.atleast_1d(np.asarray(x, float))
     lo = np.full_like(x, np.sqrt(s.threshold) * (1.0 - 1e-9))
     hi = np.ones_like(x)
@@ -58,22 +58,65 @@ ORACLE_DESIGNS = {
 }
 
 
+def assert_float_crossing(s, xs, t):
+    """Each t is one end of adjacent floats (p, q) with g(p) < log n / n and
+    g(q) >= log n / n or q = 1, where g(u) = u^2 P([x - u, x + u])."""
+    def below(u):
+        return u**2 * densities.interval_mass(s.distribution, xs - u, xs + u) < s.threshold
+
+    def crossing(p, q):
+        return below(p) & (~below(q) | (q == 1.0)) & (q <= 1.0)
+
+    down, up = np.nextafter(t, -np.inf), np.nextafter(t, np.inf)
+    assert np.all(crossing(down, t) | crossing(t, up))
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(sorted(ORACLE_DESIGNS)),
        n=st.integers(2, 10**6),
        xs=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=30))
-def test_early_exit_matches_fixed_bisection(kind, n, xs):
+def test_paired_secant_certified_and_near_bisection(kind, n, xs):
+    # a design whose computed g is not monotone in its last bits has several
+    # float crossings, so the solver may end on another one than bisection
     s = SpreadFunction(ORACLE_DESIGNS[kind], n)
     xs = np.array(xs + [0.0, 1.0, 0.5])
-    assert np.array_equal(s.at(xs), fixed_bisection_oracle(s, xs))
+    t = s.at(xs)
+    assert_float_crossing(s, xs, t)
+    oracle = fixed_bisection_oracle(s, xs)
+    assert np.all(np.abs(t - oracle) <= 1e-12 * oracle)
 
 
-@pytest.mark.parametrize("kind", ["tabulated", "mixture", "example3"])
-def test_early_exit_matches_fixed_bisection_on_grid(kind):
+@pytest.mark.parametrize("kind", sorted(ORACLE_DESIGNS))
+def test_paired_secant_certified_and_near_bisection_on_grid(kind):
     s = SpreadFunction(ORACLE_DESIGNS[kind], 4096)
     xs = np.linspace(0.0, 1.0, 2001)
-    assert np.array_equal(s.at(xs), fixed_bisection_oracle(s, xs))
-    assert s.at(0.37) == fixed_bisection_oracle(s, 0.37)[0]
+    t = s.at(xs)
+    assert_float_crossing(s, xs, t)
+    oracle = fixed_bisection_oracle(s, xs)
+    assert np.all(np.abs(t - oracle) <= 1e-12 * oracle)
+    assert s.at(0.37) == pytest.approx(fixed_bisection_oracle(s, 0.37)[0], rel=1e-12)
+
+
+def test_paired_secant_mass_evaluations(monkeypatch):
+    # one interval_mass call per round; bisection to adjacent floats makes
+    # 53 to 59, on the pooled design of transfer.mixture_spread as anywhere
+    calls = [0]
+    mass = spread.interval_mass
+
+    def counted(*args):
+        calls[0] += 1
+        return mass(*args)
+
+    monkeypatch.setattr(spread, "interval_mass", counted)
+    s = SpreadFunction(densities.mixture(densities.power(2.0), densities.uniform(),
+                                         16384 / (16384 + 1024)), 16384 + 1024)
+    for x in np.linspace(0.0, 1.0, 65):
+        s.at(x)
+    assert calls[0] <= 12 * 65
+    for d in ORACLE_DESIGNS.values():
+        calls[0] = 0
+        SpreadFunction(d, 4096).at(np.linspace(0.0, 1.0, 2001))
+        assert calls[0] <= 30
 
 
 @settings(max_examples=80, deadline=None)
