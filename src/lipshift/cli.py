@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import densities, prooflab
-from .errors import ExperimentError, InvalidInputError, LipshiftError, NondifferentiablePointError
+from .errors import ExperimentError, InvalidInputError, LipshiftError
 from .harness import ExperimentConfig, run_rate_experiment
 from .lipfit import RegressionSample, fit_lipschitz_lse
 from .spread import SpreadFunction
@@ -50,16 +50,13 @@ def _cmd_spread(args, out):
         lo, hi = s.closed_form_bounds(xs)
     except LipshiftError:
         lo = hi = np.full_like(xs, np.nan)
+    deriv = s.derivative(xs, t)
     writer = csv.writer(out)
     writer.writerow(["x", "t_n", "lo", "hi", "t_n_prime"])
     for i, x in enumerate(xs):
-        try:
-            deriv = f"{s.derivative(float(x)):.12g}"
-        except NondifferentiablePointError:
-            deriv = ""
         row = [f"{x:.12g}", f"{t[i]:.12g}"]
-        row += ["" if np.isnan(v) else f"{v:.12g}" for v in (lo[i], hi[i])]
-        writer.writerow(row + [deriv])
+        row += ["" if np.isnan(v) else f"{v:.12g}" for v in (lo[i], hi[i], deriv[i])]
+        writer.writerow(row)
     return 0
 
 

@@ -261,6 +261,13 @@ def interval_mass(d: DesignDistribution, a, b):
     return np.maximum(d.cdf(np.minimum(b, 1.0)) - d.cdf(np.maximum(a, 0.0)), 0.0)
 
 
+def _simpson(y, x) -> float:
+    """Composite Simpson rule for y sampled on an odd number of equispaced
+    nodes x, as built by ``np.linspace``."""
+    h = (x[-1] - x[0]) / (x.size - 1)
+    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])))
+
+
 def sample(d: DesignDistribution, count: int, seed: int) -> np.ndarray:
     """Inverse-CDF sample of the given size; deterministic for a fixed seed."""
     if count < 1:

@@ -263,10 +263,19 @@ def isotonic_evaluate(sample: RegressionSample, x) -> np.ndarray:
 
 
 def kernel_smoother(sample: RegressionSample, d: DesignDistribution, h: float, x):
-    """Triangular-kernel smoother (1/(n h p(x))) sum_i y_i K((x_i - x)/h).
+    """Triangular-kernel smoother (1/(n h p(x))) sum_i y_i K((x_i - x)/h),
+    K(u) = max(1 - |u|, 0).
 
-    Vectorized over x.  No len(x) x n temporary outlives the expression that
-    builds the kernel matrix, so at most two such matrices are alive at once.
+    Vectorized over x, by prefix sums.  K is linear on each side of x, so
+    with z_i = x_i - c and u = x - c for a centre c of the sample,
+
+        h sum_i y_i K((x_i - x)/h) = (h - u) Y_L + Z_L + (h + u) Y_R - Z_R,
+
+    where Y and Z sum y_i and z_i y_i over the points in (x - h, x] (L) and
+    (x, x + h) (R).  Each of the four is a difference of prefix sums over
+    the sorted sample, with its ends found by searchsorted.  Centring keeps
+    the terms, and so the rounding of their differences, small.  Cost:
+    O(n + G log n) time and O(n + G) memory for G points x.
     """
     if h <= 0.0:
         raise InvalidParameterError(f"bandwidth must be positive, got {h}")
@@ -276,6 +285,15 @@ def kernel_smoother(sample: RegressionSample, d: DesignDistribution, h: float, x
     px = d.density(x)
     if np.any(px <= 0.0):
         raise ZeroDensityError(f"density vanishes at x={x[np.argmax(px <= 0.0)]}")
-    kern = np.maximum(1.0 - np.abs(sample.x[None, :] - x[:, None]) / h, 0.0)
-    out = kern @ sample.y / (sample.n * h * px)
+    xs, y = sample.x, sample.y
+    c = 0.5 * (xs[0] + xs[-1])
+    ys = np.concatenate([[0.0], np.cumsum(y)])
+    zs = np.concatenate([[0.0], np.cumsum((xs - c) * y)])
+    lo = np.searchsorted(xs, x - h, side="right")
+    mid = np.searchsorted(xs, x, side="right")
+    hi = np.searchsorted(xs, x + h, side="left")
+    u = x - c
+    total = ((h - u) * (ys[mid] - ys[lo]) + (zs[mid] - zs[lo])
+             + (h + u) * (ys[hi] - ys[mid]) - (zs[hi] - zs[mid]))
+    out = total / (sample.n * h * h * px)
     return float(out[0]) if scalar else out

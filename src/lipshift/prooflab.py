@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .densities import DesignDistribution, interval_mass, mixture
+from .densities import DesignDistribution, _simpson, interval_mass, mixture
 from .errors import (
     DegenerateScaleError,
     InvalidParameterError,
@@ -211,9 +210,9 @@ def kl_divergence(f, g, P: DesignDistribution, Q: DesignDistribution,
     sq = (np.asarray(f(xs), float) - np.asarray(g(xs), float)) ** 2
     out = 0.0
     if n:
-        out += 0.5 * n * float(simpson(sq * P.density(xs), x=xs))
+        out += 0.5 * n * _simpson(sq * P.density(xs), xs)
     if m:
-        out += 0.5 * m * float(simpson(sq * Q.density(xs), x=xs))
+        out += 0.5 * m * _simpson(sq * Q.density(xs), xs)
     return out
 
 

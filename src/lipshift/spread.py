@@ -118,28 +118,31 @@ class SpreadFunction:
         out[todo] = 0.5 * (lo + hi)
         return float(out[0]) if scalar else out
 
-    def derivative(self, x: float) -> float:
+    def derivative(self, x, t=None):
         """Closed-form derivative of t_n; undefined where t_n(x) hits x or 1-x.
 
         Uses the implicit-function form: with t = t_n(x),
 
             t'(x) = [p(x-t) 1(t<=x) - p(x+t) 1(t<=1-x)]
                     / [2 log(n)/(n t^3) + p(x+t) 1(t<=1-x) + p(x-t) 1(t<=x)].
+
+        Vectorized; pass t = self.at(x) when it is at hand, to solve only
+        once.  A scalar x outside (0, 1) or within 1e-6 of a kink raises
+        NondifferentiablePointError; in an array such points are NaN.
         """
-        x = float(_finite(x))
-        if not 0.0 < x < 1.0:
-            raise NondifferentiablePointError(f"derivative defined on (0,1) only, got x={x}")
-        t = self.at(x)
-        if abs(t - x) <= 1e-6 or abs(t - (1.0 - x)) <= 1e-6:
+        x = _finite(x)
+        t = np.asarray(self.at(x) if t is None else t, float)
+        undefined = ((x <= 0.0) | (x >= 1.0)
+                     | (np.abs(t - x) <= 1e-6) | (np.abs(t - (1.0 - x)) <= 1e-6))
+        if x.ndim == 0 and undefined:
             raise NondifferentiablePointError(
-                f"x={x} is within 1e-6 of a kink of the spread function"
+                f"t_n is not differentiable at x={x}: outside (0, 1) or within 1e-6 of a kink"
             )
         p = self.distribution.density
-        left = 1.0 if t <= x else 0.0
-        right = 1.0 if t <= 1.0 - x else 0.0
-        num = float(p(x - t)) * left - float(p(x + t)) * right
-        den = 2.0 * self.threshold / t**3 + float(p(x + t)) * right + float(p(x - t)) * left
-        return num / den
+        left = p(x - t) * (t <= x)
+        right = p(x + t) * (t <= 1.0 - x)
+        out = (left - right) / (2.0 * self.threshold / t**3 + right + left)
+        return float(out) if x.ndim == 0 else np.where(undefined, np.nan, out)
 
     def closed_form_bounds(self, x):
         """Published (lower, upper) envelope for t_n(x), by distribution kind.

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .densities import DesignDistribution, interval_mass, mixture
+from .densities import DesignDistribution, _simpson, interval_mass, mixture
 from .errors import InvalidInputError, InvalidParameterError
 from .lipfit import LipschitzFit, RegressionSample, fit_lipschitz_lse
 from .spread import EmpiricalSpread, SpreadFunction
@@ -98,8 +97,8 @@ def transfer_risk_integrals(P: DesignDistribution, Q: DesignDistribution,
     q = Q.density(xs)
     mass_p = interval_mass(P, xs - t, xs + t)
     mass_q = interval_mass(Q, xs - t, xs + t)
-    i1 = float(simpson(t**2 * q, x=xs))
-    i2 = float(ln * simpson(mass_q / (t * mass_p), x=xs))
+    i1 = _simpson(t**2 * q, xs)
+    i2 = float(ln * _simpson(mass_q / (t * mass_p), xs))
     i3 = float(2.0 ** (1.0 / 3.0) * ln ** (2.0 / 3.0) * P.sup_density ** (1.0 / 3.0)
-               * simpson(mass_q / mass_p, x=xs))
+               * _simpson(mass_q / mass_p, xs))
     return i1, i2, i3

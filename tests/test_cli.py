@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from lipshift import densities
 from lipshift.cli import _read_xy_csv, main
-from lipshift.spread import EmpiricalSpread
+from lipshift.errors import NondifferentiablePointError
+from lipshift.spread import EmpiricalSpread, SpreadFunction
 from lipshift.transfer import fit_transfer
 
 UNIFORM = json.dumps({"kind": "uniform"})
@@ -28,6 +30,27 @@ def test_spread_outputs_table(capsys):
     mid = lines[6].split(",")  # x = 0.5
     assert float(mid[1]) == pytest.approx((np.log(100) / 200) ** (1 / 3), abs=1e-9)
     assert float(mid[4]) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_spread_solves_once(capsys, monkeypatch):
+    calls = []
+    at = SpreadFunction.at
+    monkeypatch.setattr(SpreadFunction, "at", lambda self, x: calls.append(np.size(x)) or at(self, x))
+    spec = {"kind": "power", "alpha": 2}
+    assert main(["spread", "--dist", json.dumps(spec), "--n", "1000", "--grid", "101"]) == 0
+    assert calls == [101]
+    monkeypatch.setattr(SpreadFunction, "at", at)
+    # the t_n_prime column is the scalar derivative at each point, or blank
+    s = SpreadFunction(densities.from_spec(spec), 1000)
+    want = []
+    for x in np.linspace(0.0, 1.0, 101):
+        try:
+            want.append(f"{s.derivative(float(x)):.12g}")
+        except NondifferentiablePointError:
+            want.append("")
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+    assert [r[4] for r in rows] == want
+    assert "" in want
 
 
 def test_spread_bad_dist_json_exits_3(capsys):

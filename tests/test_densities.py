@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
 from lipshift import densities
 from lipshift.errors import InvalidIntervalError, InvalidParameterError, NonDoublingError
@@ -260,3 +260,23 @@ def test_invalid_parameters_rejected():
         densities.tabulated([0.0, 0.5], [1.0, -1.0])
     with pytest.raises(InvalidParameterError):
         densities.sample(densities.uniform(), 0, seed=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(half=st.integers(1, 2048), seed=st.integers(0, 2**32 - 1),
+       ends=st.sampled_from([(0.0, 1.0), (-0.3, 0.7), (0.0, 0.01)]))
+def test_simpson_matches_scipy_on_odd_nodes(half, seed, ends):
+    # scipy weighs each panel by its rounded node gaps, the helper by the
+    # nominal spacing; on intervals like [0.25, 0.26] the gaps' rounding
+    # (1e-12 relative) alone moves scipy's value by about 1e-13
+    rng = np.random.default_rng(seed)
+    x = np.linspace(*ends, 2 * half + 1)
+    c = rng.normal(size=4)
+    y = c[0] + c[1] * np.sin(7.0 * c[2] * x) + c[3] * rng.random(x.size)
+    got = densities._simpson(y, x)
+    assert abs(got - simpson(y, x=x)) <= 1e-14 * densities._simpson(np.abs(y), x)
+
+
+def test_simpson_exact_on_cubics():
+    x = np.linspace(0.0, 1.0, 5)
+    assert densities._simpson(4.0 * x**3 - 3.0 * x**2 + 1.0, x) == pytest.approx(1.0, abs=1e-15)

@@ -3,10 +3,15 @@
 No linter ships with the test dependencies, so these keep two promises of
 the module layout: a module imports nothing it does not use (the package
 ``__init__`` exists to re-export, so it is exempt), and every name listed in
-``__all__`` is defined at module level.
+``__all__`` is defined at module level.  A third promise, that the runtime
+needs numpy only, is also checked in a fresh interpreter: scipy stays a test
+dependency.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +68,20 @@ def test_all_names_defined(path):
     tree = ast.parse(path.read_text())
     missing = [name for name in _all_names(tree) if name not in _defined_names(tree)]
     assert missing == [], f"{path.name} lists undefined names {missing} in __all__"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_scipy_import_anywhere_in_source(path):
+    tree = ast.parse(path.read_text())
+    modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    modules += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, lipshift, lipshift.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout.strip() == "[]"

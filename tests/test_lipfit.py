@@ -1,10 +1,11 @@
 import itertools
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lipshift import densities
@@ -321,6 +322,69 @@ def test_isotonic_evaluate_steps():
 
 
 # --- kernel smoother ----------------------------------------------------
+
+def kernel_matrix_oracle(sample, d, h, x):
+    """`kernel_smoother` summed term by term through the len(x) x n kernel
+    matrix, with each weight clipped at zero as the kernel is."""
+    x = np.atleast_1d(np.asarray(x, float))
+    kern = np.maximum(1.0 - np.abs(sample.x[None, :] - x[:, None]) / h, 0.0)
+    return kern @ sample.y / (sample.n * h * d.density(x))
+
+
+def _assert_kernel_matches_oracle(s, d, h, grid):
+    # rounding of the prefix-sum differences: 1e-12 of the largest term
+    # that enters, sum |y_i| (1 + 1/h) / (n h p(x))
+    got = kernel_smoother(s, d, h, grid)
+    want = kernel_matrix_oracle(s, d, h, grid)
+    tol = 1e-12 * (1.0 + 1.0 / h) * np.sum(np.abs(s.y)) / (s.n * h * d.density(grid))
+    assert np.all(np.abs(got - want) <= tol)
+
+
+# x on a 1/32 lattice, with dyadic h and grid points on and h away from the
+# sample, makes ties, points exactly at x +- h and grid points on sample points.
+# Subnormal y are left out: below the normal range rounding is absolute, not
+# relative, so no tolerance of the form above applies to them.
+_LATTICE = st.integers(0, 32).map(lambda k: k / 32.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(xy=st.lists(st.tuples(st.one_of(_LATTICE, st.floats(0.0, 1.0)),
+                             st.floats(-5.0, 5.0, allow_subnormal=False)),
+                   min_size=1, max_size=60),
+       h=st.one_of(st.sampled_from([1 / 32, 1 / 16, 1 / 8, 1 / 4, 1.0]), st.floats(1e-3, 2.0)),
+       extra=st.lists(st.one_of(_LATTICE, st.floats(0.0, 1.0)), max_size=20))
+@example(xy=[(0.25, 1.0), (0.25, -2.0), (0.5, 3.0), (0.75, 0.5), (0.75, 4.0)], h=0.25,
+         extra=[0.0, 0.5, 1.0])
+def test_kernel_prefix_sums_match_matrix_oracle(xy, h, extra):
+    x, y = map(np.array, zip(*xy))
+    s = RegressionSample(x, y)
+    grid = np.concatenate([x, x - h, x + h, extra])
+    grid = grid[(grid >= 0.0) & (grid <= 1.0)]
+    for d in (densities.uniform(), densities.example3(10**6)):
+        _assert_kernel_matches_oracle(s, d, h, grid)
+
+
+def test_kernel_matches_matrix_oracle_large_sample():
+    d = densities.power(1.0)
+    x = densities.sample(d, 65_536, seed=8)
+    s = RegressionSample(x, np.sin(6.0 * x) + np.random.default_rng(9).standard_normal(x.size))
+    grid = np.linspace(0.005, 1.0, 201)
+    for h in (0.01, (np.log(s.n) / s.n) ** (1 / 3), 0.5):
+        _assert_kernel_matches_oracle(s, d, h, grid)
+
+
+def test_kernel_memory_bounded():
+    s = RegressionSample(densities.sample(densities.uniform(), 10**5, seed=3), np.ones(10**5))
+    grid = np.linspace(0.0, 1.0, 201)
+    tracemalloc.start()
+    try:
+        kernel_smoother(s, densities.uniform(), 0.05, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the kernel matrix alone would take 160 MB
+    assert peak < 8 * 2**20
+
 
 def test_kernel_constant_signal():
     x = np.linspace(0.001, 0.999, 2001)

@@ -261,6 +261,22 @@ def test_derivative_matches_finite_difference(d, x):
     assert s.derivative(x) == pytest.approx(fd, abs=1e-4)
 
 
+@pytest.mark.parametrize("d", [densities.uniform(), densities.power(2.0),
+                               densities.example3(10_000)],
+                         ids=["uniform", "power2", "example3"])
+def test_derivative_vectorized_matches_scalar(d):
+    s = SpreadFunction(d, 100)
+    xs = np.linspace(0.0, 1.0, 201)
+    got = s.derivative(xs)
+    assert np.array_equal(got, s.derivative(xs, s.at(xs)), equal_nan=True)
+    for x, g in zip(xs, got):
+        try:
+            assert g == s.derivative(float(x))
+        except NondifferentiablePointError:
+            assert np.isnan(g)
+    assert np.isnan(got[[0, -1]]).all() and np.isfinite(got).sum() >= 150
+
+
 def test_derivative_rejects_kinks():
     s = SpreadFunction(densities.uniform(), 100)
     # locate x1 (t_n(x) = x) by bisection and ask for the derivative there
