@@ -71,11 +71,19 @@ def _bisect_ppf(cdf, u, a, b):
     return (0.5 * (lo + hi)).reshape(shape)
 
 
+def _clip01(x):
+    """x clipped to [0, 1] as np.clip(x, 0.0, 1.0) does, -0.0 and NaN
+    included: np.maximum and np.minimum return their second argument on a
+    tie.  np.clip itself runs through Python-level wrappers, a cost that the
+    length-2 arrays of the one-point spread solve pay on every call."""
+    return np.minimum(1.0, np.maximum(0.0, np.asarray(x, float)))
+
+
 def uniform() -> DesignDistribution:
     return DesignDistribution(
         kind="uniform",
         density=lambda x: np.where((np.asarray(x, float) >= 0.0) & (np.asarray(x, float) <= 1.0), 1.0, 0.0),
-        cdf=lambda x: np.clip(np.asarray(x, float), 0.0, 1.0),
+        cdf=_clip01,
         ppf=lambda u: np.asarray(u, float),
         sup_density=1.0,
     )
@@ -88,11 +96,10 @@ def power(alpha: float) -> DesignDistribution:
     a = float(alpha)
 
     def density(x):
-        x = np.clip(np.asarray(x, float), 0.0, 1.0)
-        return (a + 1.0) * x**a
+        return (a + 1.0) * _clip01(x)**a
 
     def cdf(x):
-        return np.clip(np.asarray(x, float), 0.0, 1.0) ** (a + 1.0)
+        return _clip01(x) ** (a + 1.0)
 
     def ppf(u):
         return np.asarray(u, float) ** (1.0 / (a + 1.0))
@@ -115,11 +122,11 @@ def example3(n: int) -> DesignDistribution:
     f34 = f14 + phi / 2.0
 
     def density(x):
-        x = np.clip(np.asarray(x, float), 0.0, 1.0)
+        x = _clip01(x)
         return phi + ramp * np.maximum(np.maximum(0.25 - x, 0.0), x - 0.75)
 
     def cdf(x):
-        x = np.clip(np.asarray(x, float), 0.0, 1.0)
+        x = _clip01(x)
         left = phi * x + ramp * (x / 4.0 - x**2 / 2.0)
         mid = f14 + phi * (x - 0.25)
         s = x - 0.75
@@ -183,8 +190,8 @@ def tabulated(grid, values) -> DesignDistribution:
     slope = np.diff(v) / np.diff(g)
 
     def cdf(x):
-        x = np.clip(np.asarray(x, float), g[0], g[-1])
-        i = np.clip(np.searchsorted(g, x, side="right") - 1, 0, g.size - 2)
+        x = np.minimum(g[-1], np.maximum(g[0], np.asarray(x, float)))
+        i = np.minimum(np.maximum(np.searchsorted(g, x, side="right") - 1, 0), g.size - 2)
         dx = x - g[i]
         return cum[i] + v[i] * dx + 0.5 * slope[i] * dx**2
 
@@ -256,7 +263,7 @@ def interval_mass(d: DesignDistribution, a, b):
     """Mass of [a, b] clipped to [0, 1].  Vectorized; raises if a > b."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
-    if np.any(a > b):
+    if (a > b).any():
         raise InvalidIntervalError("interval endpoints out of order (a > b)")
     return np.maximum(d.cdf(np.minimum(b, 1.0)) - d.cdf(np.maximum(a, 0.0)), 0.0)
 

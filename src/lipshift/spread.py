@@ -8,11 +8,15 @@ Since both factors are nondecreasing in t, g(t) = t^2 P([x +- t]) is
 nondecreasing, so a bracket [lo, hi] with g(lo) < log n / n <= g(hi) (or
 hi = 1) pins the (smallest, hence the) solution.  `SpreadFunction.at`
 shrinks that bracket with paired secant steps on g^(1/3) until lo and hi are
-adjacent floats.  The empirical version is an exact selection over the
-sorted sample.  Everything here is vectorized over x.
+adjacent floats: in numpy arrays for two or more points, in Python floats
+for one, with the same iterates and result.  The empirical version is an
+exact selection over the sorted sample.  Both evaluators take x of any
+shape and return a float for a 0-d x, else an array shaped like x.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -71,10 +75,57 @@ class SpreadFunction:
         about 9 rounds and at most 16 in the tests tried, against 53 to 59
         bisection steps; points far outside [0, 1] and larger n take more
         (at most 79 seen, at n = 10^15).
+
+        The solve is chosen by input size.  One point runs the rounds in
+        Python floats, since numpy's per-call cost dominates on length-1
+        arrays; it still evaluates g by one `interval_mass` call on the
+        numpy pair (a, b), so it computes the same iterates, and returns the
+        same float, as the vector loop does for that point.  Two or more
+        points run the vector loop on the flattened x.  The result is a
+        float for a 0-d x and an array shaped like x otherwise.
         """
         x = _finite(x)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
+        if x.size == 1:
+            t = self._at_point(x.item())
+            return t if x.ndim == 0 else np.full(x.shape, t)
+        return self._at_points(x.ravel()).reshape(x.shape)
+
+    def _at_point(self, x):
+        """`at` for one point given as a float: the rounds of `_at_points`
+        with each numpy op on a length-1 array replaced by its float form."""
+        d, thr = self.distribution, float(self.threshold)
+        level = float(np.cbrt(thr))
+        lo, hi = math.sqrt(thr) * (1.0 - 1e-9), 1.0
+        est = float(np.cbrt(0.5 * thr))
+        half, before = 0.5 * est, math.inf
+        for _ in range(200):
+            t = 0.5 * (lo + hi)
+            if t == lo or t == hi:
+                return t
+            inner_lo, inner_hi = math.nextafter(lo, hi), math.nextafter(hi, lo)
+            a = min(max(est - half, inner_lo), inner_hi)
+            b = max(est + half, math.nextafter(est, math.inf))
+            b = min(max(b, inner_lo), inner_hi)
+            pair = np.array([a, b])
+            g = pair**2 * interval_mass(d, x - pair, x + pair)
+            (ga, gb), (ca, cb) = g.tolist(), np.cbrt(g).tolist()
+            a_below, b_below = ga < thr, gb < thr
+            lo2 = (b if b_below else a) if a_below else lo
+            hi2 = (hi if b_below else b) if a_below else a
+            secant = a + (level - ca) * (b - a) / (cb - ca) if cb != ca else math.nan
+            if not lo2 < secant < hi2:  # no usable secant: step past the pair
+                secant = b + 2.0 * (b - a) if b_below else a - 2.0 * (b - a)
+            step = abs(secant - est)
+            half = 0.5 * step if a_below and not b_below else 2.0 * max(half, step)
+            slow = hi2 - lo2 > 0.5 * before
+            est = min(max(0.5 * (lo2 + hi2) if slow else secant, lo2), hi2)
+            if slow:
+                half = 0.25 * (hi2 - lo2)
+            before, lo, hi = hi - lo, lo2, hi2
+        return 0.5 * (lo + hi)
+
+    def _at_points(self, x):
+        """`at` for a 1-d array of points, solved together."""
         out = np.empty_like(x)
         d, level = self.distribution, np.cbrt(self.threshold)
         todo = np.arange(x.size)  # the points still solving; the arrays below follow it
@@ -90,8 +141,8 @@ class SpreadFunction:
                 out[todo[done]] = t[done]
                 todo, x, lo, hi, est, half, before = (
                     v[~done] for v in (todo, x, lo, hi, est, half, before))
-                if todo.size == 0:
-                    break
+            if todo.size == 0:
+                break
             inner = np.nextafter(lo, hi), np.nextafter(hi, lo)
             a = np.minimum(np.maximum(est - half, inner[0]), inner[1])
             b = np.maximum(est + half, np.nextafter(est, np.inf))
@@ -116,7 +167,7 @@ class SpreadFunction:
             half = np.where(slow, 0.25 * (hi2 - lo2), half)
             before, lo, hi = hi - lo, lo2, hi2
         out[todo] = 0.5 * (lo + hi)
-        return float(out[0]) if scalar else out
+        return out
 
     def derivative(self, x, t=None):
         """Closed-form derivative of t_n; undefined where t_n(x) hits x or 1-x.

@@ -144,6 +144,74 @@ def test_ppf_keeps_input_shape(d, shape):
     assert np.all(x == d.ppf(0.3))
 
 
+def clip_reference(kind, **params):
+    """Oracle: the np.clip-based density and CDF evaluators that the
+    np.minimum/np.maximum forms in densities replaced, as (density, cdf)."""
+    if kind == "uniform":
+        return None, lambda x: np.clip(np.asarray(x, float), 0.0, 1.0)
+    if kind == "power":
+        a = params["alpha"]
+        return ((lambda x: (a + 1.0) * np.clip(np.asarray(x, float), 0.0, 1.0) ** a),
+                (lambda x: np.clip(np.asarray(x, float), 0.0, 1.0) ** (a + 1.0)))
+    if kind == "example3":
+        phi = params["phi"]
+        ramp = 16.0 * (1.0 - phi)
+        f14 = phi / 4.0 + (1.0 - phi) / 2.0
+        f34 = f14 + phi / 2.0
+
+        def density(x):
+            x = np.clip(np.asarray(x, float), 0.0, 1.0)
+            return phi + ramp * np.maximum(np.maximum(0.25 - x, 0.0), x - 0.75)
+
+        def cdf(x):
+            x = np.clip(np.asarray(x, float), 0.0, 1.0)
+            left = phi * x + ramp * (x / 4.0 - x**2 / 2.0)
+            mid = f14 + phi * (x - 0.25)
+            s = x - 0.75
+            right = f34 + phi * s + (ramp / 2.0) * s**2
+            return np.where(x <= 0.25, left, np.where(x <= 0.75, mid, right))
+
+        return density, cdf
+    g, v = params["grid"], params["values"]
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(g))])
+    cum[-1] = 1.0
+    slope = np.diff(v) / np.diff(g)
+
+    def cdf(x):
+        x = np.clip(np.asarray(x, float), g[0], g[-1])
+        i = np.clip(np.searchsorted(g, x, side="right") - 1, 0, g.size - 2)
+        dx = x - g[i]
+        return cum[i] + v[i] * dx + 0.5 * slope[i] * dx**2
+
+    return None, cdf
+
+
+def _bits(a):
+    return np.asarray(a, float).view(np.int64)
+
+
+@pytest.mark.parametrize("d", [densities.uniform(), densities.power(0.5), densities.power(2.0),
+                               densities.example3(100), densities.example3(10_000),
+                               densities.tabulated([0.0, 0.3, 0.7, 1.0], [0.5, 2.0, 1.0, 0.1]),
+                               densities.tabulated([0.1, 0.2, 0.7, 0.9], [1.0, 0.0, 3.0, 0.5])],
+                         ids=lambda d: d.kind + str(d.params.get("alpha", d.params.get("n", ""))))
+def test_clip_free_evaluators_match_clip_reference(d):
+    # bit for bit, so the sign of a zero counts: np.clip keeps -0.0
+    density, cdf = clip_reference(d.kind, **d.params)
+    ends = [-0.0, 0.0, 1.0, 0.25, 0.75, -0.5, 1.5]
+    if d.kind == "tabulated":
+        ends += [d.params["grid"][0], d.params["grid"][-1]]
+    x = np.concatenate([np.random.default_rng(3).uniform(-0.5, 1.5, 4001), ends])
+    pairs = [(d.cdf, cdf)] + ([(d.density, density)] if density is not None else [])
+    for new, old in pairs:
+        assert np.array_equal(_bits(new(x)), _bits(old(x)))
+        assert np.array_equal(_bits(new(x[::3])), _bits(old(x[::3])))  # strided input
+        for point in ends:
+            assert _bits(new(point)) == _bits(old(point))
+            assert np.array_equal(_bits(new(np.array([point, 0.5]))),
+                                  _bits(old(np.array([point, 0.5]))))
+
+
 def test_sample_deterministic_and_in_range():
     d = densities.power(1.0)
     a = densities.sample(d, 1000, seed=5)

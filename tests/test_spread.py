@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -110,13 +111,58 @@ def test_paired_secant_mass_evaluations(monkeypatch):
     monkeypatch.setattr(spread, "interval_mass", counted)
     s = SpreadFunction(densities.mixture(densities.power(2.0), densities.uniform(),
                                          16384 / (16384 + 1024)), 16384 + 1024)
+    total = 0
     for x in np.linspace(0.0, 1.0, 65):
+        calls[0] = 0
         s.at(x)
-    assert calls[0] <= 12 * 65
+        one_point = calls[0]
+        calls[0] = 0
+        s.at(np.array([x, x]))
+        assert one_point == calls[0]  # the one-point path runs the same rounds
+        total += one_point
+    assert total <= 12 * 65
     for d in ORACLE_DESIGNS.values():
         calls[0] = 0
         SpreadFunction(d, 4096).at(np.linspace(0.0, 1.0, 2001))
         assert calls[0] <= 30
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(ORACLE_DESIGNS)),
+       n=st.integers(2, 10**9),
+       x=st.floats(-0.5, 1.5))
+def test_one_point_path_matches_vector_path(kind, n, x):
+    s = SpreadFunction(ORACLE_DESIGNS[kind], n)
+    with mock.patch.object(SpreadFunction, "_at_points", autospec=True,
+                           side_effect=SpreadFunction._at_points) as vector:
+        t = s.at(x)
+        assert vector.call_count == 0  # the float loop solved it
+        pair = s.at(np.array([x, x]))
+        assert vector.call_count == 1
+    assert type(t) is float
+    assert t == pair[0] == pair[1]
+    # on 1-d arrays, as the solver evaluates g: numpy's array power and its
+    # scalar power differ in the last bit at some points
+    assert_float_crossing(s, np.array([x]), np.array([t]))
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1), (2, 3), (0,)])
+def test_at_and_derivative_keep_input_shape(shape):
+    s = SpreadFunction(densities.power(2.0), 1000)
+    x = np.linspace(0.2, 0.7, int(np.prod(shape))).reshape(shape)
+    t = s.at(x)
+    tp = s.derivative(x)
+    if shape == ():
+        assert type(t) is float and type(tp) is float
+    else:
+        assert isinstance(t, np.ndarray) and t.shape == shape and tp.shape == shape
+    assert np.array_equal(np.ravel(t), [s.at(float(v)) for v in np.ravel(x)])
+    assert np.array_equal(np.ravel(tp), [s.derivative(float(v)) for v in np.ravel(x)])
+    assert np.array_equal(s.derivative(x, t), tp)
+    e = EmpiricalSpread(np.linspace(0.0, 1.0, 50))
+    te = e.at(x)
+    assert np.shape(te) == shape and type(te) is (float if shape == () else np.ndarray)
+    assert np.array_equal(np.ravel(te), [e.at(float(v)) for v in np.ravel(x)])
 
 
 @settings(max_examples=80, deadline=None)
