@@ -8,8 +8,9 @@ Since both factors are nondecreasing in t, g(t) = t^2 P([x +- t]) is
 nondecreasing, so a bracket [lo, hi] with g(lo) < log n / n <= g(hi) (or
 hi = 1) pins the (smallest, hence the) solution.  `SpreadFunction.at`
 shrinks that bracket with paired secant steps on g^(1/3) until lo and hi are
-adjacent floats: in numpy arrays for two or more points, in Python floats
-for one, with the same iterates and result.  The empirical version is an
+adjacent floats: for two or more points in the numpy loop that
+`densities._paired_secant` shares with the mixture's inverse CDF, for one in
+Python floats, with the same iterates and result.  The empirical version is an
 exact selection over the sorted sample.  Both evaluators take x of any
 shape and return a float for a 0-d x, else an array shaped like x.
 """
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-from .densities import DesignDistribution, interval_mass
+from .densities import DesignDistribution, _paired_secant, interval_mass
 from .errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -56,25 +57,19 @@ class SpreadFunction:
     def at(self, x):
         """Solve the defining equation by a bracketed paired secant; vectorized.
 
-        The bracket starts at [sqrt(log n / n) (1 - 1e-9), 1].  lo only ever
-        holds points where g(t) = t^2 P([x +- t]) < log n / n and hi the
-        other points (or 1), and a point stops once the midpoint of its
-        bracket rounds to lo or hi: lo and hi are then adjacent floats, the
-        certificate of a float crossing, and that midpoint is returned, as
-        bisection to the end would.  Each round makes one `interval_mass`
-        call on a pair (a, b) straddling the current root estimate, moves
-        the bracket ends onto a and b by the sign test, and takes the next
-        estimate from the secant through the pair on g^(1/3): g grows like
-        t^3 near the root (like 2 p(x) t^3 for a positive density), so its
-        cube root is nearly linear and the secant converges superlinearly.
-        The next pair's half-width is half the last step; after a pair that
-        misses the root it doubles instead.  A bracket that has not halved
-        over two rounds gets a quartile pair about its midpoint, which halves
-        it, so whatever g does the bracket halves at least every third round;
-        range(200) stays as a cap.  For n <= 10^6 a point in [0, 1] takes
-        about 9 rounds and at most 16 in the tests tried, against 53 to 59
-        bisection steps; points far outside [0, 1] and larger n take more
-        (at most 79 seen, at n = 10^15).
+        The bracket starts at [sqrt(log n / n) (1 - 1e-9), 1], where g(t) =
+        t^2 P([x +- t]) < log n / n at the left end, and the first estimate
+        is the root for p = 1.  `densities._paired_secant` shrinks it until
+        lo and hi are adjacent floats, the certificate of a float crossing,
+        and returns that midpoint, as bisection to the end would.  Each
+        round makes one `interval_mass` call on a pair (a, b) straddling the
+        current root estimate and takes the next estimate from the secant
+        through the pair on g^(1/3): g grows like t^3 near the root (like
+        2 p(x) t^3 for a positive density), so its cube root is nearly
+        linear and the secant converges superlinearly.  For n <= 10^6 a
+        point in [0, 1] takes about 9 rounds and at most 16 in the tests
+        tried, against 53 to 59 bisection steps; points far outside [0, 1]
+        and larger n take more (at most 79 seen, at n = 10^15).
 
         The solve is chosen by input size.  One point runs the rounds in
         Python floats, since numpy's per-call cost dominates on length-1
@@ -91,8 +86,9 @@ class SpreadFunction:
         return self._at_points(x.ravel()).reshape(x.shape)
 
     def _at_point(self, x):
-        """`at` for one point given as a float: the rounds of `_at_points`
-        with each numpy op on a length-1 array replaced by its float form."""
+        """`at` for one point given as a float: the rounds of
+        `densities._paired_secant` with each numpy op on a length-1 array
+        replaced by its float form."""
         d, thr = self.distribution, float(self.threshold)
         level = float(np.cbrt(thr))
         lo, hi = math.sqrt(thr) * (1.0 - 1e-9), 1.0
@@ -126,48 +122,15 @@ class SpreadFunction:
 
     def _at_points(self, x):
         """`at` for a 1-d array of points, solved together."""
-        out = np.empty_like(x)
-        d, level = self.distribution, np.cbrt(self.threshold)
-        todo = np.arange(x.size)  # the points still solving; the arrays below follow it
-        lo = np.full_like(x, np.sqrt(self.threshold) * (1.0 - 1e-9))
-        hi = np.ones_like(x)
-        est = np.full_like(x, np.cbrt(0.5 * self.threshold))  # the root for p = 1
-        half = 0.5 * est  # half-width of the next pair
-        before = np.full_like(x, np.inf)  # bracket width at the start of the last round
-        for _ in range(200):
-            t = 0.5 * (lo + hi)
-            done = (t == lo) | (t == hi)
-            if done.any():
-                out[todo[done]] = t[done]
-                todo, x, lo, hi, est, half, before = (
-                    v[~done] for v in (todo, x, lo, hi, est, half, before))
-            if todo.size == 0:
-                break
-            inner = np.nextafter(lo, hi), np.nextafter(hi, lo)
-            a = np.minimum(np.maximum(est - half, inner[0]), inner[1])
-            b = np.maximum(est + half, np.nextafter(est, np.inf))
-            b = np.minimum(np.maximum(b, inner[0]), inner[1])
-            t = np.concatenate([a, b])
-            xx = np.concatenate([x, x])
-            g = t**2 * interval_mass(d, xx - t, xx + t)
-            ga, gb = g[: x.size], g[x.size:]
-            a_below, b_below = ga < self.threshold, gb < self.threshold
-            lo2 = np.where(a_below, np.where(b_below, b, a), lo)
-            hi2 = np.where(a_below, np.where(b_below, hi, b), a)
-            ca, cb = np.cbrt(ga), np.cbrt(gb)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                secant = a + (level - ca) * (b - a) / (cb - ca)
-            # no usable secant (flat or off the bracket): step past the pair
-            secant = np.where((secant > lo2) & (secant < hi2), secant,
-                              np.where(b_below, b + 2.0 * (b - a), a - 2.0 * (b - a)))
-            step = np.abs(secant - est)
-            half = np.where(a_below & ~b_below, 0.5 * step, 2.0 * np.maximum(half, step))
-            slow = hi2 - lo2 > 0.5 * before
-            est = np.minimum(np.maximum(np.where(slow, 0.5 * (lo2 + hi2), secant), lo2), hi2)
-            half = np.where(slow, 0.25 * (hi2 - lo2), half)
-            before, lo, hi = hi - lo, lo2, hi2
-        out[todo] = 0.5 * (lo + hi)
-        return out
+        d, thr = self.distribution, self.threshold
+
+        def g(t, i):
+            xi = x[i]
+            return t**2 * interval_mass(d, xi - t, xi + t)
+
+        lo = np.full_like(x, np.sqrt(thr) * (1.0 - 1e-9))
+        est = np.full_like(x, np.cbrt(0.5 * thr))  # the root for p = 1
+        return _paired_secant(g, thr, np.cbrt, lo, np.ones_like(x), est, 0.5 * est)
 
     def derivative(self, x, t=None):
         """Closed-form derivative of t_n; undefined where t_n(x) hits x or 1-x.

@@ -1,11 +1,12 @@
 """Static checks of the package source, with the standard library's ast.
 
-No linter ships with the test dependencies, so these keep two promises of
+No linter ships with the test dependencies, so these keep three promises of
 the module layout: a module imports nothing it does not use (the package
-``__init__`` exists to re-export, so it is exempt), and every name listed in
-``__all__`` is defined at module level.  A third promise, that the runtime
-needs numpy only, is also checked in a fresh interpreter: scipy stays a test
-dependency.
+``__init__`` exists to re-export, so it is exempt), every name listed in
+``__all__`` is defined at module level, and every private module-level
+function or class is used by the package itself, so a test-only oracle
+cannot stay in library code.  A fourth promise, that the runtime needs numpy
+only, is also checked in a fresh interpreter: scipy stays a test dependency.
 """
 
 import ast
@@ -49,6 +50,18 @@ def _all_names(tree):
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             return [elt.value for elt in node.value.elts]
     return []
+
+
+def test_private_definitions_used_in_source():
+    trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    used = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+    private = [(name, node.name) for name, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    unused = [f"{name}:{fn}" for name, fn in private if fn not in used]
+    assert unused == [], f"private definitions nothing in src/ uses: {unused}"
 
 
 def test_modules_found():
