@@ -17,8 +17,11 @@ inverted by `_paired_secant`, the bracketed secant loop that also solves the
 spread equation in `spread`, to adjacent floats that straddle the level.
 Every inverse CDF rejects NaN and levels outside [0, 1].
 
-Distributions are immutable; sampling takes an explicit seed so parallel
-callers own independent streams.
+Distributions are immutable.  `sample` is the one place that turns uniforms
+into design points, and the harness draws through it too: a design's
+closed-form inverse CDF maps uniforms to points, and a mixture is drawn by
+composition, so no draw inverts the mixture CDF.  It takes an explicit seed
+or Generator, so parallel callers own independent streams.
 """
 
 from __future__ import annotations
@@ -201,11 +204,13 @@ def power(alpha: float) -> DesignDistribution:
         raise InvalidParameterError(f"power exponent must be positive, got {alpha}")
     a = float(alpha)
 
+    # np.power, not **: _clip01 gives a numpy scalar for a 0-d x, and the
+    # scalar ** rounds differently from the array power
     def density(x):
-        return (a + 1.0) * _clip01(x)**a
+        return (a + 1.0) * np.power(_clip01(x), a)
 
     def cdf(x):
-        return _clip01(x) ** (a + 1.0)
+        return np.power(_clip01(x), a + 1.0)
 
     def ppf(u):
         return _levels(u) ** (1.0 / (a + 1.0))
@@ -381,12 +386,31 @@ def _simpson(y, x) -> float:
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])))
 
 
-def sample(d: DesignDistribution, count: int, seed: int) -> np.ndarray:
-    """Inverse-CDF sample of the given size; deterministic for a fixed seed."""
+def sample(d: DesignDistribution, count: int, seed) -> np.ndarray:
+    """`count` independent draws from d; the one place that turns uniforms
+    into design points.
+
+    `seed` is anything `np.random.default_rng` takes, including a
+    Generator, whose stream the draws then consume; a fixed seed gives fixed
+    draws.  A mixture is drawn by composition, as the pooled sample of the
+    transfer setting is made: `count` uniforms choose the component of each
+    draw (p below weight_p, q otherwise), then p's draws and q's draws come
+    from `sample` on the same stream, in that order.  Every other design
+    maps `count` uniforms through its closed-form inverse CDF.
+    """
     if count < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    return np.atleast_1d(np.asarray(d.ppf(rng.random(count)), float))
+    if d.kind != "mixture":
+        return np.atleast_1d(np.asarray(d.ppf(rng.random(count)), float))
+    from_p = rng.random(count) < d.params["weight_p"]
+    k = int(np.count_nonzero(from_p))
+    x = np.empty(count)
+    if k:
+        x[from_p] = sample(d.params["p"], k, rng)
+    if k < count:
+        x[~from_p] = sample(d.params["q"], count - k, rng)
+    return x
 
 
 def doubling_constant(d: DesignDistribution, eta_max: float, x_grid=None, eta_grid=None) -> float:

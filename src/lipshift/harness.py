@@ -126,7 +126,7 @@ class ExperimentConfig:
 
 def _draw(dist, f0, noise_sd, n, seed) -> RegressionSample:
     rng = np.random.default_rng(seed)
-    x = np.atleast_1d(np.asarray(dist.ppf(rng.random(n)), float))
+    x = densities.sample(dist, n, rng)
     y = f0(x) + noise_sd * rng.standard_normal(n)
     return RegressionSample(x, y)
 

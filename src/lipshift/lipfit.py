@@ -186,6 +186,25 @@ def _stack_roots(y, c, u):
     return roots
 
 
+def _clip_roots(roots, u):
+    """The backward pass: the last value is the last root, and each earlier
+    root r_i is clipped to [f_{i+1} - u_i, f_{i+1} + u_i].  Bit for bit
+    min(max(r_i, f_{i+1} - u_i), f_{i+1} + u_i) for gaps u_i >= 0, signed
+    zeros included; comparisons, because the builtin calls cost 4x."""
+    g = roots[-1]
+    f = [g]
+    for r, ui in zip(reversed(roots[:-1]), reversed(u)):
+        lo = g - ui
+        if lo > r:
+            g = lo
+        else:
+            hi = g + ui
+            g = hi if hi < r else r
+        f.append(g)
+    f.reverse()
+    return f
+
+
 def fit_lipschitz_lse(sample: RegressionSample, budget: float) -> LipschitzFit:
     """Exact minimizer of the slope-constrained least squares problem with
     Lipschitz constant L = budget in (0, 1]."""
@@ -194,10 +213,7 @@ def fit_lipschitz_lse(sample: RegressionSample, budget: float) -> LipschitzFit:
     xu, ybar, w, extra = _merge_duplicates(sample.x, sample.y)
     gaps = budget * np.diff(xu)
     u = gaps.tolist()
-    f = _stack_roots(ybar.tolist(), (2.0 * w).tolist(), u)
-    for i in range(len(u) - 1, -1, -1):
-        f[i] = min(max(f[i], f[i + 1] - u[i]), f[i + 1] + u[i])
-    f = np.array(f)
+    f = np.array(_clip_roots(_stack_roots(ybar.tolist(), (2.0 * w).tolist(), u), u))
 
     objective = float(np.sum(w * (f - ybar) ** 2) + extra)
     residual = _kkt_residual(f, ybar, w, gaps)

@@ -279,7 +279,7 @@ def test_mixture_ppf_cdf_evaluations():
     # bisection made 60 evaluations per point
     calls = [0]
     d = densities.mixture(_counting(densities.power(2.0), calls), densities.uniform(), 0.8)
-    densities.sample(d, 100_000, seed=4)
+    d.ppf(np.random.default_rng(4).random(100_000))
     assert calls[0] <= 14 * 100_000
 
 
@@ -293,15 +293,81 @@ def test_mixture_sample_memory_bounded():
     assert peak <= 24 * 2**20
 
 
+NESTED_MIXTURE = densities.mixture(MIXTURE, _zero_stretch_tabulated(2), 0.4)
+
+
+@pytest.mark.parametrize("d", [MIXTURE, NESTED_MIXTURE], ids=["mixture", "nested"])
+def test_mixture_sample_matches_mixture_cdf(d):
+    # composition draws from the components and never inverts the mixture CDF
+    calls = [0]
+    counted = densities.mixture(_counting(d.params["p"], calls),
+                                _counting(d.params["q"], calls), d.params["weight_p"])
+    x = np.sort(densities.sample(counted, 100_000, seed=12))
+    assert calls[0] == 0
+    cdf = d.cdf(x)
+    ks = max(np.max(np.arange(1, x.size + 1) / x.size - cdf),
+             np.max(cdf - np.arange(x.size) / x.size))
+    assert ks <= 1.95 / np.sqrt(x.size)  # the KS test's 0.1 % level
+
+
+@pytest.mark.parametrize("count", [1, 2, 1000])
+@pytest.mark.parametrize("d", [MIXTURE, NESTED_MIXTURE], ids=["mixture", "nested"])
+def test_mixture_sample_is_composition_by_hand(d, count):
+    # count uniforms pick the components, then p's draws, then q's, on one stream
+    def by_hand(d, k, rng):
+        if d.kind != "mixture":
+            return d.ppf(rng.random(k))
+        from_p = rng.random(k) < d.params["weight_p"]
+        x = np.empty(k)
+        x[from_p] = by_hand(d.params["p"], int(from_p.sum()), rng)
+        x[~from_p] = by_hand(d.params["q"], int((~from_p).sum()), rng)
+        return x
+
+    want = by_hand(d, count, np.random.default_rng(21))
+    got = densities.sample(d, count, seed=21)
+    assert got.shape == (count,)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("weight, part", [(0.0, "q"), (1.0, "p")])
+def test_mixture_sample_with_one_sided_weight(weight, part):
+    d = densities.mixture(densities.power(2.0), densities.example3(10_000), weight)
+    rng = np.random.default_rng(8)
+    rng.random(5000)  # the component choices
+    want = d.params[part].ppf(rng.random(5000))
+    assert np.array_equal(_bits(densities.sample(d, 5000, seed=8)), _bits(want))
+
+
+def test_mixture_sample_same_seed_same_draws():
+    a = densities.sample(NESTED_MIXTURE, 2000, seed=14)
+    assert np.array_equal(_bits(a), _bits(densities.sample(NESTED_MIXTURE, 2000, seed=14)))
+    assert not np.array_equal(a, densities.sample(NESTED_MIXTURE, 2000, seed=15))
+
+
+@pytest.mark.parametrize("d, used", [(densities.power(2.0), 1), (MIXTURE, 2)],
+                         ids=["power", "mixture"])
+def test_sample_consumes_a_passed_generator(d, used):
+    # uniforms per draw: one to invert, plus one to pick a mixture's component
+    rng = np.random.default_rng(30)
+    a = densities.sample(d, 500, rng)
+    b = densities.sample(d, 500, rng)
+    assert not np.array_equal(a, b)
+    assert np.array_equal(_bits(a), _bits(densities.sample(d, 500, seed=30)))
+    ref = np.random.default_rng(30)
+    ref.random(2 * used * 500)
+    assert rng.random() == ref.random()
+
+
 def clip_reference(kind, **params):
     """Oracle: the np.clip-based density and CDF evaluators that the
     np.minimum/np.maximum forms in densities replaced, as (density, cdf)."""
     if kind == "uniform":
         return None, lambda x: np.clip(np.asarray(x, float), 0.0, 1.0)
     if kind == "power":
+        # np.power, as in densities: a numpy scalar's ** rounds differently
         a = params["alpha"]
-        return ((lambda x: (a + 1.0) * np.clip(np.asarray(x, float), 0.0, 1.0) ** a),
-                (lambda x: np.clip(np.asarray(x, float), 0.0, 1.0) ** (a + 1.0)))
+        return ((lambda x: (a + 1.0) * np.power(np.clip(np.asarray(x, float), 0.0, 1.0), a)),
+                (lambda x: np.power(np.clip(np.asarray(x, float), 0.0, 1.0), a + 1.0)))
     if kind == "example3":
         phi = params["phi"]
         ramp = 16.0 * (1.0 - phi)
@@ -359,6 +425,27 @@ def test_clip_free_evaluators_match_clip_reference(d):
             assert _bits(new(point)) == _bits(old(point))
             assert np.array_equal(_bits(new(np.array([point, 0.5]))),
                                   _bits(old(np.array([point, 0.5]))))
+
+
+ZERO_D_DESIGNS = [densities.uniform(), densities.power(0.5), densities.power(2.0),
+                  densities.power(3.0), densities.example3(10_000),
+                  densities.tabulated([0.0, 0.3, 0.7, 1.0], [0.5, 2.0, 1.0, 0.1]),
+                  _zero_stretch_tabulated(1), MIXTURE, NESTED_MIXTURE]
+
+
+@pytest.mark.parametrize("d", ZERO_D_DESIGNS, ids=range(len(ZERO_D_DESIGNS)))
+def test_scalar_inputs_match_array_inputs(d):
+    # a float must give the last bits the same point gets inside an array
+    rng = np.random.default_rng(23)
+    x = np.concatenate([rng.uniform(-0.5, 1.5, 1000), [-0.0, 0.0, 0.25, 0.75, 1.0]])
+    u = np.concatenate([rng.random(300), [0.0, 1.0]])
+    for f, points in ((d.density, x), (d.cdf, x), (d.ppf, u)):
+        whole = _bits(f(points))
+        assert [_bits(f(float(p))) for p in points] == whole.tolist()
+    a = x - rng.uniform(0.0, 0.3, x.size)
+    whole = _bits(densities.interval_mass(d, a, x))
+    assert ([_bits(densities.interval_mass(d, float(lo), float(hi))) for lo, hi in zip(a, x)]
+            == whole.tolist())
 
 
 def test_sample_deterministic_and_in_range():

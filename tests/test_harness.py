@@ -59,6 +59,22 @@ def test_generate_deterministic_in_seed():
     assert not np.array_equal(a.y, c.y)
 
 
+@pytest.mark.parametrize("dist", [densities.uniform(), densities.power(2.0),
+                                  densities.example3(4096),
+                                  densities.tabulated([0.0, 0.4, 1.0], [1.0, 0.2, 2.0])],
+                         ids=lambda d: d.kind)
+def test_generate_draws_the_inverse_cdf_stream(dist):
+    # x from the seed's first n uniforms, then the noise from the same stream
+    cfg = _config(distribution=dist)
+    s = generate(cfg, 300, [1, 300, 2])
+    rng = np.random.default_rng([1, 300, 2])
+    x = dist.ppf(rng.random(300))
+    y = cfg.f0(x) + cfg.noise_sd * rng.standard_normal(300)
+    order = np.argsort(x, kind="stable")  # as RegressionSample stores them
+    assert np.array_equal(s.x.view(np.int64), x[order].view(np.int64))
+    assert np.array_equal(s.y.view(np.int64), y[order].view(np.int64))
+
+
 def test_generate_zero_noise_recovers_f0():
     cfg = _config(noise_sd=0.0)
     s = generate(cfg, 100, 7)

@@ -7,6 +7,8 @@ the module layout: a module imports nothing it does not use (the package
 function or class is used by the package itself, so a test-only oracle
 cannot stay in library code.  A fourth promise, that the runtime needs numpy
 only, is also checked in a fresh interpreter: scipy stays a test dependency.
+A fifth is that uniforms become design points in one place: no function but
+``densities.sample`` calls a design's ``.ppf``.
 """
 
 import ast
@@ -98,3 +100,15 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.stdout.strip() == "[]"
+
+
+def test_only_sample_calls_ppf():
+    callers = []
+    for path in MODULES:
+        for top in ast.parse(path.read_text()).body:
+            calls = [n for n in ast.walk(top) if isinstance(n, ast.Call)
+                     and isinstance(n.func, ast.Attribute) and n.func.attr == "ppf"]
+            if calls:
+                name = getattr(top, "name", f"line {top.lineno}")
+                callers += [f"{path.stem}.{name}:{c.lineno}" for c in calls]
+    assert [c.split(":")[0] for c in callers] == ["densities.sample"], callers

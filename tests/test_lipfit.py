@@ -18,6 +18,7 @@ from lipshift.lipfit import (
     fit_lipschitz_lse,
     isotonic_evaluate,
     kernel_smoother,
+    _clip_roots,
     _merge_duplicates,
 )
 
@@ -251,6 +252,24 @@ def test_stack_dp_matches_breakpoint_oracle(n, seed, family, scale, min_gap, tie
     assert np.max(np.abs(fit.values - oracle)) <= 1e-9 * (1.0 + ymax)
     assert np.all(np.abs(np.diff(fit.values)) <= L * np.diff(fit.knots) + 1e-9)
     assert fit.kkt_residual <= 1e-8 * (1.0 + ymax)
+
+
+# few distinct values, so ties between a root and a clip bound are common
+@settings(max_examples=300, deadline=None)
+@given(roots=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.1, 0.2]),
+                                st.floats(-2.0, 2.0)), min_size=1, max_size=40),
+       gaps=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.1, 0.25]), st.floats(0.0, 1.0)),
+                     min_size=39, max_size=39))
+@example(roots=[0.0, -0.0], gaps=[0.0] * 39)  # lower bound -0.0 ties root +0.0
+@example(roots=[-0.0, -0.0], gaps=[0.0] * 39)  # upper bound +0.0 ties root -0.0
+def test_clip_roots_matches_min_max_formula(roots, gaps):
+    # the indexed min(max(...)) loop that the comparisons replaced
+    u = gaps[: len(roots) - 1]
+    f = list(roots)
+    for i in range(len(u) - 1, -1, -1):
+        f[i] = min(max(f[i], f[i + 1] - u[i]), f[i + 1] + u[i])
+    got = _clip_roots(roots, u)
+    assert np.array_equal(np.array(got).view(np.int64), np.array(f).view(np.int64))
 
 
 def test_readme_quick_start_runs():
