@@ -268,13 +268,15 @@ def tabulated(grid, values) -> DesignDistribution:
     """Piecewise-linear density through (grid, values), renormalized to mass one.
 
     The density is zero outside [grid[0], grid[-1]]; the CDF is the exact
-    integral of the interpolant (piecewise quadratic).  The inverse CDF is
-    exact too: u falls in the first segment i whose end mass cum[i+1] reaches
-    u, and x = grid[i] + dx with 0.5 s dx^2 + v_i dx = u - cum[i] (s the
-    segment's slope), solved as dx = 2 (u - cum[i]) / (v_i + sqrt(v_i^2 +
-    2 s (u - cum[i]))), which has no cancellation for either sign of s.  At
-    the mass of a zero-density stretch this gives the stretch's left end,
-    the smallest x with cdf(x) >= u.
+    integral of the interpolant (piecewise quadratic), taken on each half of
+    a segment from the nearer node, so no sum cancels near a node of zero
+    density.  The inverse CDF is exact too: u falls in the first segment i
+    whose end mass cum[i+1] reaches u, and x = grid[i] + dx with
+    0.5 s dx^2 + v_i dx = u - cum[i] (s the segment's slope), solved as
+    dx = 2 (u - cum[i]) / (v_i + sqrt(v_i^2 + 2 s (u - cum[i]))), which has
+    no cancellation for either sign of s.  At the mass of a zero-density
+    stretch this gives the stretch's left end, the smallest x with
+    cdf(x) >= u.
     """
     g = np.asarray(grid, float)
     v = np.asarray(values, float)
@@ -303,8 +305,11 @@ def tabulated(grid, values) -> DesignDistribution:
     def cdf(x):
         x = np.minimum(g[-1], np.maximum(g[0], np.asarray(x, float)))
         i = np.minimum(np.maximum(np.searchsorted(g, x, side="right") - 1, 0), g.size - 2)
-        dx = x - g[i]
-        return cum[i] + v[i] * dx + 0.5 * slope[i] * dx**2
+        dx, r = x - g[i], g[i + 1] - x
+        # from the left node alone the terms cancel near a right node of
+        # zero density, and the sum is not monotone in its last bits there
+        return np.where(r < dx, cum[i + 1] - (v[i + 1] * r - 0.5 * slope[i] * r**2),
+                        cum[i] + v[i] * dx + 0.5 * slope[i] * dx**2)
 
     def ppf(u):
         u = _levels(u)

@@ -86,8 +86,16 @@ class ExperimentConfig:
             raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
         if self.replicates < 1:
             raise ConfigError("need at least one replicate")
+        for key in ("n_grid", "m_grid"):
+            sizes = getattr(self, key)
+            for v in [] if sizes is None else sizes:
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+                    raise ConfigError(f"{key} entries must be integers >= 1, got {v!r}")
         if list(self.n_grid) != sorted(self.n_grid) or len(self.n_grid) == 0:
             raise ConfigError("n_grid must be nonempty and ascending")
+        if self.m_grid is not None and len(self.m_grid) != len(self.n_grid):
+            # cross product is not supported; the grids pair index by index
+            raise ConfigError("m_grid must have the same length as n_grid")
         for e in self.estimators:
             if e not in ESTIMATORS:
                 raise ConfigError(f"unknown estimator {e!r}")
@@ -229,9 +237,6 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     ledger = {}  # exception type name -> {"count", "first_message"}
     total = 0
     m_grid = config.m_grid if config.m_grid is not None else [None] * len(config.n_grid)
-    if len(m_grid) != len(config.n_grid):
-        # cross product is not supported; pair the grids index by index
-        raise ConfigError("m_grid must have the same length as n_grid")
     for n, m in zip(config.n_grid, m_grid):
         spread_grid = SpreadFunction(config.distribution, n).at(grid) \
             if "weighted_sup" in config.losses else None

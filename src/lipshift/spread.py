@@ -10,9 +10,11 @@ hi = 1) pins the (smallest, hence the) solution.  `SpreadFunction.at`
 shrinks that bracket with paired secant steps on g^(1/3) until lo and hi are
 adjacent floats: for two or more points in the numpy loop that
 `densities._paired_secant` shares with the mixture's inverse CDF, for one in
-Python floats, with the same iterates and result.  The empirical version is an
-exact selection over the sorted sample.  Both evaluators take x of any
-shape and return a float for a 0-d x, else an array shaped like x.
+Python floats around one CDF call per round, with the same iterates and
+result.  The empirical version finds its crossing index by counting sample
+points within each candidate distance and selects one order statistic of
+the distances, both over the sorted sample and exact.  Both evaluators take
+x of any shape and return a float for a 0-d x, else an array shaped like x.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ class SpreadFunction:
         is the root for p = 1.  `densities._paired_secant` shrinks it until
         lo and hi are adjacent floats, the certificate of a float crossing,
         and returns that midpoint, as bisection to the end would.  Each
-        round makes one `interval_mass` call on a pair (a, b) straddling the
-        current root estimate and takes the next estimate from the secant
+        round evaluates g once on a pair (a, b) straddling the current root
+        estimate and takes the next estimate from the secant
         through the pair on g^(1/3): g grows like t^3 near the root (like
         2 p(x) t^3 for a positive density), so its cube root is nearly
         linear and the secant converges superlinearly.  For n <= 10^6 a
@@ -72,12 +74,13 @@ class SpreadFunction:
         and larger n take more (at most 79 seen, at n = 10^15).
 
         The solve is chosen by input size.  One point runs the rounds in
-        Python floats, since numpy's per-call cost dominates on length-1
-        arrays; it still evaluates g by one `interval_mass` call on the
-        numpy pair (a, b), so it computes the same iterates, and returns the
-        same float, as the vector loop does for that point.  Two or more
-        points run the vector loop on the flattened x.  The result is a
-        float for a 0-d x and an array shaped like x otherwise.
+        Python floats, since numpy's per-call cost dominates on short
+        arrays; each round makes one CDF call on the four clipped ends of
+        the pair's intervals and forms `interval_mass`'s formula in floats,
+        so it computes the same iterates, and returns the same float, as
+        the vector loop does for that point.  Two or more points run the
+        vector loop on the flattened x.  The result is a float for a 0-d x
+        and an array shaped like x otherwise.
         """
         x = _finite(x)
         if x.size == 1:
@@ -88,7 +91,10 @@ class SpreadFunction:
     def _at_point(self, x):
         """`at` for one point given as a float: the rounds of
         `densities._paired_secant` with each numpy op on a length-1 array
-        replaced by its float form."""
+        replaced by its float form.  g(a) and g(b) come from one d.cdf call
+        on [min(x+a, 1), min(x+b, 1), max(x-a, 0), max(x-b, 0)], then
+        t t max(F_hi - F_lo, 0) in floats, the float form of
+        `interval_mass`; only the CDF and np.cbrt see arrays."""
         d, thr = self.distribution, float(self.threshold)
         level = float(np.cbrt(thr))
         lo, hi = math.sqrt(thr) * (1.0 - 1e-9), 1.0
@@ -102,9 +108,13 @@ class SpreadFunction:
             a = min(max(est - half, inner_lo), inner_hi)
             b = max(est + half, math.nextafter(est, math.inf))
             b = min(max(b, inner_lo), inner_hi)
-            pair = np.array([a, b])
-            g = pair**2 * interval_mass(d, x - pair, x + pair)
-            (ga, gb), (ca, cb) = g.tolist(), np.cbrt(g).tolist()
+            # interval_mass(d, x - pair, x + pair) in floats: max(0.0, .) and
+            # min(1.0, .) return 0.0 and 1.0 on ties, as np.maximum does
+            f_hi_a, f_hi_b, f_lo_a, f_lo_b = d.cdf(np.array(
+                [min(1.0, x + a), min(1.0, x + b), max(0.0, x - a), max(0.0, x - b)])).tolist()
+            ga = a * a * max(0.0, f_hi_a - f_lo_a)
+            gb = b * b * max(0.0, f_hi_b - f_lo_b)
+            ca, cb = np.cbrt(np.array([ga, gb])).tolist()
             a_below, b_below = ga < thr, gb < thr
             lo2 = (b if b_below else a) if a_below else lo
             hi2 = (hi if b_below else b) if a_below else a
@@ -217,14 +227,19 @@ class EmpiricalSpread:
 
     r_k is nondecreasing and sqrt(log n / k) decreasing in k, so with
     k* = min{k : r_k >= sqrt(log n / k)} the minimum is
-    min(sqrt(log n / (k* - 1)), r_k*).  `at` finds k* by binary search and
-    each r_k by selection, without sorting: the distances from x form two
+    min(sqrt(log n / (k* - 1)), r_k*).  The distances from x form two
     ascending runs, x - X_(i) for the points below x and X_(i) - x for the
-    rest, and a binary search over how many of the k smallest come from the
-    first run gives the k-th smallest.  Each distance is the same float
-    subtraction as |X_i - x|, so the result is exact.  Cost per call:
-    O(G log^2 n) time and O(G) memory for G points x, after the O(n log n)
-    sort of the points at construction.
+    rest.  `at` finds k* by binary search and decides each probe by
+    counting: with phi_k = sqrt(log n / k), r_k >= phi_k exactly when fewer
+    than k distances lie below phi_k.  Each run's count comes from a search
+    of the sorted points for x - phi_k or x + phi_k, moved over whole blocks
+    of tied points until the float test holds just inside it.  Then `at`
+    selects r_k* once, by a binary search over how many of the k* smallest
+    come from the first run.  Each distance is the same float subtraction
+    as |X_i - x|, so the result is exact.  Cost per call: O(G log^2 n) time
+    and O(G) memory for G points x, after the O(n log n) sort of the points
+    at construction; the numpy calls are one searchsorted pair per k* probe
+    (about log2 n probes) and one selection, not a selection per probe.
     """
 
     def __init__(self, points):
@@ -254,6 +269,30 @@ class EmpiricalSpread:
         right = np.where(hi < k, p[np.clip(s + k - 1 - hi, 0, last)] - x, -np.inf)
         return np.maximum(left, right)
 
+    def _count_closer(self, x, s, phi):
+        """#{i : |X_i - x| < phi} elementwise, each distance the float
+        subtraction `_kth_distance` makes: x - X_i < phi on a run [j, s) of
+        the points below x and X_i - x < phi on a run [s, m) of the rest."""
+        p, n = self.points, self.n
+        j = np.minimum(np.searchsorted(p, x - phi, side="right"), s)
+        m = np.maximum(np.searchsorted(p, x + phi, side="left"), s)
+        # the searches took rounded ends; move each end over whole blocks of
+        # tied points until the float test holds just inside it and fails
+        # just outside
+        while True:
+            jb, ja = np.maximum(j - 1, 0), np.minimum(j, n - 1)
+            mb, ma = np.maximum(m - 1, 0), np.minimum(m, n - 1)
+            j_out = (j > 0) & (x - p[jb] < phi)
+            j_in = (j < s) & ~(x - p[ja] < phi)
+            m_out = (m < n) & (p[ma] - x < phi)
+            m_in = (m > s) & ~(p[mb] - x < phi)
+            if not (j_out.any() or j_in.any() or m_out.any() or m_in.any()):
+                return m - j
+            j = np.where(j_out, np.searchsorted(p, p[jb], side="left"),
+                         np.where(j_in, np.searchsorted(p, p[ja], side="right"), j))
+            m = np.where(m_out, np.searchsorted(p, p[ma], side="right"),
+                         np.where(m_in, np.searchsorted(p, p[mb], side="left"), m))
+
     def at(self, x):
         x = _finite(x)
         scalar = x.ndim == 0
@@ -266,7 +305,8 @@ class EmpiricalSpread:
         while np.any(lo < hi):
             k = (lo + hi) // 2
             kc = np.minimum(k, n)
-            done = (k > n) | (self._kth_distance(x, s, kc) >= self._floor[kc - 1])
+            # r_k >= phi_k exactly when fewer than k distances lie below phi_k
+            done = (k > n) | (self._count_closer(x, s, self._floor[kc - 1]) < kc)
             lo = np.where(done, lo, k + 1)
             hi = np.where(done, k, hi)
         r = np.where(hi <= n, self._kth_distance(x, s, np.minimum(hi, n)), np.inf)

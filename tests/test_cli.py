@@ -223,5 +223,19 @@ def test_simulate_rates_zero_density_kernel_fails(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("key", ["n_grid", "m_grid"])
+@pytest.mark.parametrize("size", [0, -5, 1.5, True])
+def test_simulate_rates_bad_size_exits_3(tmp_path, capsys, key, size):
+    obj = {"distribution": {"kind": "uniform"}, "n_grid": [size, 64, 128], "replicates": 2}
+    if key == "m_grid":
+        obj.update(n_grid=[32, 64, 128], m_grid=[16, size, 32], estimators=["transfer"],
+                   target_distribution={"kind": "uniform"})
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(obj))
+    assert main(["simulate-rates", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_simulate_rates_missing_config_exits_3(capsys):
     assert main(["simulate-rates", "--config", "/nope.json"]) == 3

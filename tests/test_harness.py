@@ -154,10 +154,23 @@ def test_config_from_json_defaults_and_null_target():
 
 
 def test_transfer_needs_matching_grids():
-    cfg = _config(estimators=["transfer"], m_grid=[64, 128],
-                  target_distribution=densities.uniform())
-    with pytest.raises(ConfigError):
-        run_rate_experiment(cfg)
+    # checked when the config is built, before any replicate runs
+    with pytest.raises(ConfigError, match="m_grid"):
+        _config(estimators=["transfer"], m_grid=[64, 128],
+                target_distribution=densities.uniform())
+
+
+@pytest.mark.parametrize("key", ["n_grid", "m_grid"])
+@pytest.mark.parametrize("bad", [0, -5, 1.5, 64.0, True, "64", None])
+def test_config_rejects_bad_sizes(key, bad):
+    obj = {"distribution": {"kind": "uniform"}, "n_grid": [32, 64, 128]}
+    if key == "m_grid":
+        obj.update(estimators=["transfer"], target_distribution={"kind": "uniform"})
+    obj[key] = [bad, 64, 128] if key == "n_grid" else [16, bad, 32]
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig.from_json(obj)
+    obj[key] = [1, 64, 128] if key == "n_grid" else [16, np.int64(1), 32]
+    ExperimentConfig.from_json(obj)  # integers >= 1 pass, numpy ones too
 
 
 # --- experiments --------------------------------------------------------

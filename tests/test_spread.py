@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -99,32 +100,41 @@ def test_paired_secant_certified_and_near_bisection_on_grid(kind):
 
 
 def test_paired_secant_mass_evaluations(monkeypatch):
-    # one interval_mass call per round; bisection to adjacent floats makes
-    # 53 to 59, on the pooled design of transfer.mixture_spread as anywhere
-    calls = [0]
+    # rounds counted by CDF calls: the one-point path makes one per round and
+    # no interval_mass call, the vector path one interval_mass call (two CDF
+    # calls) per round; bisection to adjacent floats takes 53 to 59 rounds,
+    # on the pooled design of transfer.mixture_spread as anywhere
+    cdf_calls, mass_calls = [0], [0]
     mass = spread.interval_mass
 
-    def counted(*args):
-        calls[0] += 1
+    def counted_mass(*args):
+        mass_calls[0] += 1
         return mass(*args)
 
-    monkeypatch.setattr(spread, "interval_mass", counted)
-    s = SpreadFunction(densities.mixture(densities.power(2.0), densities.uniform(),
-                                         16384 / (16384 + 1024)), 16384 + 1024)
+    def counted(d):
+        def cdf(x):
+            cdf_calls[0] += 1
+            return d.cdf(x)
+        return dataclasses.replace(d, cdf=cdf)
+
+    monkeypatch.setattr(spread, "interval_mass", counted_mass)
+    s = SpreadFunction(counted(densities.mixture(densities.power(2.0), densities.uniform(),
+                                                 16384 / (16384 + 1024))), 16384 + 1024)
     total = 0
     for x in np.linspace(0.0, 1.0, 65):
-        calls[0] = 0
+        cdf_calls[0] = mass_calls[0] = 0
         s.at(x)
-        one_point = calls[0]
-        calls[0] = 0
+        one_point = cdf_calls[0]
+        assert mass_calls[0] == 0
+        cdf_calls[0] = 0
         s.at(np.array([x, x]))
-        assert one_point == calls[0]  # the one-point path runs the same rounds
+        assert cdf_calls[0] == 2 * mass_calls[0] == 2 * one_point  # the same rounds
         total += one_point
     assert total <= 12 * 65
     for d in ORACLE_DESIGNS.values():
-        calls[0] = 0
-        SpreadFunction(d, 4096).at(np.linspace(0.0, 1.0, 2001))
-        assert calls[0] <= 30
+        cdf_calls[0] = 0
+        SpreadFunction(counted(d), 4096).at(np.linspace(0.0, 1.0, 2001))
+        assert cdf_calls[0] <= 2 * 30
 
 
 @settings(max_examples=150, deadline=None)
@@ -190,6 +200,75 @@ def test_selection_matches_sorted_distances_large_sample():
     e = EmpiricalSpread(pts)
     assert np.array_equal(e.at(xs), sorted_distance_oracle(pts, xs))
     assert e.at(0.5) == sorted_distance_oracle(pts, 0.5)[0]
+
+
+def _floats_near(v, ulps):
+    """The floats ulps steps away from each v (a float array), by np.nextafter."""
+    out = np.asarray(v, float).copy()
+    for _ in range(int(np.max(np.abs(ulps)))):
+        step = ulps != 0
+        out[step] = np.nextafter(out[step], np.where(ulps[step] > 0, np.inf, -np.inf))
+        ulps = ulps - np.sign(ulps)
+    return out
+
+
+def _boundary_sample(rng, n, k, x, block=1):
+    """n points: k - 1 at distances below phi_k / 2 from x, `block` copies
+    of one value within 3 ulps of x +- phi_k (phi_k = sqrt(log n / k)), and
+    the rest beyond 2 phi_k.  The counting search's verdict at k then
+    hinges on the float test for the tied value, and a wrong verdict moves
+    k* by one and changes the last bits of the result."""
+    phi = np.sqrt(np.log(n) / k)
+    sign = rng.choice([-1.0, 1.0], n)
+    near = x + sign[:k - 1] * rng.uniform(0.0, 0.5, k - 1) * phi
+    tie = _floats_near(np.array([x + sign[k - 1] * phi]), rng.integers(-3, 4, 1))
+    far = x + sign[k - 1 + block:] * rng.uniform(2.0, 3.0, n - k + 1 - block) * phi
+    return np.concatenate([near, np.full(block, tie[0]), far])
+
+
+def _assert_counting_exact(pts, k, x, xs):
+    e = EmpiricalSpread(pts)
+    assert np.array_equal(e.at(xs), sorted_distance_oracle(pts, xs))
+    # the count itself is exact, also where a wrong one would leave t_hat as it is
+    phi = np.sqrt(np.log(pts.size) / k)
+    count = e._count_closer(np.array([x]), np.searchsorted(e.points, [x]), phi)
+    assert count[0] == np.count_nonzero(np.abs(pts - x) < phi)
+
+
+def test_counting_search_exact_next_to_floors():
+    # x in and outside [0, 1], and on a sample point
+    rng = np.random.default_rng(11)
+    for _ in range(3000):
+        n = int(rng.integers(2, 300))
+        k = int(rng.integers(1, n + 1))
+        x = rng.choice([rng.uniform(-0.5, 1.5), rng.uniform(0.0, 1.0), 0.0, 1.0])
+        pts = _boundary_sample(rng, n, k, x)
+        _assert_counting_exact(pts, k, x, np.array([x, pts[0], pts[-1], -0.5, 1.5]))
+
+
+def test_counting_search_exact_on_tied_block():
+    # 10^4 copies of the value next to the floor
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        n = 10_000 + int(rng.integers(1, 200))
+        k = int(rng.integers(1, n - 10_000 + 2))
+        x = rng.uniform(-0.5, 1.5)
+        pts = _boundary_sample(rng, n, k, x, block=10_000)
+        xs = np.array([x, np.nextafter(x, 2.0), pts[k - 1], -0.5, 1.5])
+        _assert_counting_exact(pts, k, x, xs)
+
+
+def test_counting_search_selects_once():
+    pts = densities.sample(densities.power(2.0), 10**4, seed=8)
+    e = EmpiricalSpread(pts)
+    xs = np.concatenate([np.linspace(-0.25, 1.25, 201), pts[:5]])
+    with mock.patch.object(EmpiricalSpread, "_kth_distance", autospec=True,
+                           side_effect=EmpiricalSpread._kth_distance) as select:
+        t = e.at(xs)
+        assert select.call_count == 1  # for r_k*; the k* search only counts
+        assert e.at(0.3) == sorted_distance_oracle(pts, 0.3)[0]
+        assert select.call_count == 2
+    assert np.array_equal(t, sorted_distance_oracle(pts, xs))
 
 
 def test_empirical_spread_memory_bounded():
