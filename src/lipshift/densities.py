@@ -1,7 +1,8 @@
 """Design distributions on [0, 1].
 
-Each distribution carries an exact density, CDF, and inverse CDF, all
-vectorized over numpy arrays.  Supported families:
+Each distribution carries an exact density and CDF, and every design but the
+mixture an exact inverse CDF, all vectorized over numpy arrays.  Supported
+families:
 
 * ``uniform`` -- density 1 on [0, 1].
 * ``power`` -- density (alpha + 1) x^alpha, a low-density region near 0.
@@ -12,16 +13,14 @@ vectorized over numpy arrays.  Supported families:
   trapezoid CDF (values are renormalized to total mass one).
 * ``mixture`` -- convex combination of two existing distributions.
 
-Every inverse CDF but the mixture's is closed form.  The mixture's CDF is
-inverted by `_paired_secant`, the bracketed secant loop that also solves the
-spread equation in `spread`, to adjacent floats that straddle the level.
-Every inverse CDF rejects NaN and levels outside [0, 1].
+Every inverse CDF is closed form and rejects NaN and levels outside [0, 1].
+The mixture's `ppf` raises: a mixture is drawn by composition instead.
 
 Distributions are immutable.  `sample` is the one place that turns uniforms
 into design points, and the harness draws through it too: a design's
-closed-form inverse CDF maps uniforms to points, and a mixture is drawn by
-composition, so no draw inverts the mixture CDF.  It takes an explicit seed
-or Generator, so parallel callers own independent streams.
+closed-form inverse CDF maps uniforms to points, and a mixture's draws come
+from its components.  It takes an explicit seed or Generator, so parallel
+callers own independent streams.
 """
 
 from __future__ import annotations
@@ -66,110 +65,6 @@ class DesignDistribution:
 
     def __repr__(self):
         return f"DesignDistribution(kind={self.kind!r}, params={self.params!r})"
-
-
-def _next_float(x, step):
-    """np.nextafter(x, inf) (step = 1) for a float64 array x >= 0, +0.0 but
-    not -0.0, or np.nextafter(x, -inf) (step = -1) for x > 0: there it is
-    the neighbouring integer of x's bit pattern, and one integer add costs
-    a tenth of np.nextafter."""
-    return (x.view(np.int64) + step).view(np.float64)
-
-
-def _paired_secant(f, level, transform, lo, hi, est, half):
-    """Solve f(t) = level by a bracketed paired secant at every point of 1-d
-    arrays, for f nondecreasing in t: the midpoint of adjacent floats
-    lo < hi with f(lo) < level <= f(hi).  The one vector loop behind
-    `SpreadFunction.at` and the mixture's inverse CDF.
-
-    f(t, i) evaluates point i[j]'s function at t[j], for i and t of equal
-    length.  `level` is a scalar or one value per point.  The starting
-    bracket 0 <= lo <= hi (+0.0, not -0.0, for `_next_float`) must already
-    hold the invariant that every round keeps: lo only holds points with
-    f < level and hi the others (or the end of the search range).  A point
-    stops once the midpoint of its bracket rounds to lo or hi, so lo and hi
-    are adjacent floats, the certificate of a float crossing, and that
-    midpoint is returned, as bisection to the end would.
-
-    Each round makes one call of f, on a pair (a, b) per point straddling
-    its current estimate est (first pair: est +- half), moves the bracket
-    ends onto a and b by the sign test f < level, and takes the next
-    estimate from the secant through the pair on transform(f), where
-    `transform` makes f nearly linear near the root.  The next pair's
-    half-width is half the last step; after a pair that misses the root it
-    doubles instead.  A bracket that has not halved over two rounds gets a
-    quartile pair about its midpoint, which halves it, so whatever f does
-    the bracket halves at least every third round; range(200) stays as a
-    cap.
-    """
-    out = np.empty_like(lo)
-    target = np.broadcast_to(transform(level), lo.shape)
-    level = np.broadcast_to(level, lo.shape)
-    todo = np.arange(lo.size)  # the points still solving; the arrays below follow it
-    before = np.full_like(lo, np.inf)  # bracket width at the start of the last round
-    for _ in range(200):
-        t = 0.5 * (lo + hi)
-        done = (t == lo) | (t == hi)
-        if done.any():
-            out[todo[done]] = t[done]
-            todo, lo, hi, est, half, before, level, target = (
-                v[~done] for v in (todo, lo, hi, est, half, before, level, target))
-        if todo.size == 0:
-            break
-        inner = _next_float(lo, 1), _next_float(hi, -1)
-        a = np.minimum(np.maximum(est - half, inner[0]), inner[1])
-        b = np.maximum(est + half, _next_float(est, 1))
-        b = np.minimum(np.maximum(b, inner[0]), inner[1])
-        g = f(np.concatenate([a, b]), np.concatenate([todo, todo]))
-        ga, gb = g[: todo.size], g[todo.size:]
-        a_below, b_below = ga < level, gb < level
-        lo2 = np.where(a_below, np.where(b_below, b, a), lo)
-        hi2 = np.where(a_below, np.where(b_below, hi, b), a)
-        ca, cb = transform(ga), transform(gb)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            secant = a + (target - ca) * (b - a) / (cb - ca)
-        # no usable secant (flat or off the bracket): step past the pair
-        secant = np.where((secant > lo2) & (secant < hi2), secant,
-                          np.where(b_below, b + 2.0 * (b - a), a - 2.0 * (b - a)))
-        step = np.abs(secant - est)
-        half = np.where(a_below & ~b_below, 0.5 * step, 2.0 * np.maximum(half, step))
-        slow = hi2 - lo2 > 0.5 * before
-        est = np.minimum(np.maximum(np.where(slow, 0.5 * (lo2 + hi2), secant), lo2), hi2)
-        half = np.where(slow, 0.25 * (hi2 - lo2), half)
-        before, lo, hi = hi - lo, lo2, hi2
-    out[todo] = 0.5 * (lo + hi)
-    return out
-
-
-_PPF_NODES = np.linspace(0.0, 1.0, 1025)  # where `_inverse_cdf` tabulates the CDF
-_PPF_BLOCK = 8192  # levels solved together, which bounds the solve's memory
-
-
-def _inverse_cdf(cdf, u):
-    """Smallest x in [0, 1] with cdf(x) >= u, for a nondecreasing cdf on
-    [0, 1] and u a float array of levels in [0, 1]; shaped like u.  1 where
-    cdf(1) < u, which rounding can cause at u = 1.
-
-    The CDF tabulated on `_PPF_NODES` gives each level its starting bracket,
-    the nodes lo < hi with cdf(lo) < u <= cdf(hi), and its first estimate,
-    the chord between them; `_paired_secant` then shrinks the bracket to
-    adjacent floats on the CDF itself, in blocks of `_PPF_BLOCK` levels.
-    """
-    table = cdf(_PPF_NODES)
-    flat = u.ravel()
-    out = np.empty_like(flat)
-    for s in range(0, flat.size, _PPF_BLOCK):
-        v = flat[s:s + _PPF_BLOCK]
-        k = np.searchsorted(table, v, side="left")
-        x = np.where(k == 0, 0.0, 1.0)
-        inside = (k > 0) & (k < table.size)
-        k, v = k[inside], v[inside]
-        lo, hi = _PPF_NODES[k - 1], _PPF_NODES[k]
-        est = lo + (v - table[k - 1]) / (table[k] - table[k - 1]) * (hi - lo)
-        half = 0.125 * (hi - lo) ** 2  # the chord's error bound where |cdf''| <= cdf'
-        x[inside] = _paired_secant(lambda t, _: cdf(t), v, lambda g: g, lo, hi, est, half)
-        out[s:s + _PPF_BLOCK] = x
-    return out.reshape(u.shape)
 
 
 def _levels(u):
@@ -336,11 +231,14 @@ def mixture(p: DesignDistribution, q: DesignDistribution, weight_p: float) -> De
     def cdf(x):
         return w * p.cdf(x) + (1.0 - w) * q.cdf(x)
 
+    def ppf(u):
+        raise InvalidParameterError("a mixture has no inverse CDF: draw it with `densities.sample`")
+
     return DesignDistribution(
         "mixture",
         density,
         cdf,
-        lambda u: _inverse_cdf(cdf, _levels(u)),
+        ppf,
         {"weight_p": w, "p": p, "q": q},
         sup_density=w * p.sup_density + (1.0 - w) * q.sup_density,
     )

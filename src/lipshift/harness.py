@@ -65,6 +65,17 @@ def make_f0(spec: dict, delta: float):
     return f0, lip
 
 
+def _is_int(v, least):
+    """v is an integer >= least; bools are not, though Python counts them as ints."""
+    return not isinstance(v, bool) and isinstance(v, (int, np.integer)) and v >= least
+
+
+def _is_finite(v):
+    """v is a finite real number and not a bool."""
+    return (not isinstance(v, bool) and isinstance(v, (int, float, np.integer, np.floating))
+            and abs(v) < math.inf)
+
+
 @dataclass
 class ExperimentConfig:
     distribution: DesignDistribution
@@ -84,13 +95,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
-        if self.replicates < 1:
-            raise ConfigError("need at least one replicate")
+        for key, least in (("replicates", 1), ("seed", 0)):
+            v = getattr(self, key)
+            if not _is_int(v, least):
+                raise ConfigError(f"{key} must be an integer >= {least}, got {v!r}")
         for key in ("n_grid", "m_grid"):
             sizes = getattr(self, key)
             for v in [] if sizes is None else sizes:
-                if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+                if not _is_int(v, 1):
                     raise ConfigError(f"{key} entries must be integers >= 1, got {v!r}")
+        if not (_is_finite(self.budget) and 0.0 < self.budget <= 1.0):
+            raise ConfigError(f"budget must be a number in (0, 1], got {self.budget!r}")
+        if not (self.bandwidth == "rate" or _is_finite(self.bandwidth) and self.bandwidth > 0.0):
+            raise ConfigError(f"bandwidth must be 'rate' or a number > 0, got {self.bandwidth!r}")
+        if not (_is_finite(self.noise_sd) and self.noise_sd >= 0.0):
+            raise ConfigError(f"noise_sd must be a number >= 0, got {self.noise_sd!r}")
         if list(self.n_grid) != sorted(self.n_grid) or len(self.n_grid) == 0:
             raise ConfigError("n_grid must be nonempty and ascending")
         if self.m_grid is not None and len(self.m_grid) != len(self.n_grid):

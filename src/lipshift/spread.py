@@ -8,13 +8,12 @@ Since both factors are nondecreasing in t, g(t) = t^2 P([x +- t]) is
 nondecreasing, so a bracket [lo, hi] with g(lo) < log n / n <= g(hi) (or
 hi = 1) pins the (smallest, hence the) solution.  `SpreadFunction.at`
 shrinks that bracket with paired secant steps on g^(1/3) until lo and hi are
-adjacent floats: for two or more points in the numpy loop that
-`densities._paired_secant` shares with the mixture's inverse CDF, for one in
-Python floats around one CDF call per round, with the same iterates and
-result.  The empirical version finds its crossing index by counting sample
-points within each candidate distance and selects one order statistic of
-the distances, both over the sorted sample and exact.  Both evaluators take
-x of any shape and return a float for a 0-d x, else an array shaped like x.
+adjacent floats, in one numpy loop for two or more points and in Python
+floats for one, with the same iterates and result.  The empirical version
+finds its crossing index by counting sample points within each candidate
+distance and selects one order statistic of the distances, both over the
+sorted sample and exact.  Both evaluators take x of any shape and return a
+float for a 0-d x, else an array shaped like x.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import math
 
 import numpy as np
 
-from .densities import DesignDistribution, _paired_secant, interval_mass
+from .densities import DesignDistribution, interval_mass
 from .errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -46,6 +45,14 @@ def _finite(x):
     return x
 
 
+def _next_float(x, step):
+    """np.nextafter(x, inf) (step = 1) for a float64 array x >= 0, +0.0 but
+    not -0.0, or np.nextafter(x, -inf) (step = -1) for x > 0: there it is
+    the neighbouring integer of x's bit pattern, and one integer add costs
+    a tenth of np.nextafter."""
+    return (x.view(np.int64) + step).view(np.float64)
+
+
 class SpreadFunction:
     """Evaluator for t_n bound to a (distribution, n) pair."""
 
@@ -61,17 +68,22 @@ class SpreadFunction:
 
         The bracket starts at [sqrt(log n / n) (1 - 1e-9), 1], where g(t) =
         t^2 P([x +- t]) < log n / n at the left end, and the first estimate
-        is the root for p = 1.  `densities._paired_secant` shrinks it until
-        lo and hi are adjacent floats, the certificate of a float crossing,
-        and returns that midpoint, as bisection to the end would.  Each
-        round evaluates g once on a pair (a, b) straddling the current root
-        estimate and takes the next estimate from the secant
+        is the root for p = 1.  Each round evaluates g once on a pair (a, b)
+        straddling the estimate, moves the bracket ends onto a and b by the
+        sign test g < log n / n, and takes the next estimate from the secant
         through the pair on g^(1/3): g grows like t^3 near the root (like
         2 p(x) t^3 for a positive density), so its cube root is nearly
-        linear and the secant converges superlinearly.  For n <= 10^6 a
-        point in [0, 1] takes about 9 rounds and at most 16 in the tests
-        tried, against 53 to 59 bisection steps; points far outside [0, 1]
-        and larger n take more (at most 79 seen, at n = 10^15).
+        linear and the secant converges superlinearly.  The pair's
+        half-width starts at est / 2 and then is half the last step, or
+        double it after a pair that misses the root; a bracket that has not
+        halved over two rounds gets a quartile pair about its midpoint, so
+        it halves at least every third round (range(200) is a cap).  Once
+        the midpoint rounds to lo or hi, lo and hi are adjacent floats, the
+        certificate of a float crossing, and that midpoint is returned, as
+        bisection to the end would.  For n <= 10^6 a point in [0, 1] takes
+        about 9 rounds and at most 16 in the tests tried, against 53 to 59
+        bisection steps; points far outside [0, 1] and larger n take more
+        (at most 79 seen, at n = 10^15).
 
         The solve is chosen by input size.  One point runs the rounds in
         Python floats, since numpy's per-call cost dominates on short
@@ -89,12 +101,12 @@ class SpreadFunction:
         return self._at_points(x.ravel()).reshape(x.shape)
 
     def _at_point(self, x):
-        """`at` for one point given as a float: the rounds of
-        `densities._paired_secant` with each numpy op on a length-1 array
-        replaced by its float form.  g(a) and g(b) come from one d.cdf call
-        on [min(x+a, 1), min(x+b, 1), max(x-a, 0), max(x-b, 0)], then
-        t t max(F_hi - F_lo, 0) in floats, the float form of
-        `interval_mass`; only the CDF and np.cbrt see arrays."""
+        """`at` for one point given as a float: the rounds of `_at_points`
+        with each numpy op on a length-1 array replaced by its float form.
+        g(a) and g(b) come from one d.cdf call on [min(x+a, 1), min(x+b, 1),
+        max(x-a, 0), max(x-b, 0)], then t t max(F_hi - F_lo, 0) in floats,
+        the float form of `interval_mass`; only the CDF and np.cbrt see
+        arrays."""
         d, thr = self.distribution, float(self.threshold)
         level = float(np.cbrt(thr))
         lo, hi = math.sqrt(thr) * (1.0 - 1e-9), 1.0
@@ -131,16 +143,50 @@ class SpreadFunction:
         return 0.5 * (lo + hi)
 
     def _at_points(self, x):
-        """`at` for a 1-d array of points, solved together."""
+        """`at` for a 1-d array of points, solved together: each round makes
+        one `interval_mass` call for every point still solving."""
         d, thr = self.distribution, self.threshold
-
-        def g(t, i):
-            xi = x[i]
-            return t**2 * interval_mass(d, xi - t, xi + t)
-
+        level = np.cbrt(thr)  # the secant's target on g^(1/3)
+        out = np.empty_like(x)
+        todo = np.arange(x.size)  # the points still solving; the arrays below follow it
         lo = np.full_like(x, np.sqrt(thr) * (1.0 - 1e-9))
+        hi = np.ones_like(x)
         est = np.full_like(x, np.cbrt(0.5 * thr))  # the root for p = 1
-        return _paired_secant(g, thr, np.cbrt, lo, np.ones_like(x), est, 0.5 * est)
+        half = 0.5 * est
+        before = np.full_like(x, np.inf)  # bracket width at the start of the last round
+        for _ in range(200):
+            t = 0.5 * (lo + hi)
+            done = (t == lo) | (t == hi)
+            if done.any():
+                out[todo[done]] = t[done]
+                todo, lo, hi, est, half, before = (
+                    v[~done] for v in (todo, lo, hi, est, half, before))
+            if todo.size == 0:
+                break
+            inner = _next_float(lo, 1), _next_float(hi, -1)
+            a = np.minimum(np.maximum(est - half, inner[0]), inner[1])
+            b = np.maximum(est + half, _next_float(est, 1))
+            b = np.minimum(np.maximum(b, inner[0]), inner[1])
+            pair, xi = np.concatenate([a, b]), x[np.concatenate([todo, todo])]
+            g = pair**2 * interval_mass(d, xi - pair, xi + pair)
+            ga, gb = g[: todo.size], g[todo.size:]
+            a_below, b_below = ga < thr, gb < thr
+            lo2 = np.where(a_below, np.where(b_below, b, a), lo)
+            hi2 = np.where(a_below, np.where(b_below, hi, b), a)
+            ca, cb = np.cbrt(ga), np.cbrt(gb)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                secant = a + (level - ca) * (b - a) / (cb - ca)
+            # no usable secant (flat or off the bracket): step past the pair
+            secant = np.where((secant > lo2) & (secant < hi2), secant,
+                              np.where(b_below, b + 2.0 * (b - a), a - 2.0 * (b - a)))
+            step = np.abs(secant - est)
+            half = np.where(a_below & ~b_below, 0.5 * step, 2.0 * np.maximum(half, step))
+            slow = hi2 - lo2 > 0.5 * before
+            est = np.minimum(np.maximum(np.where(slow, 0.5 * (lo2 + hi2), secant), lo2), hi2)
+            half = np.where(slow, 0.25 * (hi2 - lo2), half)
+            before, lo, hi = hi - lo, lo2, hi2
+        out[todo] = 0.5 * (lo + hi)
+        return out
 
     def derivative(self, x, t=None):
         """Closed-form derivative of t_n; undefined where t_n(x) hits x or 1-x.

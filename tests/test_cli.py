@@ -223,13 +223,20 @@ def test_simulate_rates_zero_density_kernel_fails(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
-@pytest.mark.parametrize("key", ["n_grid", "m_grid"])
-@pytest.mark.parametrize("size", [0, -5, 1.5, True])
-def test_simulate_rates_bad_size_exits_3(tmp_path, capsys, key, size):
-    obj = {"distribution": {"kind": "uniform"}, "n_grid": [size, 64, 128], "replicates": 2}
+BAD_CONFIG = ([(key, v) for key in ("n_grid", "m_grid") for v in [0, -5, 1.5, True]]
+              + [("replicates", 1.5), ("replicates", True), ("seed", 1.5), ("seed", -1),
+                 ("seed", True), ("budget", 2), ("budget", np.nan), ("bandwidth", "fast"),
+                 ("bandwidth", 0), ("bandwidth", -0.5), ("noise_sd", -1), ("noise_sd", np.nan)])
+
+
+@pytest.mark.parametrize("key, bad", BAD_CONFIG, ids=[f"{v}-{key}" for key, v in BAD_CONFIG])
+def test_simulate_rates_bad_size_exits_3(tmp_path, capsys, key, bad):
+    obj = {"distribution": {"kind": "uniform"}, "n_grid": [32, 64, 128], "replicates": 2}
     if key == "m_grid":
-        obj.update(n_grid=[32, 64, 128], m_grid=[16, size, 32], estimators=["transfer"],
+        obj.update(m_grid=[16, bad, 32], estimators=["transfer"],
                    target_distribution={"kind": "uniform"})
+    else:
+        obj[key] = [bad, 64, 128] if key == "n_grid" else bad
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps(obj))
     assert main(["simulate-rates", "--config", str(cfg), "--out", str(tmp_path)]) == 3

@@ -160,17 +160,29 @@ def test_transfer_needs_matching_grids():
                 target_distribution=densities.uniform())
 
 
-@pytest.mark.parametrize("key", ["n_grid", "m_grid"])
-@pytest.mark.parametrize("bad", [0, -5, 1.5, 64.0, True, "64", None])
+# (key, value) pairs that must fail config validation with the key named:
+# grid entries and scalars of the wrong type or range, bools included
+BAD_SCALARS = {"replicates": [1.5, True], "seed": [1.5, -1, True],
+               "budget": [0, 2, np.nan, True], "bandwidth": ["fast", 0, -0.5, np.inf],
+               "noise_sd": [-1, np.nan, np.inf]}
+BAD_SIZES = [0, -5, 1.5, 64.0, True, "64", None]
+BAD_CONFIG = ([(key, v) for key in ("n_grid", "m_grid") for v in BAD_SIZES]
+              + [(key, v) for key, values in BAD_SCALARS.items() for v in values])
+# the edge value that passes for each key, numpy integers included
+EDGE = {"n_grid": [1, 64, 128], "m_grid": [16, np.int64(1), 32], "replicates": np.int64(1),
+        "seed": 0, "budget": 1, "bandwidth": 1e-3, "noise_sd": 0.0}
+
+
+@pytest.mark.parametrize("key, bad", BAD_CONFIG, ids=[f"{v}-{key}" for key, v in BAD_CONFIG])
 def test_config_rejects_bad_sizes(key, bad):
     obj = {"distribution": {"kind": "uniform"}, "n_grid": [32, 64, 128]}
     if key == "m_grid":
         obj.update(estimators=["transfer"], target_distribution={"kind": "uniform"})
-    obj[key] = [bad, 64, 128] if key == "n_grid" else [16, bad, 32]
+    obj[key] = {"n_grid": [bad, 64, 128], "m_grid": [16, bad, 32]}.get(key, bad)
     with pytest.raises(ConfigError, match=key):
         ExperimentConfig.from_json(obj)
-    obj[key] = [1, 64, 128] if key == "n_grid" else [16, np.int64(1), 32]
-    ExperimentConfig.from_json(obj)  # integers >= 1 pass, numpy ones too
+    obj[key] = EDGE[key]
+    ExperimentConfig.from_json(obj)
 
 
 # --- experiments --------------------------------------------------------

@@ -99,6 +99,14 @@ def test_paired_secant_certified_and_near_bisection_on_grid(kind):
     assert s.at(0.37) == pytest.approx(fixed_bisection_oracle(s, 0.37)[0], rel=1e-12)
 
 
+def test_next_float_matches_nextafter():
+    rng = np.random.default_rng(6)
+    x = np.concatenate([[0.0, 5e-324, 2.2e-308, 0.5, 1.0, 1.7e308],
+                        np.ldexp(rng.random(1000), rng.integers(-1070, 1020, 1000))])
+    assert np.array_equal(spread._next_float(x, 1), np.nextafter(x, np.inf))
+    assert np.array_equal(spread._next_float(x[1:], -1), np.nextafter(x[1:], -np.inf))
+
+
 def test_paired_secant_mass_evaluations(monkeypatch):
     # rounds counted by CDF calls: the one-point path makes one per round and
     # no interval_mass call, the vector path one interval_mass call (two CDF
