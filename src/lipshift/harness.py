@@ -10,6 +10,14 @@ or sample sizes never disturbs existing draws.
 Each estimator and each loss is defined once, in the tables ESTIMATORS and
 LOSSES that config validation, the experiment loop and the tests share.
 Estimators run in table order, whatever order the config lists them in.
+
+The (n, replicate) cells are independent, so they run in worker processes
+forked from the caller, one per CPU in the process's affinity mask, largest
+n first.  Their results are read back in table order, (n, replicate), so
+the report does not depend on the number of workers or on which cell
+finishes first.  The workers get the config and the grids by fork, not by
+pickling, so estimators and losses patched into the tables reach them.  A
+worker that dies ends the run with an ExperimentError.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -93,8 +102,8 @@ class ExperimentConfig:
     budget: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
+        if not (_is_finite(self.delta) and 0.0 < self.delta < 1.0):
+            raise ConfigError(f"delta must be a number in (0, 1), got {self.delta!r}")
         for key, least in (("replicates", 1), ("seed", 0)):
             v = getattr(self, key)
             if not _is_int(v, least):
@@ -115,15 +124,17 @@ class ExperimentConfig:
         if self.m_grid is not None and len(self.m_grid) != len(self.n_grid):
             # cross product is not supported; the grids pair index by index
             raise ConfigError("m_grid must have the same length as n_grid")
-        for e in self.estimators:
-            if e not in ESTIMATORS:
-                raise ConfigError(f"unknown estimator {e!r}")
-        for l in self.losses:
-            if l not in LOSSES:
-                raise ConfigError(f"unknown loss {l!r}")
+        for key, table in (("estimators", ESTIMATORS), ("losses", LOSSES)):
+            names = getattr(self, key)
+            if not (isinstance(names, (list, tuple)) and names
+                    and all(isinstance(v, str) and v in table for v in names)):
+                raise ConfigError(f"{key} must be a nonempty list of names from "
+                                  f"{sorted(table)}, got {names!r}")
         if "transfer" in self.estimators:
             if self.target_distribution is None or self.m_grid is None:
                 raise ConfigError("transfer runs need target_distribution and m_grid")
+        if not (isinstance(self.f0_spec, dict) and isinstance(self.f0_spec.get("kind", ""), str)):
+            raise ConfigError(f"f0 must be an object with a string 'kind', got {self.f0_spec!r}")
         self.f0, self.f0_lip = make_f0(self.f0_spec, self.delta)
 
     @classmethod
@@ -247,29 +258,77 @@ def _replicate_losses(config, n, m, rep, grid, spread_grid, q_grid, f0_grid):
     return out
 
 
+_WORKER_STATE = None  # (config, grid, spread grid by n, q_grid, f0_grid) in a worker
+
+
+def _init_worker(*state):
+    global _WORKER_STATE
+    _WORKER_STATE = state
+
+
+def _cell(n, m, rep):
+    """One (n, replicate) cell in a worker: (failure, losses), where failure is
+    None or the (type name, message) that the failure ledger records."""
+    config, grid, spreads, q_grid, f0_grid = _WORKER_STATE
+    try:
+        vals = _replicate_losses(config, n, m, rep, grid, spreads[n], q_grid, f0_grid)
+    except Exception as exc:
+        return (type(exc).__name__, str(exc)), None
+    bad = next((key for key, v in vals.items() if not math.isfinite(v)), None)
+    if bad is not None:
+        return ("NonFiniteLoss", f"{bad[0]}/{bad[1]} loss is {vals[bad]} at n={n}"), None
+    return None, vals
+
+
+def _run_cells(cells, state):
+    """(failure, losses) of each (n, m, rep) cell, in the order of cells.
+
+    Submits the largest n first, so that the longest cells do not start last."""
+    # imported here: the pool machinery costs every lipshift import ~20 ms
+    import multiprocessing
+    import signal
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork, not spawn: the config's densities and f0 are lambdas, which do not
+    # pickle.  The pool forks all its workers at the first submit, before it
+    # starts its own thread.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    pool = ProcessPoolExecutor(min(cpus or 1, len(cells)),
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_worker, initargs=state)
+    workers = pool._processes  # pid -> Process, filled by the first submit
+    futures = [None] * len(cells)
+    try:
+        for i in sorted(range(len(cells)), key=lambda i: -cells[i][0]):
+            futures[i] = pool.submit(_cell, *cells[i])
+        return [f.result() for f in futures]
+    except BrokenProcessPool:
+        pool.shutdown()  # joins the workers, so each has its exit code
+        dead = [f"pid {p.pid} with exit code {p.exitcode}" for p in workers.values()
+                if p.exitcode not in (0, -signal.SIGTERM)]  # the rest were terminated
+        raise ExperimentError(f"a worker process died ({', '.join(dead) or 'unknown'}) "
+                              f"while running the {len(cells)} cells") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     grid = np.linspace(0.0, 1.0, EVAL_GRID_SIZE)
     f0_grid = config.f0(grid)
     q_grid = (config.target_distribution or config.distribution).density(grid)
+    spreads = {n: SpreadFunction(config.distribution, n).at(grid)
+               if "weighted_sup" in config.losses else None for n in config.n_grid}
+    m_grid = config.m_grid if config.m_grid is not None else [None] * len(config.n_grid)
+    cells = [(n, m, rep) for n, m in zip(config.n_grid, m_grid) for rep in range(config.replicates)]
+    results = iter(_run_cells(cells, (config, grid, spreads, q_grid, f0_grid)))
     rows, loss_records = [], []
     failures = 0
     ledger = {}  # exception type name -> {"count", "first_message"}
-    total = 0
-    m_grid = config.m_grid if config.m_grid is not None else [None] * len(config.n_grid)
     for n, m in zip(config.n_grid, m_grid):
-        spread_grid = SpreadFunction(config.distribution, n).at(grid) \
-            if "weighted_sup" in config.losses else None
         cell = {}
         for rep in range(config.replicates):
-            total += 1
-            try:
-                vals = _replicate_losses(config, n, m, rep, grid, spread_grid, q_grid, f0_grid)
-            except Exception as exc:
-                failure = type(exc).__name__, str(exc)
-            else:
-                bad = next((key for key, v in vals.items() if not math.isfinite(v)), None)
-                failure = None if bad is None else (
-                    "NonFiniteLoss", f"{bad[0]}/{bad[1]} loss is {vals[bad]} at n={n}")
+            failure, vals = next(results)
             if failure is not None:
                 failures += 1
                 entry = ledger.setdefault(failure[0], {"count": 0, "first_message": failure[1]})
@@ -287,10 +346,10 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
                 "stderr": float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0,
                 "replicates": int(vals.size),
             })
-    if failures > 0.05 * total:
+    if failures > 0.05 * len(cells):
         kinds = "; ".join(f"{name} x{e['count']} ({e['first_message']})"
                           for name, e in ledger.items())
-        raise ExperimentError(f"{failures}/{total} replicates failed: {kinds}")
+        raise ExperimentError(f"{failures}/{len(cells)} replicates failed: {kinds}")
     slopes = {}
     if len(config.n_grid) >= 3:
         for est in config.estimators:

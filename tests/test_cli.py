@@ -1,10 +1,11 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
-from lipshift import densities
+from lipshift import densities, harness
 from lipshift.cli import _read_xy_csv, main
 from lipshift.errors import NondifferentiablePointError
 from lipshift.spread import EmpiricalSpread, SpreadFunction
@@ -226,7 +227,10 @@ def test_simulate_rates_zero_density_kernel_fails(tmp_path, capsys):
 BAD_CONFIG = ([(key, v) for key in ("n_grid", "m_grid") for v in [0, -5, 1.5, True]]
               + [("replicates", 1.5), ("replicates", True), ("seed", 1.5), ("seed", -1),
                  ("seed", True), ("budget", 2), ("budget", np.nan), ("bandwidth", "fast"),
-                 ("bandwidth", 0), ("bandwidth", -0.5), ("noise_sd", -1), ("noise_sd", np.nan)])
+                 ("bandwidth", 0), ("bandwidth", -0.5), ("noise_sd", -1), ("noise_sd", np.nan),
+                 ("delta", "0.1"), ("delta", None), ("estimators", "lse"),
+                 ("estimators", [["lse"]]), ("estimators", []), ("losses", "sup"),
+                 ("losses", [["sup"]]), ("losses", []), ("f0", "sine"), ("f0", {"kind": 3})])
 
 
 @pytest.mark.parametrize("key, bad", BAD_CONFIG, ids=[f"{v}-{key}" for key, v in BAD_CONFIG])
@@ -241,6 +245,26 @@ def test_simulate_rates_bad_size_exits_3(tmp_path, capsys, key, bad):
     cfg.write_text(json.dumps(obj))
     assert main(["simulate-rates", "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_simulate_rates_dead_worker_exits_2(tmp_path, capsys, monkeypatch):
+    # a worker that dies takes its cell with it: the run ends, whatever the
+    # failure rate, instead of counting the lost cells as failed replicates
+    lse, tester = harness.ESTIMATORS["lse"], os.getpid()
+
+    def dying(config, sample, grid, m, rep):
+        if sample.n == 128 and rep == 7:
+            assert os.getpid() != tester, "the cell ran in the test process"
+            os._exit(1)
+        return lse(config, sample, grid, m, rep)
+
+    monkeypatch.setitem(harness.ESTIMATORS, "lse", dying)
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"distribution": {"kind": "uniform"},
+                               "n_grid": [64, 128, 256, 512], "replicates": 20}))
+    assert main(["simulate-rates", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "worker process died" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from lipshift.harness import (
     make_f0,
     run_rate_experiment,
 )
+from lipshift.spread import SpreadFunction
 
 
 def _config(**over):
@@ -161,16 +164,20 @@ def test_transfer_needs_matching_grids():
 
 
 # (key, value) pairs that must fail config validation with the key named:
-# grid entries and scalars of the wrong type or range, bools included
-BAD_SCALARS = {"replicates": [1.5, True], "seed": [1.5, -1, True],
-               "budget": [0, 2, np.nan, True], "bandwidth": ["fast", 0, -0.5, np.inf],
-               "noise_sd": [-1, np.nan, np.inf]}
+# grid entries, scalars, name lists and the f0 spec of the wrong type or
+# range, bools included
+BAD_VALUES = {"replicates": [1.5, True], "seed": [1.5, -1, True],
+              "budget": [0, 2, np.nan, True], "bandwidth": ["fast", 0, -0.5, np.inf],
+              "noise_sd": [-1, np.nan, np.inf], "delta": ["0.1", None, [0.1]],
+              "estimators": ["lse", [["lse"]], []], "losses": ["sup", [["sup"]], []],
+              "f0": ["sine", {"kind": 3}, None, ["sine"]]}
 BAD_SIZES = [0, -5, 1.5, 64.0, True, "64", None]
 BAD_CONFIG = ([(key, v) for key in ("n_grid", "m_grid") for v in BAD_SIZES]
-              + [(key, v) for key, values in BAD_SCALARS.items() for v in values])
+              + [(key, v) for key, values in BAD_VALUES.items() for v in values])
 # the edge value that passes for each key, numpy integers included
 EDGE = {"n_grid": [1, 64, 128], "m_grid": [16, np.int64(1), 32], "replicates": np.int64(1),
-        "seed": 0, "budget": 1, "bandwidth": 1e-3, "noise_sd": 0.0}
+        "seed": 0, "budget": 1, "bandwidth": 1e-3, "noise_sd": 0.0, "delta": np.float64(1e-3),
+        "estimators": ["kernel"], "losses": ["l2_q"], "f0": {}}
 
 
 @pytest.mark.parametrize("key, bad", BAD_CONFIG, ids=[f"{v}-{key}" for key, v in BAD_CONFIG])
@@ -273,6 +280,92 @@ def test_failure_ledger_records_type_and_first_message(monkeypatch, tmp_path):
         "count": 2, "first_message": "replicate 3 divided by zero"}}
     assert len(report.losses) == 78
     assert run_rate_experiment(_config()).metadata["failures"] == {}
+
+
+def serial_oracle(config):
+    """(rows, losses, ledger) of the cells run one after another in this
+    process, in table order: what run_rate_experiment must report."""
+    grid = np.linspace(0.0, 1.0, harness.EVAL_GRID_SIZE)
+    f0_grid = config.f0(grid)
+    q_grid = (config.target_distribution or config.distribution).density(grid)
+    rows, losses, ledger = [], [], {}
+    for n, m in zip(config.n_grid, config.m_grid or [None] * len(config.n_grid)):
+        spread_grid = SpreadFunction(config.distribution, n).at(grid) \
+            if "weighted_sup" in config.losses else None
+        cell = {}
+        for rep in range(config.replicates):
+            try:
+                vals = harness._replicate_losses(config, n, m, rep, grid, spread_grid,
+                                                 q_grid, f0_grid)
+            except Exception as exc:
+                entry = ledger.setdefault(type(exc).__name__,
+                                          {"count": 0, "first_message": str(exc)})
+                entry["count"] += 1
+                continue
+            for key, v in vals.items():
+                cell.setdefault(key, []).append(v)
+                losses.append({"estimator": key[0], "loss": key[1], "n": n,
+                               "m": m, "replicate": rep, "value": v})
+        for (est, loss), vals in sorted(cell.items()):
+            vals = np.asarray(vals)
+            rows.append({
+                "estimator": est, "loss": loss, "n": n, "m": m,
+                "mean": float(vals.mean()), "median": float(np.median(vals)),
+                "stderr": float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0,
+                "replicates": int(vals.size),
+            })
+    return rows, losses, ledger
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_report_matches_serial_oracle_bit_for_bit(monkeypatch, cpus):
+    # one worker, and more workers than this machine may have cores
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    cfg = _config(estimators=list(ESTIMATORS), losses=list(LOSSES), m_grid=[32, 64, 128],
+                  target_distribution=densities.power(1.0))
+    report = run_rate_experiment(cfg)
+    rows, losses, ledger = serial_oracle(cfg)
+    # repr tells -0.0 from 0.0 and round-trips every float
+    assert repr(report.losses) == repr(losses) and len(losses) == 3 * 3 * 4 * 3
+    assert repr(report.rows) == repr(rows)
+    assert report.metadata["failures"] == ledger == {}
+
+
+def test_failures_are_read_in_table_order(monkeypatch):
+    # n = 512 is dispatched first and fails at once, but the ledger's first
+    # message is that of the first failing cell in table order
+    lse = ESTIMATORS["lse"]
+
+    def flaky(config, sample, grid, m, rep):
+        if (sample.n, rep) in ((64, 5), (512, 0)):
+            raise ZeroDivisionError(f"n={sample.n} replicate {rep} divided by zero")
+        return lse(config, sample, grid, m, rep)
+
+    monkeypatch.setitem(harness.ESTIMATORS, "lse", flaky)
+    cfg = _config(n_grid=[64, 128, 256, 512], replicates=20)
+    report = run_rate_experiment(cfg)
+    rows, losses, ledger = serial_oracle(cfg)
+    assert report.metadata["failures"] == ledger == {"ZeroDivisionError": {
+        "count": 2, "first_message": "n=64 replicate 5 divided by zero"}}
+    assert repr(report.losses) == repr(losses) and repr(report.rows) == repr(rows)
+
+
+def test_dead_worker_aborts_the_run(monkeypatch):
+    # one cell in 80 kills its worker: under the 5 % guard if it were counted
+    # as a failed replicate, but the run must stop and say so
+    lse, tester = ESTIMATORS["lse"], os.getpid()
+
+    def dying(config, sample, grid, m, rep):
+        if sample.n == 128 and rep == 7:
+            assert os.getpid() != tester, "the cell ran in the test process"
+            os._exit(1)
+        return lse(config, sample, grid, m, rep)
+
+    monkeypatch.setitem(harness.ESTIMATORS, "lse", dying)
+    start = time.perf_counter()
+    with pytest.raises(ExperimentError, match=r"worker process died \(pid \d+ with exit code 1\)"):
+        run_rate_experiment(_config(n_grid=[64, 128, 256, 512], replicates=20))
+    assert time.perf_counter() - start < 10.0
 
 
 def test_report_json_rejects_nonfinite():

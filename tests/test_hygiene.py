@@ -102,6 +102,17 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_loads_no_process_pool():
+    # the harness imports its process pool when a run starts, not at import
+    code = ("import sys, lipshift, lipshift.cli; "
+            "print(sorted(m for m in sys.modules if m == 'concurrent.futures.process' "
+            "or m.split('.')[0] == 'multiprocessing'))")
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout.strip() == "[]"
+
+
 def test_only_sample_calls_ppf():
     callers = []
     for path in MODULES:
