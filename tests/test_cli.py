@@ -230,7 +230,13 @@ BAD_CONFIG = ([(key, v) for key in ("n_grid", "m_grid") for v in [0, -5, 1.5, Tr
                  ("bandwidth", 0), ("bandwidth", -0.5), ("noise_sd", -1), ("noise_sd", np.nan),
                  ("delta", "0.1"), ("delta", None), ("estimators", "lse"),
                  ("estimators", [["lse"]]), ("estimators", []), ("losses", "sup"),
-                 ("losses", [["sup"]]), ("losses", []), ("f0", "sine"), ("f0", {"kind": 3})])
+                 ("losses", [["sup"]]), ("losses", []), ("f0", "sine"), ("f0", {"kind": 3}),
+                 ("n_grid", [64, 64, 64]), ("f0", {"kind": "sine", "amplitud": 0.5}),
+                 ("f0", {"kind": "zero", "amplitude": 0.1}),
+                 ("f0", {"kind": "triangle", "slope": np.nan}),
+                 ("f0", {"kind": "triangle", "center": np.nan}),
+                 ("f0", {"kind": "sine", "amplitude": "x"}),
+                 ("f0", {"kind": "triangle", "slope": False})])
 
 
 @pytest.mark.parametrize("key, bad", BAD_CONFIG, ids=[f"{v}-{key}" for key, v in BAD_CONFIG])
@@ -240,7 +246,7 @@ def test_simulate_rates_bad_size_exits_3(tmp_path, capsys, key, bad):
         obj.update(m_grid=[16, bad, 32], estimators=["transfer"],
                    target_distribution={"kind": "uniform"})
     else:
-        obj[key] = [bad, 64, 128] if key == "n_grid" else bad
+        obj[key] = [bad, 64, 128] if key == "n_grid" and not isinstance(bad, list) else bad
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps(obj))
     assert main(["simulate-rates", "--config", str(cfg), "--out", str(tmp_path)]) == 3

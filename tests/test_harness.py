@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lipshift import densities, harness
 from lipshift.errors import ConfigError, ExperimentError, InvalidInputError
@@ -170,9 +172,15 @@ BAD_VALUES = {"replicates": [1.5, True], "seed": [1.5, -1, True],
               "budget": [0, 2, np.nan, True], "bandwidth": ["fast", 0, -0.5, np.inf],
               "noise_sd": [-1, np.nan, np.inf], "delta": ["0.1", None, [0.1]],
               "estimators": ["lse", [["lse"]], []], "losses": ["sup", [["sup"]], []],
-              "f0": ["sine", {"kind": 3}, None, ["sine"]]}
+              "f0": ["sine", {"kind": 3}, None, ["sine"], {"kind": "sine", "amplitud": 0.5},
+                     {"kind": "zero", "amplitude": 0.1}, {"kind": "triangle", "slope": np.nan},
+                     {"kind": "triangle", "center": np.nan}, {"kind": "sine", "amplitude": "x"},
+                     {"kind": "triangle", "slope": False}, {"kind": "sine", "frequency": np.inf}]}
 BAD_SIZES = [0, -5, 1.5, 64.0, True, "64", None]
+# whole n_grid values: repeated sizes would redraw the same streams
+BAD_GRIDS = [[64, 64, 64], [32, 64, 64], [64, 32, 128]]
 BAD_CONFIG = ([(key, v) for key in ("n_grid", "m_grid") for v in BAD_SIZES]
+              + [("n_grid", grid) for grid in BAD_GRIDS]
               + [(key, v) for key, values in BAD_VALUES.items() for v in values])
 # the edge value that passes for each key, numpy integers included
 EDGE = {"n_grid": [1, 64, 128], "m_grid": [16, np.int64(1), 32], "replicates": np.int64(1),
@@ -185,7 +193,8 @@ def test_config_rejects_bad_sizes(key, bad):
     obj = {"distribution": {"kind": "uniform"}, "n_grid": [32, 64, 128]}
     if key == "m_grid":
         obj.update(estimators=["transfer"], target_distribution={"kind": "uniform"})
-    obj[key] = {"n_grid": [bad, 64, 128], "m_grid": [16, bad, 32]}.get(key, bad)
+    obj[key] = bad if isinstance(bad, list) else {"n_grid": [bad, 64, 128],
+                                                   "m_grid": [16, bad, 32]}.get(key, bad)
     with pytest.raises(ConfigError, match=key):
         ExperimentConfig.from_json(obj)
     obj[key] = EDGE[key]
@@ -329,6 +338,16 @@ def test_report_matches_serial_oracle_bit_for_bit(monkeypatch, cpus):
     assert repr(report.losses) == repr(losses) and len(losses) == 3 * 3 * 4 * 3
     assert repr(report.rows) == repr(rows)
     assert report.metadata["failures"] == ledger == {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1e-300, -1e300]),
+                min_size=1, max_size=8)
+       .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)))
+def test_median_matches_numpy_bit_for_bit(vals):
+    # drawn from a small pool, so ties (and ties of 0.0 with -0.0) are common
+    vals = np.asarray(vals)
+    assert np.float64(harness._median(vals)).tobytes() == np.median(vals).tobytes()
 
 
 def test_failures_are_read_in_table_order(monkeypatch):

@@ -6,9 +6,12 @@ the module layout: a module imports nothing it does not use (the package
 ``__all__`` is defined at module level, and every private module-level
 function or class is used by the package itself, so a test-only oracle
 cannot stay in library code.  A fourth promise, that the runtime needs numpy
-only, is also checked in a fresh interpreter: scipy stays a test dependency.
-A fifth is that uniforms become design points in one place: no function but
-``densities.sample`` calls a design's ``.ppf``.
+only, is also checked in a fresh interpreter: scipy stays a test dependency,
+and ``import lipshift`` loads neither the process pool, ``numpy.random`` nor
+``numpy.ma``.  A fifth is that uniforms become design points in one place:
+no function but ``densities.sample`` calls a design's ``.ppf``.  A sixth,
+also in a fresh interpreter, is that a run stays lean: a cell in a forked
+worker imports no module, and the report imports no ``numpy.ma``.
 """
 
 import ast
@@ -93,24 +96,67 @@ def test_no_scipy_import_anywhere_in_source(path):
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
 
-def test_import_loads_no_scipy():
-    code = ("import sys, lipshift, lipshift.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _fresh(code):
+    """stdout of code run in a fresh interpreter that imports lipshift from src/."""
     path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env={**os.environ, "PYTHONPATH": path})
-    assert proc.stdout.strip() == "[]"
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
-def test_import_loads_no_process_pool():
-    # the harness imports its process pool when a run starts, not at import
+# modules that `import lipshift` must not load, by their name prefixes: scipy
+# is a test dependency, and the harness imports the rest only when a run
+# needs them, since each would add to the time of every import
+FORBIDDEN_AT_IMPORT = {"scipy": ("scipy",),
+                       "process_pool": ("concurrent.futures.process", "multiprocessing"),
+                       "numpy.random": ("numpy.random",), "numpy.ma": ("numpy.ma",)}
+
+
+@pytest.mark.parametrize("name", sorted(FORBIDDEN_AT_IMPORT))
+def test_import_loads_none_of(name):
+    prefixes = FORBIDDEN_AT_IMPORT[name]
     code = ("import sys, lipshift, lipshift.cli; "
-            "print(sorted(m for m in sys.modules if m == 'concurrent.futures.process' "
-            "or m.split('.')[0] == 'multiprocessing'))")
-    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env={**os.environ, "PYTHONPATH": path})
-    assert proc.stdout.strip() == "[]"
+            f"print(sorted(m for m in sys.modules for p in {prefixes!r} "
+            "if m == p or m.startswith(p + '.')))")
+    assert _fresh(code) == "[]"
+
+
+# a run with every estimator and every loss, and a target design
+RUN = """
+import sys
+from lipshift import harness
+cfg = harness.ExperimentConfig.from_json({
+    "distribution": {"kind": "uniform"}, "target_distribution": {"kind": "power", "alpha": 1.0},
+    "n_grid": [32, 64, 128], "m_grid": [16, 32, 64], "replicates": 2,
+    "estimators": sorted(harness.ESTIMATORS), "losses": sorted(harness.LOSSES)})
+"""
+
+
+def test_forked_cell_imports_nothing():
+    # the wrapper is in place before the pool forks, so every worker runs it;
+    # a module that a cell imports, each worker imports again on every run
+    code = RUN + """
+inner = harness._replicate_losses
+def checked(*args):
+    before = set(sys.modules)
+    out = inner(*args)
+    new = sorted(set(sys.modules) - before)
+    if new:
+        raise ImportError(f"the cell imported {new}")
+    return out
+harness._replicate_losses = checked
+print(harness.run_rate_experiment(cfg).metadata["failures"])
+"""
+    assert _fresh(code) == "{}"
+
+
+def test_report_imports_no_numpy_ma():
+    code = RUN + """
+harness.run_rate_experiment(cfg)
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+    assert _fresh(code) == "[]"
 
 
 def test_only_sample_calls_ppf():
