@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import densities, prooflab
-from .errors import ExperimentError, InvalidInputError, LipshiftError
+from .errors import ConfigError, ExperimentError, InvalidInputError, LipshiftError
 from .harness import ExperimentConfig, run_rate_experiment
 from .lipfit import RegressionSample, fit_lipschitz_lse
 from .spread import SpreadFunction
@@ -95,20 +95,45 @@ def _cmd_doubling(args, out):
     return 0
 
 
+# prooflab check -> its config keys with their defaults
+_PROOFLAB_DEFAULTS = {
+    "perturbation": {"distribution": {"kind": "uniform"}, "n": 100, "K": 1.0, "delta": 0.5,
+                     "grid": 2001, "center": 0.5},
+    "cover": {"a": 0.0, "b": 1.0, "r": 0.2},
+    "kl": {"P": {"kind": "uniform"}, "Q": {"kind": "uniform"}, "bump_height": 0.1,
+           "bump_center": 0.5, "n": 100, "m": 0},
+    "lowerbound": {"P": {"kind": "uniform"}, "Q": {"kind": "uniform"}, "n": 5000, "m": 5000},
+    "transfer-exponent": {"P": {"kind": "power", "alpha": 1.0}, "Q": {"kind": "uniform"},
+                          "gamma": 1.0, "eta_grid": [2.0 ** -k for k in range(3, 11)],
+                          "x_nodes": 1025},
+}
+
+
+def _prooflab_config(check, obj):
+    """The check's parameters: its defaults, overridden by the config object,
+    every key of which must be one the check takes."""
+    defaults = _PROOFLAB_DEFAULTS[check]
+    if not isinstance(obj, dict):
+        raise ConfigError(f"prooflab config must be a JSON object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - set(defaults))
+    if unknown:
+        raise ConfigError(f"prooflab check {check!r} has no key {unknown[0]!r}; "
+                          f"its keys are {sorted(defaults)}")
+    return {**defaults, **obj}
+
+
 def _run_prooflab_check(check, cfg):
     """Returns (passed, dict of measured quantities)."""
     if check == "perturbation":
-        d = densities.from_spec(cfg.get("distribution", {"kind": "uniform"}))
-        n = cfg.get("n", 100)
-        K = cfg.get("K", 1.0)
-        delta = cfg.get("delta", 0.5)
+        d = densities.from_spec(cfg["distribution"])
+        n, K = cfg["n"], cfg["K"]
         s = SpreadFunction(d, n)
-        grid = np.linspace(0.0, 1.0, cfg.get("grid", 2001))
-        center = cfg.get("center", 0.5)
+        grid = np.linspace(0.0, 1.0, cfg["grid"])
+        center = cfg["center"]
         height = 2.0 * K * s.at(center)
         psi = lambda x: np.maximum(height - np.abs(np.asarray(x) - center), 0.0)  # noqa: E731
         f = lambda x: np.zeros_like(np.asarray(x, float))  # noqa: E731
-        pert = prooflab.build_perturbation(psi, f, delta, s, K, grid)
+        pert = prooflab.build_perturbation(psi, f, cfg["delta"], s, K, grid)
         g = pert.g(grid)
         ok = bool(
             np.all(np.abs(np.diff(g)) <= np.diff(grid) + 1e-9)
@@ -117,22 +142,18 @@ def _run_prooflab_check(check, cfg):
         return ok, {"x_star": pert.x_star, "x_tilde": pert.x_tilde, "s_n": pert.s_n,
                     "x_ell": pert.x_ell, "x_u": pert.x_u}
     if check == "cover":
-        cover = prooflab.lipschitz_cover(cfg.get("a", 0.0), cfg.get("b", 1.0),
-                                         cfg.get("r", 0.2))
+        cover = prooflab.lipschitz_cover(cfg["a"], cfg["b"], cfg["r"])
         return True, {"centers": len(cover), "cap": 3 ** int((cover.b - cover.a) / cover.r)}
     if check == "kl":
-        P = densities.from_spec(cfg.get("P", {"kind": "uniform"}))
-        Q = densities.from_spec(cfg.get("Q", {"kind": "uniform"}))
-        h = cfg.get("bump_height", 0.1)
-        c = cfg.get("bump_center", 0.5)
+        P, Q = densities.from_spec(cfg["P"]), densities.from_spec(cfg["Q"])
+        h, c = cfg["bump_height"], cfg["bump_center"]
         f = lambda x: np.maximum(h - np.abs(np.asarray(x) - c), 0.0)  # noqa: E731
         g = lambda x: np.zeros_like(np.asarray(x, float))  # noqa: E731
-        val = prooflab.kl_divergence(f, g, P, Q, cfg.get("n", 100), cfg.get("m", 0))
+        val = prooflab.kl_divergence(f, g, P, Q, cfg["n"], cfg["m"])
         return True, {"kl": val}
     if check == "lowerbound":
-        P = densities.from_spec(cfg.get("P", {"kind": "uniform"}))
-        Q = densities.from_spec(cfg.get("Q", {"kind": "uniform"}))
-        n, m = cfg.get("n", 5000), cfg.get("m", 5000)
+        P, Q = densities.from_spec(cfg["P"]), densities.from_spec(cfg["Q"])
+        n, m = cfg["n"], cfg["m"]
         fam = prooflab.build_lower_bound_family(P, Q, n, m)
         kls = [prooflab.kl_divergence(lambda x, j=j: fam.f(j, x),
                                       lambda x: np.zeros_like(np.asarray(x, float)),
@@ -141,23 +162,19 @@ def _run_prooflab_check(check, cfg):
         ok = bool(np.mean(kls) <= budget + 1e-9)
         return ok, {"count": fam.count, "psi_N": fam.psi_n,
                     "mean_kl": float(np.mean(kls)), "kl_budget": budget}
-    if check == "transfer-exponent":
-        P = densities.from_spec(cfg.get("P", {"kind": "power", "alpha": 1.0}))
-        Q = densities.from_spec(cfg.get("Q", {"kind": "uniform"}))
-        gamma = cfg.get("gamma", 1.0)
-        etas = cfg.get("eta_grid", [2.0 ** -k for k in range(3, 11)])
-        xs = np.linspace(0.0, 1.0, cfg.get("x_nodes", 1025))
-        val = prooflab.transfer_exponent_check(P, Q, gamma, etas, xs)
-        return True, {"max_eta_gamma_rho": val}
-    raise LipshiftError(f"unknown prooflab check {check!r}")
+    # transfer-exponent, the last of the table's checks
+    P, Q = densities.from_spec(cfg["P"]), densities.from_spec(cfg["Q"])
+    xs = np.linspace(0.0, 1.0, cfg["x_nodes"])
+    val = prooflab.transfer_exponent_check(P, Q, cfg["gamma"], cfg["eta_grid"], xs)
+    return True, {"max_eta_gamma_rho": val}
 
 
 def _cmd_prooflab(args, out):
-    cfg = {}
+    obj = {}
     if args.config:
         with open(args.config) as fh:
-            cfg = json.load(fh)
-    passed, measured = _run_prooflab_check(args.check, cfg)
+            obj = json.load(fh)
+    passed, measured = _run_prooflab_check(args.check, _prooflab_config(args.check, obj))
     status = "PASS" if passed else "FAIL"
     print(f"{args.check}: {status}", file=out)
     for key, value in measured.items():
@@ -210,8 +227,7 @@ def build_parser():
     p.set_defaults(func=_cmd_doubling)
 
     p = sub.add_parser("prooflab", help="run one construction check")
-    p.add_argument("--check", required=True,
-                   choices=["perturbation", "cover", "kl", "lowerbound", "transfer-exponent"])
+    p.add_argument("--check", required=True, choices=list(_PROOFLAB_DEFAULTS))
     p.add_argument("--config", help="JSON file with check parameters")
     p.set_defaults(func=_cmd_prooflab)
 

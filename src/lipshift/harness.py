@@ -126,7 +126,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be an integer >= {least}, got {v!r}")
         for key in ("n_grid", "m_grid"):
             sizes = getattr(self, key)
-            for v in [] if sizes is None else sizes:
+            if sizes is None and key == "m_grid":
+                continue
+            if not isinstance(sizes, (list, tuple)):
+                raise ConfigError(f"{key} must be a list of integers >= 1, got {sizes!r}")
+            for v in sizes:
                 if not _is_int(v, 1):
                     raise ConfigError(f"{key} entries must be integers >= 1, got {v!r}")
         if not (_is_finite(self.budget) and 0.0 < self.budget <= 1.0):

@@ -221,14 +221,15 @@ def fit_lipschitz_lse(sample: RegressionSample, budget: float) -> LipschitzFit:
                         objective=objective, kkt_residual=residual)
 
 
-def _kkt_residual(f, ybar, w, gaps, active_tol=1e-7):
+def _kkt_residual(f, ybar, w, gaps):
     """Stationarity violation of the chain-constrained quadratic program.
 
     Running multipliers nu_j (upper minus lower, per gap) follow from the
     stationarity equations in one sweep: nu_j = nu_{j-1} + 2 w_j (f_j - y_j).
     At the optimum nu ends at zero, vanishes on inactive gaps, and has the
-    sign of the active constraint elsewhere.  When the gap budget is itself
-    below the tolerance, both bounds are active (rounding can even leave
+    sign of the active constraint elsewhere.  A constraint counts as active
+    within 1e-7 (1 + gap) of its bound.  When the gap budget is itself below
+    that tolerance, both bounds are active (rounding can even leave
     f_{j+1} = f_j), so nu_j may take either sign.
     """
     nu = np.cumsum(2.0 * w * (f - ybar))
@@ -237,7 +238,7 @@ def _kkt_residual(f, ybar, w, gaps, active_tol=1e-7):
         return res
     d = np.diff(f)
     inner = nu[:-1]
-    tol = active_tol * (1.0 + gaps)
+    tol = 1e-7 * (1.0 + gaps)
     upper = gaps - d <= tol
     lower = gaps + d <= tol
     viol = np.where(upper, np.where(lower, 0.0, np.maximum(0.0, -inner)),

@@ -128,6 +128,13 @@ def test_doubling_check(capsys):
     assert "doubling constant" in out
 
 
+@pytest.mark.parametrize("eta_max", ["nan", "inf", "0", "-1"])
+def test_doubling_check_bad_eta_max_exits_3(eta_max, capsys):
+    assert main(["doubling-check", "--dist", UNIFORM, "--eta-max", eta_max]) == 3
+    captured = capsys.readouterr()
+    assert "eta_max" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("check", ["perturbation", "cover", "kl",
                                    "lowerbound", "transfer-exponent"])
 def test_prooflab_checks_pass(check, capsys):
@@ -142,6 +149,18 @@ def test_prooflab_config_file(tmp_path, capsys):
     out = capsys.readouterr().out
     kl = float(out.split("kl = ")[1].split()[0])
     assert kl == pytest.approx(1.0 / 30.0, abs=1e-6)
+
+
+# a config that is not an object, and a misspelt key that would run the default
+@pytest.mark.parametrize("config, named", [([1, 2], "JSON object"),
+                                           ({"bump_hieght": 0.2}, "bump_hieght")],
+                         ids=["not-an-object", "misspelt-key"])
+def test_prooflab_bad_config_exits_3(tmp_path, capsys, config, named):
+    cfg = tmp_path / "kl.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["prooflab", "--check", "kl", "--config", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert named in captured.err and "PASS" not in captured.out
 
 
 def test_simulate_rates_writes_outputs(tmp_path, capsys):
@@ -224,29 +243,34 @@ def test_simulate_rates_zero_density_kernel_fails(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
-BAD_CONFIG = ([(key, v) for key in ("n_grid", "m_grid") for v in [0, -5, 1.5, True]]
-              + [("replicates", 1.5), ("replicates", True), ("seed", 1.5), ("seed", -1),
-                 ("seed", True), ("budget", 2), ("budget", np.nan), ("bandwidth", "fast"),
-                 ("bandwidth", 0), ("bandwidth", -0.5), ("noise_sd", -1), ("noise_sd", np.nan),
-                 ("delta", "0.1"), ("delta", None), ("estimators", "lse"),
-                 ("estimators", [["lse"]]), ("estimators", []), ("losses", "sup"),
-                 ("losses", [["sup"]]), ("losses", []), ("f0", "sine"), ("f0", {"kind": 3}),
-                 ("n_grid", [64, 64, 64]), ("f0", {"kind": "sine", "amplitud": 0.5}),
-                 ("f0", {"kind": "zero", "amplitude": 0.1}),
-                 ("f0", {"kind": "triangle", "slope": np.nan}),
-                 ("f0", {"kind": "triangle", "center": np.nan}),
-                 ("f0", {"kind": "sine", "amplitude": "x"}),
-                 ("f0", {"kind": "triangle", "slope": False})])
+# bad entries put into a grid, then bad whole values
+BAD_ENTRIES = [(key, v) for key in ("n_grid", "m_grid") for v in [0, -5, 1.5, True]]
+BAD_CONFIG = [("replicates", 1.5), ("replicates", True), ("seed", 1.5), ("seed", -1),
+              ("seed", True), ("budget", 2), ("budget", np.nan), ("bandwidth", "fast"),
+              ("bandwidth", 0), ("bandwidth", -0.5), ("noise_sd", -1), ("noise_sd", np.nan),
+              ("delta", "0.1"), ("delta", None), ("estimators", "lse"),
+              ("estimators", [["lse"]]), ("estimators", []), ("losses", "sup"),
+              ("losses", [["sup"]]), ("losses", []), ("f0", "sine"), ("f0", {"kind": 3}),
+              ("n_grid", [64, 64, 64]), ("f0", {"kind": "sine", "amplitud": 0.5}),
+              ("f0", {"kind": "zero", "amplitude": 0.1}),
+              ("f0", {"kind": "triangle", "slope": np.nan}),
+              ("f0", {"kind": "triangle", "center": np.nan}),
+              ("f0", {"kind": "sine", "amplitude": "x"}),
+              ("f0", {"kind": "triangle", "slope": False})]
+# whole grids that are not lists, for both grid keys
+NOT_LISTS = [(key, v) for key in ("n_grid", "m_grid") for v in (64, "abc")]
 
 
-@pytest.mark.parametrize("key, bad", BAD_CONFIG, ids=[f"{v}-{key}" for key, v in BAD_CONFIG])
-def test_simulate_rates_bad_size_exits_3(tmp_path, capsys, key, bad):
+@pytest.mark.parametrize("key, bad, whole",
+                         [(key, v, False) for key, v in BAD_ENTRIES]
+                         + [(key, v, True) for key, v in BAD_CONFIG + NOT_LISTS],
+                         ids=[f"{v}-{key}" for key, v in BAD_ENTRIES + BAD_CONFIG]
+                         + [f"{key}={v!r}" for key, v in NOT_LISTS])
+def test_simulate_rates_bad_size_exits_3(tmp_path, capsys, key, bad, whole):
     obj = {"distribution": {"kind": "uniform"}, "n_grid": [32, 64, 128], "replicates": 2}
     if key == "m_grid":
-        obj.update(m_grid=[16, bad, 32], estimators=["transfer"],
-                   target_distribution={"kind": "uniform"})
-    else:
-        obj[key] = [bad, 64, 128] if key == "n_grid" and not isinstance(bad, list) else bad
+        obj.update(estimators=["transfer"], target_distribution={"kind": "uniform"})
+    obj[key] = bad if whole else {"n_grid": [bad, 64, 128], "m_grid": [16, bad, 32]}[key]
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps(obj))
     assert main(["simulate-rates", "--config", str(cfg), "--out", str(tmp_path)]) == 3

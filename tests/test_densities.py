@@ -410,6 +410,50 @@ def test_sample_empirical_cdf_converges():
     assert ks < 0.01
 
 
+def doubling_matrix_oracle(d, eta_max):
+    """Oracle: the doubling constant as one 512 x 64 broadcast over the whole
+    grid, as the library computed it before it walked the radii in blocks."""
+    x = np.linspace(0.0, 1.0, 512)[:, None]
+    eta = np.geomspace(eta_max / 512.0, eta_max, 64)[None, :]
+    denom = densities.interval_mass(d, x - eta, x + eta)
+    if np.any(denom <= 0.0):
+        raise NonDoublingError("zero interval mass on the grid: distribution is not doubling there")
+    numer = densities.interval_mass(d, x - 2.0 * eta, x + 2.0 * eta)
+    return float(np.max(numer / denom))
+
+
+# with power(2), the benchmark's transfer source: a zero-density stretch of
+# width 1e-3 between two grid points, so every ratio is finite, and two random
+# stretches of `_zero_stretch_tabulated`, which hold zero-mass intervals
+DOUBLING_DESIGNS = ALL_KINDS + [
+    densities.power(2.0),
+    densities.tabulated([0.0, 0.3, 0.301, 1.0], [1.0, 0.0, 0.0, 1.0]),
+    _zero_stretch_tabulated(3), _zero_stretch_tabulated(8), MIXTURE, NESTED_MIXTURE]
+
+
+@pytest.mark.parametrize("eta_max", [0.01, 0.1, 0.25, 0.5])
+@pytest.mark.parametrize("d", DOUBLING_DESIGNS, ids=range(len(DOUBLING_DESIGNS)))
+def test_doubling_constant_matches_matrix_oracle(d, eta_max):
+    try:
+        want = doubling_matrix_oracle(d, eta_max)
+    except NonDoublingError as exc:
+        with pytest.raises(NonDoublingError, match=str(exc)):
+            densities.doubling_constant(d, eta_max)
+    else:
+        assert densities.doubling_constant(d, eta_max) == want
+
+
+def test_doubling_constant_memory_bounded():
+    # the 512 x 64 broadcast of the oracle peaks at about 1.8 MB here
+    tracemalloc.start()
+    try:
+        densities.doubling_constant(densities.power(2.0), 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**19
+
+
 def test_doubling_uniform_at_most_two():
     assert densities.doubling_constant(densities.uniform(), 0.25) <= 2.0 + 1e-9
 
@@ -428,11 +472,8 @@ def test_doubling_diverges_for_inverse_exponential_tail():
     # density x^-2 e^(1 - 1/x): the doubling ratio at 0 blows up as eta -> 0
     grid = np.linspace(1e-3, 1.0, 4001)
     d = densities.tabulated(grid, grid**-2 * np.exp(1.0 - 1.0 / grid))
-    estimates = [
-        densities.doubling_constant(d, eta, x_grid=np.array([0.0]),
-                                    eta_grid=np.array([eta]))
-        for eta in (0.2, 0.1, 0.05, 0.03)
-    ]
+    estimates = [densities.interval_mass(d, -2.0 * eta, 2.0 * eta)
+                 / densities.interval_mass(d, -eta, eta) for eta in (0.2, 0.1, 0.05, 0.03)]
     assert all(b > a for a, b in zip(estimates, estimates[1:]))
     assert estimates[-1] > 100.0
 

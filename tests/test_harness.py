@@ -179,22 +179,28 @@ BAD_VALUES = {"replicates": [1.5, True], "seed": [1.5, -1, True],
 BAD_SIZES = [0, -5, 1.5, 64.0, True, "64", None]
 # whole n_grid values: repeated sizes would redraw the same streams
 BAD_GRIDS = [[64, 64, 64], [32, 64, 64], [64, 32, 128]]
-BAD_CONFIG = ([(key, v) for key in ("n_grid", "m_grid") for v in BAD_SIZES]
-              + [("n_grid", grid) for grid in BAD_GRIDS]
+# bad entries put into a grid, then bad whole values
+BAD_ENTRIES = [(key, v) for key in ("n_grid", "m_grid") for v in BAD_SIZES]
+BAD_CONFIG = ([("n_grid", grid) for grid in BAD_GRIDS]
               + [(key, v) for key, values in BAD_VALUES.items() for v in values])
+# whole grids that are not lists, for both grid keys
+NOT_LISTS = [(key, v) for key in ("n_grid", "m_grid") for v in (64, "abc")]
 # the edge value that passes for each key, numpy integers included
 EDGE = {"n_grid": [1, 64, 128], "m_grid": [16, np.int64(1), 32], "replicates": np.int64(1),
         "seed": 0, "budget": 1, "bandwidth": 1e-3, "noise_sd": 0.0, "delta": np.float64(1e-3),
         "estimators": ["kernel"], "losses": ["l2_q"], "f0": {}}
 
 
-@pytest.mark.parametrize("key, bad", BAD_CONFIG, ids=[f"{v}-{key}" for key, v in BAD_CONFIG])
-def test_config_rejects_bad_sizes(key, bad):
+@pytest.mark.parametrize("key, bad, whole",
+                         [(key, v, False) for key, v in BAD_ENTRIES]
+                         + [(key, v, True) for key, v in BAD_CONFIG + NOT_LISTS],
+                         ids=[f"{v}-{key}" for key, v in BAD_ENTRIES + BAD_CONFIG]
+                         + [f"{key}={v!r}" for key, v in NOT_LISTS])
+def test_config_rejects_bad_sizes(key, bad, whole):
     obj = {"distribution": {"kind": "uniform"}, "n_grid": [32, 64, 128]}
     if key == "m_grid":
         obj.update(estimators=["transfer"], target_distribution={"kind": "uniform"})
-    obj[key] = bad if isinstance(bad, list) else {"n_grid": [bad, 64, 128],
-                                                   "m_grid": [16, bad, 32]}.get(key, bad)
+    obj[key] = bad if whole else {"n_grid": [bad, 64, 128], "m_grid": [16, bad, 32]}[key]
     with pytest.raises(ConfigError, match=key):
         ExperimentConfig.from_json(obj)
     obj[key] = EDGE[key]

@@ -11,7 +11,9 @@ and ``import lipshift`` loads neither the process pool, ``numpy.random`` nor
 ``numpy.ma``.  A fifth is that uniforms become design points in one place:
 no function but ``densities.sample`` calls a design's ``.ppf``.  A sixth,
 also in a fresh interpreter, is that a run stays lean: a cell in a forked
-worker imports no module, and the report imports no ``numpy.ma``.
+worker imports no module, and the report imports no ``numpy.ma``.  A seventh
+is that a function has no option nobody sets: every optional parameter of a
+function in ``src/`` is passed by some call in ``src/`` or ``perfbench/``.
 """
 
 import ast
@@ -24,6 +26,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lipshift"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def _imported_names(tree):
@@ -67,6 +70,48 @@ def test_private_definitions_used_in_source():
                and node.name.startswith("_") and not node.name.startswith("__")]
     unused = [f"{name}:{fn}" for name, fn in private if fn not in used]
     assert unused == [], f"private definitions nothing in src/ uses: {unused}"
+
+
+def _optional_parameters(tree):
+    """(function, parameter, positional slot or None) for each parameter with
+    a default of each function in tree; a method's slots do not count self."""
+    found = []
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+               if isinstance(f, ast.FunctionDef)
+               and not any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        shift = 1 if id(fn) in methods else 0
+        found += [(fn.name, a.arg, i - shift) for i, a in enumerate(positional) if i >= first]
+        found += [(fn.name, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+    return found
+
+
+def _passes(call, name, param, slot):
+    """Whether call, if it calls a function called name, passes param."""
+    func = call.func
+    if getattr(func, "id", None) != name and getattr(func, "attr", None) != name:
+        return False
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return slot is not None and (len(call.args) > slot
+                                 or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_optional_parameters_are_passed():
+    # an option that no caller sets is a constant: every optional parameter
+    # of a function in src/ is passed by some call in src/ or perfbench/
+    calls = [n for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]
+             for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Call)]
+    unset = [f"{path.stem}.{name}({param})" for path in MODULES
+             for name, param, slot in _optional_parameters(ast.parse(path.read_text()))
+             if not any(_passes(c, name, param, slot) for c in calls)]
+    assert unset == [], f"optional parameters that no call in src/ or perfbench/ passes: {unset}"
 
 
 def test_modules_found():
