@@ -15,7 +15,9 @@ import sys
 import numpy as np
 
 from . import densities, prooflab
-from .errors import ConfigError, ExperimentError, InvalidInputError, LipshiftError
+from .densities import _read
+from .errors import (ConfigError, ExperimentError, InvalidInputError, InvalidParameterError,
+                     LipshiftError)
 from .harness import ExperimentConfig, run_rate_experiment
 from .lipfit import RegressionSample, fit_lipschitz_lse
 from .spread import SpreadFunction
@@ -41,10 +43,17 @@ def _read_xy_csv(path):
     return RegressionSample(np.array(xs), np.array(ys))
 
 
+def _grid(points):
+    """`--grid`'s equispaced x in [0, 1]."""
+    if points < 1:
+        raise InvalidParameterError(f"--grid must be at least 1, got {points}")
+    return np.linspace(0.0, 1.0, points)
+
+
 def _cmd_spread(args, out):
     d = densities.from_spec(args.dist)
     s = SpreadFunction(d, args.n)
-    xs = np.linspace(0.0, 1.0, args.grid)
+    xs = _grid(args.grid)
     t = s.at(xs)
     try:
         lo, hi = s.closed_form_bounds(xs)
@@ -73,8 +82,8 @@ def _cmd_fit(args, out):
 
 
 def _cmd_transfer(args, out):
+    xs = _grid(args.grid)
     fit = fit_transfer(_read_xy_csv(args.source), _read_xy_csv(args.target), args.budget)
-    xs = np.linspace(0.0, 1.0, args.grid)
     f1, f2 = fit.fit1.evaluate(xs), fit.fit2.evaluate(xs)
     tp, tq = fit.spread1.at(xs), fit.spread2.at(xs)
     # fit.selector(xs) and fit.evaluate(xs), with each spread computed once
@@ -107,19 +116,6 @@ _PROOFLAB_DEFAULTS = {
                           "gamma": 1.0, "eta_grid": [2.0 ** -k for k in range(3, 11)],
                           "x_nodes": 1025},
 }
-
-
-def _prooflab_config(check, obj):
-    """The check's parameters: its defaults, overridden by the config object,
-    every key of which must be one the check takes."""
-    defaults = _PROOFLAB_DEFAULTS[check]
-    if not isinstance(obj, dict):
-        raise ConfigError(f"prooflab config must be a JSON object, got {type(obj).__name__}")
-    unknown = sorted(set(obj) - set(defaults))
-    if unknown:
-        raise ConfigError(f"prooflab check {check!r} has no key {unknown[0]!r}; "
-                          f"its keys are {sorted(defaults)}")
-    return {**defaults, **obj}
 
 
 def _run_prooflab_check(check, cfg):
@@ -174,7 +170,8 @@ def _cmd_prooflab(args, out):
     if args.config:
         with open(args.config) as fh:
             obj = json.load(fh)
-    passed, measured = _run_prooflab_check(args.check, _prooflab_config(args.check, obj))
+    cfg = _read(obj, _PROOFLAB_DEFAULTS[args.check], f"prooflab check {args.check!r}", ConfigError)
+    passed, measured = _run_prooflab_check(args.check, cfg)
     status = "PASS" if passed else "FAIL"
     print(f"{args.check}: {status}", file=out)
     for key, value in measured.items():
@@ -185,7 +182,7 @@ def _cmd_prooflab(args, out):
 def _cmd_simulate(args, out):
     with open(args.config) as fh:
         obj = json.load(fh)
-    if args.seed is not None:
+    if args.seed is not None and isinstance(obj, dict):  # from_json rejects the rest
         obj["seed"] = args.seed
     config = ExperimentConfig.from_json(obj)
     os.makedirs(args.out, exist_ok=True)

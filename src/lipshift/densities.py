@@ -26,6 +26,7 @@ callers own independent streams.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -95,8 +96,8 @@ def uniform() -> DesignDistribution:
 
 def power(alpha: float) -> DesignDistribution:
     """Density (alpha + 1) x^alpha on [0, 1]; CDF x^(alpha + 1)."""
-    if alpha <= 0:
-        raise InvalidParameterError(f"power exponent must be positive, got {alpha}")
+    if not 0.0 < alpha < np.inf:
+        raise InvalidParameterError(f"power exponent must be a finite number > 0, got {alpha}")
     a = float(alpha)
 
     # np.power, not **: _clip01 gives a numpy scalar for a 0-d x, and the
@@ -119,8 +120,8 @@ def _example3_phi(n: int) -> float:
 
 def example3(n: int) -> DesignDistribution:
     """Level phi on [1/4, 3/4] with linear ramps of slope 16(1 - phi) outside."""
-    if n <= 2:
-        raise InvalidParameterError(f"example3 requires n > 2, got {n}")
+    if not 2 < n < np.inf:
+        raise InvalidParameterError(f"example3 requires a finite n > 2, got {n}")
     phi = _example3_phi(n)
     ramp = 16.0 * (1.0 - phi)
     # piece boundaries of the CDF
@@ -177,15 +178,16 @@ def tabulated(grid, values) -> DesignDistribution:
     v = np.asarray(values, float)
     if g.ndim != 1 or g.size < 2 or v.shape != g.shape:
         raise InvalidParameterError("tabulated needs matching 1-d grid and values with >= 2 nodes")
-    if np.any(np.diff(g) <= 0):
+    # each test is written so that a NaN fails it
+    if not np.all(np.diff(g) > 0):
         raise InvalidParameterError("tabulated grid must be strictly ascending")
-    if g[0] < 0.0 or g[-1] > 1.0:
+    if not (g[0] >= 0.0 and g[-1] <= 1.0):
         raise InvalidParameterError("tabulated grid must lie in [0, 1]")
-    if np.any(v < 0):
-        raise InvalidParameterError("tabulated density values must be non-negative")
+    if not np.all((v >= 0) & (v < np.inf)):
+        raise InvalidParameterError("tabulated density values must be finite and non-negative")
     mass = np.trapezoid(v, g)
-    if mass <= 0:
-        raise InvalidParameterError("tabulated density has zero total mass")
+    if not 0.0 < mass < np.inf:
+        raise InvalidParameterError(f"tabulated density must have a finite mass > 0, got {mass}")
     v = v / mass
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(g))])
     cum[-1] = 1.0
@@ -244,33 +246,66 @@ def mixture(p: DesignDistribution, q: DesignDistribution, weight_p: float) -> De
     )
 
 
-def from_spec(spec) -> DesignDistribution:
-    """Build a distribution from a JSON object (or JSON string).
+def _is_int(v):
+    """v is an integer; bools are not, though Python counts them as ints."""
+    return not isinstance(v, bool) and isinstance(v, (int, np.integer))
 
-    A mixture nests its two components:
-    {"kind": "mixture", "p": {...}, "q": {...}, "weight_p": w}.
+
+def _is_finite(v):
+    """v is a real number within the range of finite floats, and not a bool."""
+    return (_is_int(v) or isinstance(v, (float, np.floating))) and abs(v) <= sys.float_info.max
+
+
+# a table's type -> (whether a value has it, what such a value is)
+_RULES = {float: (_is_finite, "a finite number"), int: (_is_int, "an integer"),
+          dict: (lambda v: isinstance(v, dict), "a JSON object"),
+          list: (lambda v: isinstance(v, list) and all(map(_is_finite, v)),
+                 "a list of finite numbers")}
+
+
+def _read(obj, table, what, error):
+    """The JSON object obj over table's defaults; raises error naming the key.
+
+    table maps each key to its default, or to its type where obj must give
+    the key.  A value must have the type that its key's entry is or has, by
+    `_RULES` (bools are not numbers).  A None entry takes any value, which
+    its caller checks, and is no default: its key stays out unless given.
     """
+    if not isinstance(obj, dict):
+        raise error(f"{what} must be a JSON object, got {type(obj).__name__}")
+    unknown = [key for key in obj if key not in table]
+    if unknown:
+        raise error(f"{what} has no key {unknown[0]!r}; its keys are {sorted(table)}")
+    for key, like in table.items():
+        fits, want = _RULES.get(like if isinstance(like, type) else type(like), (None, ""))
+        if isinstance(like, type) and key not in obj:
+            raise error(f"{what} needs key {key!r}")
+        if key in obj and fits and not fits(obj[key]):
+            raise error(f"{what} key {key!r} must be {want}, got {obj[key]!r}")
+    return {**{key: v for key, v in table.items() if v is not None}, **obj}
+
+
+# distribution kind -> (its constructor, the type of each key; a spec gives all)
+_KINDS = {"uniform": (uniform, {}), "power": (power, {"alpha": float}),
+          "example3": (example3, {"n": int}),
+          "tabulated": (tabulated, {"grid": list, "values": list}),
+          "mixture": (lambda p, q, weight_p: mixture(from_spec(p), from_spec(q), weight_p),
+                      {"p": dict, "q": dict, "weight_p": float})}
+
+
+def from_spec(spec) -> DesignDistribution:
+    """Build a distribution from a JSON object (or its text) with a kind and
+    each key of `_KINDS[kind]`; a mixture nests its two components, as in
+    {"kind": "mixture", "p": {...}, "q": {...}, "weight_p": w}."""
     if isinstance(spec, str):
         spec = json.loads(spec)
-    if not isinstance(spec, dict):
-        raise InvalidParameterError(f"distribution spec must be a JSON object, got {spec!r}")
-    kind = spec.get("kind")
-    try:
-        if kind == "uniform":
-            return uniform()
-        if kind == "power":
-            return power(spec["alpha"])
-        if kind == "example3":
-            return example3(spec["n"])
-        if kind == "tabulated":
-            return tabulated(spec["grid"], spec["values"])
-        if kind == "mixture":
-            return mixture(from_spec(spec["p"]), from_spec(spec["q"]), spec["weight_p"])
-    except KeyError as exc:
-        raise InvalidParameterError(f"{kind} distribution spec needs key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"malformed {kind} distribution spec: {exc}") from None
-    raise InvalidParameterError(f"unknown distribution kind: {kind!r}")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not (isinstance(kind, str) and kind in _KINDS):
+        raise InvalidParameterError(f"a distribution spec must be a JSON object with a kind "
+                                    f"from {sorted(_KINDS)}, got {spec!r}")
+    make, keys = _KINDS[kind]
+    args = _read(spec, {"kind": None, **keys}, f"{kind} distribution spec", InvalidParameterError)
+    return make(**{key: args[key] for key in keys})
 
 
 def interval_mass(d: DesignDistribution, a, b):

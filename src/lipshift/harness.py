@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import densities
-from .densities import DesignDistribution
+from .densities import DesignDistribution, _is_finite, _is_int, _read
 from .errors import ConfigError, ExperimentError, InvalidInputError
 from .lipfit import RegressionSample, fit_lipschitz_lse, isotonic_evaluate, kernel_smoother
 from .spread import SpreadFunction
@@ -61,44 +61,26 @@ _F0_DEFAULTS = {"zero": {}, "triangle": {"center": 0.5, "slope": 0.5},
 
 def make_f0(spec: dict, delta: float):
     """Regression function from its config entry; checks the Lip(1 - delta)
-    budget analytically per kind.  Every key but "kind" must be a parameter
-    of the kind, with a finite real value."""
-    kind = spec.get("kind", "zero").lower()
+    budget analytically per kind.  The entry is an object with a "kind"
+    (default "zero") and that kind's keys in `_F0_DEFAULTS`."""
+    kind = str(spec.get("kind", "zero")).lower() if isinstance(spec, dict) else None
     if kind not in _F0_DEFAULTS:
-        raise ConfigError(f"unknown f0 kind: {kind!r}")
-    params = dict(_F0_DEFAULTS[kind])
-    for key, v in spec.items():
-        if key == "kind":
-            continue
-        if key not in params:
-            raise ConfigError(f"f0 kind {kind!r} has no key {key!r}; its keys are {sorted(params)}")
-        if not _is_finite(v):
-            raise ConfigError(f"f0 {key!r} must be a finite number, got {v!r}")
-        params[key] = float(v)
+        raise ConfigError(f"f0 must be an object with a kind from {sorted(_F0_DEFAULTS)}, "
+                          f"got {spec!r}")
+    p = _read(spec, {"kind": None, **_F0_DEFAULTS[kind]}, f"f0 {kind!r}", ConfigError)
     if kind == "zero":
         return (lambda x: np.zeros_like(np.asarray(x, float))), 0.0
     if kind == "triangle":
-        c, s = params["center"], params["slope"]
+        c, s = float(p["center"]), float(p["slope"])
         lip = abs(s)
         f0 = lambda x: s * np.maximum(0.25 - np.abs(np.asarray(x, float) - c), 0.0)  # noqa: E731
     else:
-        a, freq = params["amplitude"], params["frequency"]
+        a, freq = float(p["amplitude"]), float(p["frequency"])
         lip = abs(a) * 2.0 * np.pi * freq
         f0 = lambda x: a * np.sin(2.0 * np.pi * freq * np.asarray(x, float))  # noqa: E731
     if lip > 1.0 - delta + 1e-12:
         raise ConfigError(f"f0 has Lipschitz constant {lip:.4f} > 1 - delta = {1 - delta:.4f}")
     return f0, lip
-
-
-def _is_int(v, least):
-    """v is an integer >= least; bools are not, though Python counts them as ints."""
-    return not isinstance(v, bool) and isinstance(v, (int, np.integer)) and v >= least
-
-
-def _is_finite(v):
-    """v is a finite real number and not a bool."""
-    return (not isinstance(v, bool) and isinstance(v, (int, float, np.integer, np.floating))
-            and abs(v) < math.inf)
 
 
 @dataclass
@@ -122,7 +104,7 @@ class ExperimentConfig:
             raise ConfigError(f"delta must be a number in (0, 1), got {self.delta!r}")
         for key, least in (("replicates", 1), ("seed", 0)):
             v = getattr(self, key)
-            if not _is_int(v, least):
+            if not (_is_int(v) and v >= least):
                 raise ConfigError(f"{key} must be an integer >= {least}, got {v!r}")
         for key in ("n_grid", "m_grid"):
             sizes = getattr(self, key)
@@ -131,7 +113,7 @@ class ExperimentConfig:
             if not isinstance(sizes, (list, tuple)):
                 raise ConfigError(f"{key} must be a list of integers >= 1, got {sizes!r}")
             for v in sizes:
-                if not _is_int(v, 1):
+                if not (_is_int(v) and v >= 1):
                     raise ConfigError(f"{key} entries must be integers >= 1, got {v!r}")
         if not (_is_finite(self.budget) and 0.0 < self.budget <= 1.0):
             raise ConfigError(f"budget must be a number in (0, 1], got {self.budget!r}")
@@ -154,33 +136,22 @@ class ExperimentConfig:
         if "transfer" in self.estimators:
             if self.target_distribution is None or self.m_grid is None:
                 raise ConfigError("transfer runs need target_distribution and m_grid")
-        if not (isinstance(self.f0_spec, dict) and isinstance(self.f0_spec.get("kind", ""), str)):
-            raise ConfigError(f"f0 must be an object with a string 'kind', got {self.f0_spec!r}")
         self.f0, self.f0_lip = make_f0(self.f0_spec, self.delta)
 
     @classmethod
     def from_json(cls, obj):
         """Build from a JSON object (or its text).  Keys are the field names,
-        with "f0" for f0_spec; absent keys take the field defaults."""
+        with "f0" for f0_spec, and "distribution" must be given; absent keys
+        take the field defaults, and `__post_init__` checks every value."""
         if isinstance(obj, str):
             obj = json.loads(obj)
-        if not isinstance(obj, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(obj).__name__}")
+        keys = {("f0" if f.name == "f0_spec" else f.name): None for f in fields(cls)}
+        obj = _read(obj, {**keys, "distribution": dict}, "config", ConfigError)
         kwargs = {("f0_spec" if key == "f0" else key): value for key, value in obj.items()}
-        unknown = set(obj) - {f.name for f in fields(cls) if f.name != "f0_spec"} - {"f0"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "distribution" not in obj:
-            raise ConfigError("config needs a 'distribution' entry")
         kwargs["distribution"] = densities.from_spec(obj["distribution"])
         if obj.get("target_distribution") is not None:
             kwargs["target_distribution"] = densities.from_spec(obj["target_distribution"])
-        try:
-            return cls(**kwargs)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**kwargs)
 
 
 def _draw(dist, f0, noise_sd, n, seed) -> RegressionSample:
@@ -244,8 +215,9 @@ class RateReport:
         }, indent=2, sort_keys=True, allow_nan=False)
 
     def write(self, report_path, losses_path):
+        text = self.to_json()  # before either file is opened, so a failure truncates neither
         with open(report_path, "w") as fh:
-            fh.write(self.to_json() + "\n")
+            fh.write(text + "\n")
         with open(losses_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["estimator", "loss", "n", "m", "replicate", "value"])
@@ -373,12 +345,13 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
                                      "m": m, "replicate": rep, "value": v})
         for (est, loss), vals in sorted(cell.items()):
             vals = np.asarray(vals)
-            rows.append({
-                "estimator": est, "loss": loss, "n": n, "m": m,
-                "mean": float(vals.mean()), "median": _median(vals),
-                "stderr": float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0,
-                "replicates": int(vals.size),
-            })
+            with np.errstate(over="ignore"):  # an overflow is checked just below
+                stats = {"mean": float(vals.mean()), "median": _median(vals), "stderr":
+                         float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0}
+            if not all(map(math.isfinite, stats.values())):
+                raise ExperimentError(f"{est}/{loss} at n={n}: aggregates {stats} are not finite")
+            rows.append({"estimator": est, "loss": loss, "n": n, "m": m, **stats,
+                         "replicates": int(vals.size)})
     if failures > 0.05 * len(cells):
         kinds = "; ".join(f"{name} x{e['count']} ({e['first_message']})"
                           for name, e in ledger.items())

@@ -223,9 +223,6 @@ class HypothesisFamily:
     centers: np.ndarray
     heights: np.ndarray
     psi_n: float
-    n: int
-    m: int
-    size_constraint_met: bool
 
     @property
     def count(self):
@@ -265,10 +262,7 @@ def build_lower_bound_family(P: DesignDistribution, Q: DesignDistribution,
         raise DegenerateScaleError("no cell carries mass psi_N under the pooled design")
     centers = centers[keep]
     t_nm = np.minimum(SpreadFunction(P, n).at(centers), SpreadFunction(Q, m).at(centers))
-    c_inf = mixed.sup_density
-    ok = N ** 0.25 <= (N / np.log(N)) ** (1.0 / 3.0) / (6.0 * (2.0 * c_inf - 1.0))
-    return HypothesisFamily(centers=centers, heights=t_nm / 6.0, psi_n=float(psi),
-                            n=n, m=m, size_constraint_met=bool(ok))
+    return HypothesisFamily(centers=centers, heights=t_nm / 6.0, psi_n=float(psi))
 
 
 def transfer_exponent_check(P: DesignDistribution, Q: DesignDistribution,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lipshift import densities, harness
-from lipshift.cli import _read_xy_csv, main
+from lipshift.cli import _PROOFLAB_DEFAULTS, _read_xy_csv, main
 from lipshift.errors import NondifferentiablePointError
 from lipshift.spread import EmpiricalSpread, SpreadFunction
 from lipshift.transfer import fit_transfer
@@ -56,6 +56,20 @@ def test_spread_solves_once(capsys, monkeypatch):
 
 def test_spread_bad_dist_json_exits_3(capsys):
     assert main(["spread", "--dist", "{not json", "--n", "100"]) == 3
+
+
+@pytest.mark.parametrize("grid", ["0", "-1"])
+@pytest.mark.parametrize("command", ["spread", "transfer"])
+def test_grid_below_one_exits_3(tmp_path, capsys, command, grid):
+    if command == "spread":
+        args = ["spread", "--dist", UNIFORM, "--n", "100"]
+    else:
+        for name in ("s.csv", "t.csv"):
+            _write_xy(tmp_path / name, [0.1, 0.5, 0.9], [0.0, 0.2, 0.1])
+        args = ["transfer", "--source", str(tmp_path / "s.csv"), "--target", str(tmp_path / "t.csv")]
+    assert main(args + ["--grid", grid]) == 3
+    captured = capsys.readouterr()
+    assert "--grid" in captured.err and captured.out == ""
 
 
 def test_fit_reads_csv(tmp_path, capsys):
@@ -151,14 +165,18 @@ def test_prooflab_config_file(tmp_path, capsys):
     assert kl == pytest.approx(1.0 / 30.0, abs=1e-6)
 
 
-# a config that is not an object, and a misspelt key that would run the default
-@pytest.mark.parametrize("config, named", [([1, 2], "JSON object"),
-                                           ({"bump_hieght": 0.2}, "bump_hieght")],
-                         ids=["not-an-object", "misspelt-key"])
-def test_prooflab_bad_config_exits_3(tmp_path, capsys, config, named):
-    cfg = tmp_path / "kl.json"
+# a config that is not an object, a misspelt key that would run the default,
+# and values of the wrong type that ended in a TypeError traceback
+@pytest.mark.parametrize("check, config, named",
+                         [("kl", [1, 2], "JSON object"), ("kl", {"bump_hieght": 0.2}, "bump_hieght"),
+                          ("kl", {"n": "x"}, "'n'"),
+                          ("transfer-exponent", {"x_nodes": 1.5}, "'x_nodes'")],
+                         ids=["not-an-object", "misspelt-key", "kl-n-string",
+                              "transfer-exponent-x_nodes-float"])
+def test_prooflab_bad_config_exits_3(tmp_path, capsys, check, config, named):
+    cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
-    assert main(["prooflab", "--check", "kl", "--config", str(cfg)]) == 3
+    assert main(["prooflab", "--check", check, "--config", str(cfg)]) == 3
     captured = capsys.readouterr()
     assert named in captured.err and "PASS" not in captured.out
 
@@ -197,6 +215,9 @@ def test_simulate_rates_non_object_config_exits_3(tmp_path, capsys):
     cfg = tmp_path / "list.json"
     cfg.write_text("[1, 2]")
     assert main(["simulate-rates", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "JSON object" in capsys.readouterr().err
+    # --seed too, which is put into the config object
+    assert main(["simulate-rates", "--config", str(cfg), "--seed", "4", "--out", str(tmp_path)]) == 3
     assert "JSON object" in capsys.readouterr().err
 
 
@@ -300,3 +321,65 @@ def test_simulate_rates_dead_worker_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_simulate_rates_missing_config_exits_3(capsys):
     assert main(["simulate-rates", "--config", "/nope.json"]) == 3
+
+
+def test_simulate_rates_overflowing_aggregate_keeps_old_report(tmp_path, capsys):
+    # every loss is finite, but the stderr of the n=16 row overflows to inf:
+    # the run fails (exit 2) and leaves an earlier report as it was
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"distribution": {"kind": "uniform"}, "noise_sd": 1e200,
+                               "estimators": ["isotonic"], "losses": ["sup"],
+                               "n_grid": [16, 32, 64], "replicates": 2}))
+    (tmp_path / "report.json").write_text("earlier report\n")
+    (tmp_path / "losses.csv").write_text("earlier losses\n")
+    assert main(["simulate-rates", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "isotonic/sup at n=16" in capsys.readouterr().err
+    assert (tmp_path / "report.json").read_text() == "earlier report\n"
+    assert (tmp_path / "losses.csv").read_text() == "earlier losses\n"
+
+
+# every input table, with a valid object and a command that reads it:
+# (name, the valid object, its table, the command for an object)
+VALID = {float: 0.5, int: 100, list: [0.0, 1.0], dict: {"kind": "uniform"}}
+
+
+def _simulate_f0(f0, tmp_path):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"distribution": {"kind": "uniform"}, "f0": f0,
+                               "n_grid": [16, 32, 64], "replicates": 1}))
+    return ["simulate-rates", "--config", str(cfg), "--out", str(tmp_path)]
+
+
+def _prooflab(check):
+    def argv(obj, tmp_path):
+        (tmp_path / "config.json").write_text(json.dumps(obj))
+        return ["prooflab", "--check", check, "--config", str(tmp_path / "config.json")]
+    return argv
+
+
+INPUTS = ([(f"dist-{kind}", {"kind": kind, **{key: VALID[t] for key, t in keys.items()}}, keys,
+            lambda obj, tmp_path: ["spread", "--dist", json.dumps(obj), "--n", "100"])
+           for kind, (_, keys) in densities._KINDS.items()]
+          + [(f"f0-{kind}", {"kind": kind}, keys, _simulate_f0)
+             for kind, keys in harness._F0_DEFAULTS.items()]
+          + [(f"prooflab-{check}", {}, keys, _prooflab(check))
+             for check, keys in _PROOFLAB_DEFAULTS.items()])
+# each key of each table with each value that no key takes, then one unknown key
+TABLE_CASES = ([(name, base, key, bad, argv) for name, base, keys, argv in INPUTS
+                for key in keys for bad in (np.nan, np.inf, True, "x")]
+               + [(name, base, "unknown", 0.5, argv) for name, base, keys, argv in INPUTS])
+
+
+@pytest.mark.parametrize("base, key, bad, argv", [c[1:] for c in TABLE_CASES],
+                         ids=[f"{c[0]}-{c[2]}-{c[3]!r}" for c in TABLE_CASES])
+def test_table_key_with_bad_value_exits_3(tmp_path, capsys, base, key, bad, argv):
+    assert main(argv({**base, key: bad}, tmp_path)) == 3
+    captured = capsys.readouterr()
+    assert repr(key) in captured.err and captured.out == ""
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("base, argv", [(c[1], c[3]) for c in INPUTS], ids=[c[0] for c in INPUTS])
+def test_table_valid_object_runs(tmp_path, capsys, base, argv):
+    # the objects that the bad values go into are valid on their own
+    assert main(argv(base, tmp_path)) == 0

@@ -525,6 +525,15 @@ def test_from_spec_nested_mixture_matches_mixture():
      "weight_p": 0.5},
     {"kind": "tabulated", "grid": "abc", "values": [1, 1]},
     [1, 2],
+    {"kind": "power", "alpha": np.nan},
+    {"kind": "power", "alpha": np.inf},
+    {"kind": "power", "alpha": True},
+    {"kind": "power", "alpha": 2, "alhpa": 5},
+    {"kind": "example3", "n": 2.5},
+    {"kind": "tabulated", "grid": [0, 1], "values": [1, np.nan]},
+    {"kind": "tabulated", "grid": [0, "a"], "values": [1, 1]},
+    {"kind": ["power"], "alpha": 2},
+    {"kind": "power", "alpha": 10**400},
 ])
 def test_from_spec_malformed_rejected(spec):
     with pytest.raises(InvalidParameterError):
@@ -538,6 +547,17 @@ def test_invalid_parameters_rejected():
         densities.example3(2)
     with pytest.raises(InvalidParameterError):
         densities.tabulated([0.0, 0.5], [1.0, -1.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidParameterError, match="alpha|exponent"):
+            densities.power(bad)
+        with pytest.raises(InvalidParameterError, match="n > 2"):
+            densities.example3(bad)
+        with pytest.raises(InvalidParameterError, match="values"):
+            densities.tabulated([0.0, 0.5, 1.0], [1.0, bad, 1.0])
+        with pytest.raises(InvalidParameterError, match="grid"):
+            densities.tabulated([0.0, bad, 1.0], [1.0, 1.0, 1.0])
+        with pytest.raises(InvalidParameterError, match="grid"):
+            densities.tabulated([0.0, 0.5, bad], [1.0, 1.0, 1.0])
     with pytest.raises(InvalidParameterError):
         densities.sample(densities.uniform(), 0, seed=0)
 

@@ -399,6 +399,17 @@ def test_report_json_rejects_nonfinite():
         report.to_json()
 
 
+def test_report_write_fails_before_touching_files(tmp_path):
+    # a report that cannot be serialized leaves both earlier files as they were
+    report = RateReport(rows=[], losses=[], slopes={}, metadata={"x": math.inf})
+    paths = [tmp_path / "report.json", tmp_path / "losses.csv"]
+    for path in paths:
+        path.write_text("earlier\n")
+    with pytest.raises(ValueError):
+        report.write(*paths)
+    assert [path.read_text() for path in paths] == ["earlier\n"] * 2
+
+
 def test_report_write_and_json(tmp_path):
     report = run_rate_experiment(_config())
     report.write(tmp_path / "report.json", tmp_path / "losses.csv")
