@@ -1,8 +1,11 @@
 """Design distributions on [0, 1].
 
 Each distribution carries an exact density and CDF, and every design but the
-mixture an exact inverse CDF, all vectorized over numpy arrays.  Supported
-families:
+mixture an exact inverse CDF, all vectorized over numpy arrays.  A design
+writes its density and CDF once, for points already in [0, 1] (its "unit"
+density and CDF, which clip nothing).  `density` and `cdf` clip x once in
+front of them, the density reading zero outside [0, 1]; `interval_mass` and
+the one-point spread solve clip their interval ends.  Supported families:
 
 * ``uniform`` -- density 1 on [0, 1].
 * ``power`` -- density (alpha + 1) x^alpha, a low-density region near 0.
@@ -55,14 +58,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DesignDistribution:
-    """A distribution on [0, 1] given by (density, cdf, ppf) evaluators."""
+    """A distribution on [0, 1]: unit density and CDF (for x in [0, 1]), ppf."""
 
     kind: str
-    density: Callable
-    cdf: Callable
+    unit_density: Callable
+    unit_cdf: Callable
     ppf: Callable
     params: dict = field(default_factory=dict)
     sup_density: float = np.inf
+
+    def density(self, x):
+        """The density at x, zero outside [0, 1] (and at NaN)."""
+        x = np.asarray(x, float)
+        return np.where((x >= 0.0) & (x <= 1.0), self.unit_density(_clip01(x)), 0.0)
+
+    def cdf(self, x):
+        """The CDF at x: the unit CDF at x clipped to [0, 1]."""
+        return self.unit_cdf(_clip01(x))
 
     def __repr__(self):
         return f"DesignDistribution(kind={self.kind!r}, params={self.params!r})"
@@ -79,19 +91,13 @@ def _levels(u):
 def _clip01(x):
     """x clipped to [0, 1] as np.clip(x, 0.0, 1.0) does, -0.0 and NaN
     included: np.maximum and np.minimum return their second argument on a
-    tie.  np.clip itself runs through Python-level wrappers, a cost that the
-    length-2 arrays of the one-point spread solve pay on every call."""
+    tie.  np.clip itself runs through Python-level wrappers, a cost that
+    short arrays pay on every call."""
     return np.minimum(1.0, np.maximum(0.0, np.asarray(x, float)))
 
 
 def uniform() -> DesignDistribution:
-    return DesignDistribution(
-        kind="uniform",
-        density=lambda x: np.where((np.asarray(x, float) >= 0.0) & (np.asarray(x, float) <= 1.0), 1.0, 0.0),
-        cdf=_clip01,
-        ppf=_levels,
-        sup_density=1.0,
-    )
+    return DesignDistribution("uniform", lambda x: 1.0, lambda x: x, _levels, sup_density=1.0)
 
 
 def power(alpha: float) -> DesignDistribution:
@@ -102,16 +108,17 @@ def power(alpha: float) -> DesignDistribution:
 
     # np.power, not **: _clip01 gives a numpy scalar for a 0-d x, and the
     # scalar ** rounds differently from the array power
-    def density(x):
-        return (a + 1.0) * np.power(_clip01(x), a)
+    def unit_density(x):
+        return (a + 1.0) * np.power(x, a)
 
-    def cdf(x):
-        return np.power(_clip01(x), a + 1.0)
+    def unit_cdf(x):
+        return np.power(x, a + 1.0)
 
     def ppf(u):
         return _levels(u) ** (1.0 / (a + 1.0))
 
-    return DesignDistribution("power", density, cdf, ppf, {"alpha": a}, sup_density=a + 1.0)
+    return DesignDistribution("power", unit_density, unit_cdf, ppf, {"alpha": a},
+                              sup_density=a + 1.0)
 
 
 def _example3_phi(n: int) -> float:
@@ -128,12 +135,10 @@ def example3(n: int) -> DesignDistribution:
     f14 = phi / 4.0 + (1.0 - phi) / 2.0
     f34 = f14 + phi / 2.0
 
-    def density(x):
-        x = _clip01(x)
+    def unit_density(x):
         return phi + ramp * np.maximum(np.maximum(0.25 - x, 0.0), x - 0.75)
 
-    def cdf(x):
-        x = _clip01(x)
+    def unit_cdf(x):
         left = phi * x + ramp * (x / 4.0 - x**2 / 2.0)
         mid = f14 + phi * (x - 0.25)
         s = x - 0.75
@@ -155,9 +160,8 @@ def example3(n: int) -> DesignDistribution:
         right = 0.75 + (-phi + np.sqrt(disc_r)) / (2.0 * a)
         return np.where(u <= f14, left, np.where(u <= f34, mid, right))
 
-    return DesignDistribution(
-        "example3", density, cdf, ppf, {"n": int(n), "phi": phi}, sup_density=phi + ramp / 4.0
-    )
+    return DesignDistribution("example3", unit_density, unit_cdf, ppf, {"n": int(n), "phi": phi},
+                              sup_density=phi + ramp / 4.0)
 
 
 def tabulated(grid, values) -> DesignDistribution:
@@ -192,15 +196,16 @@ def tabulated(grid, values) -> DesignDistribution:
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(g))])
     cum[-1] = 1.0
 
-    def density(x):
-        x = np.asarray(x, float)
-        out = np.interp(x, g, v)
-        return np.where((x < g[0]) | (x > g[-1]), 0.0, out)
+    def unit_density(x):
+        return np.where((x < g[0]) | (x > g[-1]), 0.0, np.interp(x, g, v))
 
     slope = np.diff(v) / np.diff(g)
+    # the clamp to the support is the identity, bit for bit, if it is [0, 1]
+    clamp = g[0] > 0.0 or g[-1] < 1.0
 
-    def cdf(x):
-        x = np.minimum(g[-1], np.maximum(g[0], np.asarray(x, float)))
+    def unit_cdf(x):
+        if clamp:
+            x = np.minimum(g[-1], np.maximum(g[0], x))
         i = np.minimum(np.maximum(np.searchsorted(g, x, side="right") - 1, 0), g.size - 2)
         dx, r = x - g[i], g[i + 1] - x
         # from the left node alone the terms cancel near a right node of
@@ -216,9 +221,8 @@ def tabulated(grid, values) -> DesignDistribution:
         dx = np.divide(2.0 * du, den, out=np.zeros_like(du), where=den > 0.0)
         return np.minimum(g[i] + dx, g[i + 1])
 
-    return DesignDistribution(
-        "tabulated", density, cdf, ppf, {"grid": g, "values": v}, sup_density=float(v.max())
-    )
+    return DesignDistribution("tabulated", unit_density, unit_cdf, ppf, {"grid": g, "values": v},
+                              sup_density=float(v.max()))
 
 
 def mixture(p: DesignDistribution, q: DesignDistribution, weight_p: float) -> DesignDistribution:
@@ -227,23 +231,18 @@ def mixture(p: DesignDistribution, q: DesignDistribution, weight_p: float) -> De
         raise InvalidParameterError(f"mixture weight must be in [0, 1], got {weight_p}")
     w = float(weight_p)
 
-    def density(x):
-        return w * p.density(x) + (1.0 - w) * q.density(x)
+    def unit_density(x):
+        return w * p.unit_density(x) + (1.0 - w) * q.unit_density(x)
 
-    def cdf(x):
-        return w * p.cdf(x) + (1.0 - w) * q.cdf(x)
+    def unit_cdf(x):
+        return w * p.unit_cdf(x) + (1.0 - w) * q.unit_cdf(x)
 
     def ppf(u):
         raise InvalidParameterError("a mixture has no inverse CDF: draw it with `densities.sample`")
 
-    return DesignDistribution(
-        "mixture",
-        density,
-        cdf,
-        ppf,
-        {"weight_p": w, "p": p, "q": q},
-        sup_density=w * p.sup_density + (1.0 - w) * q.sup_density,
-    )
+    return DesignDistribution("mixture", unit_density, unit_cdf, ppf,
+                              {"weight_p": w, "p": p, "q": q},
+                              sup_density=w * p.sup_density + (1.0 - w) * q.sup_density)
 
 
 def _is_int(v):
@@ -309,12 +308,16 @@ def from_spec(spec) -> DesignDistribution:
 
 
 def interval_mass(d: DesignDistribution, a, b):
-    """Mass of [a, b] clipped to [0, 1].  Vectorized; raises if a > b."""
+    """Mass of [a, b] clipped to [0, 1].  Vectorized; raises if a > b.
+
+    Clips each end to [0, 1] once and calls the unit CDF, so it is d.cdf(b)
+    - d.cdf(a) floored at 0.0: a zero difference comes out as +0.0 whatever
+    the signs of the zeros that made it."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     if (a > b).any():
         raise InvalidIntervalError("interval endpoints out of order (a > b)")
-    return np.maximum(d.cdf(np.minimum(b, 1.0)) - d.cdf(np.maximum(a, 0.0)), 0.0)
+    return np.maximum(d.unit_cdf(_clip01(b)) - d.unit_cdf(_clip01(a)), 0.0)
 
 
 def _simpson(y, x) -> float:

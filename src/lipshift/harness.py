@@ -35,7 +35,7 @@ import numpy as np
 
 from . import densities
 from .densities import DesignDistribution, _is_finite, _is_int, _read
-from .errors import ConfigError, ExperimentError, InvalidInputError
+from .errors import ConfigError, ExperimentError, InvalidInputError, NonDoublingError
 from .lipfit import RegressionSample, fit_lipschitz_lse, isotonic_evaluate, kernel_smoother
 from .spread import SpreadFunction
 from .transfer import fit_transfer
@@ -367,12 +367,16 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
                 if len(pts) >= 3 and all(v > 1e-12 for _, v in pts):
                     s, se = fit_loglog_slope(pts)
                     slopes[(est, loss)] = {"slope": s, "stderr": se}
+    try:
+        doubling = densities.doubling_constant(config.distribution, 0.1)
+    except NonDoublingError:  # a zero-mass interval on the grid: no constant
+        doubling = None
     metadata = {
         "seed": config.seed,
         "replicate_failures": failures,
         "failures": ledger,
         "grid_size": EVAL_GRID_SIZE,
-        "doubling_constant": densities.doubling_constant(config.distribution, 0.1),
+        "doubling_constant": doubling,
         "f0_lipschitz": config.f0_lip,
     }
     return RateReport(rows=rows, losses=loss_records, slopes=slopes, metadata=metadata)

@@ -87,12 +87,12 @@ class SpreadFunction:
 
         The solve is chosen by input size.  One point runs the rounds in
         Python floats, since numpy's per-call cost dominates on short
-        arrays; each round makes one CDF call on the four clipped ends of
-        the pair's intervals and forms `interval_mass`'s formula in floats,
-        so it computes the same iterates, and returns the same float, as
-        the vector loop does for that point.  Two or more points run the
-        vector loop on the flattened x.  The result is a float for a 0-d x
-        and an array shaped like x otherwise.
+        arrays; each round makes one unit-CDF call on the four ends of the
+        pair's intervals and forms `interval_mass` in floats, so it computes
+        the same iterates, and returns the same float, as the vector loop
+        does for that point.  Two or more points run the vector loop on the
+        flattened x.  The result is a float for a 0-d x and an array shaped
+        like x otherwise.
         """
         x = _finite(x)
         if x.size == 1:
@@ -103,11 +103,13 @@ class SpreadFunction:
     def _at_point(self, x):
         """`at` for one point given as a float: the rounds of `_at_points`
         with each numpy op on a length-1 array replaced by its float form.
-        g(a) and g(b) come from one d.cdf call on [min(x+a, 1), min(x+b, 1),
-        max(x-a, 0), max(x-b, 0)], then t t max(F_hi - F_lo, 0) in floats,
-        the float form of `interval_mass`; only the CDF and np.cbrt see
-        arrays."""
-        d, thr = self.distribution, float(self.threshold)
+        g(a) and g(b) come from one unit-CDF call on x +- a and x +- b, each
+        clipped to [0, 1] in floats (x +- t is never -0.0 or NaN), then t t
+        max(F_hi - F_lo, 0): `interval_mass` in floats.  Only the unit CDF
+        and np.cbrt see arrays.  `v if v > u else u` is the builtin max(u, v)
+        and `v if v < u else u` min(u, v), ties and all, at a quarter of the
+        cost of the call."""
+        cdf, thr = self.distribution.unit_cdf, float(self.threshold)
         level = float(np.cbrt(thr))
         lo, hi = math.sqrt(thr) * (1.0 - 1e-9), 1.0
         est = float(np.cbrt(0.5 * thr))
@@ -117,15 +119,19 @@ class SpreadFunction:
             if t == lo or t == hi:
                 return t
             inner_lo, inner_hi = math.nextafter(lo, hi), math.nextafter(hi, lo)
-            a = min(max(est - half, inner_lo), inner_hi)
-            b = max(est + half, math.nextafter(est, math.inf))
-            b = min(max(b, inner_lo), inner_hi)
-            # interval_mass(d, x - pair, x + pair) in floats: max(0.0, .) and
-            # min(1.0, .) return 0.0 and 1.0 on ties, as np.maximum does
-            f_hi_a, f_hi_b, f_lo_a, f_lo_b = d.cdf(np.array(
-                [min(1.0, x + a), min(1.0, x + b), max(0.0, x - a), max(0.0, x - b)])).tolist()
-            ga = a * a * max(0.0, f_hi_a - f_lo_a)
-            gb = b * b * max(0.0, f_hi_b - f_lo_b)
+            a = est - half
+            a = inner_lo if inner_lo > a else a
+            a = inner_hi if inner_hi < a else a
+            b, up = est + half, math.nextafter(est, math.inf)
+            b = up if up > b else b
+            b = inner_lo if inner_lo > b else b
+            b = inner_hi if inner_hi < b else b
+            f_hi_a, f_hi_b, f_lo_a, f_lo_b = cdf(np.array(
+                [0.0 if e < 0.0 else 1.0 if e > 1.0 else e
+                 for e in (x + a, x + b, x - a, x - b)])).tolist()
+            ga, gb = f_hi_a - f_lo_a, f_hi_b - f_lo_b
+            ga = a * a * (ga if ga > 0.0 else 0.0)
+            gb = b * b * (gb if gb > 0.0 else 0.0)
             ca, cb = np.cbrt(np.array([ga, gb])).tolist()
             a_below, b_below = ga < thr, gb < thr
             lo2 = (b if b_below else a) if a_below else lo
@@ -134,9 +140,11 @@ class SpreadFunction:
             if not lo2 < secant < hi2:  # no usable secant: step past the pair
                 secant = b + 2.0 * (b - a) if b_below else a - 2.0 * (b - a)
             step = abs(secant - est)
-            half = 0.5 * step if a_below and not b_below else 2.0 * max(half, step)
+            half = 0.5 * step if a_below and not b_below else 2.0 * (step if step > half else half)
             slow = hi2 - lo2 > 0.5 * before
-            est = min(max(0.5 * (lo2 + hi2) if slow else secant, lo2), hi2)
+            est = 0.5 * (lo2 + hi2) if slow else secant
+            est = lo2 if lo2 > est else est
+            est = hi2 if hi2 < est else est
             if slow:
                 half = 0.25 * (hi2 - lo2)
             before, lo, hi = hi - lo, lo2, hi2

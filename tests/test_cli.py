@@ -264,6 +264,23 @@ def test_simulate_rates_zero_density_kernel_fails(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_simulate_rates_non_doubling_design_reports_null(tmp_path, capsys):
+    # a zero-density stretch holds zero-mass intervals, so the design has no
+    # doubling constant; its spreads, draws and fits all work
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "distribution": {"kind": "tabulated", "grid": [0, 0.3, 0.4, 0.6, 0.7, 1],
+                         "values": [1, 1, 0, 0, 1, 1]},
+        "n_grid": [256, 512, 1024], "replicates": 4, "estimators": ["lse"],
+        "losses": ["sup", "weighted_sup"]}))
+    assert main(["simulate-rates", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["metadata"]["doubling_constant"] is None
+    rows = [r for r in report["rows"] if r["loss"] == "weighted_sup"]
+    assert len(rows) == 3
+    assert all(np.isfinite([r["mean"], r["median"], r["stderr"]]).all() for r in rows)
+
+
 # bad entries put into a grid, then bad whole values
 BAD_ENTRIES = [(key, v) for key in ("n_grid", "m_grid") for v in [0, -5, 1.5, True]]
 BAD_CONFIG = [("replicates", 1.5), ("replicates", True), ("seed", 1.5), ("seed", -1),

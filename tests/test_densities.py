@@ -208,11 +208,11 @@ def _zero_stretch_tabulated(seed):
 
 
 def _counting(d, calls):
-    def cdf(x):
+    def unit_cdf(x):
         calls[0] += np.size(x)
-        return d.cdf(x)
+        return d.unit_cdf(x)
 
-    return dataclasses.replace(d, cdf=cdf)
+    return dataclasses.replace(d, unit_cdf=unit_cdf)
 
 
 def test_mixture_sample_memory_bounded():
@@ -290,15 +290,30 @@ def test_sample_consumes_a_passed_generator(d, used):
     assert rng.random() == ref.random()
 
 
+def _zero_outside(density):
+    """density, read as zero outside [0, 1]."""
+    def inside(x):
+        x = np.asarray(x, float)
+        return np.where((x >= 0.0) & (x <= 1.0), density(x), 0.0)
+    return inside
+
+
 def clip_reference(kind, **params):
-    """Oracle: the np.clip-based density and CDF evaluators that the
-    np.minimum/np.maximum forms in densities replaced, as (density, cdf)."""
+    """Oracle: each design's CDF as it was written before the unit CDFs,
+    clipping x itself (with np.clip, which the library's np.minimum /
+    np.maximum form matches bit for bit), a mixture combining its
+    components' clipped CDFs; as (density, cdf).  The density, None where
+    the design's own needs no clip, is read as zero outside [0, 1]."""
     if kind == "uniform":
         return None, lambda x: np.clip(np.asarray(x, float), 0.0, 1.0)
+    if kind == "mixture":
+        w, p, q = params["weight_p"], params["p"], params["q"]
+        cdf_p, cdf_q = clip_reference(p.kind, **p.params)[1], clip_reference(q.kind, **q.params)[1]
+        return None, lambda x: w * cdf_p(x) + (1.0 - w) * cdf_q(x)
     if kind == "power":
         # np.power, as in densities: a numpy scalar's ** rounds differently
         a = params["alpha"]
-        return ((lambda x: (a + 1.0) * np.power(np.clip(np.asarray(x, float), 0.0, 1.0), a)),
+        return (_zero_outside(lambda x: (a + 1.0) * np.power(np.clip(x, 0.0, 1.0), a)),
                 (lambda x: np.power(np.clip(np.asarray(x, float), 0.0, 1.0), a + 1.0)))
     if kind == "example3":
         phi = params["phi"]
@@ -318,7 +333,7 @@ def clip_reference(kind, **params):
             right = f34 + phi * s + (ramp / 2.0) * s**2
             return np.where(x <= 0.25, left, np.where(x <= 0.75, mid, right))
 
-        return density, cdf
+        return _zero_outside(density), cdf
     g, v = params["grid"], params["values"]
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(g))])
     cum[-1] = 1.0
@@ -381,6 +396,43 @@ def test_scalar_inputs_match_array_inputs(d):
     whole = _bits(densities.interval_mass(d, a, x))
     assert ([_bits(densities.interval_mass(d, float(lo), float(hi))) for lo, hi in zip(a, x)]
             == whole.tolist())
+
+
+NON_DOUBLING = densities.tabulated([0.0, 0.3, 0.4, 0.6, 0.7, 1.0], [1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+DEEP_MIXTURE = densities.mixture(densities.example3(100), NESTED_MIXTURE, 0.3)
+UNIT_CDF_DESIGNS = ZERO_D_DESIGNS + [NON_DOUBLING, DEEP_MIXTURE]
+# the ends of [0, 1], both zeros and the floats next to each
+EDGES = [-0.0, 0.0, 1.0, float(np.nextafter(0.0, 1.0)), float(np.nextafter(-0.0, -1.0)),
+         float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 2.0)), -0.5, 1.5]
+POINTS = st.lists(st.one_of(st.floats(-0.5, 1.5), st.sampled_from(EDGES)), min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.sampled_from(UNIT_CDF_DESIGNS), x=POINTS, y=POINTS)
+def test_cdf_and_interval_mass_match_clipped_oracle(d, x, y):
+    # one clip in front of the unit CDF gives the bits of the clip in every
+    # design's CDF: d.cdf bit for bit, and interval_mass as it was formed
+    # from those CDFs, signed zeros included
+    cdf = clip_reference(d.kind, **d.params)[1]
+    x = np.array(x)
+    assert np.array_equal(_bits(d.cdf(x)), _bits(cdf(x)))
+    assert _bits(d.cdf(x[0])) == _bits(cdf(x[0]))
+    y = np.resize(np.array(y), x.size)
+    a, b = np.minimum(x, y), np.maximum(x, y)
+    want = np.maximum(cdf(np.minimum(b, 1.0)) - cdf(np.maximum(a, 0.0)), 0.0)
+    assert np.array_equal(_bits(densities.interval_mass(d, a, b)), _bits(want))
+    assert _bits(densities.interval_mass(d, a[0], b[0])) == _bits(want[0])
+
+
+@pytest.mark.parametrize("d", UNIT_CDF_DESIGNS + [densities.example3(10**6),
+                                                  densities.mixture(densities.power(2.0),
+                                                                    densities.uniform(), 0.5)],
+                         ids=lambda d: d.kind)
+def test_density_zero_outside_unit_interval(d):
+    out = [-0.5, -1e-9, 1.0 + 1e-9, 1.5]
+    assert np.array_equal(d.density(np.array(out)), np.zeros(4))
+    assert np.array_equal(d.density(np.array([out, out])), np.zeros((2, 4)))
+    assert [float(d.density(x)) for x in out] == [0.0] * 4
 
 
 def test_sample_deterministic_and_in_range():

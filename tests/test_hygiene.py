@@ -9,7 +9,9 @@ cannot stay in library code.  A fourth promise, that the runtime needs numpy
 only, is also checked in a fresh interpreter: scipy stays a test dependency,
 and ``import lipshift`` loads neither the process pool, ``numpy.random`` nor
 ``numpy.ma``.  A fifth is that uniforms become design points in one place:
-no function but ``densities.sample`` calls a design's ``.ppf``.  A sixth,
+no function but ``densities.sample`` calls a design's ``.ppf``, and points
+are clipped to [0, 1] in one place: no design's unit CDF clips, so only
+``DesignDistribution``'s density and CDF and ``interval_mass`` do.  A sixth,
 also in a fresh interpreter, is that a run stays lean: a cell in a forked
 worker imports no module, and the report imports no ``numpy.ma``.  A seventh
 is that a function has no option nobody sets: every optional parameter of a
@@ -214,3 +216,40 @@ def test_only_sample_calls_ppf():
                 name = getattr(top, "name", f"line {top.lineno}")
                 callers += [f"{path.stem}.{name}:{c.lineno}" for c in calls]
     assert [c.split(":")[0] for c in callers] == ["densities.sample"], callers
+
+
+def _clips(call):
+    """Whether call clips to [0, 1]: `_clip01`, any `clip`, a min or max
+    against a float 0.0 or 1.0, or a design's clipping `.cdf`/`.density`."""
+    name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+    bound = any(isinstance(a, ast.Constant) and type(a.value) is float and a.value in (0.0, 1.0)
+                for a in call.args)
+    return (name in ("_clip01", "clip", "cdf", "density")
+            or name in ("min", "max", "minimum", "maximum") and bound)
+
+
+def test_unit_cdfs_do_not_clip():
+    # each design writes its CDF for points already in [0, 1]; the clip
+    # lives in DesignDistribution.cdf/.density and interval_mass alone
+    tree = ast.parse((SRC / "densities.py").read_text())
+    scopes = [(top.name, top) for top in tree.body if isinstance(top, ast.FunctionDef)]
+    scopes += [(f"{top.name}.{fn.name}", fn) for top in tree.body if isinstance(top, ast.ClassDef)
+               for fn in top.body if isinstance(fn, ast.FunctionDef)]
+    callers = sorted(name for name, fn in scopes
+                     if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_clip01"
+                            for n in ast.walk(fn)))
+    assert callers == ["DesignDistribution.cdf", "DesignDistribution.density", "interval_mass"]
+    # the unit CDF each constructor passes to DesignDistribution, by name or as a lambda
+    unit_cdfs = []
+    for name, top in scopes:
+        nested = {f.name: f for f in ast.walk(top) if isinstance(f, ast.FunctionDef)}
+        for call in ast.walk(top):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "DesignDistribution":
+                arg = {k.arg: k.value for k in call.keywords}.get("unit_cdf") or call.args[2]
+                unit_cdfs.append((name, nested[arg.id] if isinstance(arg, ast.Name) else arg))
+    kinds = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "_KINDS")
+    assert sorted(name for name, _ in unit_cdfs) == sorted(k.value for k in kinds.keys)
+    clipping = [f"{name}:{n.lineno}" for name, fn in unit_cdfs for n in ast.walk(fn)
+                if isinstance(n, ast.Call) and _clips(n)]
+    assert clipping == [], f"unit CDFs that clip to [0, 1]: {clipping}"

@@ -108,9 +108,10 @@ def test_next_float_matches_nextafter():
 
 
 def test_paired_secant_mass_evaluations(monkeypatch):
-    # rounds counted by CDF calls: the one-point path makes one per round and
-    # no interval_mass call, the vector path one interval_mass call (two CDF
-    # calls) per round; bisection to adjacent floats takes 53 to 59 rounds,
+    # rounds counted by unit-CDF calls, which every CDF evaluation goes
+    # through: the one-point path makes one per round and no interval_mass
+    # call, the vector path one interval_mass call (two unit-CDF calls) per
+    # round; bisection to adjacent floats takes 53 to 59 rounds,
     # on the pooled design of transfer.mixture_spread as anywhere
     cdf_calls, mass_calls = [0], [0]
     mass = spread.interval_mass
@@ -120,10 +121,10 @@ def test_paired_secant_mass_evaluations(monkeypatch):
         return mass(*args)
 
     def counted(d):
-        def cdf(x):
+        def unit_cdf(x):
             cdf_calls[0] += 1
-            return d.cdf(x)
-        return dataclasses.replace(d, cdf=cdf)
+            return d.unit_cdf(x)
+        return dataclasses.replace(d, unit_cdf=unit_cdf)
 
     monkeypatch.setattr(spread, "interval_mass", counted_mass)
     s = SpreadFunction(counted(densities.mixture(densities.power(2.0), densities.uniform(),
