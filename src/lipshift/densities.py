@@ -4,8 +4,9 @@ Each distribution carries an exact density and CDF, and every design but the
 mixture an exact inverse CDF, all vectorized over numpy arrays.  A design
 writes its density and CDF once, for points already in [0, 1] (its "unit"
 density and CDF, which clip nothing).  `density` and `cdf` clip x once in
-front of them, the density reading zero outside [0, 1]; `interval_mass` and
-the one-point spread solve clip their interval ends.  Supported families:
+front of them, the density reading zero outside [0, 1]; `interval_mass`
+goes through `cdf`, and the one-point spread solve clips its interval ends
+itself.  Supported families:
 
 * ``uniform`` -- density 1 on [0, 1].
 * ``power`` -- density (alpha + 1) x^alpha, a low-density region near 0.
@@ -200,12 +201,9 @@ def tabulated(grid, values) -> DesignDistribution:
         return np.where((x < g[0]) | (x > g[-1]), 0.0, np.interp(x, g, v))
 
     slope = np.diff(v) / np.diff(g)
-    # the clamp to the support is the identity, bit for bit, if it is [0, 1]
-    clamp = g[0] > 0.0 or g[-1] < 1.0
 
     def unit_cdf(x):
-        if clamp:
-            x = np.minimum(g[-1], np.maximum(g[0], x))
+        x = np.minimum(g[-1], np.maximum(g[0], x))
         i = np.minimum(np.maximum(np.searchsorted(g, x, side="right") - 1, 0), g.size - 2)
         dx, r = x - g[i], g[i + 1] - x
         # from the left node alone the terms cancel near a right node of
@@ -310,14 +308,13 @@ def from_spec(spec) -> DesignDistribution:
 def interval_mass(d: DesignDistribution, a, b):
     """Mass of [a, b] clipped to [0, 1].  Vectorized; raises if a > b.
 
-    Clips each end to [0, 1] once and calls the unit CDF, so it is d.cdf(b)
-    - d.cdf(a) floored at 0.0: a zero difference comes out as +0.0 whatever
-    the signs of the zeros that made it."""
+    d.cdf(b) - d.cdf(a) floored at 0.0: a zero difference comes out as +0.0
+    whatever the signs of the zeros that made it."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     if (a > b).any():
         raise InvalidIntervalError("interval endpoints out of order (a > b)")
-    return np.maximum(d.unit_cdf(_clip01(b)) - d.unit_cdf(_clip01(a)), 0.0)
+    return np.maximum(d.cdf(b) - d.cdf(a), 0.0)
 
 
 def _simpson(y, x) -> float:

@@ -105,10 +105,9 @@ class SpreadFunction:
         with each numpy op on a length-1 array replaced by its float form.
         g(a) and g(b) come from one unit-CDF call on x +- a and x +- b, each
         clipped to [0, 1] in floats (x +- t is never -0.0 or NaN), then t t
-        max(F_hi - F_lo, 0): `interval_mass` in floats.  Only the unit CDF
-        and np.cbrt see arrays.  `v if v > u else u` is the builtin max(u, v)
-        and `v if v < u else u` min(u, v), ties and all, at a quarter of the
-        cost of the call."""
+        max(0.0, F_hi - F_lo): `interval_mass` in floats (max(0.0, .)
+        returns 0.0 on a tie, as np.maximum does).  Only the unit CDF and
+        np.cbrt see arrays."""
         cdf, thr = self.distribution.unit_cdf, float(self.threshold)
         level = float(np.cbrt(thr))
         lo, hi = math.sqrt(thr) * (1.0 - 1e-9), 1.0
@@ -119,19 +118,14 @@ class SpreadFunction:
             if t == lo or t == hi:
                 return t
             inner_lo, inner_hi = math.nextafter(lo, hi), math.nextafter(hi, lo)
-            a = est - half
-            a = inner_lo if inner_lo > a else a
-            a = inner_hi if inner_hi < a else a
-            b, up = est + half, math.nextafter(est, math.inf)
-            b = up if up > b else b
-            b = inner_lo if inner_lo > b else b
-            b = inner_hi if inner_hi < b else b
+            a = min(max(est - half, inner_lo), inner_hi)
+            b = max(est + half, math.nextafter(est, math.inf))
+            b = min(max(b, inner_lo), inner_hi)
             f_hi_a, f_hi_b, f_lo_a, f_lo_b = cdf(np.array(
                 [0.0 if e < 0.0 else 1.0 if e > 1.0 else e
                  for e in (x + a, x + b, x - a, x - b)])).tolist()
-            ga, gb = f_hi_a - f_lo_a, f_hi_b - f_lo_b
-            ga = a * a * (ga if ga > 0.0 else 0.0)
-            gb = b * b * (gb if gb > 0.0 else 0.0)
+            ga = a * a * max(0.0, f_hi_a - f_lo_a)
+            gb = b * b * max(0.0, f_hi_b - f_lo_b)
             ca, cb = np.cbrt(np.array([ga, gb])).tolist()
             a_below, b_below = ga < thr, gb < thr
             lo2 = (b if b_below else a) if a_below else lo
@@ -140,11 +134,9 @@ class SpreadFunction:
             if not lo2 < secant < hi2:  # no usable secant: step past the pair
                 secant = b + 2.0 * (b - a) if b_below else a - 2.0 * (b - a)
             step = abs(secant - est)
-            half = 0.5 * step if a_below and not b_below else 2.0 * (step if step > half else half)
+            half = 0.5 * step if a_below and not b_below else 2.0 * max(half, step)
             slow = hi2 - lo2 > 0.5 * before
-            est = 0.5 * (lo2 + hi2) if slow else secant
-            est = lo2 if lo2 > est else est
-            est = hi2 if hi2 < est else est
+            est = min(max(0.5 * (lo2 + hi2) if slow else secant, lo2), hi2)
             if slow:
                 half = 0.25 * (hi2 - lo2)
             before, lo, hi = hi - lo, lo2, hi2

@@ -11,7 +11,7 @@ and ``import lipshift`` loads neither the process pool, ``numpy.random`` nor
 ``numpy.ma``.  A fifth is that uniforms become design points in one place:
 no function but ``densities.sample`` calls a design's ``.ppf``, and points
 are clipped to [0, 1] in one place: no design's unit CDF clips, so only
-``DesignDistribution``'s density and CDF and ``interval_mass`` do.  A sixth,
+``DesignDistribution``'s density and CDF do.  A sixth,
 also in a fresh interpreter, is that a run stays lean: a cell in a forked
 worker imports no module, and the report imports no ``numpy.ma``.  A seventh
 is that a function has no option nobody sets: every optional parameter of a
@@ -230,7 +230,7 @@ def _clips(call):
 
 def test_unit_cdfs_do_not_clip():
     # each design writes its CDF for points already in [0, 1]; the clip
-    # lives in DesignDistribution.cdf/.density and interval_mass alone
+    # lives in DesignDistribution.cdf/.density alone
     tree = ast.parse((SRC / "densities.py").read_text())
     scopes = [(top.name, top) for top in tree.body if isinstance(top, ast.FunctionDef)]
     scopes += [(f"{top.name}.{fn.name}", fn) for top in tree.body if isinstance(top, ast.ClassDef)
@@ -238,7 +238,7 @@ def test_unit_cdfs_do_not_clip():
     callers = sorted(name for name, fn in scopes
                      if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_clip01"
                             for n in ast.walk(fn)))
-    assert callers == ["DesignDistribution.cdf", "DesignDistribution.density", "interval_mass"]
+    assert callers == ["DesignDistribution.cdf", "DesignDistribution.density"]
     # the unit CDF each constructor passes to DesignDistribution, by name or as a lambda
     unit_cdfs = []
     for name, top in scopes:
