@@ -19,19 +19,25 @@ knots right of it move right by u, and two zero-valued knots at m -/+ u
 bound the flat piece between.  Adding 2 w (z - y) then raises every value.
 A backward pass clips each step's root to recover the unique minimizer.
 
-The knots live on two stacks, plain lists whose tops are the knots next to
-the root: the left stack holds the knots with V' < 0 in increasing position,
-the right stack those with V' > 0 in decreasing position.  A knot is stored
-as (p, q) with position p + o and value q + a p + b, where o and b belong to
-its stack and the slope accumulator a is shared.  So clipping and adding
-touch no stored knot: clipping moves o by -u on the left and +u on the
-right, and adding 2 w (z - y) adds 2 w to a and 2 w (o - y) to each b.  Both
-stacks can share a because every knot's value has gained the same sum of
-2 w, and for the same reason a is also the slope of V' beyond the outermost
-knots.  When the root moves, the knots it passes leave the top of one stack
-for the other; in the new stack's coordinates (p, q) shifts by a constant,
-so a galloping search finds them and one slice moves them.  A fit costs
-O(n) steps plus one move per knot crossing the root.
+The knots live on two stacks, lists whose tops are the knots next to the
+root: the left stack holds the knots with V' < 0 in increasing position, the
+right stack those with V' > 0 in decreasing position.  A knot is stored as
+one complex number z = p + q i, with position p + o and value q + a p + b,
+where o and b belong to its stack and the slope accumulator a is shared.  So
+clipping and adding touch no stored knot: clipping moves o by -u on the
+left and +u on the right, and adding 2 w (z - y) adds 2 w to a and 2 w (o -
+y) to each b.  Both stacks can share a because every knot's value has
+gained the same sum of 2 w, and for the same reason a is also the slope of
+V' beyond the outermost knots.  When the root moves, the knots it passes
+leave the top of one stack for the other; in the new stack's coordinates
+(p, q) shifts by a constant, so a galloping search finds them, and one
+reversed slice and one complex add per knot move them (a complex add rounds
+its two parts as two float adds would).  A fit costs O(n) steps plus one
+move per knot crossing the root.  The sweep reads y, 2 w and the gaps from
+their arrays and writes the roots into one float buffer, which the backward
+pass clips in place into the fitted values.  At its peak a fit holds about
+115 bytes per point, mostly the up to 2n knots at 40 bytes each (a complex
+object and its list slot).
 
 The same file houses the isotonic LSE (pool adjacent violators) and a
 fixed-bandwidth triangular-kernel smoother.  The losses that judge all of
@@ -41,6 +47,7 @@ them, and the name -> estimator table that runs them, are in ``harness``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count
 
 import numpy as np
 
@@ -96,13 +103,17 @@ class LipschitzFit:
 def _merge_duplicates(x, y):
     """Collapse tied x to one weighted pseudo-point at the group mean.
 
-    Returns (xu, ybar, w, extra) where extra is the within-group sum of
-    squares, a constant offset of the objective.
+    x must be sorted, as `RegressionSample` stores it.  Returns (xu, ybar,
+    w, extra) where extra is the within-group sum of squares, a constant
+    offset of the objective.
     """
-    xu, start = np.unique(x, return_index=True)
-    if xu.size == x.size:
-        return xu, y.copy(), np.ones_like(y), 0.0
-    idx = np.searchsorted(xu, x)
+    first = np.empty(x.size, bool)
+    first[0] = True
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    if first.all():
+        return x, y, np.ones_like(y), 0.0
+    xu = x[first]
+    idx = np.cumsum(first) - 1
     w = np.bincount(idx, minlength=xu.size).astype(float)
     ysum = np.bincount(idx, weights=y, minlength=xu.size)
     ybar = ysum / w
@@ -112,71 +123,86 @@ def _merge_duplicates(x, y):
 
 def _stack_roots(y, c, u):
     """Roots r_0..r_{k-1} of V_0'..V_{k-1}' by the two-stack sweep of the
-    module docstring; y, c = 2 w and u are lists of floats."""
-    lp, lq, rp, rq = [y[0]], [0.0], [], []  # V_0' = c_0 (z - y_0): one knot, value 0
-    a = c[0]
+    module docstring, as a float array; y, c = 2 w and u are float64 arrays,
+    read in place."""
+    y0 = float(y[0])
+    left, right = [complex(y0, 0.0)], []  # V_0' = c_0 (z - y_0): one knot, value 0
+    a = float(c[0])
     ol = orr = 0.0
-    bl = br = -a * y[0]
-    roots = []
+    bl = br = -a * y0
+    roots = np.empty(len(y))
+    out = memoryview(roots)
     # One trailing step with zero gap and weight past the last point, so that
     # each iteration starts with the root of V_i.
-    for ui, ci, yi in zip(u + [0.0], c[1:] + [0.0], y[1:] + [0.0]):
+    tail = (0.0,)
+    for i, ui, ci, yi in zip(count(), chain(memoryview(u), tail), chain(memoryview(c)[1:], tail),
+                             chain(memoryview(y)[1:], tail)):
+        vl = (zl := left[-1]).imag + a * zl.real + bl if left else -1.0
+        vr = (zr := right[-1]).imag + a * zr.real + br if right else 1.0
         # Move the knots the root passed: those with V' > 0 atop the left
-        # stack, or those with V' < 0 atop the right one.
-        sign = 0.0
-        if lp and lq[-1] + a * lp[-1] + bl > 0.0:
-            sign, src_p, src_q, b, dst_p, dst_q, d = 1.0, lp, lq, bl, rp, rq, ol - orr
-            e = bl - br - a * d
-        elif rp and rq[-1] + a * rp[-1] + br < 0.0:
-            sign, src_p, src_q, b, dst_p, dst_q, d = -1.0, rp, rq, br, lp, lq, orr - ol
-            e = br - bl - a * d
-        if sign:
-            # galloping search for the lowest index hi with sign * V' > 0
-            hi = len(src_p) - 1
+        # stack, or those with V' < 0 atop the right one.  A galloping search
+        # finds the lowest index hi of a knot to move; it keeps the knot at
+        # lo = hi - 1 and its value, the source stack's next top.
+        if vl > 0.0:
+            hi = len(left) - 1
             step = 1
             lo = hi - 1
-            while lo >= 0 and sign * (src_q[lo] + a * src_p[lo] + b) > 0.0:
+            while lo >= 0 and (vl := (zl := left[lo]).imag + a * zl.real + bl) > 0.0:
                 hi = lo
                 step += step
                 lo = hi - step
-            lo = max(lo, -1)
+            if lo < 0:
+                lo, vl = -1, -1.0
             while hi - lo > 1:
                 mid = (lo + hi) >> 1
-                if sign * (src_q[mid] + a * src_p[mid] + b) > 0.0:
+                if (v := (z := left[mid]).imag + a * z.real + bl) > 0.0:
                     hi = mid
                 else:
-                    lo = mid
-            moved_p = src_p[hi:]
-            moved_q = src_q[hi:]
-            del src_p[hi:], src_q[hi:]
-            moved_p.reverse()
-            moved_q.reverse()
-            dst_p += [p + d for p in moved_p]
-            dst_q += [q + e for q in moved_q]
-        vl = lq[-1] + a * lp[-1] + bl if lp else -1.0
-        vr = rq[-1] + a * rp[-1] + br if rp else 1.0
+                    lo, vl, zl = mid, v, z
+            d = ol - orr
+            shift = complex(d, bl - br - a * d)
+            right += [z + shift for z in reversed(left[hi:])]
+            del left[hi:]
+            vr = (zr := right[-1]).imag + a * zr.real + br
+        elif vr < 0.0:
+            hi = len(right) - 1
+            step = 1
+            lo = hi - 1
+            while lo >= 0 and (vr := (zr := right[lo]).imag + a * zr.real + br) < 0.0:
+                hi = lo
+                step += step
+                lo = hi - step
+            if lo < 0:
+                lo, vr = -1, 1.0
+            while hi - lo > 1:
+                mid = (lo + hi) >> 1
+                if (v := (z := right[mid]).imag + a * z.real + br) < 0.0:
+                    hi = mid
+                else:
+                    lo, vr, zr = mid, v, z
+            d = orr - ol
+            shift = complex(d, br - bl - a * d)
+            left += [z + shift for z in reversed(right[hi:])]
+            del right[hi:]
+            vl = (zl := left[-1]).imag + a * zl.real + bl
         if vl == 0.0:  # the root is a knot; the clip below replaces it
-            m = lp.pop() + ol
-            lq.pop()
+            m = left.pop().real + ol
         elif vr == 0.0:
-            m = rp.pop() + orr
-            rq.pop()
-        elif not rp:
-            m = lp[-1] + ol - vl / a
-        elif not lp:
-            m = rp[-1] + orr - vr / a
+            m = right.pop().real + orr
+        elif not right:
+            m = zl.real + ol - vl / a
+        elif not left:
+            m = zr.real + orr - vr / a
         else:
-            xl = lp[-1] + ol
-            xr = rp[-1] + orr
+            xl = zl.real + ol
+            xr = zr.real + orr
             m = xl - vl * (xr - xl) / (vr - vl)
-        roots.append(m)
+        out[i] = m
         # clip: zero-valued knots at m on both stacks, then shift the stacks apart
         p = m - ol
-        lp.append(p)
-        lq.append(-(a * p + bl))
+        left.append(complex(p, -(a * p + bl)))
         p = m - orr
-        rp.append(p)
-        rq.append(-(a * p + br))
+        right.append(complex(p, -(a * p + br)))
         ol -= ui
         orr += ui
         # add c_i (z - y_i)
@@ -186,22 +212,23 @@ def _stack_roots(y, c, u):
     return roots
 
 
-def _clip_roots(roots, u):
-    """The backward pass: the last value is the last root, and each earlier
-    root r_i is clipped to [f_{i+1} - u_i, f_{i+1} + u_i].  Bit for bit
-    min(max(r_i, f_{i+1} - u_i), f_{i+1} + u_i) for gaps u_i >= 0, signed
-    zeros included; comparisons, because the builtin calls cost 4x."""
-    g = roots[-1]
-    f = [g]
-    for r, ui in zip(reversed(roots[:-1]), reversed(u)):
+def _clip_roots(f, u):
+    """The backward pass, in place on the roots f: the last value is the
+    last root, and each earlier root r_i is clipped to [f_{i+1} - u_i,
+    f_{i+1} + u_i].  Bit for bit min(max(r_i, f_{i+1} - u_i), f_{i+1} + u_i)
+    for gaps u_i >= 0, signed zeros included; comparisons, because the
+    builtin calls cost 4x."""
+    out = memoryview(f)
+    g = out[-1]
+    for i, ui in zip(range(len(out) - 2, -1, -1), reversed(memoryview(u))):
+        r = out[i]
         lo = g - ui
         if lo > r:
             g = lo
         else:
             hi = g + ui
             g = hi if hi < r else r
-        f.append(g)
-    f.reverse()
+        out[i] = g
     return f
 
 
@@ -212,8 +239,7 @@ def fit_lipschitz_lse(sample: RegressionSample, budget: float) -> LipschitzFit:
         raise InvalidParameterError(f"Lipschitz budget must be in (0, 1], got {budget}")
     xu, ybar, w, extra = _merge_duplicates(sample.x, sample.y)
     gaps = budget * np.diff(xu)
-    u = gaps.tolist()
-    f = np.array(_clip_roots(_stack_roots(ybar.tolist(), (2.0 * w).tolist(), u), u))
+    f = _clip_roots(_stack_roots(ybar, 2.0 * w, gaps), gaps)
 
     objective = float(np.sum(w * (f - ybar) ** 2) + extra)
     residual = _kkt_residual(f, ybar, w, gaps)
@@ -249,7 +275,7 @@ def _kkt_residual(f, ybar, w, gaps):
 def fit_isotonic_lse(sample: RegressionSample) -> np.ndarray:
     """Nondecreasing least squares fit at the design points (pool adjacent
     violators); identical to the min-max partial-sum formula."""
-    y = sample.y
+    y = sample.y.tolist()  # Python floats: PAVA on numpy scalars is 1.4x slower
     # blocks as (total, count) pairs merged while out of order
     totals = [y[0]]
     counts = [1]
@@ -261,7 +287,7 @@ def fit_isotonic_lse(sample: RegressionSample) -> np.ndarray:
             counts[-2] += counts[-1]
             totals.pop()
             counts.pop()
-    out = np.empty(y.size)
+    out = np.empty(sample.n)
     pos = 0
     for t, c in zip(totals, counts):
         out[pos:pos + c] = t / c

@@ -90,10 +90,13 @@ class SpreadFunction:
         arrays; each round makes one unit-CDF call on the four ends of the
         pair's intervals and forms `interval_mass` in floats, so it computes
         the same iterates, and returns the same float, as the vector loop
-        does for that point.  Two or more points run the vector loop on the
-        flattened x.  The result is a float for a 0-d x and an array shaped
-        like x otherwise.
+        does for that point.  A finite float x (numpy's float64 is one) goes
+        to it without the array conversion and checks.  Two or more points
+        run the vector loop on the flattened x.  The result is a float for a
+        0-d x and an array shaped like x otherwise.
         """
+        if isinstance(x, float) and math.isfinite(x):
+            return self._at_point(float(x))
         x = _finite(x)
         if x.size == 1:
             t = self._at_point(x.item())

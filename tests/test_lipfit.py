@@ -19,6 +19,7 @@ from lipshift.lipfit import (
     isotonic_evaluate,
     kernel_smoother,
     _clip_roots,
+    _kkt_residual,
     _merge_duplicates,
 )
 
@@ -98,6 +99,115 @@ def breakpoint_dp_oracle(sample, budget):
     for i in range(k - 2, -1, -1):
         f[i] = np.clip(mids[i], f[i + 1] - gaps[i], f[i + 1] + gaps[i])
     return f
+
+
+def unique_merge_oracle(x, y):
+    """`_merge_duplicates` by np.unique, which sorts x again."""
+    xu, _ = np.unique(x, return_index=True)  # return_index sorts stably
+    if xu.size == x.size:
+        return xu, y.copy(), np.ones_like(y), 0.0
+    idx = np.searchsorted(xu, x)
+    w = np.bincount(idx, minlength=xu.size).astype(float)
+    ysum = np.bincount(idx, weights=y, minlength=xu.size)
+    ybar = ysum / w
+    extra = float(np.sum(y**2) - np.sum(w * ybar**2))
+    return xu, ybar, w, extra
+
+
+def two_list_stack_roots(y, c, u):
+    """The two-stack sweep with each stack as two float lists, positions p
+    and values q; y, c = 2 w and u are lists of floats."""
+    lp, lq, rp, rq = [y[0]], [0.0], [], []
+    a = c[0]
+    ol = orr = 0.0
+    bl = br = -a * y[0]
+    roots = []
+    for ui, ci, yi in zip(u + [0.0], c[1:] + [0.0], y[1:] + [0.0]):
+        sign = 0.0
+        if lp and lq[-1] + a * lp[-1] + bl > 0.0:
+            sign, src_p, src_q, b, dst_p, dst_q, d = 1.0, lp, lq, bl, rp, rq, ol - orr
+            e = bl - br - a * d
+        elif rp and rq[-1] + a * rp[-1] + br < 0.0:
+            sign, src_p, src_q, b, dst_p, dst_q, d = -1.0, rp, rq, br, lp, lq, orr - ol
+            e = br - bl - a * d
+        if sign:
+            hi = len(src_p) - 1
+            step = 1
+            lo = hi - 1
+            while lo >= 0 and sign * (src_q[lo] + a * src_p[lo] + b) > 0.0:
+                hi = lo
+                step += step
+                lo = hi - step
+            lo = max(lo, -1)
+            while hi - lo > 1:
+                mid = (lo + hi) >> 1
+                if sign * (src_q[mid] + a * src_p[mid] + b) > 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            moved_p = src_p[hi:]
+            moved_q = src_q[hi:]
+            del src_p[hi:], src_q[hi:]
+            moved_p.reverse()
+            moved_q.reverse()
+            dst_p += [p + d for p in moved_p]
+            dst_q += [q + e for q in moved_q]
+        vl = lq[-1] + a * lp[-1] + bl if lp else -1.0
+        vr = rq[-1] + a * rp[-1] + br if rp else 1.0
+        if vl == 0.0:
+            m = lp.pop() + ol
+            lq.pop()
+        elif vr == 0.0:
+            m = rp.pop() + orr
+            rq.pop()
+        elif not rp:
+            m = lp[-1] + ol - vl / a
+        elif not lp:
+            m = rp[-1] + orr - vr / a
+        else:
+            xl = lp[-1] + ol
+            xr = rp[-1] + orr
+            m = xl - vl * (xr - xl) / (vr - vl)
+        roots.append(m)
+        p = m - ol
+        lp.append(p)
+        lq.append(-(a * p + bl))
+        p = m - orr
+        rp.append(p)
+        rq.append(-(a * p + br))
+        ol -= ui
+        orr += ui
+        a += ci
+        bl += ci * (ol - yi)
+        br += ci * (orr - yi)
+    return roots
+
+
+def two_list_clip_roots(roots, u):
+    """The backward pass on lists, building a new list."""
+    g = roots[-1]
+    f = [g]
+    for r, ui in zip(reversed(roots[:-1]), reversed(u)):
+        lo = g - ui
+        if lo > r:
+            g = lo
+        else:
+            hi = g + ui
+            g = hi if hi < r else r
+        f.append(g)
+    f.reverse()
+    return f
+
+
+def two_list_fit_oracle(sample, budget):
+    """(values, objective, kkt_residual) of `fit_lipschitz_lse` computed
+    with the knots on float lists and the inputs and roots as lists."""
+    xu, ybar, w, extra = unique_merge_oracle(sample.x, sample.y)
+    gaps = budget * np.diff(xu)
+    u = gaps.tolist()
+    f = np.array(two_list_clip_roots(two_list_stack_roots(ybar.tolist(), (2.0 * w).tolist(), u), u))
+    objective = float(np.sum(w * (f - ybar) ** 2) + extra)
+    return f, objective, _kkt_residual(f, ybar, w, gaps)
 
 
 def isotonic_minmax(sample):
@@ -225,15 +335,17 @@ def test_fit_always_feasible_and_certified(ys, L):
     assert fit.kkt_residual <= 1e-8 * (1.0 + max(1e-12, np.max(np.abs(ys))))
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 2048),
-       seed=st.integers(0, 2**32 - 1),
-       family=st.sampled_from(["noise", "alternating", "cauchy"]),
-       scale=st.sampled_from([1e-3, 1.0, 1e3, 1e6]),
-       min_gap=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]),
-       tie_rate=st.sampled_from([0.0, 0.3]),
-       L=st.floats(0.05, 1.0))
-def test_stack_dp_matches_breakpoint_oracle(n, seed, family, scale, min_gap, tie_rate, L):
+# Hard samples for the sweep: ties, gaps down to 1e-12 and |y| up to 1e6.
+STRESS = dict(n=st.integers(1, 2048),
+              seed=st.integers(0, 2**32 - 1),
+              family=st.sampled_from(["noise", "alternating", "cauchy"]),
+              scale=st.sampled_from([1e-3, 1.0, 1e3, 1e6]),
+              min_gap=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]),
+              tie_rate=st.sampled_from([0.0, 0.3]),
+              L=st.floats(0.05, 1.0))
+
+
+def stress_sample(n, seed, family, scale, min_gap, tie_rate):
     rng = np.random.default_rng(seed)
     gaps = 10.0 ** rng.uniform(np.log10(min_gap), -2.0, n - 1)
     gaps[rng.random(n - 1) < tie_rate] = 0.0
@@ -244,10 +356,15 @@ def test_stack_dp_matches_breakpoint_oracle(n, seed, family, scale, min_gap, tie
         y = scale * 5.0 * (-1.0) ** np.arange(n)
     else:
         y = scale * rng.standard_cauchy(n)
-    y = np.clip(y, -1e6, 1e6)
-    sample = RegressionSample(x, y)
+    return RegressionSample(x, np.clip(y, -1e6, 1e6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**STRESS)
+def test_stack_dp_matches_breakpoint_oracle(n, seed, family, scale, min_gap, tie_rate, L):
+    sample = stress_sample(n, seed, family, scale, min_gap, tie_rate)
     fit = fit_lipschitz_lse(sample, L)
-    ymax = np.max(np.abs(y))
+    ymax = np.max(np.abs(sample.y))
     oracle = breakpoint_dp_oracle(sample, L)
     assert np.max(np.abs(fit.values - oracle)) <= 1e-9 * (1.0 + ymax)
     assert np.all(np.abs(np.diff(fit.values)) <= L * np.diff(fit.knots) + 1e-9)
@@ -268,8 +385,40 @@ def test_clip_roots_matches_min_max_formula(roots, gaps):
     f = list(roots)
     for i in range(len(u) - 1, -1, -1):
         f[i] = min(max(f[i], f[i + 1] - u[i]), f[i + 1] + u[i])
-    got = _clip_roots(roots, u)
-    assert np.array_equal(np.array(got).view(np.int64), np.array(f).view(np.int64))
+    buf = np.array(roots, float)
+    got = _clip_roots(buf, np.array(u, float))
+    assert got is buf  # in place
+    assert np.array_equal(got.view(np.int64), np.array(f).view(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(**STRESS)
+@example(n=2048, seed=1, family="alternating", scale=1e6, min_gap=1e-12, tie_rate=0.3, L=1.0)
+@example(n=2048, seed=2, family="cauchy", scale=1e3, min_gap=1e-3, tie_rate=0.0, L=0.05)
+def test_sweep_matches_two_list_oracle_bit_for_bit(n, seed, family, scale, min_gap, tie_rate, L):
+    sample = stress_sample(n, seed, family, scale, min_gap, tie_rate)
+    fit = fit_lipschitz_lse(sample, L)
+    values, objective, residual = two_list_fit_oracle(sample, L)
+    assert np.array_equal(fit.values.view(np.int64), values.view(np.int64))
+    assert fit.objective.hex() == objective.hex()
+    assert fit.kkt_residual.hex() == residual.hex()
+
+
+@pytest.mark.parametrize("family", ["noise", "alternating"])
+def test_lse_memory_bounded(family):
+    n = 4096
+    x = densities.sample(densities.uniform(), n, seed=3)
+    y = np.random.default_rng(3).standard_normal(n) if family == "noise" else 5.0 * (-1.0) ** np.arange(n)
+    s = RegressionSample(x, y)
+    tracemalloc.start()
+    try:
+        fit_lipschitz_lse(s, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 115 bytes per point, most of it 2n knots at 40 bytes each; float
+    # lists for the knots, inputs and roots take about 318
+    assert peak <= 150 * n
 
 
 def test_readme_quick_start_runs():

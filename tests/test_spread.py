@@ -153,13 +153,17 @@ def test_paired_secant_mass_evaluations(monkeypatch):
 def test_one_point_path_matches_vector_path(kind, n, x):
     s = SpreadFunction(ORACLE_DESIGNS[kind], n)
     with mock.patch.object(SpreadFunction, "_at_points", autospec=True,
-                           side_effect=SpreadFunction._at_points) as vector:
+                           side_effect=SpreadFunction._at_points) as vector, \
+         mock.patch.object(spread, "_finite", side_effect=spread._finite) as checks:
         t = s.at(x)
+        t64 = s.at(np.float64(x))
+        assert checks.call_count == 0  # a float skips the array conversion
+        t0d = s.at(np.array(x))
         assert vector.call_count == 0  # the float loop solved it
         pair = s.at(np.array([x, x]))
         assert vector.call_count == 1
-    assert type(t) is float
-    assert t == pair[0] == pair[1]
+    assert type(t) is type(t64) is type(t0d) is float
+    assert t == t64 == t0d == pair[0] == pair[1]
     # on 1-d arrays, as the solver evaluates g: numpy's array power and its
     # scalar power differ in the last bit at some points
     assert_float_crossing(s, np.array([x]), np.array([t]))
@@ -364,7 +368,8 @@ def test_invalid_n():
 def test_evaluators_reject_nonfinite_points(bad):
     s = SpreadFunction(densities.uniform(), 100)
     e = EmpiricalSpread([0.1, 0.5, 0.9])
-    for call in (lambda: s.at(bad), lambda: s.at(np.array([0.5, bad])),
+    for call in (lambda: s.at(bad), lambda: s.at(np.float64(bad)),
+                 lambda: s.at(np.array([0.5, bad])),
                  lambda: s.derivative(bad), lambda: e.at(bad),
                  lambda: e.at(np.array([0.5, bad])),
                  lambda: EmpiricalSpread([0.1, bad, 0.9])):
