@@ -24,7 +24,10 @@ Distributions are immutable.  `sample` is the one place that turns uniforms
 into design points, and the harness draws through it too: a design's
 closed-form inverse CDF maps uniforms to points, and a mixture's draws come
 from its components.  It takes an explicit seed or Generator, so parallel
-callers own independent streams.
+callers own independent streams.  It draws and maps the uniforms in fixed
+blocks, written into one preallocated output, so a draw holds its output
+and one block's temporaries; the stream, and so every draw, is the same as
+one call on all the uniforms would give.
 """
 
 from __future__ import annotations
@@ -324,6 +327,10 @@ def _simpson(y, x) -> float:
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])))
 
 
+# uniforms drawn and mapped per block in `sample`; the draws do not depend on it
+_BLOCK = 8192
+
+
 def sample(d: DesignDistribution, count: int, seed) -> np.ndarray:
     """`count` independent draws from d; the one place that turns uniforms
     into design points.
@@ -335,14 +342,25 @@ def sample(d: DesignDistribution, count: int, seed) -> np.ndarray:
     draw (p below weight_p, q otherwise), then p's draws and q's draws come
     from `sample` on the same stream, in that order.  Every other design
     maps `count` uniforms through its closed-form inverse CDF.
+
+    The uniforms are drawn and mapped in blocks of `_BLOCK`, each written
+    into one preallocated output.  Successive `rng.random` calls continue
+    one stream, so the draws and the Generator's state after them are those
+    of one call on all `count` uniforms.  A draw holds its output (a
+    mixture's also its component choices and one component's draws) and
+    one block's temporaries, not several count-sized arrays.
     """
     if count < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    if d.kind != "mixture":
-        return np.atleast_1d(np.asarray(d.ppf(rng.random(count)), float))
-    from_p = rng.random(count) < d.params["weight_p"]
-    k = int(np.count_nonzero(from_p))
+    mixed = d.kind == "mixture"
+    out = np.empty(count, bool if mixed else float)
+    for i in range(0, count, _BLOCK):
+        u = rng.random(min(_BLOCK, count - i))
+        out[i:i + _BLOCK] = u < d.params["weight_p"] if mixed else d.ppf(u)
+    if not mixed:
+        return out
+    from_p, k = out, int(np.count_nonzero(out))
     x = np.empty(count)
     if k:
         x[from_p] = sample(d.params["p"], k, rng)

@@ -162,8 +162,9 @@ class SpreadFunction:
             done = (t == lo) | (t == hi)
             if done.any():
                 out[todo[done]] = t[done]
+                keep = ~done
                 todo, lo, hi, est, half, before = (
-                    v[~done] for v in (todo, lo, hi, est, half, before))
+                    v[keep] for v in (todo, lo, hi, est, half, before))
             if todo.size == 0:
                 break
             inner = _next_float(lo, 1), _next_float(hi, -1)
@@ -289,6 +290,9 @@ class EmpiricalSpread:
     and O(G) memory for G points x, after the O(n log n) sort of the points
     at construction; the numpy calls are one searchsorted pair per k* probe
     (about log2 n probes) and one selection, not a selection per probe.
+    The object holds the n sorted points and nothing else n-sized: phi_k is
+    computed for the G values of k that a probe or the result needs, the
+    same float operations as a table of all n would make.
     """
 
     def __init__(self, points):
@@ -297,7 +301,6 @@ class EmpiricalSpread:
             raise InvalidParameterError("empirical spread needs at least 2 points")
         self.points = pts
         self.n = pts.size
-        self._floor = np.sqrt(np.log(self.n) / np.arange(1, self.n + 1))
 
     def _kth_distance(self, x, s, k):
         """k-th smallest |X_i - x| (1 <= k <= n), elementwise; the sorted
@@ -347,6 +350,7 @@ class EmpiricalSpread:
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
         n = self.n
+        log_n = np.log(n)
         s = np.searchsorted(self.points, x)
         # k* in [1, n + 1]; n + 1 stands for "r_k < sqrt(log n / k) for all k"
         lo = np.ones(x.shape, int)
@@ -355,10 +359,10 @@ class EmpiricalSpread:
             k = (lo + hi) // 2
             kc = np.minimum(k, n)
             # r_k >= phi_k exactly when fewer than k distances lie below phi_k
-            done = (k > n) | (self._count_closer(x, s, self._floor[kc - 1]) < kc)
+            done = (k > n) | (self._count_closer(x, s, np.sqrt(log_n / kc)) < kc)
             lo = np.where(done, lo, k + 1)
             hi = np.where(done, k, hi)
         r = np.where(hi <= n, self._kth_distance(x, s, np.minimum(hi, n)), np.inf)
-        floor = np.where(hi >= 2, self._floor[np.maximum(hi - 2, 0)], np.inf)
+        floor = np.where(hi >= 2, np.sqrt(log_n / np.maximum(hi - 1, 1)), np.inf)
         out = np.minimum(r, floor)
         return float(out[0]) if scalar else out

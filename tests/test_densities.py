@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,17 +214,43 @@ def _counting(d, calls):
     return dataclasses.replace(d, unit_cdf=unit_cdf)
 
 
-def test_mixture_sample_memory_bounded():
-    tracemalloc.start()
-    try:
-        densities.sample(MIXTURE, 10**6, seed=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 24 * 2**20
+def test_mixture_sample_memory_bounded(traced):
+    # 14.8 MiB measured: the 7.6 MiB output, the component choices and p's
+    # draws; a 1.2 MiB margin over it
+    _, peak, _ = traced(densities.sample, MIXTURE, 10**6, 5)
+    assert peak <= 16 * 2**20
 
 
 NESTED_MIXTURE = densities.mixture(MIXTURE, _zero_stretch_tabulated(2), 0.4)
+
+# designs drawn by `sample`, keyed by test id: every closed-form kind, a
+# tabulated design with a zero-density stretch, and two levels of mixture
+SAMPLE_DESIGNS = {
+    "uniform": densities.uniform(),
+    "power": densities.power(2.0),
+    "example3": densities.example3(10**6),
+    "tabulated": densities.tabulated(np.linspace(0.0, 1.0, 17),
+                                     np.random.default_rng(17).uniform(0.2, 2.0, 17)),
+    "zero_stretch": _zero_stretch_tabulated(4),
+    "mixture": MIXTURE,
+    "nested": NESTED_MIXTURE,
+}
+# around one, two and several blocks of uniforms
+BLOCK_COUNTS = [densities._BLOCK - 1, densities._BLOCK, densities._BLOCK + 1,
+                3 * densities._BLOCK + 5]
+
+
+def one_shot_sample(d, count, rng):
+    """Oracle: `sample` as it was before it drew in blocks, one ppf call on
+    all `count` uniforms, and a mixture composed by hand on the same stream:
+    count uniforms pick the components, then p's draws, then q's."""
+    if d.kind != "mixture":
+        return d.ppf(rng.random(count))
+    from_p = rng.random(count) < d.params["weight_p"]
+    x = np.empty(count)
+    x[from_p] = one_shot_sample(d.params["p"], int(from_p.sum()), rng)
+    x[~from_p] = one_shot_sample(d.params["q"], int((~from_p).sum()), rng)
+    return x
 
 
 @pytest.mark.parametrize("d", [MIXTURE, NESTED_MIXTURE], ids=["mixture", "nested"])
@@ -242,20 +267,12 @@ def test_mixture_sample_matches_mixture_cdf(d):
     assert ks <= 1.95 / np.sqrt(x.size)  # the KS test's 0.1 % level
 
 
-@pytest.mark.parametrize("count", [1, 2, 1000])
+@pytest.mark.parametrize("count", [1, 2, 1000] + BLOCK_COUNTS)
 @pytest.mark.parametrize("d", [MIXTURE, NESTED_MIXTURE], ids=["mixture", "nested"])
 def test_mixture_sample_is_composition_by_hand(d, count):
-    # count uniforms pick the components, then p's draws, then q's, on one stream
-    def by_hand(d, k, rng):
-        if d.kind != "mixture":
-            return d.ppf(rng.random(k))
-        from_p = rng.random(k) < d.params["weight_p"]
-        x = np.empty(k)
-        x[from_p] = by_hand(d.params["p"], int(from_p.sum()), rng)
-        x[~from_p] = by_hand(d.params["q"], int((~from_p).sum()), rng)
-        return x
-
-    want = by_hand(d, count, np.random.default_rng(21))
+    # count uniforms pick the components, then p's draws, then q's, on one
+    # stream, whichever blocks `sample` draws them in
+    want = one_shot_sample(d, count, np.random.default_rng(21))
     got = densities.sample(d, count, seed=21)
     assert got.shape == (count,)
     assert np.array_equal(_bits(got), _bits(want))
@@ -276,18 +293,31 @@ def test_mixture_sample_same_seed_same_draws():
     assert not np.array_equal(a, densities.sample(NESTED_MIXTURE, 2000, seed=15))
 
 
-@pytest.mark.parametrize("d, used", [(densities.power(2.0), 1), (MIXTURE, 2)],
-                         ids=["power", "mixture"])
-def test_sample_consumes_a_passed_generator(d, used):
-    # uniforms per draw: one to invert, plus one to pick a mixture's component
-    rng = np.random.default_rng(30)
-    a = densities.sample(d, 500, rng)
-    b = densities.sample(d, 500, rng)
-    assert not np.array_equal(a, b)
-    assert np.array_equal(_bits(a), _bits(densities.sample(d, 500, seed=30)))
-    ref = np.random.default_rng(30)
-    ref.random(2 * used * 500)
-    assert rng.random() == ref.random()
+@pytest.mark.parametrize("d", SAMPLE_DESIGNS.values(), ids=SAMPLE_DESIGNS.keys())
+def test_sample_consumes_a_passed_generator(d):
+    # two draws in a row, then the Generator is where one-shot draws leave
+    # it: the harness draws its noise next, from the same Generator
+    for count in [500] + BLOCK_COUNTS:
+        rng, ref = np.random.default_rng(30), np.random.default_rng(30)
+        a = densities.sample(d, count, rng)
+        b = densities.sample(d, count, rng)
+        assert not np.array_equal(a, b)
+        assert np.array_equal(_bits(a), _bits(densities.sample(d, count, seed=30)))
+        assert np.array_equal(_bits(a), _bits(one_shot_sample(d, count, ref)))
+        assert np.array_equal(_bits(b), _bits(one_shot_sample(d, count, ref)))
+        assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("d", SAMPLE_DESIGNS.values(), ids=SAMPLE_DESIGNS.keys())
+def test_sample_memory_bounded(d, traced):
+    # the output plus one block of inverse-CDF temporaries; a mixture also
+    # holds its component choices and one component's draws.  One ppf call
+    # on all the uniforms peaked 5.3 MiB above the output (tabulated,
+    # example3) and a nested mixture 3.8 MiB
+    count = 10**5
+    x, peak, _ = traced(densities.sample, d, count, 5)
+    assert x.shape == (count,)
+    assert peak <= (2 if d.kind == "mixture" else 1) * x.nbytes + 1.5 * 2**20
 
 
 def _zero_outside(density):
@@ -495,14 +525,9 @@ def test_doubling_constant_matches_matrix_oracle(d, eta_max):
         assert densities.doubling_constant(d, eta_max) == want
 
 
-def test_doubling_constant_memory_bounded():
+def test_doubling_constant_memory_bounded(traced):
     # the 512 x 64 broadcast of the oracle peaks at about 1.8 MB here
-    tracemalloc.start()
-    try:
-        densities.doubling_constant(densities.power(2.0), 0.1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced(densities.doubling_constant, densities.power(2.0), 0.1)
     assert peak <= 2**19
 
 

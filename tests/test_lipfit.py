@@ -1,6 +1,5 @@
 import itertools
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -405,17 +404,11 @@ def test_sweep_matches_two_list_oracle_bit_for_bit(n, seed, family, scale, min_g
 
 
 @pytest.mark.parametrize("family", ["noise", "alternating"])
-def test_lse_memory_bounded(family):
+def test_lse_memory_bounded(family, traced):
     n = 4096
     x = densities.sample(densities.uniform(), n, seed=3)
     y = np.random.default_rng(3).standard_normal(n) if family == "noise" else 5.0 * (-1.0) ** np.arange(n)
-    s = RegressionSample(x, y)
-    tracemalloc.start()
-    try:
-        fit_lipschitz_lse(s, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced(fit_lipschitz_lse, RegressionSample(x, y), 1.0)
     # about 115 bytes per point, most of it 2n knots at 40 bytes each; float
     # lists for the knots, inputs and roots take about 318
     assert peak <= 150 * n
@@ -541,15 +534,10 @@ def test_kernel_matches_matrix_oracle_large_sample():
         _assert_kernel_matches_oracle(s, d, h, grid)
 
 
-def test_kernel_memory_bounded():
+def test_kernel_memory_bounded(traced):
     s = RegressionSample(densities.sample(densities.uniform(), 10**5, seed=3), np.ones(10**5))
     grid = np.linspace(0.0, 1.0, 201)
-    tracemalloc.start()
-    try:
-        kernel_smoother(s, densities.uniform(), 0.05, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced(kernel_smoother, s, densities.uniform(), 0.05, grid)
     # the kernel matrix alone would take 160 MB
     assert peak < 8 * 2**20
 

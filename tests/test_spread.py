@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -47,6 +46,35 @@ def sorted_distance_oracle(points, x):
     x = np.atleast_1d(np.asarray(x, float))
     r = np.sort(np.abs(pts[:, None] - x[None, :]), axis=0)
     return np.min(np.maximum(r, floor[:, None]), axis=0)
+
+
+class FloorTableSpread(EmpiricalSpread):
+    """Oracle: EmpiricalSpread.at as it was with the n-sized table
+    sqrt(log n / k), k = 1..n, built at construction and indexed by k."""
+
+    def __init__(self, points):
+        super().__init__(points)
+        self._floor = np.sqrt(np.log(self.n) / np.arange(1, self.n + 1))
+
+    def at(self, x):
+        x = np.atleast_1d(np.asarray(x, float))
+        n = self.n
+        s = np.searchsorted(self.points, x)
+        lo = np.ones(x.shape, int)
+        hi = np.full(x.shape, n + 1)
+        while np.any(lo < hi):
+            k = (lo + hi) // 2
+            kc = np.minimum(k, n)
+            done = (k > n) | (self._count_closer(x, s, self._floor[kc - 1]) < kc)
+            lo = np.where(done, lo, k + 1)
+            hi = np.where(done, k, hi)
+        r = np.where(hi <= n, self._kth_distance(x, s, np.minimum(hi, n)), np.inf)
+        floor = np.where(hi >= 2, self._floor[np.maximum(hi - 2, 0)], np.inf)
+        return np.minimum(r, floor)
+
+
+def _bits(a):
+    return np.asarray(a, float).view(np.int64)
 
 
 ORACLE_DESIGNS = {
@@ -242,6 +270,7 @@ def _boundary_sample(rng, n, k, x, block=1):
 def _assert_counting_exact(pts, k, x, xs):
     e = EmpiricalSpread(pts)
     assert np.array_equal(e.at(xs), sorted_distance_oracle(pts, xs))
+    assert np.array_equal(_bits(e.at(xs)), _bits(FloorTableSpread(pts).at(xs)))
     # the count itself is exact, also where a wrong one would leave t_hat as it is
     phi = np.sqrt(np.log(pts.size) / k)
     count = e._count_closer(np.array([x]), np.searchsorted(e.points, [x]), phi)
@@ -284,16 +313,39 @@ def test_counting_search_selects_once():
     assert np.array_equal(t, sorted_distance_oracle(pts, xs))
 
 
-def test_empirical_spread_memory_bounded():
+def test_empirical_spread_memory_bounded(traced):
     e = EmpiricalSpread(densities.sample(densities.uniform(), 10**5, seed=3))
-    grid = np.linspace(0.0, 1.0, 201)
-    tracemalloc.start()
-    try:
-        e.at(grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced(e.at, np.linspace(0.0, 1.0, 201))
     assert peak < 16 * 2**20
+
+
+def test_empirical_spread_holds_sorted_points_only(traced):
+    # with the sqrt(log n / k) table it held 2.0 x 8n and peaked at 3.1 x 8n
+    pts = densities.sample(densities.uniform(), 10**5, seed=3)
+    e, peak, held = traced(EmpiricalSpread, pts)
+    assert held <= pts.nbytes + 2**16
+    assert peak <= 1.25 * pts.nbytes + 2**16
+    assert np.array_equal(e.points, np.sort(pts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 3000),
+       seed=st.integers(0, 2**32 - 1),
+       levels=st.sampled_from([0, 2, 7, 64, 1000]),
+       repeat=st.integers(1, 3),
+       probes=st.lists(st.floats(-0.2, 1.2), max_size=20))
+def test_at_matches_floor_table_oracle(n, seed, levels, repeat, probes):
+    # levels > 0 rounds the points onto a grid (tied distances) and repeat
+    # duplicates the whole sample; probes also sit on sample points
+    rng = np.random.default_rng(seed)
+    pts = rng.random(n)
+    if levels:
+        pts = np.round(pts * levels) / levels
+    pts = np.tile(pts, repeat)
+    xs = np.concatenate([rng.uniform(-0.2, 1.2, 20), probes, pts[:3], [-0.2, 0.0, 1.0, 1.2]])
+    e = EmpiricalSpread(pts)
+    assert np.array_equal(_bits(e.at(xs)), _bits(FloorTableSpread(pts).at(xs)))
+    assert _bits(e.at(xs[0])) == _bits(FloorTableSpread(pts).at(xs[0]))[0]
 
 
 def test_uniform_interior_closed_form():
