@@ -104,17 +104,17 @@ def _cmd_doubling(args, out):
     return 0
 
 
-# prooflab check -> its config keys with their defaults
+# prooflab check -> its config keys with their defaults, and node counts' ranges
 _PROOFLAB_DEFAULTS = {
     "perturbation": {"distribution": {"kind": "uniform"}, "n": 100, "K": 1.0, "delta": 0.5,
-                     "grid": 2001, "center": 0.5},
+                     "grid": (2001, "[2, inf)"), "center": 0.5},
     "cover": {"a": 0.0, "b": 1.0, "r": 0.2},
     "kl": {"P": {"kind": "uniform"}, "Q": {"kind": "uniform"}, "bump_height": 0.1,
            "bump_center": 0.5, "n": 100, "m": 0},
     "lowerbound": {"P": {"kind": "uniform"}, "Q": {"kind": "uniform"}, "n": 5000, "m": 5000},
     "transfer-exponent": {"P": {"kind": "power", "alpha": 1.0}, "Q": {"kind": "uniform"},
                           "gamma": 1.0, "eta_grid": [2.0 ** -k for k in range(3, 11)],
-                          "x_nodes": 1025},
+                          "x_nodes": (1025, "[2, inf)")},
 }
 
 

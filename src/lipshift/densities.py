@@ -256,39 +256,59 @@ def _is_finite(v):
     return (_is_int(v) or isinstance(v, (float, np.floating))) and abs(v) <= sys.float_info.max
 
 
+def _within(v, rng):
+    """Whether v is in rng: None (any v), names, or an interval text such as "(0, 1]"."""
+    if not isinstance(rng, str):
+        return rng is None or v in rng
+    lo, hi = map(float, rng[1:-1].split(","))
+    return (lo < v if rng[0] == "(" else lo <= v) and (v < hi if rng[-1] == ")" else v <= hi)
+
+
 # a table's type -> (whether a value has it, what such a value is)
 _RULES = {float: (_is_finite, "a finite number"), int: (_is_int, "an integer"),
-          dict: (lambda v: isinstance(v, dict), "a JSON object"),
-          list: (lambda v: isinstance(v, list) and all(map(_is_finite, v)),
-                 "a list of finite numbers")}
+          str: (lambda v: isinstance(v, str), "a string"),
+          dict: (lambda v: isinstance(v, dict), "a JSON object")}
 
 
 def _read(obj, table, what, error):
-    """The JSON object obj over table's defaults; raises error naming the key.
+    """The JSON object obj over table's defaults; raises error naming the key
+    (and the range, for a value outside it).
 
     table maps each key to its default, or to its type where obj must give
-    the key.  A value must have the type that its key's entry is or has, by
-    `_RULES` (bools are not numbers).  A None entry takes any value, which
-    its caller checks, and is no default: its key stays out unless given.
+    the key; a list entry ([float], or a list default) takes a nonempty list
+    of items like its first.  A value must have its entry's type by `_RULES`
+    (bools are not numbers).  An entry (entry, range, *also) also needs each
+    number or name in the range, by `_within`, and passes the values in
+    also as they are.  A None entry takes any value, which its caller
+    checks, and is no default: its key stays out unless given.
     """
     if not isinstance(obj, dict):
         raise error(f"{what} must be a JSON object, got {type(obj).__name__}")
     unknown = [key for key in obj if key not in table]
     if unknown:
         raise error(f"{what} has no key {unknown[0]!r}; its keys are {sorted(table)}")
-    for key, like in table.items():
-        fits, want = _RULES.get(like if isinstance(like, type) else type(like), (None, ""))
-        if isinstance(like, type) and key not in obj:
+    for key, entry in table.items():
+        like, rng, *also = entry if isinstance(entry, tuple) else (entry, None)
+        many = isinstance(like, list)
+        one = like[0] if many else like
+        fits, want = _RULES.get(one if isinstance(one, type) else type(one), (None, ""))
+        if isinstance(one, type) and key not in obj:
             raise error(f"{what} needs key {key!r}")
-        if key in obj and fits and not fits(obj[key]):
-            raise error(f"{what} key {key!r} must be {want}, got {obj[key]!r}")
-    return {**{key: v for key, v in table.items() if v is not None}, **obj}
+        v = obj.get(key, like)
+        if fits and not (type(v) in map(type, also) and v in also
+                         or (not many or isinstance(v, (list, tuple)) and len(v) > 0)
+                         and all(fits(x) and _within(x, rng) for x in (v if many else [v]))):
+            span = f" in {rng if isinstance(rng, str) else sorted(rng)}" if rng else ""
+            raise error(f"{what} key {key!r} must be " + "".join(f"{a!r} or " for a in also)
+                        + f"{'a nonempty list, each ' * many}{want}{span}, got {v!r}")
+    return {**{key: e[0] if isinstance(e, tuple) else e for key, e in table.items()
+               if e is not None}, **obj}
 
 
 # distribution kind -> (its constructor, the type of each key; a spec gives all)
 _KINDS = {"uniform": (uniform, {}), "power": (power, {"alpha": float}),
           "example3": (example3, {"n": int}),
-          "tabulated": (tabulated, {"grid": list, "values": list}),
+          "tabulated": (tabulated, {"grid": [float], "values": [float]}),
           "mixture": (lambda p, q, weight_p: mixture(from_spec(p), from_spec(q), weight_p),
                       {"p": dict, "q": dict, "weight_p": float})}
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import densities
-from .densities import DesignDistribution, _is_finite, _is_int, _read
+from .densities import DesignDistribution, _read
 from .errors import ConfigError, ExperimentError, InvalidInputError, NonDoublingError
 from .lipfit import RegressionSample, fit_lipschitz_lse, isotonic_evaluate, kernel_smoother
 from .spread import SpreadFunction
@@ -63,8 +63,8 @@ def make_f0(spec: dict, delta: float):
     """Regression function from its config entry; checks the Lip(1 - delta)
     budget analytically per kind.  The entry is an object with a "kind"
     (default "zero") and that kind's keys in `_F0_DEFAULTS`."""
-    kind = str(spec.get("kind", "zero")).lower() if isinstance(spec, dict) else None
-    if kind not in _F0_DEFAULTS:
+    kind = spec.get("kind", "zero") if isinstance(spec, dict) else None
+    if not (isinstance(kind, str) and kind in _F0_DEFAULTS):
         raise ConfigError(f"f0 must be an object with a kind from {sorted(_F0_DEFAULTS)}, "
                           f"got {spec!r}")
     p = _read(spec, {"kind": None, **_F0_DEFAULTS[kind]}, f"f0 {kind!r}", ConfigError)
@@ -100,42 +100,14 @@ class ExperimentConfig:
     budget: float = 1.0
 
     def __post_init__(self):
-        if not (_is_finite(self.delta) and 0.0 < self.delta < 1.0):
-            raise ConfigError(f"delta must be a number in (0, 1), got {self.delta!r}")
-        for key, least in (("replicates", 1), ("seed", 0)):
-            v = getattr(self, key)
-            if not (_is_int(v) and v >= least):
-                raise ConfigError(f"{key} must be an integer >= {least}, got {v!r}")
-        for key in ("n_grid", "m_grid"):
-            sizes = getattr(self, key)
-            if sizes is None and key == "m_grid":
-                continue
-            if not isinstance(sizes, (list, tuple)):
-                raise ConfigError(f"{key} must be a list of integers >= 1, got {sizes!r}")
-            for v in sizes:
-                if not (_is_int(v) and v >= 1):
-                    raise ConfigError(f"{key} entries must be integers >= 1, got {v!r}")
-        if not (_is_finite(self.budget) and 0.0 < self.budget <= 1.0):
-            raise ConfigError(f"budget must be a number in (0, 1], got {self.budget!r}")
-        if not (self.bandwidth == "rate" or _is_finite(self.bandwidth) and self.bandwidth > 0.0):
-            raise ConfigError(f"bandwidth must be 'rate' or a number > 0, got {self.bandwidth!r}")
-        if not (_is_finite(self.noise_sd) and self.noise_sd >= 0.0):
-            raise ConfigError(f"noise_sd must be a number >= 0, got {self.noise_sd!r}")
-        if len(self.n_grid) == 0 or any(a >= b for a, b in zip(self.n_grid, self.n_grid[1:])):
-            raise ConfigError(f"n_grid must be nonempty and strictly ascending, "
-                              f"got {self.n_grid!r}")
+        _read({f.name: getattr(self, f.name) for f in fields(self)}, _CONFIG, "config", ConfigError)
+        if any(a >= b for a, b in zip(self.n_grid, self.n_grid[1:])):
+            raise ConfigError(f"n_grid must be strictly ascending, got {self.n_grid!r}")
         if self.m_grid is not None and len(self.m_grid) != len(self.n_grid):
             # cross product is not supported; the grids pair index by index
             raise ConfigError("m_grid must have the same length as n_grid")
-        for key, table in (("estimators", ESTIMATORS), ("losses", LOSSES)):
-            names = getattr(self, key)
-            if not (isinstance(names, (list, tuple)) and names
-                    and all(isinstance(v, str) and v in table for v in names)):
-                raise ConfigError(f"{key} must be a nonempty list of names from "
-                                  f"{sorted(table)}, got {names!r}")
-        if "transfer" in self.estimators:
-            if self.target_distribution is None or self.m_grid is None:
-                raise ConfigError("transfer runs need target_distribution and m_grid")
+        if "transfer" in self.estimators and None in (self.target_distribution, self.m_grid):
+            raise ConfigError("transfer runs need target_distribution and m_grid")
         self.f0, self.f0_lip = make_f0(self.f0_spec, self.delta)
 
     @classmethod
@@ -198,6 +170,14 @@ LOSSES = {
     "weighted_sup": lambda err, grid, t, q: float(np.max(np.abs(err) / t)),
     "l2_q": lambda err, grid, t, q: float(np.trapezoid(err**2 * q, grid)),
 }
+
+# config field -> its type and range, by `densities._read`; None: checked where used
+_CONFIG = {"distribution": None, "f0_spec": None, "target_distribution": None,
+           "delta": (float, "(0, 1)"), "budget": (float, "(0, 1]"), "noise_sd": (float, "[0, inf)"),
+           "bandwidth": (float, "(0, inf)", "rate"), "replicates": (int, "[1, inf)"),
+           "seed": (int, "[0, inf)"), "n_grid": ([int], "[1, inf)"),
+           "m_grid": ([int], "[1, inf)", None), "estimators": ([str], ESTIMATORS),
+           "losses": ([str], LOSSES)}
 
 
 @dataclass

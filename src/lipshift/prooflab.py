@@ -96,6 +96,8 @@ def build_perturbation(psi, f, delta: float, s: SpreadFunction, K: float, grid) 
     grid = np.sort(np.asarray(grid, float))
     if not 0.0 < delta < 1.0:
         raise InvalidParameterError(f"delta must be in (0, 1), got {delta}")
+    if not K > 0.0:  # s_n = 2 K t must be > 0
+        raise InvalidParameterError(f"perturbation constant K must be > 0, got {K}")
     _check_lipschitz(psi, grid, 1.0, "psi")
     _check_lipschitz(f, grid, 1.0 - delta, "f")
     t = s.at(grid)

@@ -170,9 +170,18 @@ def test_prooflab_config_file(tmp_path, capsys):
 @pytest.mark.parametrize("check, config, named",
                          [("kl", [1, 2], "JSON object"), ("kl", {"bump_hieght": 0.2}, "bump_hieght"),
                           ("kl", {"n": "x"}, "'n'"),
-                          ("transfer-exponent", {"x_nodes": 1.5}, "'x_nodes'")],
+                          ("transfer-exponent", {"x_nodes": 1.5}, "'x_nodes'"),
+                          # out of range: numpy tracebacks, an inverted support that
+                          # failed the check, and a one-node trapezoid that passed it
+                          ("perturbation", {"grid": 0}, "'grid'"),
+                          ("perturbation", {"grid": -1}, "'grid'"),
+                          ("perturbation", {"K": 0}, "K must be > 0"),
+                          ("transfer-exponent", {"x_nodes": -1}, "'x_nodes'"),
+                          ("transfer-exponent", {"x_nodes": 1}, "'x_nodes'")],
                          ids=["not-an-object", "misspelt-key", "kl-n-string",
-                              "transfer-exponent-x_nodes-float"])
+                              "transfer-exponent-x_nodes-float", "perturbation-grid-0",
+                              "perturbation-grid-negative", "perturbation-K-0",
+                              "transfer-exponent-x_nodes-negative", "transfer-exponent-x_nodes-1"])
 def test_prooflab_bad_config_exits_3(tmp_path, capsys, check, config, named):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
@@ -356,15 +365,21 @@ def test_simulate_rates_overflowing_aggregate_keeps_old_report(tmp_path, capsys)
 
 
 # every input table, with a valid object and a command that reads it:
-# (name, the valid object, its table, the command for an object)
-VALID = {float: 0.5, int: 100, list: [0.0, 1.0], dict: {"kind": "uniform"}}
+# (name, the valid object, its table, the command for an object); a list
+# entry such as [float] takes VALID_LIST
+VALID = {float: 0.5, int: 100, dict: {"kind": "uniform"}}
+VALID_LIST = [0.0, 1.0]
+CONFIG = {"distribution": {"kind": "uniform"}, "n_grid": [16, 32, 64], "replicates": 1}
+
+
+def _simulate(obj, tmp_path):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(obj))
+    return ["simulate-rates", "--config", str(cfg), "--out", str(tmp_path)]
 
 
 def _simulate_f0(f0, tmp_path):
-    cfg = tmp_path / "exp.json"
-    cfg.write_text(json.dumps({"distribution": {"kind": "uniform"}, "f0": f0,
-                               "n_grid": [16, 32, 64], "replicates": 1}))
-    return ["simulate-rates", "--config", str(cfg), "--out", str(tmp_path)]
+    return _simulate({**CONFIG, "f0": f0}, tmp_path)
 
 
 def _prooflab(check):
@@ -374,17 +389,43 @@ def _prooflab(check):
     return argv
 
 
-INPUTS = ([(f"dist-{kind}", {"kind": kind, **{key: VALID[t] for key, t in keys.items()}}, keys,
+INPUTS = ([(f"dist-{kind}", {"kind": kind, **{key: VALID_LIST if isinstance(t, list) else VALID[t]
+                                              for key, t in keys.items()}}, keys,
             lambda obj, tmp_path: ["spread", "--dist", json.dumps(obj), "--n", "100"])
            for kind, (_, keys) in densities._KINDS.items()]
           + [(f"f0-{kind}", {"kind": kind}, keys, _simulate_f0)
              for kind, keys in harness._F0_DEFAULTS.items()]
           + [(f"prooflab-{check}", {}, keys, _prooflab(check))
              for check, keys in _PROOFLAB_DEFAULTS.items()])
-# each key of each table with each value that no key takes, then one unknown key
+
+
+def _outside(entry):
+    """One value just outside the range of a table entry (like, range, ...):
+    past the interval's lower end, or its upper end if the lower is -inf, as
+    the entry's type; or a name longer than every name of the range.  In a
+    list for a list entry."""
+    like, rng = entry[:2]
+    one = like[0] if isinstance(like, list) else like
+    if not isinstance(rng, str):
+        bad = max(rng, key=len) + "x"
+    else:
+        lo, hi = map(float, rng[1:-1].split(","))
+        end, way, shut = (lo, -1, rng[0] == "[") if lo > -np.inf else (hi, 1, rng[-1] == "]")
+        if (one if isinstance(one, type) else type(one)) is int:
+            bad = int(end) + way if shut else int(end)
+        else:
+            bad = float(np.nextafter(end, way * np.inf)) if shut else end
+    return [bad] if isinstance(like, list) else bad
+
+
+# each key of each table with each value that no key takes, then one unknown
+# key; then each entry with a range, the config's too, with a value outside it
 TABLE_CASES = ([(name, base, key, bad, argv) for name, base, keys, argv in INPUTS
                 for key in keys for bad in (np.nan, np.inf, True, "x")]
-               + [(name, base, "unknown", 0.5, argv) for name, base, keys, argv in INPUTS])
+               + [(name, base, "unknown", 0.5, argv) for name, base, keys, argv in INPUTS]
+               + [(name, base, key, _outside(entry), argv) for name, base, keys, argv
+                  in INPUTS + [("config", CONFIG, harness._CONFIG, _simulate)]
+                  for key, entry in keys.items() if isinstance(entry, tuple)])
 
 
 @pytest.mark.parametrize("base, key, bad, argv", [c[1:] for c in TABLE_CASES],

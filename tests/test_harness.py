@@ -175,7 +175,8 @@ BAD_VALUES = {"replicates": [1.5, True], "seed": [1.5, -1, True],
               "f0": ["sine", {"kind": 3}, None, ["sine"], {"kind": "sine", "amplitud": 0.5},
                      {"kind": "zero", "amplitude": 0.1}, {"kind": "triangle", "slope": np.nan},
                      {"kind": "triangle", "center": np.nan}, {"kind": "sine", "amplitude": "x"},
-                     {"kind": "triangle", "slope": False}, {"kind": "sine", "frequency": np.inf}]}
+                     {"kind": "triangle", "slope": False}, {"kind": "sine", "frequency": np.inf},
+                     {"kind": "Sine"}]}
 BAD_SIZES = [0, -5, 1.5, 64.0, True, "64", None]
 # whole n_grid values: repeated sizes would redraw the same streams
 BAD_GRIDS = [[64, 64, 64], [32, 64, 64], [64, 32, 128]]
@@ -191,20 +192,35 @@ EDGE = {"n_grid": [1, 64, 128], "m_grid": [16, np.int64(1), 32], "replicates": n
         "estimators": ["kernel"], "losses": ["l2_q"], "f0": {}}
 
 
-@pytest.mark.parametrize("key, bad, whole",
-                         [(key, v, False) for key, v in BAD_ENTRIES]
-                         + [(key, v, True) for key, v in BAD_CONFIG + NOT_LISTS],
-                         ids=[f"{v}-{key}" for key, v in BAD_ENTRIES + BAD_CONFIG]
-                         + [f"{key}={v!r}" for key, v in NOT_LISTS])
-def test_config_rejects_bad_sizes(key, bad, whole):
+CASES = ([(key, v, False) for key, v in BAD_ENTRIES]
+         + [(key, v, True) for key, v in BAD_CONFIG + NOT_LISTS])
+CASE_IDS = ([f"{v}-{key}" for key, v in BAD_ENTRIES + BAD_CONFIG]
+            + [f"{key}={v!r}" for key, v in NOT_LISTS])
+
+
+def _python_built(obj):
+    """ExperimentConfig(**kwargs) from a JSON config, its designs built first."""
+    kwargs = {("f0_spec" if key == "f0" else key): v for key, v in obj.items()}
+    for key in ("distribution", "target_distribution"):
+        if key in obj:
+            kwargs[key] = densities.from_spec(obj[key])
+    return ExperimentConfig(**kwargs)
+
+
+# each case on both paths: read from JSON, and built in Python
+@pytest.mark.parametrize("key, bad, whole, build",
+                         [c + (ExperimentConfig.from_json,) for c in CASES]
+                         + [c + (_python_built,) for c in CASES],
+                         ids=CASE_IDS + [f"python-{i}" for i in CASE_IDS])
+def test_config_rejects_bad_sizes(key, bad, whole, build):
     obj = {"distribution": {"kind": "uniform"}, "n_grid": [32, 64, 128]}
     if key == "m_grid":
         obj.update(estimators=["transfer"], target_distribution={"kind": "uniform"})
     obj[key] = bad if whole else {"n_grid": [bad, 64, 128], "m_grid": [16, bad, 32]}[key]
     with pytest.raises(ConfigError, match=key):
-        ExperimentConfig.from_json(obj)
+        build(obj)
     obj[key] = EDGE[key]
-    ExperimentConfig.from_json(obj)
+    build(obj)
 
 
 # --- experiments --------------------------------------------------------

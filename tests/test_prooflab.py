@@ -95,6 +95,14 @@ def test_perturbation_rejects_non_lipschitz_inputs():
         build_perturbation(_tent(0.5, 0.4), _zero, 1.5, s, K=1.0, grid=GRID)
 
 
+@pytest.mark.parametrize("K", [0.0, -1.0, np.nan])
+def test_perturbation_rejects_nonpositive_K(K):
+    # s_n = 2 K t_n must be > 0; K = 0 gave an inverted support
+    s = SpreadFunction(densities.uniform(), 10_000)
+    with pytest.raises(InvalidParameterError, match="K must be > 0"):
+        build_perturbation(_tent(0.5, 0.4), _zero, 0.2, s, K=K, grid=GRID)
+
+
 def test_perturbation_anchors_at_largest_violation():
     s = SpreadFunction(densities.uniform(), 10_000)
     psi = _tent(0.3, 0.4)
