@@ -35,9 +35,19 @@ reversed slice and one complex add per knot move them (a complex add rounds
 its two parts as two float adds would).  A fit costs O(n) steps plus one
 move per knot crossing the root.  The sweep reads y, 2 w and the gaps from
 their arrays and writes the roots into one float buffer, which the backward
-pass clips in place into the fitted values.  At its peak a fit holds about
-115 bytes per point, mostly the up to 2n knots at 40 bytes each (a complex
-object and its list slot).
+pass clips in place into the fitted values.
+
+Both passes run in C (``_sweep.c``, loaded with ctypes at import), with the
+same float operations in the same order, so the same bits, 30-70x
+faster at n = 2^14 to 2^20.  The kernel is built once per source and flags, with the system C
+compiler ``cc``, into a file next to the source.  It keeps the two stacks in
+one complex buffer of 2n + 1 knots from numpy, the left stack growing up
+from its start and the right one down from its end.  Where the kernel
+cannot be built or loaded, the import warns once and the Python sweep below
+runs; the tests hold it as the kernel's reference.  At its peak a fit holds
+about 83 bytes per point, in the KKT residual's temporaries; the C sweep
+holds 40 (16-byte knots and the roots), the Python one about 115 (2n knots
+at 40 bytes each, a complex object and its list slot).
 
 The same file houses the isotonic LSE (pool adjacent violators) and a
 fixed-bandwidth triangular-kernel smoother.  The losses that judge all of
@@ -46,6 +56,10 @@ them, and the name -> estimator table that runs them, are in ``harness``.
 
 from __future__ import annotations
 
+import ctypes
+import os
+import warnings
+import zlib
 from dataclasses import dataclass
 from itertools import chain, count
 
@@ -232,6 +246,66 @@ def _clip_roots(f, u):
     return f
 
 
+# fixed, so that every add, multiply and divide rounds as Python's do
+_CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _load_kernel():
+    """The C sweep ``_sweep.c`` as a ctypes library, built with the system C
+    compiler into a file keyed by the source and flags when no such file is
+    there yet; None, after one warning naming the reason, when it cannot be
+    built or loaded."""
+    source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sweep.c")
+    try:
+        with open(source, "rb") as fh:
+            key = zlib.crc32(" ".join(_CFLAGS).encode(), zlib.crc32(fh.read()))
+        path = f"{source[:-2]}-{key:08x}.so"
+        if not os.path.exists(path):
+            import subprocess
+            tmp = f"{source[:-2]}-{key:08x}-{os.getpid()}.so"
+            try:
+                proc = subprocess.run(["cc", *_CFLAGS, "-o", tmp, source],
+                                      capture_output=True, text=True)
+                if proc.returncode:
+                    raise OSError(f"cc exited {proc.returncode}: {proc.stderr.strip()}")
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
+        lib = ctypes.CDLL(path)
+    except OSError as exc:
+        warnings.warn(f"lipshift: the C sweep is unavailable ({exc}); fitting with the "
+                      "Python sweep, 30-70x slower", stacklevel=2)
+        return None
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.lse_roots.argtypes = [ptr, ptr, ptr, i64, ptr, ptr]
+    lib.lse_clip.argtypes = [ptr, ptr, i64]
+    lib.lse_roots.restype = lib.lse_clip.restype = None
+    return lib
+
+
+_KERNEL = _load_kernel()
+
+
+def _fitted_values(y, c, u):
+    """The roots of the forward sweep clipped by the backward pass: in C when
+    the kernel loaded, with the Python sweep's bits, else in Python.  y, c = 2
+    w (n each) and u (n - 1) are C-contiguous float64 arrays."""
+    if _KERNEL is None:
+        return _clip_roots(_stack_roots(y, c, u), u)
+    n = len(y)
+    # the kernel reads raw memory: check what it assumes
+    if not (n >= 1 and c.shape == (n,) and u.shape == (n - 1,) and all(
+            a.dtype == np.float64 and a.flags.c_contiguous for a in (y, c, u))):
+        raise ValueError("the C sweep needs C-contiguous float64 y, c (n >= 1 each) and u (n - 1)")
+    f = np.empty(n)
+    knots = np.empty(2 * n + 1, complex)
+    _KERNEL.lse_roots(y.ctypes.data, c.ctypes.data, u.ctypes.data, n, knots.ctypes.data,
+                      f.ctypes.data)
+    _KERNEL.lse_clip(f.ctypes.data, u.ctypes.data, n)
+    return f
+
+
 def fit_lipschitz_lse(sample: RegressionSample, budget: float) -> LipschitzFit:
     """Exact minimizer of the slope-constrained least squares problem with
     Lipschitz constant L = budget in (0, 1]."""
@@ -239,7 +313,7 @@ def fit_lipschitz_lse(sample: RegressionSample, budget: float) -> LipschitzFit:
         raise InvalidParameterError(f"Lipschitz budget must be in (0, 1], got {budget}")
     xu, ybar, w, extra = _merge_duplicates(sample.x, sample.y)
     gaps = budget * np.diff(xu)
-    f = _clip_roots(_stack_roots(ybar, 2.0 * w, gaps), gaps)
+    f = _fitted_values(ybar, 2.0 * w, gaps)
 
     objective = float(np.sum(w * (f - ybar) ** 2) + extra)
     residual = _kkt_residual(f, ybar, w, gaps)

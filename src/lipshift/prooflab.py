@@ -278,6 +278,8 @@ def transfer_exponent_check(P: DesignDistribution, Q: DesignDistribution,
     x_grid = np.asarray(x_grid, float)
     if eta_grid.size == 0 or x_grid.size == 0:
         raise InvalidParameterError("grids must be nonempty")
+    if not np.all((eta_grid > 0.0) & (eta_grid < np.inf)):  # NaN fails too
+        raise InvalidParameterError(f"eta_grid radii must be finite and > 0, got {eta_grid}")
     q = Q.density(x_grid)
     best = -np.inf
     for eta in eta_grid:

@@ -177,11 +177,13 @@ def test_prooflab_config_file(tmp_path, capsys):
                           ("perturbation", {"grid": -1}, "'grid'"),
                           ("perturbation", {"K": 0}, "K must be > 0"),
                           ("transfer-exponent", {"x_nodes": -1}, "'x_nodes'"),
-                          ("transfer-exponent", {"x_nodes": 1}, "'x_nodes'")],
+                          ("transfer-exponent", {"x_nodes": 1}, "'x_nodes'"),
+                          ("transfer-exponent", {"eta_grid": [-0.1]}, "eta_grid")],
                          ids=["not-an-object", "misspelt-key", "kl-n-string",
                               "transfer-exponent-x_nodes-float", "perturbation-grid-0",
                               "perturbation-grid-negative", "perturbation-K-0",
-                              "transfer-exponent-x_nodes-negative", "transfer-exponent-x_nodes-1"])
+                              "transfer-exponent-x_nodes-negative", "transfer-exponent-x_nodes-1",
+                              "transfer-exponent-eta-negative"])
 def test_prooflab_bad_config_exits_3(tmp_path, capsys, check, config, named):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))

@@ -7,19 +7,24 @@ the module layout: a module imports nothing it does not use (the package
 function or class is used by the package itself, so a test-only oracle
 cannot stay in library code.  A fourth promise, that the runtime needs numpy
 only, is also checked in a fresh interpreter: scipy stays a test dependency,
-and ``import lipshift`` loads neither the process pool, ``numpy.random`` nor
-``numpy.ma``.  A fifth is that uniforms become design points in one place:
-no function but ``densities.sample`` calls a design's ``.ppf``, and points
+and ``import lipshift`` loads neither the process pool, ``numpy.random``,
+``numpy.ma``, ``subprocess`` nor ``hashlib``.  A fifth is that uniforms
+become design points in one place: no function but ``densities.sample``
+calls a design's ``.ppf``, and points
 are clipped to [0, 1] in one place: no design's unit CDF clips, so only
 ``DesignDistribution``'s density and CDF do.  A sixth,
 also in a fresh interpreter, is that a run stays lean: a cell in a forked
 worker imports no module, and the report imports no ``numpy.ma``.  A seventh
 is that a function has no option nobody sets: every optional parameter of a
 function in ``src/`` is passed by some call in ``src/`` or ``perfbench/``.
+An eighth is that the C sweep is optional: where it cannot be built, ``import
+lipshift`` warns once, naming the reason, and the Python sweep gives the same
+fit.
 """
 
 import ast
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -153,20 +158,58 @@ def _fresh(code):
 
 
 # modules that `import lipshift` must not load, by their name prefixes: scipy
-# is a test dependency, and the harness imports the rest only when a run
-# needs them, since each would add to the time of every import
+# is a test dependency, the harness imports the pool modules and numpy's only
+# when a run needs them, and lipfit runs the compiler (subprocess) only when
+# the C sweep is not built yet, since each would add to the time of every
+# import
 FORBIDDEN_AT_IMPORT = {"scipy": ("scipy",),
                        "process_pool": ("concurrent.futures.process", "multiprocessing"),
-                       "numpy.random": ("numpy.random",), "numpy.ma": ("numpy.ma",)}
+                       "numpy.random": ("numpy.random",), "numpy.ma": ("numpy.ma",),
+                       "subprocess": ("subprocess",), "hashlib": ("hashlib",)}
 
 
 @pytest.mark.parametrize("name", sorted(FORBIDDEN_AT_IMPORT))
 def test_import_loads_none_of(name):
+    import lipshift.lipfit  # noqa: F401  builds the C sweep if this checkout has none yet
     prefixes = FORBIDDEN_AT_IMPORT[name]
     code = ("import sys, lipshift, lipshift.cli; "
             f"print(sorted(m for m in sys.modules for p in {prefixes!r} "
             "if m == p or m.startswith(p + '.')))")
     assert _fresh(code) == "[]"
+
+
+def test_python_sweep_when_no_kernel_builds(tmp_path):
+    # a copy of the package with no built kernel, imported with no C compiler
+    # on PATH: one warning naming the reason, and a fit with the same bits
+    pkg = tmp_path / "lipshift"
+    pkg.mkdir()
+    for path in [*SRC.glob("*.py"), SRC / "_sweep.c"]:
+        shutil.copy(path, pkg)
+    fit = """
+import zlib
+import numpy as np
+from lipshift.lipfit import RegressionSample, fit_lipschitz_lse
+rng = np.random.default_rng(5)
+fit = fit_lipschitz_lse(RegressionSample(rng.random(3000), rng.standard_normal(3000)), 0.5)
+print(zlib.crc32(fit.values.tobytes()), fit.objective.hex(), fit.kkt_residual.hex())
+"""
+    code = f"""
+import os, sys, warnings
+os.environ["PATH"] = ""
+sys.path.insert(0, {str(tmp_path)!r})
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    import lipshift
+from lipshift import lipfit
+assert lipfit.__file__.startswith({str(tmp_path)!r}) and lipfit._KERNEL is None
+print([str(w.message) for w in caught])
+""" + fit
+    warned, fallback = _fresh(code).splitlines()
+    (message,) = ast.literal_eval(warned)
+    assert "No such file or directory: 'cc'" in message and "Python sweep" in message
+    assert list(pkg.glob("_sweep-*")) == []  # no build left behind
+    kernel = _fresh("from lipshift import lipfit\nassert lipfit._KERNEL is not None\n" + fit)
+    assert fallback == kernel
 
 
 # a run with every estimator and every loss, and a target design

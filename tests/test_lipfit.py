@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lipshift import densities
+from lipshift import densities, lipfit
 from lipshift.errors import InvalidInputError, InvalidParameterError, ZeroDensityError
 from lipshift.harness import EVAL_GRID_SIZE, LOSSES
 from lipshift.lipfit import (
@@ -18,8 +18,10 @@ from lipshift.lipfit import (
     isotonic_evaluate,
     kernel_smoother,
     _clip_roots,
+    _fitted_values,
     _kkt_residual,
     _merge_duplicates,
+    _stack_roots,
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -379,15 +381,39 @@ def test_stack_dp_matches_breakpoint_oracle(n, seed, family, scale, min_gap, tie
 @example(roots=[0.0, -0.0], gaps=[0.0] * 39)  # lower bound -0.0 ties root +0.0
 @example(roots=[-0.0, -0.0], gaps=[0.0] * 39)  # upper bound +0.0 ties root -0.0
 def test_clip_roots_matches_min_max_formula(roots, gaps):
-    # the indexed min(max(...)) loop that the comparisons replaced
+    # the indexed min(max(...)) loop that the comparisons replaced, against
+    # the Python backward pass and the C kernel's
     u = gaps[: len(roots) - 1]
     f = list(roots)
     for i in range(len(u) - 1, -1, -1):
         f[i] = min(max(f[i], f[i + 1] - u[i]), f[i + 1] + u[i])
-    buf = np.array(roots, float)
-    got = _clip_roots(buf, np.array(u, float))
-    assert got is buf  # in place
-    assert np.array_equal(got.view(np.int64), np.array(f).view(np.int64))
+    for clip in (_clip_roots, kernel_clip):
+        buf = np.array(roots, float)
+        got = clip(buf, np.array(u, float))
+        assert got is buf  # in place
+        assert np.array_equal(got.view(np.int64), np.array(f).view(np.int64))
+
+
+def kernel_clip(roots, u):
+    """`_clip_roots` by the C kernel's backward pass."""
+    assert lipfit._KERNEL is not None, "the C sweep did not build or load"
+    lipfit._KERNEL.lse_clip(roots.ctypes.data, u.ctypes.data, len(roots))
+    return roots
+
+
+# the Python sweep is the reference of the C kernel: the same float
+# operations in the same order, so the same bits
+@settings(max_examples=200, deadline=None)
+@given(**STRESS)
+@example(n=2**17, seed=4, family="alternating", scale=1.0, min_gap=1e-6, tie_rate=0.0, L=1.0)
+def test_kernel_matches_python_sweep_bit_for_bit(n, seed, family, scale, min_gap, tie_rate, L):
+    assert lipfit._KERNEL is not None, "the C sweep did not build or load"
+    sample = stress_sample(n, seed, family, scale, min_gap, tie_rate)
+    xu, ybar, w, _ = _merge_duplicates(sample.x, sample.y)
+    c, gaps = 2.0 * w, L * np.diff(xu)
+    want = _clip_roots(_stack_roots(ybar, c, gaps), gaps)
+    got = _fitted_values(ybar, c, gaps)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @settings(max_examples=200, deadline=None)
@@ -403,14 +429,27 @@ def test_sweep_matches_two_list_oracle_bit_for_bit(n, seed, family, scale, min_g
     assert fit.kkt_residual.hex() == residual.hex()
 
 
+def test_kernel_checks_its_buffers():
+    # the kernel reads raw memory, so a strided, short or non-float64 array
+    # must not reach it
+    y = np.arange(8.0)
+    c, u = np.full(8, 2.0), np.full(7, 0.1)
+    for args in [(y[::2], c[:4], u[:3]), (y, c, u[:6]), (y, c.astype(np.float32), u)]:
+        with pytest.raises(ValueError, match="C sweep"):
+            _fitted_values(*args)
+
+
 @pytest.mark.parametrize("family", ["noise", "alternating"])
 def test_lse_memory_bounded(family, traced):
     n = 4096
     x = densities.sample(densities.uniform(), n, seed=3)
     y = np.random.default_rng(3).standard_normal(n) if family == "noise" else 5.0 * (-1.0) ** np.arange(n)
+    assert lipfit._KERNEL is not None, "the C sweep did not build or load"
     _, peak, _ = traced(fit_lipschitz_lse, RegressionSample(x, y), 1.0)
-    # about 115 bytes per point, most of it 2n knots at 40 bytes each; float
-    # lists for the knots, inputs and roots take about 318
+    # about 83 bytes per point, the peak now in the KKT residual: the C
+    # sweep holds 2n + 1 knots at 16 bytes and the roots (about 40 bytes per
+    # point); the Python sweep's 2n knots at 40 bytes each peak at about
+    # 115, and float lists for the knots, inputs and roots at about 318
     assert peak <= 150 * n
 
 

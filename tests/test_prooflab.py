@@ -296,3 +296,12 @@ def test_transfer_exponent_input_checks():
     zero_left = densities.tabulated([0, 0.5, 0.500001, 1], [0, 0, 2, 2])
     with pytest.raises(NonDoublingError):
         transfer_exponent_check(zero_left, u, 1.0, [0.01], np.linspace(0, 1, 101))
+
+
+@pytest.mark.parametrize("eta", [0.0, -0.1, np.inf, np.nan])
+def test_transfer_exponent_rejects_bad_radius(eta):
+    # a negative radius gave interval endpoints out of order, a zero one an
+    # empty interval
+    u = densities.uniform()
+    with pytest.raises(InvalidParameterError, match="eta_grid"):
+        transfer_exponent_check(u, u, 1.0, [0.1, eta], np.linspace(0, 1, 101))
