@@ -1,13 +1,16 @@
 /* The two passes of the Lipschitz LSE (lipfit._stack_roots and
- * lipfit._clip_roots) in C, with the same float operations in the same
- * order, so that built with -O2 -std=c99 -ffp-contract=off (no fused
- * multiply-add, no fast-math) they give the Python sweep's bits.
+ * lipfit._clip_roots), the isotonic fit (lipfit._pava) and the empirical
+ * spread (spread.EmpiricalSpread._search) in C, with the same float
+ * operations in the same order, so that built with -O2 -std=c99
+ * -ffp-contract=off (no fused multiply-add, no fast-math) they give the
+ * Python paths' bits.
  *
  * The knots live in one buffer of 2n + 1 (position, value) pairs from the
  * caller: the left stack grows up from k[0], the right stack down from
  * k[2n], so the buffer holds the knots in order with a gap at the root.
  * A knot (p, q) on a stack with offsets o, b has position p + o and value
  * q + a p + b.  Nothing here allocates. */
+#include <math.h>
 #include <stdint.h>
 
 typedef struct { double p, q; } knot;  /* the layout of a complex128 */
@@ -115,5 +118,102 @@ void lse_clip(double *f, const double *u, int64_t n)
             g = hi < f[i] ? hi : f[i];
         }
         f[i] = g;
+    }
+}
+
+/* Pool adjacent violators on y (n): blocks as (total, count) pairs in tot
+ * and cnt, merged while out of order, then each point gets its block's
+ * mean in out.  lipfit._pava, operation for operation. */
+void iso_fit(const double *y, int64_t n, double *tot, int64_t *cnt, double *out)
+{
+    int64_t k = 0, i, j, c;
+    for (i = 0; i < n; i++) {
+        tot[k] = y[i];
+        cnt[k++] = 1;
+        while (k > 1 && tot[k - 2] * (double)cnt[k - 1] >= tot[k - 1] * (double)cnt[k - 2]) {
+            tot[k - 2] += tot[k - 1];
+            cnt[k - 2] += cnt[k - 1];
+            k--;
+        }
+    }
+    for (i = 0, j = 0; j < k; j++) {
+        double v = tot[j] / (double)cnt[j];
+        for (c = 0; c < cnt[j]; c++)
+            out[i++] = v;
+    }
+}
+
+/* #{i : x - p_i < phi} over the points p_i below index s plus #{i : p_i -
+ * x < phi} over the rest.  Float subtraction is monotone, so each set is a
+ * run next to s, and a binary search on the test itself finds its end. */
+static int64_t count_closer(const double *p, int64_t n, int64_t s, double x, double phi)
+{
+    int64_t lo = 0, hi = s, mid, j;
+    while (lo < hi) {  /* the first i < s with x - p_i < phi, or s */
+        mid = lo + (hi - lo) / 2;
+        if (x - p[mid] < phi)
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    j = lo;
+    hi = n;
+    lo = s;
+    while (lo < hi) {  /* the first i >= s with p_i - x >= phi, or n */
+        mid = lo + (hi - lo) / 2;
+        if (p[mid] - x < phi)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo - j;
+}
+
+/* The k-th smallest distance (1 <= k <= n): the split search of
+ * EmpiricalSpread._kth_distance over how many of the k smallest lie below
+ * s, and np.maximum's choice between its two candidates. */
+static double kth_distance(const double *p, int64_t n, int64_t s, double x, int64_t k)
+{
+    int64_t lo = k - (n - s) > 0 ? k - (n - s) : 0, hi = k < s ? k : s, i;
+    double left, right;
+    while (lo < hi) {
+        i = lo + (hi - lo) / 2;
+        if (x - p[s - 1 - i] >= p[s + k - 1 - i] - x)
+            hi = i;
+        else
+            lo = i + 1;
+    }
+    left = hi > 0 ? x - p[s - hi] : -INFINITY;
+    right = hi < k ? p[s + k - 1 - hi] - x : -INFINITY;
+    return left > right ? left : right;
+}
+
+/* EmpiricalSpread.at on the n sorted points p for each of the g points xs:
+ * min(r_k*, sqrt(log n / (k* - 1))) with k* = min{k : r_k >= sqrt(log n /
+ * k)} found by binary search, as EmpiricalSpread._search does.  log_n is
+ * numpy's log(n), whose last bit libm's log need not share. */
+void emp_spread(const double *p, int64_t n, double log_n, const double *xs, int64_t g,
+                double *out)
+{
+    for (int64_t t = 0; t < g; t++) {
+        double x = xs[t], r, cap;
+        int64_t s = 0, e = n, mid, lo = 1, hi = n + 1, k;
+        while (s < e) {  /* np.searchsorted(p, x): the first p_i >= x */
+            mid = s + (e - s) / 2;
+            if (p[mid] < x)
+                s = mid + 1;
+            else
+                e = mid;
+        }
+        while (lo < hi) {  /* k* in [1, n + 1]; n + 1: r_k < sqrt(log n / k) for all k */
+            k = lo + (hi - lo) / 2;
+            if (k > n || count_closer(p, n, s, x, sqrt(log_n / (double)k)) < k)
+                hi = k;
+            else
+                lo = k + 1;
+        }
+        r = hi <= n ? kth_distance(p, n, s, x, hi) : INFINITY;
+        cap = hi >= 2 ? sqrt(log_n / (double)(hi - 1)) : INFINITY;
+        out[t] = r < cap ? r : cap;
     }
 }

@@ -12,15 +12,20 @@ LOSSES that config validation, the experiment loop and the tests share.
 Estimators run in table order, whatever order the config lists them in.
 
 The (n, replicate) cells are independent, so they run in worker processes
-forked from the caller, one per CPU in the process's affinity mask, largest
-n first.  Their results are read back in table order, (n, replicate), so
-the report does not depend on the number of workers or on which cell
-finishes first.  The workers get the config and the grids by fork, not by
-pickling, so estimators and losses patched into the tables reach them.  A
-worker that dies ends the run with an ExperimentError.  The parent imports
-numpy.random just before it forks, so the workers inherit it: nothing else
-in the parent draws, and each worker would otherwise import it again in the
-first cell of every run.
+that the caller forks itself (os.fork, no process pool), one per CPU in the
+process's affinity mask.  The cells are dealt before the forks, largest n
+first, each to the worker with the smallest total n so far.  Each worker
+runs its share and pickles the list of its results down its own pipe; the
+parent reads each pipe to the end, reaps the worker, and puts the results
+back in table order, (n, replicate), so the report does not depend on the
+number of workers or on how the cells were dealt.  The workers get the
+config and the grids by fork, not by pickling, so estimators and losses
+patched into the tables reach them.  A worker that dies ends the run with
+an ExperimentError, and on any error the parent stops and reaps the
+workers it has not reaped yet, so none outlives the run.  The parent
+imports numpy.random just before it forks, so the workers inherit it:
+nothing else in the parent draws, and each worker would otherwise import it
+again in the first cell of every run.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import csv
 import json
 import math
 import os
+import pickle
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -240,12 +246,7 @@ def _replicate_losses(config, n, m, rep, grid, spread_grid, q_grid, f0_grid):
     return out
 
 
-_WORKER_STATE = None  # (config, grid, spread grid by n, q_grid, f0_grid) in a worker
-
-
-def _init_worker(*state):
-    global _WORKER_STATE
-    _WORKER_STATE = state
+_WORKER_STATE = None  # (config, grid, spread grid by n, q_grid, f0_grid) while a run forks
 
 
 def _cell(n, m, rep):
@@ -262,40 +263,76 @@ def _cell(n, m, rep):
     return None, vals
 
 
-def _run_cells(cells, state):
-    """(failure, losses) of each (n, m, rep) cell, in the order of cells.
+def _fork_worker(cells, share):
+    """Fork a worker that runs the cells whose indices are in share and
+    pickles the list of their results down a pipe; returns (pid, the
+    pipe's read end as a file).  The worker exits 0 when it has written
+    them and 1 on any exception, never returning here."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as fh:
+                pickle.dump([_cell(*cells[i]) for i in share], fh)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
 
-    Submits the largest n first, so that the longest cells do not start last."""
-    # imported here: the pool machinery costs every lipshift import ~20 ms
-    import multiprocessing
-    import signal
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+
+def _run_cells(cells, state):
+    """(failure, losses) of each (n, m, rep) cell, in the order of cells,
+    from forked workers with one pipe each (see the module docstring).
+
+    The cells are dealt largest n first, each to the worker with the
+    smallest total n so far, so that the shares take about the same time."""
+    global _WORKER_STATE
+    import signal  # here: it would add ~0.6 ms to every lipshift import
 
     # loaded before the fork, so that no worker imports it again in its first cell
     import numpy.random  # noqa: F401
 
-    # fork, not spawn: the config's densities and f0 are lambdas, which do not
-    # pickle.  The pool forks all its workers at the first submit, before it
-    # starts its own thread.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    pool = ProcessPoolExecutor(min(cpus or 1, len(cells)),
-                               mp_context=multiprocessing.get_context("fork"),
-                               initializer=_init_worker, initargs=state)
-    workers = pool._processes  # pid -> Process, filled by the first submit
-    futures = [None] * len(cells)
+    shares = [[] for _ in range(min(cpus or 1, len(cells)))]
+    loads = [0] * len(shares)
+    for i in sorted(range(len(cells)), key=lambda i: -cells[i][0]):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += cells[i][0]
+    # fork, not spawn: the config's densities and f0 are lambdas, which do
+    # not pickle, and the workers read them from here
+    _WORKER_STATE = state
+    workers = []  # (pid, read end, share) of each worker not yet reaped
     try:
-        for i in sorted(range(len(cells)), key=lambda i: -cells[i][0]):
-            futures[i] = pool.submit(_cell, *cells[i])
-        return [f.result() for f in futures]
-    except BrokenProcessPool:
-        pool.shutdown()  # joins the workers, so each has its exit code
-        dead = [f"pid {p.pid} with exit code {p.exitcode}" for p in workers.values()
-                if p.exitcode not in (0, -signal.SIGTERM)]  # the rest were terminated
-        raise ExperimentError(f"a worker process died ({', '.join(dead) or 'unknown'}) "
-                              f"while running the {len(cells)} cells") from None
+        for share in shares:
+            workers.append((*_fork_worker(cells, share), share))
+        results = [None] * len(cells)
+        while workers:
+            pid, fh, share = workers[0]
+            with fh:
+                data = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[0]
+            if code:
+                raise ExperimentError(f"a worker process died (pid {pid} with exit code {code}) "
+                                      f"while running the {len(cells)} cells")
+            for i, result in zip(share, pickle.loads(data)):
+                results[i] = result
+        return results
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid, fh, _ in workers:
+            fh.close()
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+        _WORKER_STATE = None
 
 
 def run_rate_experiment(config: ExperimentConfig) -> RateReport:

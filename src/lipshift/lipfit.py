@@ -45,13 +45,18 @@ one complex buffer of 2n + 1 knots from numpy, the left stack growing up
 from its start and the right one down from its end.  Where the kernel
 cannot be built or loaded, the import warns once and the Python sweep below
 runs; the tests hold it as the kernel's reference.  At its peak a fit holds
-about 83 bytes per point, in the KKT residual's temporaries; the C sweep
-holds 40 (16-byte knots and the roots), the Python one about 115 (2n knots
-at 40 bytes each, a complex object and its list slot).
+about 64 bytes per point, in the C sweep: 40 (16-byte knots and the roots)
+beside the inputs.  The KKT residual builds its multipliers and masks in
+place, about 26; the Python sweep holds about 115 (2n knots at 40 bytes
+each, a complex object and its list slot).
 
 The same file houses the isotonic LSE (pool adjacent violators) and a
-fixed-bandwidth triangular-kernel smoother.  The losses that judge all of
-them, and the name -> estimator table that runs them, are in ``harness``.
+fixed-bandwidth triangular-kernel smoother.  PAVA runs in the same C
+library (``iso_fit``), with the blocks as (total, count) pairs in numpy
+buffers, and in Python (``_pava``) where no kernel loaded; so does the
+empirical spread of ``spread``, which reads ``_KERNEL`` here when it is
+called.  The losses that judge all of them, and the name -> estimator
+table that runs them, are in ``harness``.
 """
 
 from __future__ import annotations
@@ -251,7 +256,7 @@ _CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 def _load_kernel():
-    """The C sweep ``_sweep.c`` as a ctypes library, built with the system C
+    """The C kernels ``_sweep.c`` as a ctypes library, built with the system C
     compiler into a file keyed by the source and flags when no such file is
     there yet; None, after one warning naming the reason, when it cannot be
     built or loaded."""
@@ -274,13 +279,17 @@ def _load_kernel():
                     os.remove(tmp)
         lib = ctypes.CDLL(path)
     except OSError as exc:
-        warnings.warn(f"lipshift: the C sweep is unavailable ({exc}); fitting with the "
-                      "Python sweep, 30-70x slower", stacklevel=2)
+        warnings.warn(f"lipshift: the C kernels are unavailable ({exc}); fitting with the "
+                      "Python sweep, 30-70x slower, and running PAVA and the empirical "
+                      "spread in Python", stacklevel=2)
         return None
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     lib.lse_roots.argtypes = [ptr, ptr, ptr, i64, ptr, ptr]
     lib.lse_clip.argtypes = [ptr, ptr, i64]
-    lib.lse_roots.restype = lib.lse_clip.restype = None
+    lib.iso_fit.argtypes = [ptr, i64, ptr, ptr, ptr]
+    lib.emp_spread.argtypes = [ptr, i64, ctypes.c_double, ptr, i64, ptr]
+    lib.lse_roots.restype = lib.lse_clip.restype = lib.iso_fit.restype = None
+    lib.emp_spread.restype = None
     return lib
 
 
@@ -313,16 +322,18 @@ def fit_lipschitz_lse(sample: RegressionSample, budget: float) -> LipschitzFit:
         raise InvalidParameterError(f"Lipschitz budget must be in (0, 1], got {budget}")
     xu, ybar, w, extra = _merge_duplicates(sample.x, sample.y)
     gaps = budget * np.diff(xu)
-    f = _fitted_values(ybar, 2.0 * w, gaps)
+    c = 2.0 * w
+    f = _fitted_values(ybar, c, gaps)
 
     objective = float(np.sum(w * (f - ybar) ** 2) + extra)
-    residual = _kkt_residual(f, ybar, w, gaps)
+    residual = _kkt_residual(f, ybar, c, gaps)
     return LipschitzFit(knots=xu, values=f, budget=float(budget),
                         objective=objective, kkt_residual=residual)
 
 
-def _kkt_residual(f, ybar, w, gaps):
-    """Stationarity violation of the chain-constrained quadratic program.
+def _kkt_residual(f, ybar, c, gaps):
+    """Stationarity violation of the chain-constrained quadratic program;
+    c = 2 w.
 
     Running multipliers nu_j (upper minus lower, per gap) follow from the
     stationarity equations in one sweep: nu_j = nu_{j-1} + 2 w_j (f_j - y_j).
@@ -330,26 +341,38 @@ def _kkt_residual(f, ybar, w, gaps):
     sign of the active constraint elsewhere.  A constraint counts as active
     within 1e-7 (1 + gap) of its bound.  When the gap budget is itself below
     that tolerance, both bounds are active (rounding can even leave
-    f_{j+1} = f_j), so nu_j may take either sign.
+    f_{j+1} = f_j), so nu_j may take either sign.  The residual is the
+    largest violation, taken over each case's mask in turn and built in
+    place, so it holds about 26 bytes per point of temporaries.
     """
-    nu = np.cumsum(2.0 * w * (f - ybar))
+    nu = f - ybar
+    nu *= c
+    np.cumsum(nu, out=nu)
     res = abs(nu[-1])
     if f.size == 1:
         return res
-    d = np.diff(f)
     inner = nu[:-1]
-    tol = 1e-7 * (1.0 + gaps)
-    upper = gaps - d <= tol
-    lower = gaps + d <= tol
-    viol = np.where(upper, np.where(lower, 0.0, np.maximum(0.0, -inner)),
-                    np.where(lower, np.maximum(0.0, inner), np.abs(inner)))
-    return float(max(res, viol.max()))
+    tol = gaps + 1.0
+    tol *= 1e-7
+    d = np.diff(f)
+    upper = np.subtract(gaps, d, out=d) <= tol
+    d = np.subtract(f[1:], f[:-1], out=d)  # np.diff(f) again
+    d += gaps
+    lower = d <= tol
+    del d, tol
+    # nu_j >= 0 on an upper-active gap, <= 0 on a lower-active one, 0 on neither
+    only_upper = -inner[upper & ~lower].min(initial=0.0)
+    only_lower = inner[lower & ~upper].max(initial=0.0)
+    upper |= lower
+    neither = np.abs(inner[~upper]).max(initial=0.0)
+    # the first of equal maxima: res, so a zero residual is +0.0 as before
+    return float(max(res, only_upper, only_lower, neither))
 
 
-def fit_isotonic_lse(sample: RegressionSample) -> np.ndarray:
-    """Nondecreasing least squares fit at the design points (pool adjacent
-    violators); identical to the min-max partial-sum formula."""
-    y = sample.y.tolist()  # Python floats: PAVA on numpy scalars is 1.4x slower
+def _pava(y):
+    """Pool adjacent violators on the float array y, in Python: the C
+    kernel's fallback and its reference."""
+    y = y.tolist()  # Python floats: PAVA on numpy scalars is 1.4x slower
     # blocks as (total, count) pairs merged while out of order
     totals = [y[0]]
     counts = [1]
@@ -361,12 +384,32 @@ def fit_isotonic_lse(sample: RegressionSample) -> np.ndarray:
             counts[-2] += counts[-1]
             totals.pop()
             counts.pop()
-    out = np.empty(sample.n)
+    out = np.empty(len(y))
     pos = 0
     for t, c in zip(totals, counts):
         out[pos:pos + c] = t / c
         pos += c
     return out
+
+
+def _isotonic_values(y):
+    """PAVA on y, a C-contiguous float64 array: in C when the kernel
+    loaded, with `_pava`'s bits, else `_pava`."""
+    if _KERNEL is None:
+        return _pava(y)
+    n = len(y)
+    if not (n >= 1 and y.shape == (n,) and y.dtype == np.float64 and y.flags.c_contiguous):
+        raise ValueError("the C isotonic fit needs a C-contiguous float64 y (n >= 1)")
+    tot, cnt, out = np.empty(n), np.empty(n, np.int64), np.empty(n)
+    _KERNEL.iso_fit(y.ctypes.data, n, tot.ctypes.data, cnt.ctypes.data, out.ctypes.data)
+    return out
+
+
+def fit_isotonic_lse(sample: RegressionSample) -> np.ndarray:
+    """Nondecreasing least squares fit at the design points (pool adjacent
+    violators, in C where the kernel loaded); identical to the min-max
+    partial-sum formula."""
+    return _isotonic_values(sample.y)
 
 
 def isotonic_evaluate(sample: RegressionSample, x) -> np.ndarray:

@@ -12,8 +12,9 @@ adjacent floats, in one numpy loop for two or more points and in Python
 floats for one, with the same iterates and result.  The empirical version
 finds its crossing index by counting sample points within each candidate
 distance and selects one order statistic of the distances, both over the
-sorted sample and exact.  Both evaluators take x of any shape and return a
-float for a 0-d x, else an array shaped like x.
+sorted sample and exact, in the C library that ``lipfit`` loads (numpy
+searches where it did not load).  Both evaluators take x of any shape and
+return a float for a 0-d x, else an array shaped like x.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 
 import numpy as np
 
+from . import lipfit
 from .densities import DesignDistribution, interval_mass
 from .errors import (
     InvalidInputError,
@@ -281,18 +283,26 @@ class EmpiricalSpread:
     ascending runs, x - X_(i) for the points below x and X_(i) - x for the
     rest.  `at` finds k* by binary search and decides each probe by
     counting: with phi_k = sqrt(log n / k), r_k >= phi_k exactly when fewer
-    than k distances lie below phi_k.  Each run's count comes from a search
-    of the sorted points for x - phi_k or x + phi_k, moved over whole blocks
-    of tied points until the float test holds just inside it.  Then `at`
-    selects r_k* once, by a binary search over how many of the k* smallest
-    come from the first run.  Each distance is the same float subtraction
-    as |X_i - x|, so the result is exact.  Cost per call: O(G log^2 n) time
-    and O(G) memory for G points x, after the O(n log n) sort of the points
-    at construction; the numpy calls are one searchsorted pair per k* probe
-    (about log2 n probes) and one selection, not a selection per probe.
-    The object holds the n sorted points and nothing else n-sized: phi_k is
-    computed for the G values of k that a probe or the result needs, the
-    same float operations as a table of all n would make.
+    than k distances lie below phi_k.  Then it selects r_k* once, by a
+    binary search over how many of the k* smallest come from the first run.
+    Each distance is the same float subtraction as |X_i - x|, so the result
+    is exact.  Cost per call: O(G log^2 n) time and O(G) memory for G points
+    x, after the O(n log n) sort of the points at construction.  The object
+    holds the n sorted points and nothing else n-sized: phi_k is computed
+    for the G values of k that a probe or the result needs, the same float
+    operations as a table of all n would make.
+
+    `at` runs in C (``emp_spread`` in ``_sweep.c``), one point at a time.
+    Float subtraction is monotone, so each run's count is a binary search on
+    the float test x - X_(i) < phi_k or X_(i) - x < phi_k itself.  Where the
+    kernel did not load, `_search` runs the same searches over all points
+    at once in numpy, and the tests hold it as the kernel's reference: each
+    run's count comes from a search of the sorted points for x - phi_k or
+    x + phi_k, moved over whole blocks of tied points until the float test
+    holds just inside it, and the numpy calls are one searchsorted pair per
+    k* probe (about log2 n probes) and one selection.  Both take log n from
+    np.log, whose last bit libm's log need not share, so both give the same
+    bits.
     """
 
     def __init__(self, points):
@@ -347,8 +357,15 @@ class EmpiricalSpread:
 
     def at(self, x):
         x = _finite(x)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
+        if lipfit._KERNEL is None:
+            out = self._search(np.atleast_1d(x))
+        else:
+            out = _kernel_spread(self.points, x)
+        return float(out.flat[0]) if x.ndim == 0 else out
+
+    def _search(self, x):
+        """`at` for a float array x of one or more dimensions, by numpy searches: the
+        C kernel's fallback and its reference."""
         n = self.n
         log_n = np.log(n)
         s = np.searchsorted(self.points, x)
@@ -364,5 +381,21 @@ class EmpiricalSpread:
             hi = np.where(done, k, hi)
         r = np.where(hi <= n, self._kth_distance(x, s, np.minimum(hi, n)), np.inf)
         floor = np.where(hi >= 2, np.sqrt(log_n / np.maximum(hi - 1, 1)), np.inf)
-        out = np.minimum(r, floor)
-        return float(out[0]) if scalar else out
+        return np.minimum(r, floor)
+
+
+def _kernel_spread(points, x):
+    """`EmpiricalSpread._search`'s result by the C kernel, with its bits, as
+    an array shaped like x: points sorted, C-contiguous float64 (n >= 2) and
+    x a float64 array."""
+    n = len(points)
+    # the kernel reads raw memory: check what it assumes
+    if not (n >= 2 and points.shape == (n,) and points.dtype == x.dtype == np.float64
+            and points.flags.c_contiguous):
+        raise ValueError("the C empirical spread needs C-contiguous float64 points (n >= 2) "
+                         "and float64 x")
+    xs = np.ascontiguousarray(x).ravel()
+    out = np.empty(x.shape)
+    lipfit._KERNEL.emp_spread(points.ctypes.data, n, np.log(n), xs.ctypes.data, xs.size,
+                              out.ctypes.data)
+    return out

@@ -348,13 +348,29 @@ def serial_oracle(config):
     return rows, losses, ledger
 
 
+def _open_fds():
+    """The number of this process's open file descriptors, where Linux lists them."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+
+
+def assert_no_worker_left(fds):
+    # every worker reaped, the fork-time state cleared and every pipe closed
+    # (at most as many descriptors as before: the collector may close others)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert harness._WORKER_STATE is None
+    assert _open_fds() <= fds
+
+
 @pytest.mark.parametrize("cpus", [1, 8])
 def test_report_matches_serial_oracle_bit_for_bit(monkeypatch, cpus):
     # one worker, and more workers than this machine may have cores
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     cfg = _config(estimators=list(ESTIMATORS), losses=list(LOSSES), m_grid=[32, 64, 128],
                   target_distribution=densities.power(1.0))
+    fds = _open_fds()
     report = run_rate_experiment(cfg)
+    assert_no_worker_left(fds)
     rows, losses, ledger = serial_oracle(cfg)
     # repr tells -0.0 from 0.0 and round-trips every float
     assert repr(report.losses) == repr(losses) and len(losses) == 3 * 3 * 4 * 3
@@ -392,21 +408,44 @@ def test_failures_are_read_in_table_order(monkeypatch):
 
 
 def test_dead_worker_aborts_the_run(monkeypatch):
-    # one cell in 80 kills its worker: under the 5 % guard if it were counted
-    # as a failed replicate, but the run must stop and say so
+    # two cells in 80 kill their workers, one of them the first cell dealt,
+    # so the first worker read: under the 5 % guard if they were counted as
+    # failed replicates, but the run must stop, say so and stop the others
     lse, tester = ESTIMATORS["lse"], os.getpid()
 
     def dying(config, sample, grid, m, rep):
-        if sample.n == 128 and rep == 7:
+        if (sample.n, rep) in ((128, 7), (512, 0)):
             assert os.getpid() != tester, "the cell ran in the test process"
             os._exit(1)
         return lse(config, sample, grid, m, rep)
 
     monkeypatch.setitem(harness.ESTIMATORS, "lse", dying)
+    fds = _open_fds()
     start = time.perf_counter()
     with pytest.raises(ExperimentError, match=r"worker process died \(pid \d+ with exit code 1\)"):
         run_rate_experiment(_config(n_grid=[64, 128, 256, 512], replicates=20))
     assert time.perf_counter() - start < 10.0
+    assert_no_worker_left(fds)
+
+
+def test_failed_fork_leaves_no_worker(monkeypatch):
+    # the second fork fails in the parent, with the first worker running:
+    # the error propagates, and the first worker is stopped and reaped
+    fork, calls = os.fork, []
+
+    def failing_fork():
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError("no second fork")
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    fds = _open_fds()
+    with pytest.raises(OSError, match="no second fork"):
+        run_rate_experiment(_config(n_grid=[64, 128, 256, 512], replicates=20))
+    assert len(calls) == 2
+    assert_no_worker_left(fds)
 
 
 def test_report_json_rejects_nonfinite():

@@ -14,12 +14,14 @@ calls a design's ``.ppf``, and points
 are clipped to [0, 1] in one place: no design's unit CDF clips, so only
 ``DesignDistribution``'s density and CDF do.  A sixth,
 also in a fresh interpreter, is that a run stays lean: a cell in a forked
-worker imports no module, and the report imports no ``numpy.ma``.  A seventh
-is that a function has no option nobody sets: every optional parameter of a
-function in ``src/`` is passed by some call in ``src/`` or ``perfbench/``.
-An eighth is that the C sweep is optional: where it cannot be built, ``import
-lipshift`` warns once, naming the reason, and the Python sweep gives the same
-fit.
+worker imports no module, the report imports no ``numpy.ma``, and a run
+loads neither ``multiprocessing`` nor ``concurrent.futures``, since the
+harness forks its workers itself.  A seventh is that a function has no
+option nobody sets: every optional parameter of a function in ``src/`` is
+passed by some call in ``src/`` or ``perfbench/``.  An eighth is that the C
+kernels are optional: where they cannot be built, ``import lipshift`` warns
+once, naming the reason, and the Python sweep, PAVA and empirical spread
+give the same bits.
 """
 
 import ast
@@ -158,10 +160,10 @@ def _fresh(code):
 
 
 # modules that `import lipshift` must not load, by their name prefixes: scipy
-# is a test dependency, the harness imports the pool modules and numpy's only
-# when a run needs them, and lipfit runs the compiler (subprocess) only when
-# the C sweep is not built yet, since each would add to the time of every
-# import
+# is a test dependency, no run needs the pool modules, the harness imports
+# numpy's only when a run needs them, and lipfit runs the compiler
+# (subprocess) only when the C kernels are not built yet, since each would
+# add to the time of every import
 FORBIDDEN_AT_IMPORT = {"scipy": ("scipy",),
                        "process_pool": ("concurrent.futures.process", "multiprocessing"),
                        "numpy.random": ("numpy.random",), "numpy.ma": ("numpy.ma",),
@@ -180,7 +182,8 @@ def test_import_loads_none_of(name):
 
 def test_python_sweep_when_no_kernel_builds(tmp_path):
     # a copy of the package with no built kernel, imported with no C compiler
-    # on PATH: one warning naming the reason, and a fit with the same bits
+    # on PATH: one warning naming the reason, and the Lipschitz and isotonic
+    # fits and the empirical spread with the kernel path's bits
     pkg = tmp_path / "lipshift"
     pkg.mkdir()
     for path in [*SRC.glob("*.py"), SRC / "_sweep.c"]:
@@ -188,10 +191,15 @@ def test_python_sweep_when_no_kernel_builds(tmp_path):
     fit = """
 import zlib
 import numpy as np
-from lipshift.lipfit import RegressionSample, fit_lipschitz_lse
+from lipshift.lipfit import RegressionSample, fit_isotonic_lse, fit_lipschitz_lse
+from lipshift.spread import EmpiricalSpread
 rng = np.random.default_rng(5)
-fit = fit_lipschitz_lse(RegressionSample(rng.random(3000), rng.standard_normal(3000)), 0.5)
-print(zlib.crc32(fit.values.tobytes()), fit.objective.hex(), fit.kkt_residual.hex())
+sample = RegressionSample(rng.random(3000), rng.standard_normal(3000))
+fit = fit_lipschitz_lse(sample, 0.5)
+iso = fit_isotonic_lse(sample)
+spread = EmpiricalSpread(np.round(sample.x * 64) / 64).at(np.linspace(-0.5, 1.5, 301))
+print(zlib.crc32(fit.values.tobytes()), fit.objective.hex(), fit.kkt_residual.hex(),
+      zlib.crc32(iso.tobytes()), zlib.crc32(spread.tobytes()))
 """
     code = f"""
 import os, sys, warnings
@@ -224,7 +232,7 @@ cfg = harness.ExperimentConfig.from_json({
 
 
 def test_forked_cell_imports_nothing():
-    # the wrapper is in place before the pool forks, so every worker runs it;
+    # the wrapper is in place before the harness forks, so every worker runs it;
     # a module that a cell imports, each worker imports again on every run
     code = RUN + """
 inner = harness._replicate_losses
@@ -239,6 +247,16 @@ harness._replicate_losses = checked
 print(harness.run_rate_experiment(cfg).metadata["failures"])
 """
     assert _fresh(code) == "{}"
+
+
+def test_run_imports_no_process_pool():
+    # the workers are forked directly: a run loads no pool machinery
+    code = RUN + """
+harness.run_rate_experiment(cfg)
+print(sorted(m for m in sys.modules for p in ("multiprocessing", "concurrent.futures")
+             if m == p or m.startswith(p + ".")))
+"""
+    assert _fresh(code) == "[]"
 
 
 def test_report_imports_no_numpy_ma():

@@ -19,8 +19,10 @@ from lipshift.lipfit import (
     kernel_smoother,
     _clip_roots,
     _fitted_values,
+    _isotonic_values,
     _kkt_residual,
     _merge_duplicates,
+    _pava,
     _stack_roots,
 )
 
@@ -208,7 +210,7 @@ def two_list_fit_oracle(sample, budget):
     u = gaps.tolist()
     f = np.array(two_list_clip_roots(two_list_stack_roots(ybar.tolist(), (2.0 * w).tolist(), u), u))
     objective = float(np.sum(w * (f - ybar) ** 2) + extra)
-    return f, objective, _kkt_residual(f, ybar, w, gaps)
+    return f, objective, _kkt_residual(f, ybar, 2.0 * w, gaps)
 
 
 def isotonic_minmax(sample):
@@ -429,6 +431,40 @@ def test_sweep_matches_two_list_oracle_bit_for_bit(n, seed, family, scale, min_g
     assert fit.kkt_residual.hex() == residual.hex()
 
 
+def nested_where_residual(f, ybar, w, gaps):
+    """Oracle: `_kkt_residual` as it was, with every violation case in one
+    nested np.where and its temporaries built out of place."""
+    nu = np.cumsum(2.0 * w * (f - ybar))
+    res = abs(nu[-1])
+    if f.size == 1:
+        return res
+    d = np.diff(f)
+    inner = nu[:-1]
+    tol = 1e-7 * (1.0 + gaps)
+    upper = gaps - d <= tol
+    lower = gaps + d <= tol
+    viol = np.where(upper, np.where(lower, 0.0, np.maximum(0.0, -inner)),
+                    np.where(lower, np.maximum(0.0, inner), np.abs(inner)))
+    return float(max(res, viol.max()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(**STRESS, perturb=st.sampled_from([0.0, 1e-9, 1e-3]))
+@example(n=1, seed=0, family="noise", scale=1.0, min_gap=1e-3, tie_rate=0.0, L=1.0, perturb=0.0)
+def test_kkt_residual_matches_nested_where_oracle(n, seed, family, scale, min_gap, tie_rate, L,
+                                                  perturb):
+    # the fitted values, and values moved off them so that every violation
+    # case occurs; the residual is a max, so its bits do not depend on the
+    # order the cases are taken in
+    sample = stress_sample(n, seed, family, scale, min_gap, tie_rate)
+    xu, ybar, w, _ = _merge_duplicates(sample.x, sample.y)
+    gaps = L * np.diff(xu)
+    f = _fitted_values(ybar, 2.0 * w, gaps)
+    f = f + perturb * scale * np.random.default_rng(seed).standard_normal(f.size)
+    want = nested_where_residual(f, ybar, w, gaps)
+    assert _kkt_residual(f, ybar, 2.0 * w, gaps).hex() == want.hex()
+
+
 def test_kernel_checks_its_buffers():
     # the kernel reads raw memory, so a strided, short or non-float64 array
     # must not reach it
@@ -446,10 +482,11 @@ def test_lse_memory_bounded(family, traced):
     y = np.random.default_rng(3).standard_normal(n) if family == "noise" else 5.0 * (-1.0) ** np.arange(n)
     assert lipfit._KERNEL is not None, "the C sweep did not build or load"
     _, peak, _ = traced(fit_lipschitz_lse, RegressionSample(x, y), 1.0)
-    # about 83 bytes per point, the peak now in the KKT residual: the C
-    # sweep holds 2n + 1 knots at 16 bytes and the roots (about 40 bytes per
-    # point); the Python sweep's 2n knots at 40 bytes each peak at about
-    # 115, and float lists for the knots, inputs and roots at about 318
+    # about 64 bytes per point, the peak in the C sweep: 2n + 1 knots at 16
+    # bytes and the roots (about 40 bytes per point) next to the inputs; the
+    # KKT residual's temporaries took it to about 83 when they were not
+    # built in place, the Python sweep's 2n knots at 40 bytes each peak at
+    # about 115, and float lists for the knots, inputs and roots at about 318
     assert peak <= 150 * n
 
 
@@ -513,6 +550,46 @@ def test_isotonic_matches_partition_oracle():
         f = fit_isotonic_lse(s)
         assert np.all(np.diff(f) >= -1e-12)
         assert np.sum((y - f) ** 2) == pytest.approx(monotone_oracle(y), abs=1e-8)
+
+
+# the Python PAVA is the reference of the C kernel's: the same float
+# operations in the same order, so the same bits
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 2048),
+       seed=st.integers(0, 2**32 - 1),
+       family=st.sampled_from(["noise", "decreasing", "cauchy"]),
+       scale=st.sampled_from([1e-3, 1.0, 1e6]),
+       levels=st.sampled_from([0, 1, 3, 50]))
+@example(n=1, seed=0, family="noise", scale=1.0, levels=0)
+@example(n=2, seed=0, family="decreasing", scale=1.0, levels=0)
+@example(n=2, seed=0, family="noise", scale=1.0, levels=1)
+@example(n=10**5, seed=7, family="noise", scale=1.0, levels=0)
+def test_isotonic_kernel_matches_pava_bit_for_bit(n, seed, family, scale, levels):
+    # levels > 0 rounds y to that many values per unit (tied blocks)
+    assert lipfit._KERNEL is not None, "the C kernel did not build or load"
+    rng = np.random.default_rng(seed)
+    if family == "noise":
+        y = rng.standard_normal(n)
+    elif family == "decreasing":
+        y = np.linspace(1.0, -1.0, n) + 0.1 * rng.standard_normal(n)
+    else:
+        y = np.clip(rng.standard_cauchy(n), -1e6, 1e6)
+    if levels:
+        y = np.round(y * levels) / levels
+    y = scale * y
+    want = _pava(y)
+    got = _isotonic_values(y)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(fit_isotonic_lse(RegressionSample(np.arange(n), y)), got)
+
+
+def test_isotonic_kernel_checks_its_buffers():
+    # the kernel reads raw memory, so a strided, empty or non-float64 array
+    # must not reach it
+    y = np.arange(8.0)
+    for bad in [y[::2], y[:0], y.astype(np.float32), y.reshape(2, 4)]:
+        with pytest.raises(ValueError, match="C isotonic"):
+            _isotonic_values(bad)
 
 
 def test_isotonic_evaluate_steps():

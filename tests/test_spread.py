@@ -3,10 +3,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lipshift import densities, spread
+from lipshift import densities, lipfit, spread
 from lipshift.errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -304,13 +304,55 @@ def test_counting_search_selects_once():
     pts = densities.sample(densities.power(2.0), 10**4, seed=8)
     e = EmpiricalSpread(pts)
     xs = np.concatenate([np.linspace(-0.25, 1.25, 201), pts[:5]])
-    with mock.patch.object(EmpiricalSpread, "_kth_distance", autospec=True,
-                           side_effect=EmpiricalSpread._kth_distance) as select:
+    # the numpy searches run only without the C kernel
+    with mock.patch.object(lipfit, "_KERNEL", None), \
+            mock.patch.object(EmpiricalSpread, "_kth_distance", autospec=True,
+                              side_effect=EmpiricalSpread._kth_distance) as select:
         t = e.at(xs)
         assert select.call_count == 1  # for r_k*; the k* search only counts
         assert e.at(0.3) == sorted_distance_oracle(pts, 0.3)[0]
         assert select.call_count == 2
     assert np.array_equal(t, sorted_distance_oracle(pts, xs))
+
+
+# the numpy k* search is the reference of the C kernel's: the same float
+# tests and the same searches, so the same bits
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 2048),
+       seed=st.integers(0, 2**32 - 1),
+       levels=st.sampled_from([0, 1, 2, 7, 64]),
+       negative_zero=st.booleans(),
+       extra=st.lists(st.floats(-1.0, 2.0), max_size=10),
+       on_points=st.integers(0, 5))
+@example(n=2, seed=0, levels=0, negative_zero=False, extra=[], on_points=2)
+@example(n=2, seed=0, levels=1, negative_zero=True, extra=[0.0, -0.0], on_points=2)
+@example(n=10**5, seed=3, levels=0, negative_zero=False, extra=[], on_points=5)
+def test_kernel_matches_numpy_search_bit_for_bit(n, seed, levels, negative_zero, extra,
+                                                 on_points):
+    # levels > 0 rounds the points to that many values per unit (ties), and
+    # negative_zero makes the rounded zeros -0.0; x also lies outside [0, 1]
+    # and on the points
+    assert lipfit._KERNEL is not None, "the C kernel did not build or load"
+    rng = np.random.default_rng(seed)
+    pts = rng.random(n)
+    if levels:
+        pts = np.round(pts * levels) / levels
+    if negative_zero:
+        pts[pts == 0.0] = -0.0
+    xs = np.concatenate([np.linspace(-1.0, 2.0, 13), extra, pts[:on_points], [0.0, -0.0]])
+    e = EmpiricalSpread(pts)
+    assert np.array_equal(_bits(e.at(xs)), _bits(e._search(xs)))
+    assert _bits(e.at(xs[-1])) == _bits(e._search(xs[-1:]))[0]
+
+
+def test_spread_kernel_checks_its_buffers():
+    # the kernel reads raw memory, so strided, short or non-float64 points
+    # and non-float64 x must not reach it
+    pts, x = np.linspace(0.0, 1.0, 8), np.linspace(0.0, 1.0, 3)
+    for bad_pts, bad_x in [(pts[::2], x), (pts[:1], x), (pts.astype(np.float32), x),
+                           (pts.reshape(2, 4), x), (pts, x.astype(np.float32))]:
+        with pytest.raises(ValueError, match="C empirical spread"):
+            spread._kernel_spread(bad_pts, bad_x)
 
 
 def test_empirical_spread_memory_bounded(traced):
