@@ -38,13 +38,14 @@ their arrays and writes the roots into one float buffer, which the backward
 pass clips in place into the fitted values.
 
 Both passes run in C (``_sweep.c``, loaded with ctypes at import), with the
-same float operations in the same order, so the same bits, 30-70x
-faster at n = 2^14 to 2^20.  The kernel is built once per source and flags, with the system C
-compiler ``cc``, into a file next to the source.  It keeps the two stacks in
-one complex buffer of 2n + 1 knots from numpy, the left stack growing up
-from its start and the right one down from its end.  Where the kernel
-cannot be built or loaded, the import warns once and the Python sweep below
-runs; the tests hold it as the kernel's reference.  At its peak a fit holds
+same float operations in the same order, so the same bits, 30-70x faster at
+n = 2^14 to 2^20.  The kernel is built once per source and flags, with the
+system C compiler ``cc``, into a file next to the source that replaces the
+builds of earlier sources there.  It keeps the two stacks in one complex
+buffer of 2n + 1 knots from numpy, the left stack growing up from its start
+and the right one down from its end.  Where the kernel cannot be built or
+loaded, the import warns once and the Python sweep below runs; the tests
+hold it as the kernel's reference.  At its peak a fit holds
 about 64 bytes per point, in the C sweep: 40 (16-byte knots and the roots)
 beside the inputs.  The KKT residual builds its multipliers and masks in
 place, about 26; the Python sweep holds about 115 (2n knots at 40 bytes
@@ -85,7 +86,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RegressionSample:
-    """(x, y) pairs stored sorted by x; every value must be finite."""
+    """(x, y) pairs stored sorted by x; x and y are 1-d and every value must
+    be finite.
+
+    Tied x keep their input order, the order of a stable sort.  The sort is
+    numpy's default (unstable, and several times faster), and a stable one
+    follows only when the sorted x hold equal neighbours (-0.0 == 0.0 among
+    them): without ties the sorting permutation is unique, so both sorts
+    give the same one."""
 
     x: np.ndarray
     y: np.ndarray
@@ -93,12 +101,18 @@ class RegressionSample:
     def __init__(self, x, y):
         x = np.atleast_1d(np.asarray(x, float))
         y = np.atleast_1d(np.asarray(y, float))
+        if x.ndim != 1 or y.ndim != 1:
+            raise InvalidInputError(f"sample needs 1-d x and y, got shapes {x.shape} and {y.shape}")
         if x.size == 0 or x.shape != y.shape:
             raise InvalidInputError("sample needs matching nonempty x and y")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise InvalidInputError("sample holds NaN or infinite values")
-        order = np.argsort(x, kind="stable")
-        object.__setattr__(self, "x", x[order])
+        order = np.argsort(x)
+        xs = x[order]
+        if np.any(xs[1:] == xs[:-1]):
+            order = np.argsort(x, kind="stable")
+            xs = x[order]
+        object.__setattr__(self, "x", xs)
         object.__setattr__(self, "y", y[order])
 
     @property
@@ -255,11 +269,26 @@ def _clip_roots(f, u):
 _CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
 
 
+def _remove_stale_builds(path):
+    """Remove the builds of other sources or flags, ``_sweep-<8 hex digits>.so``,
+    beside the build at path; a concurrent builder's ``_sweep-<key>-<pid>.so``
+    does not match, and a file that cannot be removed stays."""
+    folder, keep = os.path.split(path)
+    for name in os.listdir(folder):
+        key = name[len("_sweep-"):-len(".so")]
+        if (name != keep and name.startswith("_sweep-") and name.endswith(".so")
+                and len(key) == 8 and all(ch in "0123456789abcdef" for ch in key)):
+            try:
+                os.remove(os.path.join(folder, name))
+            except OSError:
+                pass
+
+
 def _load_kernel():
     """The C kernels ``_sweep.c`` as a ctypes library, built with the system C
     compiler into a file keyed by the source and flags when no such file is
-    there yet; None, after one warning naming the reason, when it cannot be
-    built or loaded."""
+    there yet, which then replaces the builds of earlier keys; None, after
+    one warning naming the reason, when it cannot be built or loaded."""
     source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sweep.c")
     try:
         with open(source, "rb") as fh:
@@ -277,6 +306,7 @@ def _load_kernel():
             finally:
                 if os.path.exists(tmp):
                     os.remove(tmp)
+            _remove_stale_builds(path)
         lib = ctypes.CDLL(path)
     except OSError as exc:
         warnings.warn(f"lipshift: the C kernels are unavailable ({exc}); fitting with the "
@@ -437,8 +467,8 @@ def kernel_smoother(sample: RegressionSample, d: DesignDistribution, h: float, x
     the terms, and so the rounding of their differences, small.  Cost:
     O(n + G log n) time and O(n + G) memory for G points x.
     """
-    if h <= 0.0:
-        raise InvalidParameterError(f"bandwidth must be positive, got {h}")
+    if not 0.0 < h < np.inf:
+        raise InvalidParameterError(f"bandwidth must be positive and finite, got {h}")
     x = np.asarray(x, float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)

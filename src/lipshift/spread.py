@@ -9,12 +9,13 @@ nondecreasing, so a bracket [lo, hi] with g(lo) < log n / n <= g(hi) (or
 hi = 1) pins the (smallest, hence the) solution.  `SpreadFunction.at`
 shrinks that bracket with paired secant steps on g^(1/3) until lo and hi are
 adjacent floats, in one numpy loop for two or more points and in Python
-floats for one, with the same iterates and result.  The empirical version
-finds its crossing index by counting sample points within each candidate
-distance and selects one order statistic of the distances, both over the
-sorted sample and exact, in the C library that ``lipfit`` loads (numpy
-searches where it did not load).  Both evaluators take x of any shape and
-return a float for a 0-d x, else an array shaped like x.
+floats for one, with the same iterates and result; the numpy loop takes a
+threshold per point, so one loop can solve for several n.  The empirical
+version finds its crossing index by counting sample points within each
+candidate distance and selects one order statistic of the distances, both
+over the sorted sample and exact, in the C library that ``lipfit`` loads
+(numpy searches where it did not load).  Both evaluators take x of any
+shape and return a float for a 0-d x, else an array shaped like x.
 """
 
 from __future__ import annotations
@@ -147,16 +148,24 @@ class SpreadFunction:
             before, lo, hi = hi - lo, lo2, hi2
         return 0.5 * (lo + hi)
 
-    def _at_points(self, x):
+    def _at_points(self, x, thr=None):
         """`at` for a 1-d array of points, solved together: each round makes
-        one `interval_mass` call for every point still solving."""
-        d, thr = self.distribution, self.threshold
+        one `interval_mass` call for every point still solving.
+
+        Each point carries its own threshold log(n) / n, from thr, an array
+        like x, or self.threshold for all when thr is None, and its own
+        secant target cbrt(threshold).  The rounds are elementwise, so a
+        point gets the iterates, and the bits, of a solve for its n alone:
+        one call solves the grids of several n, each point with the
+        `threshold` of its n, for one call's numpy overhead per round."""
+        d = self.distribution
+        thr = np.full_like(x, self.threshold) if thr is None else thr
         level = np.cbrt(thr)  # the secant's target on g^(1/3)
         out = np.empty_like(x)
         todo = np.arange(x.size)  # the points still solving; the arrays below follow it
-        lo = np.full_like(x, np.sqrt(thr) * (1.0 - 1e-9))
+        lo = np.sqrt(thr) * (1.0 - 1e-9)
         hi = np.ones_like(x)
-        est = np.full_like(x, np.cbrt(0.5 * thr))  # the root for p = 1
+        est = np.cbrt(0.5 * thr)  # the root for p = 1
         half = 0.5 * est
         before = np.full_like(x, np.inf)  # bracket width at the start of the last round
         for _ in range(200):
@@ -165,8 +174,8 @@ class SpreadFunction:
             if done.any():
                 out[todo[done]] = t[done]
                 keep = ~done
-                todo, lo, hi, est, half, before = (
-                    v[keep] for v in (todo, lo, hi, est, half, before))
+                todo, lo, hi, est, half, before, thr, level = (
+                    v[keep] for v in (todo, lo, hi, est, half, before, thr, level))
             if todo.size == 0:
                 break
             inner = _next_float(lo, 1), _next_float(hi, -1)

@@ -261,6 +261,26 @@ def test_report_contains_all_cells_and_metadata():
                                   for l in ("sup", "weighted_sup")}
 
 
+def test_weighted_sup_run_solves_spread_once(monkeypatch):
+    # t_n on the grid for every n of the run in one `_at_points` call, each
+    # point with its n's threshold; none without the weighted loss
+    calls = []
+    at_points = SpreadFunction._at_points
+
+    def spy(self, x, thr=None):
+        calls.append((x.size, None if thr is None else np.unique(thr).tolist()))
+        return at_points(self, x, thr)
+
+    monkeypatch.setattr(SpreadFunction, "_at_points", spy)
+    cfg = _config(n_grid=[64, 128, 256, 512], losses=["sup", "weighted_sup"])
+    run_rate_experiment(cfg)
+    thresholds = sorted(SpreadFunction(cfg.distribution, n).threshold for n in cfg.n_grid)
+    assert calls == [(4 * harness.EVAL_GRID_SIZE, thresholds)]
+    calls.clear()
+    run_rate_experiment(_config())
+    assert calls == []
+
+
 def test_lse_sup_loss_decreases_with_n():
     cfg = _config(n_grid=[64, 256, 1024], replicates=10)
     report = run_rate_experiment(cfg)

@@ -26,6 +26,7 @@ give the same bits.
 
 import ast
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -218,6 +219,33 @@ print([str(w.message) for w in caught])
     assert list(pkg.glob("_sweep-*")) == []  # no build left behind
     kernel = _fresh("from lipshift import lipfit\nassert lipfit._KERNEL is not None\n" + fit)
     assert fallback == kernel
+
+
+def test_kernel_build_removes_stale_builds(tmp_path):
+    # a copy of the package whose folder holds the builds of two older
+    # kernel sources and a concurrent builder's unfinished build: the import
+    # builds the kernel for this source and removes only the older builds
+    pkg = tmp_path / "lipshift"
+    pkg.mkdir()
+    for path in [*SRC.glob("*.py"), SRC / "_sweep.c"]:
+        shutil.copy(path, pkg)
+    stale = ["_sweep-4534f6fc.so", "_sweep-00000000.so"]
+    kept = ["_sweep-4534f6fc-1234.so", "_sweep-old.so"]
+    for name in stale + kept:
+        (pkg / name).write_bytes(b"")
+    code = f"""
+import sys
+sys.path.insert(0, {str(tmp_path)!r})
+from lipshift import lipfit
+assert lipfit.__file__.startswith({str(tmp_path)!r}) and lipfit._KERNEL is not None
+print(lipfit._KERNEL._name)
+"""
+    built = os.path.basename(_fresh(code))
+    assert re.fullmatch(r"_sweep-[0-9a-f]{8}\.so", built) and built not in stale
+    assert sorted(p.name for p in pkg.glob("_sweep-*")) == sorted([built, *kept])
+    # a second import loads that build and removes nothing
+    assert os.path.basename(_fresh(code)) == built
+    assert sorted(p.name for p in pkg.glob("_sweep-*")) == sorted([built, *kept])
 
 
 # a run with every estimator and every loss, and a target design

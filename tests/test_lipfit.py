@@ -321,6 +321,35 @@ def test_nonfinite_sample_rejected(x, y):
         RegressionSample(x, y)
 
 
+@pytest.mark.parametrize("x, y", [
+    ([[0.1, 0.5], [0.9, 0.3]], [[0.0, 1.0], [2.0, 3.0]]),
+    ([0.1, 0.5, 0.9, 0.3], [[0.0, 1.0], [2.0, 3.0]]),
+    ([[0.1, 0.5], [0.9, 0.3]], [0.0, 1.0, 2.0, 3.0]),
+    (np.zeros((1, 3)), np.zeros((1, 3))),
+])
+def test_multidimensional_sample_rejected(x, y):
+    with pytest.raises(InvalidInputError, match="1-d"):
+        RegressionSample(x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.lists(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0]) | st.floats(-1.0, 2.0),
+                  min_size=1, max_size=60),
+       all_equal=st.booleans())
+@example(x=[0.0, -0.0, 0.0, -0.0], all_equal=False)
+@example(x=[0.5] * 40, all_equal=True)
+def test_sample_order_is_stable_sort(x, all_equal):
+    # the default sort, and a stable one only where the sorted x hold ties
+    # (-0.0 == 0.0 among them), give the stable sort's order: tied x keep
+    # their input order, and -0.0 and 0.0 their signs
+    x = np.array([x[0]] * len(x) if all_equal else x)
+    y = np.arange(x.size, dtype=float)
+    s = RegressionSample(x, y)
+    order = np.argsort(x, kind="stable")
+    assert np.array_equal(s.y, y[order])
+    assert np.array_equal(s.x.view(np.int64), x[order].view(np.int64))
+
+
 def test_bad_budget_rejected():
     s = RegressionSample([0.1], [0.0])
     for L in (0.0, -1.0, 1.5):
@@ -696,6 +725,14 @@ def test_kernel_grid_matches_pointwise():
     assert kernel_smoother(s, d, 0.1, grid[5]) == pytest.approx(got[5], rel=1e-12)
     with pytest.raises(InvalidParameterError):
         kernel_smoother(s, d, 0.0, grid)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf, -np.inf])
+def test_kernel_rejects_bandwidth_outside_positive_finite(h):
+    rng = np.random.default_rng(8)
+    s = RegressionSample(rng.random(100), rng.normal(size=100))
+    with pytest.raises(InvalidParameterError, match="positive and finite"):
+        kernel_smoother(s, densities.uniform(), h, np.linspace(0.0, 1.0, 11))
 
 
 # --- losses -------------------------------------------------------------

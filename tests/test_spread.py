@@ -197,6 +197,32 @@ def test_one_point_path_matches_vector_path(kind, n, x):
     assert_float_crossing(s, np.array([x]), np.array([t]))
 
 
+# the oracle designs, a density that is zero on a whole stretch, and one
+# that vanishes to high order at 0
+BATCH_DESIGNS = {**ORACLE_DESIGNS,
+                 "zero_stretch": densities.tabulated([0.0, 0.3, 0.6, 1.0], [1.0, 0.0, 0.0, 2.0]),
+                 "power6": densities.power(6.0)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(BATCH_DESIGNS)),
+       ns=st.lists(st.integers(2, 10**9), min_size=1, max_size=6).flatmap(
+           lambda ns: st.permutations(ns + ns[:1])),
+       xs=st.lists(st.floats(-0.5, 1.5), max_size=20))
+@example(kind="uniform", ns=[8192, 256, 2, 10**9, 256], xs=[])
+def test_stacked_solve_matches_one_solve_per_n(kind, ns, xs):
+    # one `_at_points` call over the grids of several n, each point with its
+    # own n's threshold, gives every point the bits of its own n's solve;
+    # repeated and unsorted n in one batch
+    d = BATCH_DESIGNS[kind]
+    xs = np.concatenate([xs, np.linspace(0.0, 1.0, 21)])
+    solvers = [SpreadFunction(d, n) for n in ns]
+    t = solvers[0]._at_points(np.tile(xs, len(ns)),
+                              np.repeat([s.threshold for s in solvers], xs.size))
+    for s, got in zip(solvers, t.reshape(len(ns), xs.size)):
+        assert np.array_equal(_bits(got), _bits(s.at(xs))), s.n
+
+
 @pytest.mark.parametrize("shape", [(), (1,), (1, 1), (2, 3), (0,)])
 def test_at_and_derivative_keep_input_shape(shape):
     s = SpreadFunction(densities.power(2.0), 1000)
