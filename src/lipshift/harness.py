@@ -250,13 +250,11 @@ def _replicate_losses(config, n, m, rep, grid, spread_grid, q_grid, f0_grid):
     return out
 
 
-_WORKER_STATE = None  # (config, grid, spread grid by n, q_grid, f0_grid) while a run forks
-
-
-def _cell(n, m, rep):
+def _cell(state, n, m, rep):
     """One (n, replicate) cell in a worker: (failure, losses), where failure is
-    None or the (type name, message) that the failure ledger records."""
-    config, grid, spreads, q_grid, f0_grid = _WORKER_STATE
+    None or the (type name, message) that the failure ledger records; state is
+    the run's (config, grid, spread grid by n, q_grid, f0_grid)."""
+    config, grid, spreads, q_grid, f0_grid = state
     try:
         vals = _replicate_losses(config, n, m, rep, grid, spreads[n], q_grid, f0_grid)
     except Exception as exc:
@@ -267,11 +265,10 @@ def _cell(n, m, rep):
     return None, vals
 
 
-def _fork_worker(cells, share):
-    """Fork a worker that runs the cells whose indices are in share and
-    pickles the list of their results down a pipe; returns (pid, the
+def _fork_worker(run):
+    """Fork a worker that pickles run() down a pipe; returns (pid, the
     pipe's read end as a file).  The worker exits 0 when it has written
-    them and 1 on any exception, never returning here."""
+    it and 1 on any exception, never returning here."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -284,7 +281,7 @@ def _fork_worker(cells, share):
         try:
             os.close(r)
             with open(w, "wb") as fh:
-                pickle.dump([_cell(*cells[i]) for i in share], fh)
+                pickle.dump(run(), fh)
             code = 0
         finally:
             os._exit(code)
@@ -298,7 +295,6 @@ def _run_cells(cells, state):
 
     The cells are dealt largest n first, each to the worker with the
     smallest total n so far, so that the shares take about the same time."""
-    global _WORKER_STATE
     import signal  # here: it would add ~0.6 ms to every lipshift import
 
     # loaded before the fork, so that no worker imports it again in its first cell
@@ -311,13 +307,13 @@ def _run_cells(cells, state):
         k = loads.index(min(loads))
         shares[k].append(i)
         loads[k] += cells[i][0]
-    # fork, not spawn: the config's densities and f0 are lambdas, which do
-    # not pickle, and the workers read them from here
-    _WORKER_STATE = state
     workers = []  # (pid, read end, share) of each worker not yet reaped
     try:
         for share in shares:
-            workers.append((*_fork_worker(cells, share), share))
+            # fork, not spawn: the config's densities and f0 are lambdas,
+            # which do not pickle, so each worker finds the state in its closure
+            run = lambda share=share: [_cell(state, *cells[i]) for i in share]  # noqa: E731
+            workers.append((*_fork_worker(run), share))
         results = [None] * len(cells)
         while workers:
             pid, fh, share = workers[0]
@@ -336,7 +332,6 @@ def _run_cells(cells, state):
             fh.close()
             os.kill(pid, signal.SIGTERM)
             os.waitpid(pid, 0)
-        _WORKER_STATE = None
 
 
 def run_rate_experiment(config: ExperimentConfig) -> RateReport:

@@ -30,22 +30,23 @@ y) to each b.  Both stacks can share a because every knot's value has
 gained the same sum of 2 w, and for the same reason a is also the slope of
 V' beyond the outermost knots.  When the root moves, the knots it passes
 leave the top of one stack for the other; in the new stack's coordinates
-(p, q) shifts by a constant, so a galloping search finds them, and one
-reversed slice and one complex add per knot move them (a complex add rounds
-its two parts as two float adds would).  A fit costs O(n) steps plus one
-move per knot crossing the root.  The sweep reads y, 2 w and the gaps from
-their arrays and writes the roots into one float buffer, which the backward
-pass clips in place into the fitted values.
+(p, q) shifts by a constant, so one galloping search, `_cut`, finds them on
+either stack, and one reversed slice and one complex add per knot move them
+(a complex add rounds its two parts as two float adds would).  A fit costs
+O(n) steps plus one move per knot crossing the root.  The sweep reads y, 2 w
+and the gaps from their arrays and writes the roots into one float buffer,
+which the backward pass clips in place into the fitted values.
 
-Both passes run in C (``_sweep.c``, loaded with ctypes at import), with the
-same float operations in the same order, so the same bits, 30-70x faster at
-n = 2^14 to 2^20.  The kernel is built once per source and flags, with the
-system C compiler ``cc``, into a file next to the source that replaces the
-builds of earlier sources there.  It keeps the two stacks in one complex
-buffer of 2n + 1 knots from numpy, the left stack growing up from its start
-and the right one down from its end.  Where the kernel cannot be built or
-loaded, the import warns once and the Python sweep below runs; the tests
-hold it as the kernel's reference.  At its peak a fit holds
+Both passes run in C (``lse_roots`` and ``lse_clip`` in ``_sweep.c``,
+loaded with ctypes at import), written line for line like the Python ones,
+with the same float operations in the same order, so the same bits, 30-70x
+faster at n = 2^14 to 2^20.  The C keeps both stacks in one buffer of 2n +
+1 knots, the left growing up from its start and the right down from its
+end.  The kernel is built once per source and flags, with the system C
+compiler ``cc``, into a file next to the source, and each import that
+loads it removes the builds of other sources there.  Where it cannot be
+built or loaded, the import warns once and the Python passes run; the tests
+hold them as the kernel's reference.  At its peak a fit holds
 about 64 bytes per point, in the C sweep: 40 (16-byte knots and the roots)
 beside the inputs.  The KKT residual builds its multipliers and masks in
 place, about 26; the Python sweep holds about 115 (2n knots at 40 bytes
@@ -55,9 +56,9 @@ The same file houses the isotonic LSE (pool adjacent violators) and a
 fixed-bandwidth triangular-kernel smoother.  PAVA runs in the same C
 library (``iso_fit``), with the blocks as (total, count) pairs in numpy
 buffers, and in Python (``_pava``) where no kernel loaded; so does the
-empirical spread of ``spread``, which reads ``_KERNEL`` here when it is
-called.  The losses that judge all of them, and the name -> estimator
-table that runs them, are in ``harness``.
+empirical spread of ``spread`` (``emp_spread``), which reads ``_KERNEL``
+here when it is called.  The losses that judge all of them, and the name ->
+estimator table that runs them, are in ``harness``.
 """
 
 from __future__ import annotations
@@ -154,10 +155,31 @@ def _merge_duplicates(x, y):
     return xu, ybar, w, extra
 
 
+def _cut(stack, sign, a, b):
+    """Index hi of the deepest knot to move: a knot moves while sign times
+    its value is > 0.  A galloping search from the top, ``cut`` in C."""
+    hi = len(stack) - 1
+    step = 1
+    lo = hi - 1
+    while lo >= 0 and sign * ((z := stack[lo]).imag + a * z.real + b) > 0.0:
+        hi = lo
+        step += step
+        lo = hi - step
+    if lo < 0:
+        lo = -1
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if sign * ((z := stack[mid]).imag + a * z.real + b) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _stack_roots(y, c, u):
     """Roots r_0..r_{k-1} of V_0'..V_{k-1}' by the two-stack sweep of the
-    module docstring, as a float array; y, c = 2 w and u are float64 arrays,
-    read in place."""
+    module docstring, ``lse_roots`` in C, as a float array; y, c = 2 w and
+    u are float64 arrays, read in place."""
     y0 = float(y[0])
     left, right = [complex(y0, 0.0)], []  # V_0' = c_0 (z - y_0): one knot, value 0
     a = float(c[0])
@@ -172,52 +194,18 @@ def _stack_roots(y, c, u):
                              chain(memoryview(y)[1:], tail)):
         vl = (zl := left[-1]).imag + a * zl.real + bl if left else -1.0
         vr = (zr := right[-1]).imag + a * zr.real + br if right else 1.0
-        # Move the knots the root passed: those with V' > 0 atop the left
-        # stack, or those with V' < 0 atop the right one.  A galloping search
-        # finds the lowest index hi of a knot to move; it keeps the knot at
-        # lo = hi - 1 and its value, the source stack's next top.
-        if vl > 0.0:
-            hi = len(left) - 1
-            step = 1
-            lo = hi - 1
-            while lo >= 0 and (vl := (zl := left[lo]).imag + a * zl.real + bl) > 0.0:
-                hi = lo
-                step += step
-                lo = hi - step
-            if lo < 0:
-                lo, vl = -1, -1.0
-            while hi - lo > 1:
-                mid = (lo + hi) >> 1
-                if (v := (z := left[mid]).imag + a * z.real + bl) > 0.0:
-                    hi = mid
-                else:
-                    lo, vl, zl = mid, v, z
-            d = ol - orr
-            shift = complex(d, bl - br - a * d)
-            right += [z + shift for z in reversed(left[hi:])]
-            del left[hi:]
-            vr = (zr := right[-1]).imag + a * zr.real + br
-        elif vr < 0.0:
-            hi = len(right) - 1
-            step = 1
-            lo = hi - 1
-            while lo >= 0 and (vr := (zr := right[lo]).imag + a * zr.real + br) < 0.0:
-                hi = lo
-                step += step
-                lo = hi - step
-            if lo < 0:
-                lo, vr = -1, 1.0
-            while hi - lo > 1:
-                mid = (lo + hi) >> 1
-                if (v := (z := right[mid]).imag + a * z.real + br) < 0.0:
-                    hi = mid
-                else:
-                    lo, vr, zr = mid, v, z
-            d = orr - ol
-            shift = complex(d, br - bl - a * d)
-            left += [z + shift for z in reversed(right[hi:])]
-            del right[hi:]
-            vl = (zl := left[-1]).imag + a * zl.real + bl
+        if vl > 0.0 or vr < 0.0:
+            # the root passed the knots with V' > 0 atop the left stack, or
+            # those with V' < 0 atop the right one: onto the other stack
+            src, dst, sign, o, b, o2, b2 = ((left, right, 1.0, ol, bl, orr, br) if vl > 0.0
+                                            else (right, left, -1.0, orr, br, ol, bl))
+            hi = _cut(src, sign, a, b)
+            d = o - o2
+            shift = complex(d, b - b2 - a * d)
+            dst += [z + shift for z in reversed(src[hi:])]
+            del src[hi:]
+            vl = (zl := left[-1]).imag + a * zl.real + bl if left else -1.0
+            vr = (zr := right[-1]).imag + a * zr.real + br if right else 1.0
         if vl == 0.0:  # the root is a knot; the clip below replaces it
             m = left.pop().real + ol
         elif vr == 0.0:
@@ -287,8 +275,8 @@ def _remove_stale_builds(path):
 def _load_kernel():
     """The C kernels ``_sweep.c`` as a ctypes library, built with the system C
     compiler into a file keyed by the source and flags when no such file is
-    there yet, which then replaces the builds of earlier keys; None, after
-    one warning naming the reason, when it cannot be built or loaded."""
+    there yet; once it loads, it replaces the builds of other keys.  None,
+    after one warning naming the reason, when it cannot be built or loaded."""
     source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sweep.c")
     try:
         with open(source, "rb") as fh:
@@ -306,8 +294,8 @@ def _load_kernel():
             finally:
                 if os.path.exists(tmp):
                     os.remove(tmp)
-            _remove_stale_builds(path)
         lib = ctypes.CDLL(path)
+        _remove_stale_builds(path)
     except OSError as exc:
         warnings.warn(f"lipshift: the C kernels are unavailable ({exc}); fitting with the "
                       "Python sweep, 30-70x slower, and running PAVA and the empirical "

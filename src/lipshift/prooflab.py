@@ -15,7 +15,7 @@ asserted numerically:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -126,9 +126,7 @@ def build_perturbation(psi, f, delta: float, s: SpreadFunction, K: float, grid) 
         if diff(grid[i]) >= 0.0:
             x_u = _refine_crossing(diff, grid[i], grid[max(i - 1, 0)])
             break
-    object.__setattr__(pert, "x_ell", float(x_ell))
-    object.__setattr__(pert, "x_u", float(x_u))
-    return pert
+    return replace(pert, x_ell=float(x_ell), x_u=float(x_u))
 
 
 @dataclass(frozen=True)

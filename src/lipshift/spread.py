@@ -14,13 +14,14 @@ threshold per point, so one loop can solve for several n.  The empirical
 version finds its crossing index by counting sample points within each
 candidate distance and selects one order statistic of the distances, both
 over the sorted sample and exact, in the C library that ``lipfit`` loads
-(numpy searches where it did not load).  Both evaluators take x of any
+(in Python floats where it did not load).  Both evaluators take x of any
 shape and return a float for a 0-d x, else an array shaped like x.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -301,17 +302,9 @@ class EmpiricalSpread:
     for the G values of k that a probe or the result needs, the same float
     operations as a table of all n would make.
 
-    `at` runs in C (``emp_spread`` in ``_sweep.c``), one point at a time.
-    Float subtraction is monotone, so each run's count is a binary search on
-    the float test x - X_(i) < phi_k or X_(i) - x < phi_k itself.  Where the
-    kernel did not load, `_search` runs the same searches over all points
-    at once in numpy, and the tests hold it as the kernel's reference: each
-    run's count comes from a search of the sorted points for x - phi_k or
-    x + phi_k, moved over whole blocks of tied points until the float test
-    holds just inside it, and the numpy calls are one searchsorted pair per
-    k* probe (about log2 n probes) and one selection.  Both take log n from
-    np.log, whose last bit libm's log need not share, so both give the same
-    bits.
+    `at` runs in C (``emp_spread`` in ``_sweep.c``), or where the kernel did
+    not load in `_search`, its line-for-line copy in Python floats: float
+    subtraction is monotone, so each count is a bisection on its float test.
     """
 
     def __init__(self, points):
@@ -321,76 +314,58 @@ class EmpiricalSpread:
         self.points = pts
         self.n = pts.size
 
-    def _kth_distance(self, x, s, k):
-        """k-th smallest |X_i - x| (1 <= k <= n), elementwise; the sorted
-        points below index s lie at or below x and the rest at or above."""
-        p, last = self.points, self.n - 1
-        # i = how many of the k smallest lie below x; the smallest i with
-        # i = s, i = k or (x - p[s-1-i]) >= (p[s+k-1-i] - x) is the split
-        lo = np.maximum(0, k - (self.n - s))
-        hi = np.minimum(k, s)
-        while np.any(lo < hi):
-            i = (lo + hi) // 2
-            left = x - p[np.clip(s - 1 - i, 0, last)]
-            right = p[np.clip(s + k - 1 - i, 0, last)] - x
-            done = (i >= s) | (i >= k) | (left >= right)
-            lo = np.where(done, lo, i + 1)
-            hi = np.where(done, i, hi)
-        left = np.where(hi > 0, x - p[np.clip(s - hi, 0, last)], -np.inf)
-        right = np.where(hi < k, p[np.clip(s + k - 1 - hi, 0, last)] - x, -np.inf)
-        return np.maximum(left, right)
-
-    def _count_closer(self, x, s, phi):
-        """#{i : |X_i - x| < phi} elementwise, each distance the float
-        subtraction `_kth_distance` makes: x - X_i < phi on a run [j, s) of
-        the points below x and X_i - x < phi on a run [s, m) of the rest."""
-        p, n = self.points, self.n
-        j = np.minimum(np.searchsorted(p, x - phi, side="right"), s)
-        m = np.maximum(np.searchsorted(p, x + phi, side="left"), s)
-        # the searches took rounded ends; move each end over whole blocks of
-        # tied points until the float test holds just inside it and fails
-        # just outside
-        while True:
-            jb, ja = np.maximum(j - 1, 0), np.minimum(j, n - 1)
-            mb, ma = np.maximum(m - 1, 0), np.minimum(m, n - 1)
-            j_out = (j > 0) & (x - p[jb] < phi)
-            j_in = (j < s) & ~(x - p[ja] < phi)
-            m_out = (m < n) & (p[ma] - x < phi)
-            m_in = (m > s) & ~(p[mb] - x < phi)
-            if not (j_out.any() or j_in.any() or m_out.any() or m_in.any()):
-                return m - j
-            j = np.where(j_out, np.searchsorted(p, p[jb], side="left"),
-                         np.where(j_in, np.searchsorted(p, p[ja], side="right"), j))
-            m = np.where(m_out, np.searchsorted(p, p[ma], side="right"),
-                         np.where(m_in, np.searchsorted(p, p[mb], side="left"), m))
-
     def at(self, x):
         x = _finite(x)
         if lipfit._KERNEL is None:
-            out = self._search(np.atleast_1d(x))
+            out = self._search(x)
         else:
             out = _kernel_spread(self.points, x)
         return float(out.flat[0]) if x.ndim == 0 else out
 
     def _search(self, x):
-        """`at` for a float array x of one or more dimensions, by numpy searches: the
-        C kernel's fallback and its reference."""
-        n = self.n
-        log_n = np.log(n)
-        s = np.searchsorted(self.points, x)
-        # k* in [1, n + 1]; n + 1 stands for "r_k < sqrt(log n / k) for all k"
-        lo = np.ones(x.shape, int)
-        hi = np.full(x.shape, n + 1)
-        while np.any(lo < hi):
-            k = (lo + hi) // 2
-            kc = np.minimum(k, n)
-            # r_k >= phi_k exactly when fewer than k distances lie below phi_k
-            done = (k > n) | (self._count_closer(x, s, np.sqrt(log_n / kc)) < kc)
-            lo = np.where(done, lo, k + 1)
-            hi = np.where(done, k, hi)
-        r = np.where(hi <= n, self._kth_distance(x, s, np.minimum(hi, n)), np.inf)
-        floor = np.where(hi >= 2, np.sqrt(log_n / np.maximum(hi - 1, 1)), np.inf)
-        return np.minimum(r, floor)
+        """`at` for a float array x in Python floats, point by point: the C
+        kernel's fallback and its reference, ``emp_spread`` line for line."""
+        p, n = memoryview(self.points), self.n
+        log_n = float(np.log(n))  # the kernel's, whose last bit libm's log need not share
+        out = []
+        for v in x.ravel().tolist():
+            s = bisect_left(p, v)
+            lo, hi = 1, n + 1  # k* in [1, n + 1]; n + 1: r_k < sqrt(log n / k) for all k
+            while lo < hi:
+                k = (lo + hi) // 2
+                if k > n or _count_closer(p, s, v, math.sqrt(log_n / k)) < k:
+                    hi = k
+                else:
+                    lo = k + 1
+            r = _kth_distance(p, s, v, hi) if hi <= n else math.inf
+            cap = math.sqrt(log_n / (hi - 1)) if hi >= 2 else math.inf
+            out.append(r if r < cap else cap)
+        return np.array(out, float).reshape(x.shape)
+
+
+def _count_closer(p, s, x, phi):
+    """#{i : x - p_i < phi} over the sorted points p below index s plus
+    #{i : p_i - x < phi} over the rest, ``count_closer`` in C: fl(p_i - x)
+    = -fl(x - p_i), so the first test is p_i - x > -phi, and each run is a
+    bisection on p_i - x."""
+    d = lambda v: v - x  # noqa: E731
+    return bisect_left(p, phi, s, len(p), key=d) - bisect_right(p, -phi, 0, s, key=d)
+
+
+def _kth_distance(p, s, x, k):
+    """The k-th smallest |p_i - x| (1 <= k <= n), ``kth_distance`` in C: a
+    bisection over how many of the k smallest lie below index s."""
+    n = len(p)
+    lo, hi = max(k - (n - s), 0), min(k, s)
+    while lo < hi:
+        i = (lo + hi) // 2
+        if x - p[s - 1 - i] >= p[s + k - 1 - i] - x:
+            hi = i
+        else:
+            lo = i + 1
+    left = x - p[s - hi] if hi > 0 else -math.inf
+    right = p[s + k - 1 - hi] - x if hi < k else -math.inf
+    return left if left > right else right
 
 
 def _kernel_spread(points, x):

@@ -224,7 +224,8 @@ print([str(w.message) for w in caught])
 def test_kernel_build_removes_stale_builds(tmp_path):
     # a copy of the package whose folder holds the builds of two older
     # kernel sources and a concurrent builder's unfinished build: the import
-    # builds the kernel for this source and removes only the older builds
+    # builds the kernel for this source and removes only the older builds,
+    # and so does an import that finds the current build already there
     pkg = tmp_path / "lipshift"
     pkg.mkdir()
     for path in [*SRC.glob("*.py"), SRC / "_sweep.c"]:
@@ -246,6 +247,13 @@ print(lipfit._KERNEL._name)
     # a second import loads that build and removes nothing
     assert os.path.basename(_fresh(code)) == built
     assert sorted(p.name for p in pkg.glob("_sweep-*")) == sorted([built, *kept])
+    # older builds beside the current one: loading it removes them, no rebuild
+    mtime = (pkg / built).stat().st_mtime_ns
+    for name in stale:
+        (pkg / name).write_bytes(b"")
+    assert os.path.basename(_fresh(code)) == built
+    assert sorted(p.name for p in pkg.glob("_sweep-*")) == sorted([built, *kept])
+    assert (pkg / built).stat().st_mtime_ns == mtime
 
 
 # a run with every estimator and every loss, and a target design

@@ -1,4 +1,9 @@
 import dataclasses
+import math
+import re
+from bisect import bisect_left
+from itertools import groupby
+from operator import itemgetter
 from unittest import mock
 
 import numpy as np
@@ -50,27 +55,28 @@ def sorted_distance_oracle(points, x):
 
 class FloorTableSpread(EmpiricalSpread):
     """Oracle: EmpiricalSpread.at as it was with the n-sized table
-    sqrt(log n / k), k = 1..n, built at construction and indexed by k."""
+    sqrt(log n / k), k = 1..n, built at construction and indexed by k, in a
+    per-point loop on the counting and selection helpers."""
 
     def __init__(self, points):
         super().__init__(points)
-        self._floor = np.sqrt(np.log(self.n) / np.arange(1, self.n + 1))
+        self._floor = np.sqrt(np.log(self.n) / np.arange(1, self.n + 1)).tolist()
 
     def at(self, x):
-        x = np.atleast_1d(np.asarray(x, float))
-        n = self.n
-        s = np.searchsorted(self.points, x)
-        lo = np.ones(x.shape, int)
-        hi = np.full(x.shape, n + 1)
-        while np.any(lo < hi):
-            k = (lo + hi) // 2
-            kc = np.minimum(k, n)
-            done = (k > n) | (self._count_closer(x, s, self._floor[kc - 1]) < kc)
-            lo = np.where(done, lo, k + 1)
-            hi = np.where(done, k, hi)
-        r = np.where(hi <= n, self._kth_distance(x, s, np.minimum(hi, n)), np.inf)
-        floor = np.where(hi >= 2, self._floor[np.maximum(hi - 2, 0)], np.inf)
-        return np.minimum(r, floor)
+        p, n, floor = memoryview(self.points), self.n, self._floor
+        out = []
+        for v in np.atleast_1d(np.asarray(x, float)).tolist():
+            s = bisect_left(p, v)
+            lo, hi = 1, n + 1
+            while lo < hi:
+                k = (lo + hi) // 2
+                if k > n or spread._count_closer(p, s, v, floor[k - 1]) < k:
+                    hi = k
+                else:
+                    lo = k + 1
+            r = spread._kth_distance(p, s, v, hi) if hi <= n else math.inf
+            out.append(min(r, floor[hi - 2] if hi >= 2 else math.inf))
+        return np.array(out)
 
 
 def _bits(a):
@@ -295,12 +301,17 @@ def _boundary_sample(rng, n, k, x, block=1):
 
 def _assert_counting_exact(pts, k, x, xs):
     e = EmpiricalSpread(pts)
-    assert np.array_equal(e.at(xs), sorted_distance_oracle(pts, xs))
-    assert np.array_equal(_bits(e.at(xs)), _bits(FloorTableSpread(pts).at(xs)))
+    want, table = sorted_distance_oracle(pts, xs), FloorTableSpread(pts).at(xs)
+    for kernel in (lipfit._KERNEL, None):  # the C kernel and its Python twin
+        with mock.patch.object(lipfit, "_KERNEL", kernel):
+            got = e.at(xs)
+        assert np.array_equal(got, want)
+        assert np.array_equal(_bits(got), _bits(table))
     # the count itself is exact, also where a wrong one would leave t_hat as it is
-    phi = np.sqrt(np.log(pts.size) / k)
-    count = e._count_closer(np.array([x]), np.searchsorted(e.points, [x]), phi)
-    assert count[0] == np.count_nonzero(np.abs(pts - x) < phi)
+    phi = float(np.sqrt(np.log(pts.size) / k))
+    p = memoryview(e.points)
+    count = spread._count_closer(p, bisect_left(p, x), x, phi)
+    assert count == np.count_nonzero(np.abs(pts - x) < phi)
 
 
 def test_counting_search_exact_next_to_floors():
@@ -330,19 +341,29 @@ def test_counting_search_selects_once():
     pts = densities.sample(densities.power(2.0), 10**4, seed=8)
     e = EmpiricalSpread(pts)
     xs = np.concatenate([np.linspace(-0.25, 1.25, 201), pts[:5]])
-    # the numpy searches run only without the C kernel
+    calls = []  # (helper, x) of each call, in order
+
+    def logged(name, helper):
+        def call(p, s, x, arg):
+            calls.append((name, x))
+            return helper(p, s, x, arg)
+        return call
+
+    # the Python helpers run only without the C kernel
     with mock.patch.object(lipfit, "_KERNEL", None), \
-            mock.patch.object(EmpiricalSpread, "_kth_distance", autospec=True,
-                              side_effect=EmpiricalSpread._kth_distance) as select:
+            mock.patch.object(spread, "_count_closer", logged("c", spread._count_closer)), \
+            mock.patch.object(spread, "_kth_distance", logged("s", spread._kth_distance)):
         t = e.at(xs)
-        assert select.call_count == 1  # for r_k*; the k* search only counts
         assert e.at(0.3) == sorted_distance_oracle(pts, 0.3)[0]
-        assert select.call_count == 2
+    # per point: the k* search only counts, then one selection at most, for r_k*
+    runs = [(x, "".join(name for name, _ in group)) for x, group in groupby(calls, itemgetter(1))]
+    assert [x for x, _ in runs] == [*xs.tolist(), 0.3]
+    assert all(re.fullmatch("c+s?", names) for _, names in runs)
     assert np.array_equal(t, sorted_distance_oracle(pts, xs))
 
 
-# the numpy k* search is the reference of the C kernel's: the same float
-# tests and the same searches, so the same bits
+# the Python k* search is the reference of the C kernel's, line for line:
+# the same float tests and the same searches, so the same bits
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(2, 2048),
        seed=st.integers(0, 2**32 - 1),
@@ -353,8 +374,8 @@ def test_counting_search_selects_once():
 @example(n=2, seed=0, levels=0, negative_zero=False, extra=[], on_points=2)
 @example(n=2, seed=0, levels=1, negative_zero=True, extra=[0.0, -0.0], on_points=2)
 @example(n=10**5, seed=3, levels=0, negative_zero=False, extra=[], on_points=5)
-def test_kernel_matches_numpy_search_bit_for_bit(n, seed, levels, negative_zero, extra,
-                                                 on_points):
+def test_kernel_matches_python_search_bit_for_bit(n, seed, levels, negative_zero, extra,
+                                                  on_points):
     # levels > 0 rounds the points to that many values per unit (ties), and
     # negative_zero makes the rounded zeros -0.0; x also lies outside [0, 1]
     # and on the points
