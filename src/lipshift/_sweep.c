@@ -1,6 +1,7 @@
 /* The two passes of the Lipschitz LSE (lipfit._stack_roots and
- * lipfit._clip_roots), the isotonic fit (lipfit._pava) and the empirical
- * spread (spread.EmpiricalSpread._search) in C, with the same float
+ * lipfit._clip_roots), the isotonic fit (lipfit._pava), the empirical
+ * spread (spread.EmpiricalSpread._search) and the rounds of the t_n solve
+ * (spread.SpreadFunction._numpy_rounds) in C, with the same float
  * operations in the same order, so that built with -O2 -std=c99
  * -ffp-contract=off (no fused multiply-add, no fast-math) they give the
  * Python paths' bits.
@@ -12,12 +13,13 @@
  * q + a p + b.  Nothing here allocates. */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 typedef struct { double p, q; } knot;  /* the layout of a complex128 */
 
 /* Index hi of the deepest knot to move: knot j of a stack is s[j * dir],
  * top is its top index, and a knot moves while sign times its value is
- * > 0.  The galloping search of lipfit._stack_roots, probe for probe. */
+ * > 0.  The galloping search of lipfit._cut, probe for probe. */
 static int64_t cut(const knot *s, int64_t dir, int64_t top, double sign, double a, double b)
 {
     int64_t hi = top, step = 1, lo = hi - 1;
@@ -170,8 +172,8 @@ static int64_t count_closer(const double *p, int64_t n, int64_t s, double x, dou
 }
 
 /* The k-th smallest distance (1 <= k <= n): the split search of
- * EmpiricalSpread._kth_distance over how many of the k smallest lie below
- * s, and np.maximum's choice between its two candidates. */
+ * spread._kth_distance over how many of the k smallest lie below s, and its
+ * choice `left if left > right else right` between the two candidates. */
 static double kth_distance(const double *p, int64_t n, int64_t s, double x, int64_t k)
 {
     int64_t lo = k - (n - s) > 0 ? k - (n - s) : 0, hi = k < s ? k : s, i;
@@ -215,5 +217,130 @@ void emp_spread(const double *p, int64_t n, double log_n, const double *xs, int6
         r = hi <= n ? kth_distance(p, n, s, x, hi) : INFINITY;
         cap = hi >= 2 ? sqrt(log_n / (double)(hi - 1)) : INFINITY;
         out[t] = r < cap ? r : cap;
+    }
+}
+
+/* The t_n solve works on a buffer s that starts with three counts, as
+ * doubles: n, k (the points still solving) and the round.  So each call
+ * takes one argument, and ctypes converts one.  Rows of n doubles follow,
+ * row r at s + 3 + r n.  X holds the solve's points, and each solved t in
+ * place of its point.  The rows from IDX to BEFORE hold, for each point
+ * still solving, compacted to the row's front in order: its index in X
+ * (as a double), the threshold log n / n, half (0.5 THR before round 0),
+ * the cube roots of THR and of 0.5 THR (the secant's target and the first
+ * est), lo, hi and before.  For the k points of a round, E (4 rows) holds
+ * the clipped ends x + a, x + b, x - a, x - b, then their unit-CDF values,
+ * then g(a), g(b) (2k) followed by their cube roots (2k).  Numpy fills LEV
+ * and EST and evaluates the CDF and the cube roots, the calls whose bits
+ * come from its own loops. */
+enum { X, IDX, THR, HALF, LEV, EST, LO, HI, BEFORE, E };
+#define ROW(r) (s + 3 + (r) * (int64_t)s[0])
+
+/* np.maximum and np.minimum: a NaN propagates, and a tie returns b; past
+ * the NaN test each is one compare-and-select the compiler can emit as one
+ * instruction */
+static double np_max(double a, double b) { return a != a ? a : a > b ? a : b; }
+static double np_min(double a, double b) { return a != a ? a : a < b ? a : b; }
+
+/* spread._next_float: the neighbouring integer of x's bit pattern */
+static double next_float(double x, int64_t step)
+{
+    int64_t i;
+    memcpy(&i, &x, sizeof i);
+    i += step;
+    memcpy(&x, &i, sizeof x);
+    return x;
+}
+
+/* The pair (a, b) of a round: est -/+ half, b at least est's next float,
+ * both inside the bracket's inner floats.  A function of the state, so
+ * each step recomputes it rather than storing it. */
+static inline void pair(double lo, double hi, double est, double half, double *a, double *b)
+{
+    double in0 = next_float(lo, 1), in1 = next_float(hi, -1);
+    *a = np_min(np_max(est - half, in0), in1);
+    *b = np_min(np_max(np_max(est + half, next_float(est, 1)), in0), in1);
+}
+
+/* One round of SpreadFunction._numpy_rounds on the k points still
+ * solving.  Round 0 starts each bracket; a later round first moves it by
+ * the signs of g(a), g(b) and takes the next estimate, as the end of the
+ * previous round of the loop does.  Then a point whose midpoint rounds to
+ * lo or hi (every point at round 200, the cap) is solved, the others move
+ * to the rows' fronts, and E gets their clipped ends.  Returns the number
+ * still solving, the new k. */
+int64_t tn_round(double *s)
+{
+    int64_t k = (int64_t)s[1], round = (int64_t)s[2], i, j = 0;
+    double *x = ROW(X), *idx = ROW(IDX), *thr = ROW(THR), *lev = ROW(LEV), *lo = ROW(LO);
+    double *hi = ROW(HI), *est = ROW(EST), *half = ROW(HALF), *before = ROW(BEFORE), *e = ROW(E);
+    const double *g = e, *c = e + 2 * k;  /* read before the ends overwrite e */
+    double a, b, lo2, hi2, sec, step, t, xi;
+    int a_below, b_below, slow;
+    for (i = 0; i < k; i++) {
+        if (round == 0) {
+            idx[i] = (double)i;
+            lo[i] = sqrt(thr[i]) * (1.0 - 1e-9);
+            hi[i] = 1.0;
+            half[i] = 0.5 * est[i];
+            before[i] = INFINITY;
+        } else {
+            pair(lo[i], hi[i], est[i], half[i], &a, &b);
+            a_below = g[i] < thr[i];
+            b_below = g[k + i] < thr[i];
+            lo2 = a_below ? (b_below ? b : a) : lo[i];
+            hi2 = a_below ? (b_below ? hi[i] : b) : a;
+            sec = a + (lev[i] - c[i]) * (b - a) / (c[k + i] - c[i]);
+            if (!(sec > lo2 && sec < hi2))  /* no usable secant: step past the pair */
+                sec = b_below ? b + 2.0 * (b - a) : a - 2.0 * (b - a);
+            step = fabs(sec - est[i]);
+            half[i] = a_below && !b_below ? 0.5 * step : 2.0 * np_max(half[i], step);
+            slow = hi2 - lo2 > 0.5 * before[i];
+            est[i] = np_min(np_max(slow ? 0.5 * (lo2 + hi2) : sec, lo2), hi2);
+            if (slow)
+                half[i] = 0.25 * (hi2 - lo2);
+            before[i] = hi[i] - lo[i];
+            lo[i] = lo2;
+            hi[i] = hi2;
+        }
+        t = 0.5 * (lo[i] + hi[i]);
+        if (round == 200 || t == lo[i] || t == hi[i]) {
+            x[(int64_t)idx[i]] = t;
+            continue;
+        }
+        idx[j] = idx[i];
+        thr[j] = thr[i];
+        half[j] = half[i];
+        lev[j] = lev[i];
+        est[j] = est[i];
+        lo[j] = lo[i];
+        hi[j] = hi[i];
+        before[j++] = before[i];
+    }
+    for (i = 0; i < j; i++) {  /* the ends, clipped as densities._clip01 does */
+        pair(lo[i], hi[i], est[i], half[i], &a, &b);
+        xi = x[(int64_t)idx[i]];
+        e[i] = np_min(1.0, np_max(0.0, xi + a));
+        e[j + i] = np_min(1.0, np_max(0.0, xi + b));
+        e[2 * j + i] = np_min(1.0, np_max(0.0, xi - a));
+        e[3 * j + i] = np_min(1.0, np_max(0.0, xi - b));
+    }
+    s[1] = (double)j;
+    s[2] = (double)(round + 1);
+    return j;
+}
+
+/* g = pair^2 max(F(x + pair) - F(x - pair), 0.0) for the k points' pairs,
+ * from the unit-CDF values in E, into E's first 2k: the loop's
+ * `interval_mass`.  Each entry is read before it is written. */
+void tn_mass(double *s)
+{
+    int64_t k = (int64_t)s[1];
+    const double *lo = ROW(LO), *hi = ROW(HI), *est = ROW(EST), *half = ROW(HALF);
+    double *e = ROW(E), a, b;
+    for (int64_t i = 0; i < k; i++) {
+        pair(lo[i], hi[i], est[i], half[i], &a, &b);
+        e[i] = a * a * np_max(e[i] - e[2 * k + i], 0.0);
+        e[k + i] = b * b * np_max(e[k + i] - e[3 * k + i], 0.0);
     }
 }

@@ -298,16 +298,18 @@ def _load_kernel():
         _remove_stale_builds(path)
     except OSError as exc:
         warnings.warn(f"lipshift: the C kernels are unavailable ({exc}); fitting with the "
-                      "Python sweep, 30-70x slower, and running PAVA and the empirical "
-                      "spread in Python", stacklevel=2)
+                      "Python sweep, 30-70x slower, running PAVA and the empirical spread "
+                      "in Python and the t_n solve's rounds in numpy", stacklevel=2)
         return None
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     lib.lse_roots.argtypes = [ptr, ptr, ptr, i64, ptr, ptr]
     lib.lse_clip.argtypes = [ptr, ptr, i64]
     lib.iso_fit.argtypes = [ptr, i64, ptr, ptr, ptr]
     lib.emp_spread.argtypes = [ptr, i64, ctypes.c_double, ptr, i64, ptr]
+    lib.tn_round.argtypes = lib.tn_mass.argtypes = [ptr]
     lib.lse_roots.restype = lib.lse_clip.restype = lib.iso_fit.restype = None
-    lib.emp_spread.restype = None
+    lib.emp_spread.restype = lib.tn_mass.restype = None
+    lib.tn_round.restype = i64
     return lib
 
 

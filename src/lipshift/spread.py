@@ -8,18 +8,20 @@ Since both factors are nondecreasing in t, g(t) = t^2 P([x +- t]) is
 nondecreasing, so a bracket [lo, hi] with g(lo) < log n / n <= g(hi) (or
 hi = 1) pins the (smallest, hence the) solution.  `SpreadFunction.at`
 shrinks that bracket with paired secant steps on g^(1/3) until lo and hi are
-adjacent floats, in one numpy loop for two or more points and in Python
-floats for one, with the same iterates and result; the numpy loop takes a
-threshold per point, so one loop can solve for several n.  The empirical
-version finds its crossing index by counting sample points within each
-candidate distance and selects one order statistic of the distances, both
-over the sorted sample and exact, in the C library that ``lipfit`` loads
-(in Python floats where it did not load).  Both evaluators take x of any
+adjacent floats, by one path for one point and for many.  Its rounds run in
+the C library that ``lipfit`` loads (in numpy where it did not load); numpy
+keeps the design CDF and the cube root, whose bits come from its own loops.
+Each point takes its own threshold, so one solve can serve several n.  The
+empirical version finds its crossing index by counting sample points within
+each candidate distance and selects one order statistic of the distances,
+both over the sorted sample and exact, in the C library too (in Python
+floats where it did not load).  Both evaluators take x of any
 shape and return a float for a 0-d x, else an array shaped like x.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from bisect import bisect_left, bisect_right
 
@@ -89,76 +91,58 @@ class SpreadFunction:
         bisection steps; points far outside [0, 1] and larger n take more
         (at most 79 seen, at n = 10^15).
 
-        The solve is chosen by input size.  One point runs the rounds in
-        Python floats, since numpy's per-call cost dominates on short
-        arrays; each round makes one unit-CDF call on the four ends of the
-        pair's intervals and forms `interval_mass` in floats, so it computes
-        the same iterates, and returns the same float, as the vector loop
-        does for that point.  A finite float x (numpy's float64 is one) goes
-        to it without the array conversion and checks.  Two or more points
-        run the vector loop on the flattened x.  The result is a float for a
-        0-d x and an array shaped like x otherwise.
+        The rounds run in the C kernel (``tn_round``, ``tn_mass`` in
+        ``_sweep.c``) where it loaded, else in `_numpy_rounds`, the kernel's
+        bit-for-bit reference; either way a point gets the same iterates
+        and the same bits, alone or among others.  Numpy keeps the two calls
+        whose bits come from its own loops: the design's unit CDF on the
+        clipped interval ends and np.cbrt on g (libm's pow and cbrt differ
+        from them in the last bit at many points).  The result is a float
+        for a 0-d x and an array shaped like x otherwise.
         """
-        if isinstance(x, float) and math.isfinite(x):
-            return self._at_point(float(x))
+        if isinstance(x, float) and math.isfinite(x):  # numpy's float64 is one
+            return float(self._at_points(np.array([x]))[0])
         x = _finite(x)
-        if x.size == 1:
-            t = self._at_point(x.item())
-            return t if x.ndim == 0 else np.full(x.shape, t)
-        return self._at_points(x.ravel()).reshape(x.shape)
-
-    def _at_point(self, x):
-        """`at` for one point given as a float: the rounds of `_at_points`
-        with each numpy op on a length-1 array replaced by its float form.
-        g(a) and g(b) come from one unit-CDF call on x +- a and x +- b, each
-        clipped to [0, 1] in floats (x +- t is never -0.0 or NaN), then t t
-        max(0.0, F_hi - F_lo): `interval_mass` in floats (max(0.0, .)
-        returns 0.0 on a tie, as np.maximum does).  Only the unit CDF and
-        np.cbrt see arrays."""
-        cdf, thr = self.distribution.unit_cdf, float(self.threshold)
-        level = float(np.cbrt(thr))
-        lo, hi = math.sqrt(thr) * (1.0 - 1e-9), 1.0
-        est = float(np.cbrt(0.5 * thr))
-        half, before = 0.5 * est, math.inf
-        for _ in range(200):
-            t = 0.5 * (lo + hi)
-            if t == lo or t == hi:
-                return t
-            inner_lo, inner_hi = math.nextafter(lo, hi), math.nextafter(hi, lo)
-            a = min(max(est - half, inner_lo), inner_hi)
-            b = max(est + half, math.nextafter(est, math.inf))
-            b = min(max(b, inner_lo), inner_hi)
-            f_hi_a, f_hi_b, f_lo_a, f_lo_b = cdf(np.array(
-                [0.0 if e < 0.0 else 1.0 if e > 1.0 else e
-                 for e in (x + a, x + b, x - a, x - b)])).tolist()
-            ga = a * a * max(0.0, f_hi_a - f_lo_a)
-            gb = b * b * max(0.0, f_hi_b - f_lo_b)
-            ca, cb = np.cbrt(np.array([ga, gb])).tolist()
-            a_below, b_below = ga < thr, gb < thr
-            lo2 = (b if b_below else a) if a_below else lo
-            hi2 = (hi if b_below else b) if a_below else a
-            secant = a + (level - ca) * (b - a) / (cb - ca) if cb != ca else math.nan
-            if not lo2 < secant < hi2:  # no usable secant: step past the pair
-                secant = b + 2.0 * (b - a) if b_below else a - 2.0 * (b - a)
-            step = abs(secant - est)
-            half = 0.5 * step if a_below and not b_below else 2.0 * max(half, step)
-            slow = hi2 - lo2 > 0.5 * before
-            est = min(max(0.5 * (lo2 + hi2) if slow else secant, lo2), hi2)
-            if slow:
-                half = 0.25 * (hi2 - lo2)
-            before, lo, hi = hi - lo, lo2, hi2
-        return 0.5 * (lo + hi)
+        t = self._at_points(x.ravel())
+        return float(t[0]) if x.ndim == 0 else t.reshape(x.shape)
 
     def _at_points(self, x, thr=None):
-        """`at` for a 1-d array of points, solved together: each round makes
-        one `interval_mass` call for every point still solving.
+        """`at` for a 1-d float64 array of points, solved together.
 
         Each point carries its own threshold log(n) / n, from thr, an array
-        like x, or self.threshold for all when thr is None, and its own
-        secant target cbrt(threshold).  The rounds are elementwise, so a
-        point gets the iterates, and the bits, of a solve for its n alone:
-        one call solves the grids of several n, each point with the
-        `threshold` of its n, for one call's numpy overhead per round."""
+        like x, or self.threshold for all when thr is None.  The rounds are
+        elementwise, so a point gets the bits of a solve for its n alone:
+        one call solves the grids of several n.  The kernel keeps the state
+        in one buffer (see ``tn_round``); each round makes one unit-CDF
+        call, one np.cbrt call and two kernel calls, on views that change
+        only when points finish.  The result owns its memory."""
+        kernel = lipfit._KERNEL
+        if kernel is None:
+            return self._numpy_rounds(x, thr)
+        cdf, n = self.distribution.unit_cdf, x.size
+        thr = self.threshold if thr is None else thr
+        s = np.empty(3 + 13 * n)
+        s[:3] = n, n, 0  # n, the points still solving, the round
+        row = s[3:].reshape(13, n)  # the rows of ``tn_round``
+        row[0], row[2], row[3] = x, thr, 0.5 * thr
+        # the secant's target on g^(1/3) and the first estimate, the root for p = 1
+        np.cbrt(row[2:4], out=row[4:6])
+        addr = ctypes.addressof(ctypes.c_char.from_buffer(s))  # s.ctypes.data, faster
+        step, mass, ends, k = kernel.tn_round, kernel.tn_mass, row[9:].ravel(), 0
+        while left := step(addr):  # 0 once every point is solved, at round 200 at last
+            if left != k:
+                k = left
+                e = ends[:4 * k]  # the ends, their CDF, then g and its cube root
+                g, c = e[:2 * k], e[2 * k:]
+            e[...] = cdf(e)
+            mass(addr)
+            np.cbrt(g, out=c)
+        return row[0].copy()  # each point's t in its place
+
+    def _numpy_rounds(self, x, thr):
+        """`_at_points` in numpy, where the kernel did not load, and its
+        reference: each round makes one `interval_mass` call for every
+        point still solving."""
         d = self.distribution
         thr = np.full_like(x, self.threshold) if thr is None else thr
         level = np.cbrt(thr)  # the secant's target on g^(1/3)

@@ -21,10 +21,12 @@ option nobody sets: every optional parameter of a function in ``src/`` is
 passed by some call in ``src/`` or ``perfbench/``.  An eighth is that the C
 kernels are optional: where they cannot be built, ``import lipshift`` warns
 once, naming the reason, and the Python sweep, PAVA and empirical spread
-give the same bits.
+and the numpy t_n solve give the same bits; where they are built, each
+entry point has its argument and result types declared.
 """
 
 import ast
+import ctypes
 import os
 import re
 import shutil
@@ -184,7 +186,8 @@ def test_import_loads_none_of(name):
 def test_python_sweep_when_no_kernel_builds(tmp_path):
     # a copy of the package with no built kernel, imported with no C compiler
     # on PATH: one warning naming the reason, and the Lipschitz and isotonic
-    # fits and the empirical spread with the kernel path's bits
+    # fits, the empirical spread and t_n on a float and on a grid with the
+    # kernel path's bits
     pkg = tmp_path / "lipshift"
     pkg.mkdir()
     for path in [*SRC.glob("*.py"), SRC / "_sweep.c"]:
@@ -193,14 +196,19 @@ def test_python_sweep_when_no_kernel_builds(tmp_path):
 import zlib
 import numpy as np
 from lipshift.lipfit import RegressionSample, fit_isotonic_lse, fit_lipschitz_lse
-from lipshift.spread import EmpiricalSpread
+from lipshift import densities
+from lipshift.spread import EmpiricalSpread, SpreadFunction
 rng = np.random.default_rng(5)
 sample = RegressionSample(rng.random(3000), rng.standard_normal(3000))
 fit = fit_lipschitz_lse(sample, 0.5)
 iso = fit_isotonic_lse(sample)
 spread = EmpiricalSpread(np.round(sample.x * 64) / 64).at(np.linspace(-0.5, 1.5, 301))
+tn = []
+for d in (densities.power(2.0), densities.mixture(densities.power(2.0), densities.uniform(), 0.8)):
+    s = SpreadFunction(d, 4096)
+    tn += [s.at(0.3).hex(), zlib.crc32(s.at(np.linspace(-0.5, 1.5, 301)).tobytes())]
 print(zlib.crc32(fit.values.tobytes()), fit.objective.hex(), fit.kkt_residual.hex(),
-      zlib.crc32(iso.tobytes()), zlib.crc32(spread.tobytes()))
+      zlib.crc32(iso.tobytes()), zlib.crc32(spread.tobytes()), *tn)
 """
     code = f"""
 import os, sys, warnings
@@ -219,6 +227,27 @@ print([str(w.message) for w in caught])
     assert list(pkg.glob("_sweep-*")) == []  # no build left behind
     kernel = _fresh("from lipshift import lipfit\nassert lipfit._KERNEL is not None\n" + fit)
     assert fallback == kernel
+
+
+def test_every_kernel_entry_point_declares_its_types():
+    # ctypes takes an undeclared result for a C int, so an entry point that
+    # returns an int64_t count would come back truncated without a word:
+    # every non-static function of _sweep.c gets its argtypes and restype in
+    # lipfit._load_kernel, and the loaded library carries its signature
+    from lipshift import lipfit
+    entries = re.findall(r"^(void|int64_t|double) (\w+)\(([^)]*)\)\s*\{",
+                         (SRC / "_sweep.c").read_text(), re.M)
+    load = next(node for node in ast.parse((SRC / "lipfit.py").read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "_load_kernel")
+    declared = {(t.value.attr, t.attr) for node in ast.walk(load) if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Attribute)
+                and isinstance(t.value, ast.Attribute)}
+    results = {"void": None, "int64_t": ctypes.c_int64, "double": ctypes.c_double}
+    assert len(entries) >= 6
+    for result, name, params in entries:
+        assert {(name, "argtypes"), (name, "restype")} <= declared, name
+        fn = getattr(lipfit._KERNEL, name)
+        assert fn.restype is results[result] and len(fn.argtypes) == params.count(",") + 1, name
 
 
 def test_kernel_build_removes_stale_builds(tmp_path):

@@ -143,10 +143,12 @@ def test_next_float_matches_nextafter():
 
 def test_paired_secant_mass_evaluations(monkeypatch):
     # rounds counted by unit-CDF calls, which every CDF evaluation goes
-    # through: the one-point path makes one per round and no interval_mass
-    # call, the vector path one interval_mass call (two unit-CDF calls) per
-    # round; bisection to adjacent floats takes 53 to 59 rounds,
-    # on the pooled design of transfer.mixture_spread as anywhere
+    # through: the kernel's solve makes one per round, on the clipped ends
+    # of every point's pair, for one point and for many, and no
+    # interval_mass call, in as many rounds as the numpy loop makes
+    # interval_mass calls; bisection to adjacent floats takes 53 to 59
+    # rounds, on the pooled design of transfer.mixture_spread as anywhere
+    assert lipfit._KERNEL is not None, "the C kernel did not build or load"
     cdf_calls, mass_calls = [0], [0]
     mass = spread.interval_mass
 
@@ -165,19 +167,23 @@ def test_paired_secant_mass_evaluations(monkeypatch):
                                                  16384 / (16384 + 1024))), 16384 + 1024)
     total = 0
     for x in np.linspace(0.0, 1.0, 65):
-        cdf_calls[0] = mass_calls[0] = 0
+        cdf_calls[0] = 0
         s.at(x)
         one_point = cdf_calls[0]
-        assert mass_calls[0] == 0
         cdf_calls[0] = 0
         s.at(np.array([x, x]))
-        assert cdf_calls[0] == 2 * mass_calls[0] == 2 * one_point  # the same rounds
+        assert cdf_calls[0] == one_point and mass_calls[0] == 0  # the same rounds
+        with monkeypatch.context() as m:
+            m.setattr(lipfit, "_KERNEL", None)
+            s.at(x)
+        assert mass_calls[0] == one_point
+        mass_calls[0] = 0
         total += one_point
     assert total <= 12 * 65
     for d in ORACLE_DESIGNS.values():
         cdf_calls[0] = 0
         SpreadFunction(counted(d), 4096).at(np.linspace(0.0, 1.0, 2001))
-        assert cdf_calls[0] <= 2 * 30
+        assert cdf_calls[0] <= 30 and mass_calls[0] == 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -185,22 +191,40 @@ def test_paired_secant_mass_evaluations(monkeypatch):
        n=st.integers(2, 10**9),
        x=st.floats(-0.5, 1.5))
 def test_one_point_path_matches_vector_path(kind, n, x):
+    # the kernel's rounds give the numpy loop's bits, for one point given as
+    # a float, an np.float64 or a 0-d array and for the same point twice
+    assert lipfit._KERNEL is not None, "the C kernel did not build or load"
     s = SpreadFunction(ORACLE_DESIGNS[kind], n)
-    with mock.patch.object(SpreadFunction, "_at_points", autospec=True,
-                           side_effect=SpreadFunction._at_points) as vector, \
-         mock.patch.object(spread, "_finite", side_effect=spread._finite) as checks:
+    with mock.patch.object(spread, "_finite", side_effect=spread._finite) as checks:
         t = s.at(x)
         t64 = s.at(np.float64(x))
         assert checks.call_count == 0  # a float skips the array conversion
-        t0d = s.at(np.array(x))
-        assert vector.call_count == 0  # the float loop solved it
-        pair = s.at(np.array([x, x]))
-        assert vector.call_count == 1
-    assert type(t) is type(t64) is type(t0d) is float
-    assert t == t64 == t0d == pair[0] == pair[1]
+    t0d = s.at(np.array(x))
+    pair = s.at(np.array([x, x]))
+    with mock.patch.object(lipfit, "_KERNEL", None):
+        ref, ref_pair = s.at(x), s.at(np.array([x, x]))
+    assert type(t) is type(t64) is type(t0d) is type(ref) is float
+    assert t == t64 == t0d == pair[0] == pair[1] == ref == ref_pair[0] == ref_pair[1]
     # on 1-d arrays, as the solver evaluates g: numpy's array power and its
     # scalar power differ in the last bit at some points
     assert_float_crossing(s, np.array([x]), np.array([t]))
+
+
+@pytest.mark.parametrize("kind", ["mixture", "tabulated"])
+def test_solve_returns_its_own_array_within_the_numpy_loops_peak(kind, traced, monkeypatch):
+    # `at` returns an array that holds its n floats and nothing of the
+    # solver's buffer, and a 2001-point solve peaks no higher than the numpy
+    # loop's (about 420 B per point)
+    assert lipfit._KERNEL is not None, "the C kernel did not build or load"
+    s, x = SpreadFunction(ORACLE_DESIGNS[kind], 4096), np.linspace(0.0, 1.0, 2001)
+    s.at(x)  # numpy's and ctypes' first-call caches stay out of `held`
+    t, peak, held = traced(s.at, x)
+    owner = t if t.base is None else t.base
+    assert owner.nbytes == t.nbytes and held <= t.nbytes + 1024
+    monkeypatch.setattr(lipfit, "_KERNEL", None)
+    ref, numpy_peak, _ = traced(s.at, x)
+    assert np.array_equal(_bits(t), _bits(ref))
+    assert peak <= numpy_peak
 
 
 # the oracle designs, a density that is zero on a whole stretch, and one
