@@ -1,10 +1,9 @@
-/* The two passes of the Lipschitz LSE (lipfit._stack_roots and
- * lipfit._clip_roots), the isotonic fit (lipfit._pava), the empirical
- * spread (spread.EmpiricalSpread._search) and the rounds of the t_n solve
- * (spread.SpreadFunction._numpy_rounds) in C, with the same float
- * operations in the same order, so that built with -O2 -std=c99
- * -ffp-contract=off (no fused multiply-add, no fast-math) they give the
- * Python paths' bits.
+/* The two passes of the Lipschitz LSE, the isotonic fit, the empirical
+ * spread and the rounds of the t_n solve in C.  Their references in
+ * tests/kernel_reference.py (stack_roots and clip_roots, pava, search,
+ * numpy_rounds) do the same float operations in the same order, so that
+ * built with -O2 -std=c99 -ffp-contract=off (no fused multiply-add, no
+ * fast-math) these give the references' bits.
  *
  * The knots live in one buffer of 2n + 1 (position, value) pairs from the
  * caller: the left stack grows up from k[0], the right stack down from
@@ -19,7 +18,7 @@ typedef struct { double p, q; } knot;  /* the layout of a complex128 */
 
 /* Index hi of the deepest knot to move: knot j of a stack is s[j * dir],
  * top is its top index, and a knot moves while sign times its value is
- * > 0.  The galloping search of lipfit._cut, probe for probe. */
+ * > 0.  The galloping search of kernel_reference.cut, probe for probe. */
 static int64_t cut(const knot *s, int64_t dir, int64_t top, double sign, double a, double b)
 {
     int64_t hi = top, step = 1, lo = hi - 1;
@@ -107,7 +106,7 @@ void lse_roots(const double *y, const double *c, const double *u, int64_t n,
     }
 }
 
-/* The backward pass of lipfit._clip_roots, in place on the n roots f. */
+/* The backward pass of kernel_reference.clip_roots, in place on the n roots f. */
 void lse_clip(double *f, const double *u, int64_t n)
 {
     double g = f[n - 1], lo, hi;
@@ -125,7 +124,7 @@ void lse_clip(double *f, const double *u, int64_t n)
 
 /* Pool adjacent violators on y (n): blocks as (total, count) pairs in tot
  * and cnt, merged while out of order, then each point gets its block's
- * mean in out.  lipfit._pava, operation for operation. */
+ * mean in out.  kernel_reference.pava, operation for operation. */
 void iso_fit(const double *y, int64_t n, double *tot, int64_t *cnt, double *out)
 {
     int64_t k = 0, i, j, c;
@@ -172,8 +171,9 @@ static int64_t count_closer(const double *p, int64_t n, int64_t s, double x, dou
 }
 
 /* The k-th smallest distance (1 <= k <= n): the split search of
- * spread._kth_distance over how many of the k smallest lie below s, and its
- * choice `left if left > right else right` between the two candidates. */
+ * kernel_reference.kth_distance over how many of the k smallest lie below
+ * s, and its choice `left if left > right else right` between the two
+ * candidates. */
 static double kth_distance(const double *p, int64_t n, int64_t s, double x, int64_t k)
 {
     int64_t lo = k - (n - s) > 0 ? k - (n - s) : 0, hi = k < s ? k : s, i;
@@ -192,7 +192,7 @@ static double kth_distance(const double *p, int64_t n, int64_t s, double x, int6
 
 /* EmpiricalSpread.at on the n sorted points p for each of the g points xs:
  * min(r_k*, sqrt(log n / (k* - 1))) with k* = min{k : r_k >= sqrt(log n /
- * k)} found by binary search, as EmpiricalSpread._search does.  log_n is
+ * k)} found by binary search, as kernel_reference.search does.  log_n is
  * numpy's log(n), whose last bit libm's log need not share. */
 void emp_spread(const double *p, int64_t n, double log_n, const double *xs, int64_t g,
                 double *out)
@@ -242,7 +242,7 @@ enum { X, IDX, THR, HALF, LEV, EST, LO, HI, BEFORE, E };
 static double np_max(double a, double b) { return a != a ? a : a > b ? a : b; }
 static double np_min(double a, double b) { return a != a ? a : a < b ? a : b; }
 
-/* spread._next_float: the neighbouring integer of x's bit pattern */
+/* kernel_reference.next_float: the neighbouring integer of x's bit pattern */
 static double next_float(double x, int64_t step)
 {
     int64_t i;
@@ -262,7 +262,7 @@ static inline void pair(double lo, double hi, double est, double half, double *a
     *b = np_min(np_max(np_max(est + half, next_float(est, 1)), in0), in1);
 }
 
-/* One round of SpreadFunction._numpy_rounds on the k points still
+/* One round of kernel_reference.numpy_rounds on the k points still
  * solving.  Round 0 starts each bracket; a later round first moves it by
  * the signs of g(a), g(b) and takes the next estimate, as the end of the
  * previous round of the loop does.  Then a point whose midpoint rounds to

@@ -1,7 +1,9 @@
 """Command line front end.
 
 Subcommands: spread, fit, transfer, doubling-check, prooflab, simulate-rates.
-Exit codes: 0 success, 2 experiment failure, 3 bad configuration or input.
+Exit codes: 0 success, 1 the C kernels cannot be built or loaded (the
+import raises `KernelUnavailableError` before any argument is read), 2
+experiment failure, 3 bad configuration or input.
 """
 
 from __future__ import annotations

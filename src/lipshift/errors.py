@@ -51,3 +51,7 @@ class ConfigError(LipshiftError, ValueError):
 
 class ExperimentError(LipshiftError, RuntimeError):
     """Too many replicate failures to trust the experiment."""
+
+
+class KernelUnavailableError(LipshiftError, ImportError):
+    """The C kernels could not be built or loaded at import."""

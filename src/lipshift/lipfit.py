@@ -19,45 +19,43 @@ knots right of it move right by u, and two zero-valued knots at m -/+ u
 bound the flat piece between.  Adding 2 w (z - y) then raises every value.
 A backward pass clips each step's root to recover the unique minimizer.
 
-The knots live on two stacks, lists whose tops are the knots next to the
-root: the left stack holds the knots with V' < 0 in increasing position, the
+The knots live on two stacks whose tops are the knots next to the root:
+the left stack holds the knots with V' < 0 in increasing position, the
 right stack those with V' > 0 in decreasing position.  A knot is stored as
-one complex number z = p + q i, with position p + o and value q + a p + b,
-where o and b belong to its stack and the slope accumulator a is shared.  So
-clipping and adding touch no stored knot: clipping moves o by -u on the
-left and +u on the right, and adding 2 w (z - y) adds 2 w to a and 2 w (o -
-y) to each b.  Both stacks can share a because every knot's value has
-gained the same sum of 2 w, and for the same reason a is also the slope of
-V' beyond the outermost knots.  When the root moves, the knots it passes
-leave the top of one stack for the other; in the new stack's coordinates
-(p, q) shifts by a constant, so one galloping search, `_cut`, finds them on
-either stack, and one reversed slice and one complex add per knot move them
-(a complex add rounds its two parts as two float adds would).  A fit costs
-O(n) steps plus one move per knot crossing the root.  The sweep reads y, 2 w
-and the gaps from their arrays and writes the roots into one float buffer,
-which the backward pass clips in place into the fitted values.
+a pair (p, q), with position p + o and value q + a p + b, where o and b
+belong to its stack and the slope accumulator a is shared.  So clipping
+and adding touch no stored knot: clipping moves o by -u on the left and +u
+on the right, and adding 2 w (z - y) adds 2 w to a and 2 w (o - y) to each
+b.  Both stacks can share a because every knot's value has gained the same
+sum of 2 w, and for the same reason a is also the slope of V' beyond the
+outermost knots.  When the root moves, the knots it passes leave the top
+of one stack for the other; in the new stack's coordinates (p, q) shifts
+by a constant, so one galloping search finds them on either stack, and one
+add per coordinate moves each.  A fit costs O(n) steps plus one move per
+knot crossing the root.  The sweep reads y, 2 w and the gaps from their
+arrays and writes the roots into one float buffer, which the backward pass
+clips in place into the fitted values.
 
 Both passes run in C (``lse_roots`` and ``lse_clip`` in ``_sweep.c``,
-loaded with ctypes at import), written line for line like the Python ones,
-with the same float operations in the same order, so the same bits, 30-70x
-faster at n = 2^14 to 2^20.  The C keeps both stacks in one buffer of 2n +
-1 knots, the left growing up from its start and the right down from its
-end.  The kernel is built once per source and flags, with the system C
-compiler ``cc``, into a file next to the source, and each import that
-loads it removes the builds of other sources there.  Where it cannot be
-built or loaded, the import warns once and the Python passes run; the tests
-hold them as the kernel's reference.  At its peak a fit holds
-about 64 bytes per point, in the C sweep: 40 (16-byte knots and the roots)
-beside the inputs.  The KKT residual builds its multipliers and masks in
-place, about 26; the Python sweep holds about 115 (2n knots at 40 bytes
-each, a complex object and its list slot).
+loaded with ctypes at import), 30-70x faster at n = 2^14 to 2^20 than the
+same passes in Python, whose line-for-line copies in
+``tests/kernel_reference.py`` are the kernels' bit-for-bit references.
+The C keeps both stacks in one buffer of 2n + 1 knots, the left growing up
+from its start and the right down from its end.  The kernel is built once
+per source and flags, with the system C compiler ``cc``, into a file next
+to the source, and each import that loads it removes the builds of other
+sources there.  Where it cannot be built or loaded, the import raises
+`KernelUnavailableError`.  At its peak a fit holds about 64 bytes per
+point, in the C sweep: 40 (16-byte knots and the roots) beside the
+inputs.  The KKT residual builds its multipliers and masks in place,
+about 26.
 
 The same file houses the isotonic LSE (pool adjacent violators) and a
 fixed-bandwidth triangular-kernel smoother.  PAVA runs in the same C
 library (``iso_fit``), with the blocks as (total, count) pairs in numpy
-buffers, and in Python (``_pava``) where no kernel loaded; so does the
-empirical spread of ``spread`` (``emp_spread``), which reads ``_KERNEL``
-here when it is called.  The losses that judge all of them, and the name ->
+buffers; so does the empirical spread of ``spread`` (``emp_spread``) and
+the rounds of its t_n solve (``tn_round``, ``tn_mass``), which read
+``_KERNEL`` here.  The losses that judge all of them, and the name ->
 estimator table that runs them, are in ``harness``.
 """
 
@@ -65,15 +63,14 @@ from __future__ import annotations
 
 import ctypes
 import os
-import warnings
 import zlib
 from dataclasses import dataclass
-from itertools import chain, count
 
 import numpy as np
 
 from .densities import DesignDistribution
-from .errors import InvalidInputError, InvalidParameterError, ZeroDensityError
+from .errors import (InvalidInputError, InvalidParameterError, KernelUnavailableError,
+                     ZeroDensityError)
 
 __all__ = [
     "RegressionSample",
@@ -155,104 +152,6 @@ def _merge_duplicates(x, y):
     return xu, ybar, w, extra
 
 
-def _cut(stack, sign, a, b):
-    """Index hi of the deepest knot to move: a knot moves while sign times
-    its value is > 0.  A galloping search from the top, ``cut`` in C."""
-    hi = len(stack) - 1
-    step = 1
-    lo = hi - 1
-    while lo >= 0 and sign * ((z := stack[lo]).imag + a * z.real + b) > 0.0:
-        hi = lo
-        step += step
-        lo = hi - step
-    if lo < 0:
-        lo = -1
-    while hi - lo > 1:
-        mid = (lo + hi) >> 1
-        if sign * ((z := stack[mid]).imag + a * z.real + b) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _stack_roots(y, c, u):
-    """Roots r_0..r_{k-1} of V_0'..V_{k-1}' by the two-stack sweep of the
-    module docstring, ``lse_roots`` in C, as a float array; y, c = 2 w and
-    u are float64 arrays, read in place."""
-    y0 = float(y[0])
-    left, right = [complex(y0, 0.0)], []  # V_0' = c_0 (z - y_0): one knot, value 0
-    a = float(c[0])
-    ol = orr = 0.0
-    bl = br = -a * y0
-    roots = np.empty(len(y))
-    out = memoryview(roots)
-    # One trailing step with zero gap and weight past the last point, so that
-    # each iteration starts with the root of V_i.
-    tail = (0.0,)
-    for i, ui, ci, yi in zip(count(), chain(memoryview(u), tail), chain(memoryview(c)[1:], tail),
-                             chain(memoryview(y)[1:], tail)):
-        vl = (zl := left[-1]).imag + a * zl.real + bl if left else -1.0
-        vr = (zr := right[-1]).imag + a * zr.real + br if right else 1.0
-        if vl > 0.0 or vr < 0.0:
-            # the root passed the knots with V' > 0 atop the left stack, or
-            # those with V' < 0 atop the right one: onto the other stack
-            src, dst, sign, o, b, o2, b2 = ((left, right, 1.0, ol, bl, orr, br) if vl > 0.0
-                                            else (right, left, -1.0, orr, br, ol, bl))
-            hi = _cut(src, sign, a, b)
-            d = o - o2
-            shift = complex(d, b - b2 - a * d)
-            dst += [z + shift for z in reversed(src[hi:])]
-            del src[hi:]
-            vl = (zl := left[-1]).imag + a * zl.real + bl if left else -1.0
-            vr = (zr := right[-1]).imag + a * zr.real + br if right else 1.0
-        if vl == 0.0:  # the root is a knot; the clip below replaces it
-            m = left.pop().real + ol
-        elif vr == 0.0:
-            m = right.pop().real + orr
-        elif not right:
-            m = zl.real + ol - vl / a
-        elif not left:
-            m = zr.real + orr - vr / a
-        else:
-            xl = zl.real + ol
-            xr = zr.real + orr
-            m = xl - vl * (xr - xl) / (vr - vl)
-        out[i] = m
-        # clip: zero-valued knots at m on both stacks, then shift the stacks apart
-        p = m - ol
-        left.append(complex(p, -(a * p + bl)))
-        p = m - orr
-        right.append(complex(p, -(a * p + br)))
-        ol -= ui
-        orr += ui
-        # add c_i (z - y_i)
-        a += ci
-        bl += ci * (ol - yi)
-        br += ci * (orr - yi)
-    return roots
-
-
-def _clip_roots(f, u):
-    """The backward pass, in place on the roots f: the last value is the
-    last root, and each earlier root r_i is clipped to [f_{i+1} - u_i,
-    f_{i+1} + u_i].  Bit for bit min(max(r_i, f_{i+1} - u_i), f_{i+1} + u_i)
-    for gaps u_i >= 0, signed zeros included; comparisons, because the
-    builtin calls cost 4x."""
-    out = memoryview(f)
-    g = out[-1]
-    for i, ui in zip(range(len(out) - 2, -1, -1), reversed(memoryview(u))):
-        r = out[i]
-        lo = g - ui
-        if lo > r:
-            g = lo
-        else:
-            hi = g + ui
-            g = hi if hi < r else r
-        out[i] = g
-    return f
-
-
 # fixed, so that every add, multiply and divide rounds as Python's do
 _CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
 
@@ -275,8 +174,9 @@ def _remove_stale_builds(path):
 def _load_kernel():
     """The C kernels ``_sweep.c`` as a ctypes library, built with the system C
     compiler into a file keyed by the source and flags when no such file is
-    there yet; once it loads, it replaces the builds of other keys.  None,
-    after one warning naming the reason, when it cannot be built or loaded."""
+    there yet; once it loads, it replaces the builds of other keys.  Raises
+    `KernelUnavailableError`, naming the reason, when it cannot be built or
+    loaded."""
     source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sweep.c")
     try:
         with open(source, "rb") as fh:
@@ -297,10 +197,9 @@ def _load_kernel():
         lib = ctypes.CDLL(path)
         _remove_stale_builds(path)
     except OSError as exc:
-        warnings.warn(f"lipshift: the C kernels are unavailable ({exc}); fitting with the "
-                      "Python sweep, 30-70x slower, running PAVA and the empirical spread "
-                      "in Python and the t_n solve's rounds in numpy", stacklevel=2)
-        return None
+        raise KernelUnavailableError(
+            f"lipshift needs its C kernels, built on first import by the C compiler cc "
+            f"on PATH into the package directory: {exc}") from exc
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     lib.lse_roots.argtypes = [ptr, ptr, ptr, i64, ptr, ptr]
     lib.lse_clip.argtypes = [ptr, ptr, i64]
@@ -317,11 +216,8 @@ _KERNEL = _load_kernel()
 
 
 def _fitted_values(y, c, u):
-    """The roots of the forward sweep clipped by the backward pass: in C when
-    the kernel loaded, with the Python sweep's bits, else in Python.  y, c = 2
-    w (n each) and u (n - 1) are C-contiguous float64 arrays."""
-    if _KERNEL is None:
-        return _clip_roots(_stack_roots(y, c, u), u)
+    """The roots of the forward sweep clipped by the backward pass, in C.  y,
+    c = 2 w (n each) and u (n - 1) are C-contiguous float64 arrays."""
     n = len(y)
     # the kernel reads raw memory: check what it assumes
     if not (n >= 1 and c.shape == (n,) and u.shape == (n - 1,) and all(
@@ -389,34 +285,8 @@ def _kkt_residual(f, ybar, c, gaps):
     return float(max(res, only_upper, only_lower, neither))
 
 
-def _pava(y):
-    """Pool adjacent violators on the float array y, in Python: the C
-    kernel's fallback and its reference."""
-    y = y.tolist()  # Python floats: PAVA on numpy scalars is 1.4x slower
-    # blocks as (total, count) pairs merged while out of order
-    totals = [y[0]]
-    counts = [1]
-    for v in y[1:]:
-        totals.append(v)
-        counts.append(1)
-        while len(totals) > 1 and totals[-2] * counts[-1] >= totals[-1] * counts[-2]:
-            totals[-2] += totals[-1]
-            counts[-2] += counts[-1]
-            totals.pop()
-            counts.pop()
-    out = np.empty(len(y))
-    pos = 0
-    for t, c in zip(totals, counts):
-        out[pos:pos + c] = t / c
-        pos += c
-    return out
-
-
 def _isotonic_values(y):
-    """PAVA on y, a C-contiguous float64 array: in C when the kernel
-    loaded, with `_pava`'s bits, else `_pava`."""
-    if _KERNEL is None:
-        return _pava(y)
+    """PAVA on y, a C-contiguous float64 array, in C."""
     n = len(y)
     if not (n >= 1 and y.shape == (n,) and y.dtype == np.float64 and y.flags.c_contiguous):
         raise ValueError("the C isotonic fit needs a C-contiguous float64 y (n >= 1)")
@@ -427,7 +297,7 @@ def _isotonic_values(y):
 
 def fit_isotonic_lse(sample: RegressionSample) -> np.ndarray:
     """Nondecreasing least squares fit at the design points (pool adjacent
-    violators, in C where the kernel loaded); identical to the min-max
+    violators, in C); identical to the min-max
     partial-sum formula."""
     return _isotonic_values(sample.y)
 

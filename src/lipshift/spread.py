@@ -9,26 +9,26 @@ nondecreasing, so a bracket [lo, hi] with g(lo) < log n / n <= g(hi) (or
 hi = 1) pins the (smallest, hence the) solution.  `SpreadFunction.at`
 shrinks that bracket with paired secant steps on g^(1/3) until lo and hi are
 adjacent floats, by one path for one point and for many.  Its rounds run in
-the C library that ``lipfit`` loads (in numpy where it did not load); numpy
-keeps the design CDF and the cube root, whose bits come from its own loops.
-Each point takes its own threshold, so one solve can serve several n.  The
-empirical version finds its crossing index by counting sample points within
-each candidate distance and selects one order statistic of the distances,
-both over the sorted sample and exact, in the C library too (in Python
-floats where it did not load).  Both evaluators take x of any
-shape and return a float for a 0-d x, else an array shaped like x.
+the C library that ``lipfit`` loads; numpy keeps the design CDF and the cube
+root, whose bits come from its own loops.  Each point takes its own
+threshold, so one solve can serve several n.  The empirical version finds
+its crossing index by counting sample points within each candidate
+distance and selects one order statistic of the distances, both over the
+sorted sample and exact, in the C library too.  The numpy and Python loops
+that the kernels replaced are their bit-for-bit references, in
+``tests/kernel_reference.py``.  Both evaluators take x of any shape and
+return a float for a 0-d x, else an array shaped like x.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-from bisect import bisect_left, bisect_right
 
 import numpy as np
 
 from . import lipfit
-from .densities import DesignDistribution, interval_mass
+from .densities import DesignDistribution
 from .errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -49,14 +49,6 @@ def _finite(x):
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("spread evaluated at a NaN or infinite point")
     return x
-
-
-def _next_float(x, step):
-    """np.nextafter(x, inf) (step = 1) for a float64 array x >= 0, +0.0 but
-    not -0.0, or np.nextafter(x, -inf) (step = -1) for x > 0: there it is
-    the neighbouring integer of x's bit pattern, and one integer add costs
-    a tenth of np.nextafter."""
-    return (x.view(np.int64) + step).view(np.float64)
 
 
 class SpreadFunction:
@@ -92,9 +84,8 @@ class SpreadFunction:
         (at most 79 seen, at n = 10^15).
 
         The rounds run in the C kernel (``tn_round``, ``tn_mass`` in
-        ``_sweep.c``) where it loaded, else in `_numpy_rounds`, the kernel's
-        bit-for-bit reference; either way a point gets the same iterates
-        and the same bits, alone or among others.  Numpy keeps the two calls
+        ``_sweep.c``), so a point gets the same iterates and the same bits,
+        alone or among others.  Numpy keeps the two calls
         whose bits come from its own loops: the design's unit CDF on the
         clipped interval ends and np.cbrt on g (libm's pow and cbrt differ
         from them in the last bit at many points).  The result is a float
@@ -116,10 +107,7 @@ class SpreadFunction:
         in one buffer (see ``tn_round``); each round makes one unit-CDF
         call, one np.cbrt call and two kernel calls, on views that change
         only when points finish.  The result owns its memory."""
-        kernel = lipfit._KERNEL
-        if kernel is None:
-            return self._numpy_rounds(x, thr)
-        cdf, n = self.distribution.unit_cdf, x.size
+        kernel, cdf, n = lipfit._KERNEL, self.distribution.unit_cdf, x.size
         thr = self.threshold if thr is None else thr
         s = np.empty(3 + 13 * n)
         s[:3] = n, n, 0  # n, the points still solving, the round
@@ -138,55 +126,6 @@ class SpreadFunction:
             mass(addr)
             np.cbrt(g, out=c)
         return row[0].copy()  # each point's t in its place
-
-    def _numpy_rounds(self, x, thr):
-        """`_at_points` in numpy, where the kernel did not load, and its
-        reference: each round makes one `interval_mass` call for every
-        point still solving."""
-        d = self.distribution
-        thr = np.full_like(x, self.threshold) if thr is None else thr
-        level = np.cbrt(thr)  # the secant's target on g^(1/3)
-        out = np.empty_like(x)
-        todo = np.arange(x.size)  # the points still solving; the arrays below follow it
-        lo = np.sqrt(thr) * (1.0 - 1e-9)
-        hi = np.ones_like(x)
-        est = np.cbrt(0.5 * thr)  # the root for p = 1
-        half = 0.5 * est
-        before = np.full_like(x, np.inf)  # bracket width at the start of the last round
-        for _ in range(200):
-            t = 0.5 * (lo + hi)
-            done = (t == lo) | (t == hi)
-            if done.any():
-                out[todo[done]] = t[done]
-                keep = ~done
-                todo, lo, hi, est, half, before, thr, level = (
-                    v[keep] for v in (todo, lo, hi, est, half, before, thr, level))
-            if todo.size == 0:
-                break
-            inner = _next_float(lo, 1), _next_float(hi, -1)
-            a = np.minimum(np.maximum(est - half, inner[0]), inner[1])
-            b = np.maximum(est + half, _next_float(est, 1))
-            b = np.minimum(np.maximum(b, inner[0]), inner[1])
-            pair, xi = np.concatenate([a, b]), x[np.concatenate([todo, todo])]
-            g = pair**2 * interval_mass(d, xi - pair, xi + pair)
-            ga, gb = g[: todo.size], g[todo.size:]
-            a_below, b_below = ga < thr, gb < thr
-            lo2 = np.where(a_below, np.where(b_below, b, a), lo)
-            hi2 = np.where(a_below, np.where(b_below, hi, b), a)
-            ca, cb = np.cbrt(ga), np.cbrt(gb)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                secant = a + (level - ca) * (b - a) / (cb - ca)
-            # no usable secant (flat or off the bracket): step past the pair
-            secant = np.where((secant > lo2) & (secant < hi2), secant,
-                              np.where(b_below, b + 2.0 * (b - a), a - 2.0 * (b - a)))
-            step = np.abs(secant - est)
-            half = np.where(a_below & ~b_below, 0.5 * step, 2.0 * np.maximum(half, step))
-            slow = hi2 - lo2 > 0.5 * before
-            est = np.minimum(np.maximum(np.where(slow, 0.5 * (lo2 + hi2), secant), lo2), hi2)
-            half = np.where(slow, 0.25 * (hi2 - lo2), half)
-            before, lo, hi = hi - lo, lo2, hi2
-        out[todo] = 0.5 * (lo + hi)
-        return out
 
     def derivative(self, x, t=None):
         """Closed-form derivative of t_n; undefined where t_n(x) hits x or 1-x.
@@ -286,9 +225,8 @@ class EmpiricalSpread:
     for the G values of k that a probe or the result needs, the same float
     operations as a table of all n would make.
 
-    `at` runs in C (``emp_spread`` in ``_sweep.c``), or where the kernel did
-    not load in `_search`, its line-for-line copy in Python floats: float
-    subtraction is monotone, so each count is a bisection on its float test.
+    `at` runs in C (``emp_spread`` in ``_sweep.c``): float subtraction is
+    monotone, so each count is a bisection on its float test.
     """
 
     def __init__(self, points):
@@ -300,62 +238,13 @@ class EmpiricalSpread:
 
     def at(self, x):
         x = _finite(x)
-        if lipfit._KERNEL is None:
-            out = self._search(x)
-        else:
-            out = _kernel_spread(self.points, x)
+        out = _kernel_spread(self.points, x)
         return float(out.flat[0]) if x.ndim == 0 else out
-
-    def _search(self, x):
-        """`at` for a float array x in Python floats, point by point: the C
-        kernel's fallback and its reference, ``emp_spread`` line for line."""
-        p, n = memoryview(self.points), self.n
-        log_n = float(np.log(n))  # the kernel's, whose last bit libm's log need not share
-        out = []
-        for v in x.ravel().tolist():
-            s = bisect_left(p, v)
-            lo, hi = 1, n + 1  # k* in [1, n + 1]; n + 1: r_k < sqrt(log n / k) for all k
-            while lo < hi:
-                k = (lo + hi) // 2
-                if k > n or _count_closer(p, s, v, math.sqrt(log_n / k)) < k:
-                    hi = k
-                else:
-                    lo = k + 1
-            r = _kth_distance(p, s, v, hi) if hi <= n else math.inf
-            cap = math.sqrt(log_n / (hi - 1)) if hi >= 2 else math.inf
-            out.append(r if r < cap else cap)
-        return np.array(out, float).reshape(x.shape)
-
-
-def _count_closer(p, s, x, phi):
-    """#{i : x - p_i < phi} over the sorted points p below index s plus
-    #{i : p_i - x < phi} over the rest, ``count_closer`` in C: fl(p_i - x)
-    = -fl(x - p_i), so the first test is p_i - x > -phi, and each run is a
-    bisection on p_i - x."""
-    d = lambda v: v - x  # noqa: E731
-    return bisect_left(p, phi, s, len(p), key=d) - bisect_right(p, -phi, 0, s, key=d)
-
-
-def _kth_distance(p, s, x, k):
-    """The k-th smallest |p_i - x| (1 <= k <= n), ``kth_distance`` in C: a
-    bisection over how many of the k smallest lie below index s."""
-    n = len(p)
-    lo, hi = max(k - (n - s), 0), min(k, s)
-    while lo < hi:
-        i = (lo + hi) // 2
-        if x - p[s - 1 - i] >= p[s + k - 1 - i] - x:
-            hi = i
-        else:
-            lo = i + 1
-    left = x - p[s - hi] if hi > 0 else -math.inf
-    right = p[s + k - 1 - hi] - x if hi < k else -math.inf
-    return left if left > right else right
 
 
 def _kernel_spread(points, x):
-    """`EmpiricalSpread._search`'s result by the C kernel, with its bits, as
-    an array shaped like x: points sorted, C-contiguous float64 (n >= 2) and
-    x a float64 array."""
+    """`EmpiricalSpread.at` by the C kernel, as an array shaped like x:
+    points sorted, C-contiguous float64 (n >= 2) and x a float64 array."""
     n = len(points)
     # the kernel reads raw memory: check what it assumes
     if not (n >= 2 and points.shape == (n,) and points.dtype == x.dtype == np.float64

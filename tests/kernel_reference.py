@@ -1,0 +1,250 @@
+"""Python references of the C kernels in ``src/lipshift/_sweep.c``.
+
+Each function here does one kernel's float operations in the same order,
+so it gives the kernel's bits; the tests compare the two bit for bit.
+They are the Python implementations that the kernels replaced in the
+library:
+
+- `cut`, `stack_roots` and `clip_roots`: the two passes of the Lipschitz
+  LSE (``cut``, ``lse_roots``, ``lse_clip``), on the two knot stacks that
+  ``lipshift.lipfit``'s docstring describes, each knot one complex number
+  p + q i, so that a move between the stacks is one complex add (which
+  rounds its two parts as two float adds would);
+- `pava`: pool adjacent violators (``iso_fit``);
+- `search`, `count_closer` and `kth_distance`: ``EmpiricalSpread.at``
+  (``emp_spread``, ``count_closer``, ``kth_distance``) in Python floats;
+- `numpy_rounds` and `next_float`: the rounds of ``SpreadFunction.at``
+  (``tn_round``, ``tn_mass``, ``next_float``) in numpy, one `interval_mass`
+  call per round.
+"""
+
+import math
+from bisect import bisect_left, bisect_right
+from itertools import chain, count
+
+import numpy as np
+
+from lipshift.densities import interval_mass
+
+
+def cut(stack, sign, a, b):
+    """Index hi of the deepest knot to move: a knot moves while sign times
+    its value is > 0.  A galloping search from the top, ``cut`` in C."""
+    hi = len(stack) - 1
+    step = 1
+    lo = hi - 1
+    while lo >= 0 and sign * ((z := stack[lo]).imag + a * z.real + b) > 0.0:
+        hi = lo
+        step += step
+        lo = hi - step
+    if lo < 0:
+        lo = -1
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if sign * ((z := stack[mid]).imag + a * z.real + b) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def stack_roots(y, c, u):
+    """Roots r_0..r_{k-1} of V_0'..V_{k-1}' by the two-stack sweep,
+    ``lse_roots`` in C, as a float array; y, c = 2 w and u are float64
+    arrays, read in place."""
+    y0 = float(y[0])
+    left, right = [complex(y0, 0.0)], []  # V_0' = c_0 (z - y_0): one knot, value 0
+    a = float(c[0])
+    ol = orr = 0.0
+    bl = br = -a * y0
+    roots = np.empty(len(y))
+    out = memoryview(roots)
+    # One trailing step with zero gap and weight past the last point, so that
+    # each iteration starts with the root of V_i.
+    tail = (0.0,)
+    for i, ui, ci, yi in zip(count(), chain(memoryview(u), tail), chain(memoryview(c)[1:], tail),
+                             chain(memoryview(y)[1:], tail)):
+        vl = (zl := left[-1]).imag + a * zl.real + bl if left else -1.0
+        vr = (zr := right[-1]).imag + a * zr.real + br if right else 1.0
+        if vl > 0.0 or vr < 0.0:
+            # the root passed the knots with V' > 0 atop the left stack, or
+            # those with V' < 0 atop the right one: onto the other stack
+            src, dst, sign, o, b, o2, b2 = ((left, right, 1.0, ol, bl, orr, br) if vl > 0.0
+                                            else (right, left, -1.0, orr, br, ol, bl))
+            hi = cut(src, sign, a, b)
+            d = o - o2
+            shift = complex(d, b - b2 - a * d)
+            dst += [z + shift for z in reversed(src[hi:])]
+            del src[hi:]
+            vl = (zl := left[-1]).imag + a * zl.real + bl if left else -1.0
+            vr = (zr := right[-1]).imag + a * zr.real + br if right else 1.0
+        if vl == 0.0:  # the root is a knot; the clip below replaces it
+            m = left.pop().real + ol
+        elif vr == 0.0:
+            m = right.pop().real + orr
+        elif not right:
+            m = zl.real + ol - vl / a
+        elif not left:
+            m = zr.real + orr - vr / a
+        else:
+            xl = zl.real + ol
+            xr = zr.real + orr
+            m = xl - vl * (xr - xl) / (vr - vl)
+        out[i] = m
+        # clip: zero-valued knots at m on both stacks, then shift the stacks apart
+        p = m - ol
+        left.append(complex(p, -(a * p + bl)))
+        p = m - orr
+        right.append(complex(p, -(a * p + br)))
+        ol -= ui
+        orr += ui
+        # add c_i (z - y_i)
+        a += ci
+        bl += ci * (ol - yi)
+        br += ci * (orr - yi)
+    return roots
+
+
+def clip_roots(f, u):
+    """The backward pass, ``lse_clip`` in C, in place on the roots f: the
+    last value is the last root, and each earlier root r_i is clipped to
+    [f_{i+1} - u_i, f_{i+1} + u_i].  Bit for bit min(max(r_i, f_{i+1} -
+    u_i), f_{i+1} + u_i) for gaps u_i >= 0, signed zeros included."""
+    out = memoryview(f)
+    g = out[-1]
+    for i, ui in zip(range(len(out) - 2, -1, -1), reversed(memoryview(u))):
+        r = out[i]
+        lo = g - ui
+        if lo > r:
+            g = lo
+        else:
+            hi = g + ui
+            g = hi if hi < r else r
+        out[i] = g
+    return f
+
+
+def pava(y):
+    """Pool adjacent violators on the float array y, ``iso_fit`` in C."""
+    y = y.tolist()
+    # blocks as (total, count) pairs merged while out of order
+    totals = [y[0]]
+    counts = [1]
+    for v in y[1:]:
+        totals.append(v)
+        counts.append(1)
+        while len(totals) > 1 and totals[-2] * counts[-1] >= totals[-1] * counts[-2]:
+            totals[-2] += totals[-1]
+            counts[-2] += counts[-1]
+            totals.pop()
+            counts.pop()
+    out = np.empty(len(y))
+    pos = 0
+    for t, c in zip(totals, counts):
+        out[pos:pos + c] = t / c
+        pos += c
+    return out
+
+
+def search(e, x):
+    """``EmpiricalSpread.at`` of e for a float array x, in Python floats
+    point by point, as an array shaped like x: ``emp_spread`` line for
+    line."""
+    p, n = memoryview(e.points), e.n
+    log_n = float(np.log(n))  # the kernel's, whose last bit libm's log need not share
+    out = []
+    for v in x.ravel().tolist():
+        s = bisect_left(p, v)
+        lo, hi = 1, n + 1  # k* in [1, n + 1]; n + 1: r_k < sqrt(log n / k) for all k
+        while lo < hi:
+            k = (lo + hi) // 2
+            if k > n or count_closer(p, s, v, math.sqrt(log_n / k)) < k:
+                hi = k
+            else:
+                lo = k + 1
+        r = kth_distance(p, s, v, hi) if hi <= n else math.inf
+        cap = math.sqrt(log_n / (hi - 1)) if hi >= 2 else math.inf
+        out.append(r if r < cap else cap)
+    return np.array(out, float).reshape(x.shape)
+
+
+def count_closer(p, s, x, phi):
+    """#{i : x - p_i < phi} over the sorted points p below index s plus
+    #{i : p_i - x < phi} over the rest, ``count_closer`` in C: fl(p_i - x)
+    = -fl(x - p_i), so the first test is p_i - x > -phi, and each run is a
+    bisection on p_i - x."""
+    d = lambda v: v - x  # noqa: E731
+    return bisect_left(p, phi, s, len(p), key=d) - bisect_right(p, -phi, 0, s, key=d)
+
+
+def kth_distance(p, s, x, k):
+    """The k-th smallest |p_i - x| (1 <= k <= n), ``kth_distance`` in C: a
+    bisection over how many of the k smallest lie below index s."""
+    n = len(p)
+    lo, hi = max(k - (n - s), 0), min(k, s)
+    while lo < hi:
+        i = (lo + hi) // 2
+        if x - p[s - 1 - i] >= p[s + k - 1 - i] - x:
+            hi = i
+        else:
+            lo = i + 1
+    left = x - p[s - hi] if hi > 0 else -math.inf
+    right = p[s + k - 1 - hi] - x if hi < k else -math.inf
+    return left if left > right else right
+
+
+def next_float(x, step):
+    """np.nextafter(x, inf) (step = 1) for a float64 array x >= 0, +0.0 but
+    not -0.0, or np.nextafter(x, -inf) (step = -1) for x > 0: there it is
+    the neighbouring integer of x's bit pattern, ``next_float`` in C."""
+    return (x.view(np.int64) + step).view(np.float64)
+
+
+def numpy_rounds(s, x, thr=None):
+    """``s._at_points(x, thr)`` for a `SpreadFunction` s in numpy, the
+    rounds of ``tn_round`` and ``tn_mass``: each round makes one
+    `interval_mass` call for every point still solving."""
+    d = s.distribution
+    thr = np.full_like(x, s.threshold) if thr is None else thr
+    level = np.cbrt(thr)  # the secant's target on g^(1/3)
+    out = np.empty_like(x)
+    todo = np.arange(x.size)  # the points still solving; the arrays below follow it
+    lo = np.sqrt(thr) * (1.0 - 1e-9)
+    hi = np.ones_like(x)
+    est = np.cbrt(0.5 * thr)  # the root for p = 1
+    half = 0.5 * est
+    before = np.full_like(x, np.inf)  # bracket width at the start of the last round
+    for _ in range(200):
+        t = 0.5 * (lo + hi)
+        done = (t == lo) | (t == hi)
+        if done.any():
+            out[todo[done]] = t[done]
+            keep = ~done
+            todo, lo, hi, est, half, before, thr, level = (
+                v[keep] for v in (todo, lo, hi, est, half, before, thr, level))
+        if todo.size == 0:
+            break
+        inner = next_float(lo, 1), next_float(hi, -1)
+        a = np.minimum(np.maximum(est - half, inner[0]), inner[1])
+        b = np.maximum(est + half, next_float(est, 1))
+        b = np.minimum(np.maximum(b, inner[0]), inner[1])
+        pair, xi = np.concatenate([a, b]), x[np.concatenate([todo, todo])]
+        g = pair**2 * interval_mass(d, xi - pair, xi + pair)
+        ga, gb = g[: todo.size], g[todo.size:]
+        a_below, b_below = ga < thr, gb < thr
+        lo2 = np.where(a_below, np.where(b_below, b, a), lo)
+        hi2 = np.where(a_below, np.where(b_below, hi, b), a)
+        ca, cb = np.cbrt(ga), np.cbrt(gb)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            secant = a + (level - ca) * (b - a) / (cb - ca)
+        # no usable secant (flat or off the bracket): step past the pair
+        secant = np.where((secant > lo2) & (secant < hi2), secant,
+                          np.where(b_below, b + 2.0 * (b - a), a - 2.0 * (b - a)))
+        step = np.abs(secant - est)
+        half = np.where(a_below & ~b_below, 0.5 * step, 2.0 * np.maximum(half, step))
+        slow = hi2 - lo2 > 0.5 * before
+        est = np.minimum(np.maximum(np.where(slow, 0.5 * (lo2 + hi2), secant), lo2), hi2)
+        half = np.where(slow, 0.25 * (hi2 - lo2), half)
+        before, lo, hi = hi - lo, lo2, hi2
+    out[todo] = 0.5 * (lo + hi)
+    return out

@@ -19,10 +19,10 @@ loads neither ``multiprocessing`` nor ``concurrent.futures``, since the
 harness forks its workers itself.  A seventh is that a function has no
 option nobody sets: every optional parameter of a function in ``src/`` is
 passed by some call in ``src/`` or ``perfbench/``.  An eighth is that the C
-kernels are optional: where they cannot be built, ``import lipshift`` warns
-once, naming the reason, and the Python sweep, PAVA and empirical spread
-and the numpy t_n solve give the same bits; where they are built, each
-entry point has its argument and result types declared.
+kernels are required: where they cannot be built, ``import lipshift``
+raises ``KernelUnavailableError`` naming ``cc``, the CLI exits 1 and no
+build is left behind; where they are built, each entry point has its
+argument and result types declared.
 """
 
 import ast
@@ -183,50 +183,36 @@ def test_import_loads_none_of(name):
     assert _fresh(code) == "[]"
 
 
-def test_python_sweep_when_no_kernel_builds(tmp_path):
-    # a copy of the package with no built kernel, imported with no C compiler
-    # on PATH: one warning naming the reason, and the Lipschitz and isotonic
-    # fits, the empirical spread and t_n on a float and on a grid with the
-    # kernel path's bits
+def test_import_fails_typed_when_no_kernel_builds(tmp_path):
+    # a copy of the package with no built kernel, run with no C compiler on
+    # PATH: the import raises KernelUnavailableError, a LipshiftError and an
+    # ImportError that names cc; the CLI exits 1 before it reads an
+    # argument, its last stderr line naming that error; and no build is left
     pkg = tmp_path / "lipshift"
     pkg.mkdir()
     for path in [*SRC.glob("*.py"), SRC / "_sweep.c"]:
         shutil.copy(path, pkg)
-    fit = """
-import zlib
-import numpy as np
-from lipshift.lipfit import RegressionSample, fit_isotonic_lse, fit_lipschitz_lse
-from lipshift import densities
-from lipshift.spread import EmpiricalSpread, SpreadFunction
-rng = np.random.default_rng(5)
-sample = RegressionSample(rng.random(3000), rng.standard_normal(3000))
-fit = fit_lipschitz_lse(sample, 0.5)
-iso = fit_isotonic_lse(sample)
-spread = EmpiricalSpread(np.round(sample.x * 64) / 64).at(np.linspace(-0.5, 1.5, 301))
-tn = []
-for d in (densities.power(2.0), densities.mixture(densities.power(2.0), densities.uniform(), 0.8)):
-    s = SpreadFunction(d, 4096)
-    tn += [s.at(0.3).hex(), zlib.crc32(s.at(np.linspace(-0.5, 1.5, 301)).tobytes())]
-print(zlib.crc32(fit.values.tobytes()), fit.objective.hex(), fit.kkt_residual.hex(),
-      zlib.crc32(iso.tobytes()), zlib.crc32(spread.tobytes()), *tn)
-"""
+    env = {**os.environ, "PATH": "",
+           "PYTHONPATH": os.pathsep.join([str(tmp_path), os.environ.get("PYTHONPATH", "")])}
     code = f"""
-import os, sys, warnings
-os.environ["PATH"] = ""
-sys.path.insert(0, {str(tmp_path)!r})
-with warnings.catch_warnings(record=True) as caught:
-    warnings.simplefilter("always")
+import sys
+try:
     import lipshift
-from lipshift import lipfit
-assert lipfit.__file__.startswith({str(tmp_path)!r}) and lipfit._KERNEL is None
-print([str(w.message) for w in caught])
-""" + fit
-    warned, fallback = _fresh(code).splitlines()
-    (message,) = ast.literal_eval(warned)
-    assert "No such file or directory: 'cc'" in message and "Python sweep" in message
+except ImportError as exc:
+    errors = sys.modules["lipshift.errors"]
+    assert errors.__file__.startswith({str(tmp_path)!r})
+    assert type(exc) is errors.KernelUnavailableError and isinstance(exc, errors.LipshiftError)
+    print(exc)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "No such file or directory: 'cc'" in proc.stdout and "C compiler cc" in proc.stdout
+    proc = subprocess.run([sys.executable, "-m", "lipshift.cli", "--help"], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("lipshift.errors.KernelUnavailableError: ") and "'cc'" in last
     assert list(pkg.glob("_sweep-*")) == []  # no build left behind
-    kernel = _fresh("from lipshift import lipfit\nassert lipfit._KERNEL is not None\n" + fit)
-    assert fallback == kernel
 
 
 def test_every_kernel_entry_point_declares_its_types():
@@ -267,7 +253,7 @@ def test_kernel_build_removes_stale_builds(tmp_path):
 import sys
 sys.path.insert(0, {str(tmp_path)!r})
 from lipshift import lipfit
-assert lipfit.__file__.startswith({str(tmp_path)!r}) and lipfit._KERNEL is not None
+assert lipfit.__file__.startswith({str(tmp_path)!r})
 print(lipfit._KERNEL._name)
 """
     built = os.path.basename(_fresh(code))

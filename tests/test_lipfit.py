@@ -17,14 +17,13 @@ from lipshift.lipfit import (
     fit_lipschitz_lse,
     isotonic_evaluate,
     kernel_smoother,
-    _clip_roots,
     _fitted_values,
     _isotonic_values,
     _kkt_residual,
     _merge_duplicates,
-    _pava,
-    _stack_roots,
 )
+
+from kernel_reference import clip_roots, pava, stack_roots
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -115,102 +114,6 @@ def unique_merge_oracle(x, y):
     ybar = ysum / w
     extra = float(np.sum(y**2) - np.sum(w * ybar**2))
     return xu, ybar, w, extra
-
-
-def two_list_stack_roots(y, c, u):
-    """The two-stack sweep with each stack as two float lists, positions p
-    and values q; y, c = 2 w and u are lists of floats."""
-    lp, lq, rp, rq = [y[0]], [0.0], [], []
-    a = c[0]
-    ol = orr = 0.0
-    bl = br = -a * y[0]
-    roots = []
-    for ui, ci, yi in zip(u + [0.0], c[1:] + [0.0], y[1:] + [0.0]):
-        sign = 0.0
-        if lp and lq[-1] + a * lp[-1] + bl > 0.0:
-            sign, src_p, src_q, b, dst_p, dst_q, d = 1.0, lp, lq, bl, rp, rq, ol - orr
-            e = bl - br - a * d
-        elif rp and rq[-1] + a * rp[-1] + br < 0.0:
-            sign, src_p, src_q, b, dst_p, dst_q, d = -1.0, rp, rq, br, lp, lq, orr - ol
-            e = br - bl - a * d
-        if sign:
-            hi = len(src_p) - 1
-            step = 1
-            lo = hi - 1
-            while lo >= 0 and sign * (src_q[lo] + a * src_p[lo] + b) > 0.0:
-                hi = lo
-                step += step
-                lo = hi - step
-            lo = max(lo, -1)
-            while hi - lo > 1:
-                mid = (lo + hi) >> 1
-                if sign * (src_q[mid] + a * src_p[mid] + b) > 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            moved_p = src_p[hi:]
-            moved_q = src_q[hi:]
-            del src_p[hi:], src_q[hi:]
-            moved_p.reverse()
-            moved_q.reverse()
-            dst_p += [p + d for p in moved_p]
-            dst_q += [q + e for q in moved_q]
-        vl = lq[-1] + a * lp[-1] + bl if lp else -1.0
-        vr = rq[-1] + a * rp[-1] + br if rp else 1.0
-        if vl == 0.0:
-            m = lp.pop() + ol
-            lq.pop()
-        elif vr == 0.0:
-            m = rp.pop() + orr
-            rq.pop()
-        elif not rp:
-            m = lp[-1] + ol - vl / a
-        elif not lp:
-            m = rp[-1] + orr - vr / a
-        else:
-            xl = lp[-1] + ol
-            xr = rp[-1] + orr
-            m = xl - vl * (xr - xl) / (vr - vl)
-        roots.append(m)
-        p = m - ol
-        lp.append(p)
-        lq.append(-(a * p + bl))
-        p = m - orr
-        rp.append(p)
-        rq.append(-(a * p + br))
-        ol -= ui
-        orr += ui
-        a += ci
-        bl += ci * (ol - yi)
-        br += ci * (orr - yi)
-    return roots
-
-
-def two_list_clip_roots(roots, u):
-    """The backward pass on lists, building a new list."""
-    g = roots[-1]
-    f = [g]
-    for r, ui in zip(reversed(roots[:-1]), reversed(u)):
-        lo = g - ui
-        if lo > r:
-            g = lo
-        else:
-            hi = g + ui
-            g = hi if hi < r else r
-        f.append(g)
-    f.reverse()
-    return f
-
-
-def two_list_fit_oracle(sample, budget):
-    """(values, objective, kkt_residual) of `fit_lipschitz_lse` computed
-    with the knots on float lists and the inputs and roots as lists."""
-    xu, ybar, w, extra = unique_merge_oracle(sample.x, sample.y)
-    gaps = budget * np.diff(xu)
-    u = gaps.tolist()
-    f = np.array(two_list_clip_roots(two_list_stack_roots(ybar.tolist(), (2.0 * w).tolist(), u), u))
-    objective = float(np.sum(w * (f - ybar) ** 2) + extra)
-    return f, objective, _kkt_residual(f, ybar, 2.0 * w, gaps)
 
 
 def isotonic_minmax(sample):
@@ -413,12 +316,12 @@ def test_stack_dp_matches_breakpoint_oracle(n, seed, family, scale, min_gap, tie
 @example(roots=[-0.0, -0.0], gaps=[0.0] * 39)  # upper bound +0.0 ties root -0.0
 def test_clip_roots_matches_min_max_formula(roots, gaps):
     # the indexed min(max(...)) loop that the comparisons replaced, against
-    # the Python backward pass and the C kernel's
+    # the reference backward pass and the C kernel's
     u = gaps[: len(roots) - 1]
     f = list(roots)
     for i in range(len(u) - 1, -1, -1):
         f[i] = min(max(f[i], f[i + 1] - u[i]), f[i + 1] + u[i])
-    for clip in (_clip_roots, kernel_clip):
+    for clip in (clip_roots, kernel_clip):
         buf = np.array(roots, float)
         got = clip(buf, np.array(u, float))
         assert got is buf  # in place
@@ -426,38 +329,30 @@ def test_clip_roots_matches_min_max_formula(roots, gaps):
 
 
 def kernel_clip(roots, u):
-    """`_clip_roots` by the C kernel's backward pass."""
-    assert lipfit._KERNEL is not None, "the C sweep did not build or load"
+    """`clip_roots` by the C kernel's backward pass."""
     lipfit._KERNEL.lse_clip(roots.ctypes.data, u.ctypes.data, len(roots))
     return roots
 
 
 # the Python sweep is the reference of the C kernel: the same float
-# operations in the same order, so the same bits
+# operations in the same order, so the same bits, and through the fit the
+# same objective and KKT residual
 @settings(max_examples=200, deadline=None)
 @given(**STRESS)
 @example(n=2**17, seed=4, family="alternating", scale=1.0, min_gap=1e-6, tie_rate=0.0, L=1.0)
-def test_kernel_matches_python_sweep_bit_for_bit(n, seed, family, scale, min_gap, tie_rate, L):
-    assert lipfit._KERNEL is not None, "the C sweep did not build or load"
-    sample = stress_sample(n, seed, family, scale, min_gap, tie_rate)
-    xu, ybar, w, _ = _merge_duplicates(sample.x, sample.y)
-    c, gaps = 2.0 * w, L * np.diff(xu)
-    want = _clip_roots(_stack_roots(ybar, c, gaps), gaps)
-    got = _fitted_values(ybar, c, gaps)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-@settings(max_examples=200, deadline=None)
-@given(**STRESS)
 @example(n=2048, seed=1, family="alternating", scale=1e6, min_gap=1e-12, tie_rate=0.3, L=1.0)
 @example(n=2048, seed=2, family="cauchy", scale=1e3, min_gap=1e-3, tie_rate=0.0, L=0.05)
-def test_sweep_matches_two_list_oracle_bit_for_bit(n, seed, family, scale, min_gap, tie_rate, L):
+def test_kernel_matches_python_sweep_bit_for_bit(n, seed, family, scale, min_gap, tie_rate, L):
     sample = stress_sample(n, seed, family, scale, min_gap, tie_rate)
+    xu, ybar, w, extra = unique_merge_oracle(sample.x, sample.y)
+    c, gaps = 2.0 * w, L * np.diff(xu)
+    want = clip_roots(stack_roots(ybar, c, gaps), gaps)
+    got = _fitted_values(ybar, c, gaps)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
     fit = fit_lipschitz_lse(sample, L)
-    values, objective, residual = two_list_fit_oracle(sample, L)
-    assert np.array_equal(fit.values.view(np.int64), values.view(np.int64))
-    assert fit.objective.hex() == objective.hex()
-    assert fit.kkt_residual.hex() == residual.hex()
+    assert np.array_equal(fit.values.view(np.int64), want.view(np.int64))
+    assert fit.objective.hex() == float(np.sum(w * (want - ybar) ** 2) + extra).hex()
+    assert fit.kkt_residual.hex() == _kkt_residual(want, ybar, c, gaps).hex()
 
 
 def nested_where_residual(f, ybar, w, gaps):
@@ -509,7 +404,6 @@ def test_lse_memory_bounded(family, traced):
     n = 4096
     x = densities.sample(densities.uniform(), n, seed=3)
     y = np.random.default_rng(3).standard_normal(n) if family == "noise" else 5.0 * (-1.0) ** np.arange(n)
-    assert lipfit._KERNEL is not None, "the C sweep did not build or load"
     _, peak, _ = traced(fit_lipschitz_lse, RegressionSample(x, y), 1.0)
     # about 64 bytes per point, the peak in the C sweep: 2n + 1 knots at 16
     # bytes and the roots (about 40 bytes per point) next to the inputs; the
@@ -595,7 +489,6 @@ def test_isotonic_matches_partition_oracle():
 @example(n=10**5, seed=7, family="noise", scale=1.0, levels=0)
 def test_isotonic_kernel_matches_pava_bit_for_bit(n, seed, family, scale, levels):
     # levels > 0 rounds y to that many values per unit (tied blocks)
-    assert lipfit._KERNEL is not None, "the C kernel did not build or load"
     rng = np.random.default_rng(seed)
     if family == "noise":
         y = rng.standard_normal(n)
@@ -606,7 +499,7 @@ def test_isotonic_kernel_matches_pava_bit_for_bit(n, seed, family, scale, levels
     if levels:
         y = np.round(y * levels) / levels
     y = scale * y
-    want = _pava(y)
+    want = pava(y)
     got = _isotonic_values(y)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.array_equal(fit_isotonic_lse(RegressionSample(np.arange(n), y)), got)

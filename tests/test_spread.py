@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lipshift import densities, lipfit, spread
+from lipshift import densities, spread
 from lipshift.errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -19,6 +19,9 @@ from lipshift.errors import (
     NondifferentiablePointError,
 )
 from lipshift.spread import EmpiricalSpread, SpreadFunction, vanishing_density_bounds
+
+import kernel_reference
+from kernel_reference import numpy_rounds, search
 
 
 def brute_force_spread(d, n, x, steps=2_000_000):
@@ -70,11 +73,11 @@ class FloorTableSpread(EmpiricalSpread):
             lo, hi = 1, n + 1
             while lo < hi:
                 k = (lo + hi) // 2
-                if k > n or spread._count_closer(p, s, v, floor[k - 1]) < k:
+                if k > n or kernel_reference.count_closer(p, s, v, floor[k - 1]) < k:
                     hi = k
                 else:
                     lo = k + 1
-            r = spread._kth_distance(p, s, v, hi) if hi <= n else math.inf
+            r = kernel_reference.kth_distance(p, s, v, hi) if hi <= n else math.inf
             out.append(min(r, floor[hi - 2] if hi >= 2 else math.inf))
         return np.array(out)
 
@@ -137,8 +140,9 @@ def test_next_float_matches_nextafter():
     rng = np.random.default_rng(6)
     x = np.concatenate([[0.0, 5e-324, 2.2e-308, 0.5, 1.0, 1.7e308],
                         np.ldexp(rng.random(1000), rng.integers(-1070, 1020, 1000))])
-    assert np.array_equal(spread._next_float(x, 1), np.nextafter(x, np.inf))
-    assert np.array_equal(spread._next_float(x[1:], -1), np.nextafter(x[1:], -np.inf))
+    next_float = kernel_reference.next_float
+    assert np.array_equal(next_float(x, 1), np.nextafter(x, np.inf))
+    assert np.array_equal(next_float(x[1:], -1), np.nextafter(x[1:], -np.inf))
 
 
 def test_paired_secant_mass_evaluations(monkeypatch):
@@ -148,9 +152,8 @@ def test_paired_secant_mass_evaluations(monkeypatch):
     # interval_mass call, in as many rounds as the numpy loop makes
     # interval_mass calls; bisection to adjacent floats takes 53 to 59
     # rounds, on the pooled design of transfer.mixture_spread as anywhere
-    assert lipfit._KERNEL is not None, "the C kernel did not build or load"
     cdf_calls, mass_calls = [0], [0]
-    mass = spread.interval_mass
+    mass = densities.interval_mass
 
     def counted_mass(*args):
         mass_calls[0] += 1
@@ -162,7 +165,8 @@ def test_paired_secant_mass_evaluations(monkeypatch):
             return d.unit_cdf(x)
         return dataclasses.replace(d, unit_cdf=unit_cdf)
 
-    monkeypatch.setattr(spread, "interval_mass", counted_mass)
+    monkeypatch.setattr(densities, "interval_mass", counted_mass)
+    monkeypatch.setattr(kernel_reference, "interval_mass", counted_mass)
     s = SpreadFunction(counted(densities.mixture(densities.power(2.0), densities.uniform(),
                                                  16384 / (16384 + 1024))), 16384 + 1024)
     total = 0
@@ -173,9 +177,7 @@ def test_paired_secant_mass_evaluations(monkeypatch):
         cdf_calls[0] = 0
         s.at(np.array([x, x]))
         assert cdf_calls[0] == one_point and mass_calls[0] == 0  # the same rounds
-        with monkeypatch.context() as m:
-            m.setattr(lipfit, "_KERNEL", None)
-            s.at(x)
+        numpy_rounds(s, np.array([x]))
         assert mass_calls[0] == one_point
         mass_calls[0] = 0
         total += one_point
@@ -193,7 +195,6 @@ def test_paired_secant_mass_evaluations(monkeypatch):
 def test_one_point_path_matches_vector_path(kind, n, x):
     # the kernel's rounds give the numpy loop's bits, for one point given as
     # a float, an np.float64 or a 0-d array and for the same point twice
-    assert lipfit._KERNEL is not None, "the C kernel did not build or load"
     s = SpreadFunction(ORACLE_DESIGNS[kind], n)
     with mock.patch.object(spread, "_finite", side_effect=spread._finite) as checks:
         t = s.at(x)
@@ -201,9 +202,8 @@ def test_one_point_path_matches_vector_path(kind, n, x):
         assert checks.call_count == 0  # a float skips the array conversion
     t0d = s.at(np.array(x))
     pair = s.at(np.array([x, x]))
-    with mock.patch.object(lipfit, "_KERNEL", None):
-        ref, ref_pair = s.at(x), s.at(np.array([x, x]))
-    assert type(t) is type(t64) is type(t0d) is type(ref) is float
+    (ref,), ref_pair = numpy_rounds(s, np.array([x])), numpy_rounds(s, np.array([x, x]))
+    assert type(t) is type(t64) is type(t0d) is float
     assert t == t64 == t0d == pair[0] == pair[1] == ref == ref_pair[0] == ref_pair[1]
     # on 1-d arrays, as the solver evaluates g: numpy's array power and its
     # scalar power differ in the last bit at some points
@@ -211,18 +211,16 @@ def test_one_point_path_matches_vector_path(kind, n, x):
 
 
 @pytest.mark.parametrize("kind", ["mixture", "tabulated"])
-def test_solve_returns_its_own_array_within_the_numpy_loops_peak(kind, traced, monkeypatch):
+def test_solve_returns_its_own_array_within_the_numpy_loops_peak(kind, traced):
     # `at` returns an array that holds its n floats and nothing of the
     # solver's buffer, and a 2001-point solve peaks no higher than the numpy
     # loop's (about 420 B per point)
-    assert lipfit._KERNEL is not None, "the C kernel did not build or load"
     s, x = SpreadFunction(ORACLE_DESIGNS[kind], 4096), np.linspace(0.0, 1.0, 2001)
     s.at(x)  # numpy's and ctypes' first-call caches stay out of `held`
     t, peak, held = traced(s.at, x)
     owner = t if t.base is None else t.base
     assert owner.nbytes == t.nbytes and held <= t.nbytes + 1024
-    monkeypatch.setattr(lipfit, "_KERNEL", None)
-    ref, numpy_peak, _ = traced(s.at, x)
+    ref, numpy_peak, _ = traced(numpy_rounds, s, x)
     assert np.array_equal(_bits(t), _bits(ref))
     assert peak <= numpy_peak
 
@@ -326,15 +324,13 @@ def _boundary_sample(rng, n, k, x, block=1):
 def _assert_counting_exact(pts, k, x, xs):
     e = EmpiricalSpread(pts)
     want, table = sorted_distance_oracle(pts, xs), FloorTableSpread(pts).at(xs)
-    for kernel in (lipfit._KERNEL, None):  # the C kernel and its Python twin
-        with mock.patch.object(lipfit, "_KERNEL", kernel):
-            got = e.at(xs)
+    for got in (e.at(xs), search(e, xs)):  # the C kernel and its Python reference
         assert np.array_equal(got, want)
         assert np.array_equal(_bits(got), _bits(table))
     # the count itself is exact, also where a wrong one would leave t_hat as it is
     phi = float(np.sqrt(np.log(pts.size) / k))
     p = memoryview(e.points)
-    count = spread._count_closer(p, bisect_left(p, x), x, phi)
+    count = kernel_reference.count_closer(p, bisect_left(p, x), x, phi)
     assert count == np.count_nonzero(np.abs(pts - x) < phi)
 
 
@@ -373,12 +369,13 @@ def test_counting_search_selects_once():
             return helper(p, s, x, arg)
         return call
 
-    # the Python helpers run only without the C kernel
-    with mock.patch.object(lipfit, "_KERNEL", None), \
-            mock.patch.object(spread, "_count_closer", logged("c", spread._count_closer)), \
-            mock.patch.object(spread, "_kth_distance", logged("s", spread._kth_distance)):
-        t = e.at(xs)
-        assert e.at(0.3) == sorted_distance_oracle(pts, 0.3)[0]
+    # the reference search, which counts and selects with these helpers
+    with mock.patch.object(kernel_reference, "count_closer",
+                           logged("c", kernel_reference.count_closer)), \
+            mock.patch.object(kernel_reference, "kth_distance",
+                              logged("s", kernel_reference.kth_distance)):
+        t = search(e, xs)
+        assert search(e, np.array(0.3)) == sorted_distance_oracle(pts, 0.3)[0]
     # per point: the k* search only counts, then one selection at most, for r_k*
     runs = [(x, "".join(name for name, _ in group)) for x, group in groupby(calls, itemgetter(1))]
     assert [x for x, _ in runs] == [*xs.tolist(), 0.3]
@@ -403,7 +400,6 @@ def test_kernel_matches_python_search_bit_for_bit(n, seed, levels, negative_zero
     # levels > 0 rounds the points to that many values per unit (ties), and
     # negative_zero makes the rounded zeros -0.0; x also lies outside [0, 1]
     # and on the points
-    assert lipfit._KERNEL is not None, "the C kernel did not build or load"
     rng = np.random.default_rng(seed)
     pts = rng.random(n)
     if levels:
@@ -412,8 +408,8 @@ def test_kernel_matches_python_search_bit_for_bit(n, seed, levels, negative_zero
         pts[pts == 0.0] = -0.0
     xs = np.concatenate([np.linspace(-1.0, 2.0, 13), extra, pts[:on_points], [0.0, -0.0]])
     e = EmpiricalSpread(pts)
-    assert np.array_equal(_bits(e.at(xs)), _bits(e._search(xs)))
-    assert _bits(e.at(xs[-1])) == _bits(e._search(xs[-1:]))[0]
+    assert np.array_equal(_bits(e.at(xs)), _bits(search(e, xs)))
+    assert _bits(e.at(xs[-1])) == _bits(search(e, xs[-1:]))[0]
 
 
 def test_spread_kernel_checks_its_buffers():
