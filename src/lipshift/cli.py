@@ -17,9 +17,7 @@ import sys
 import numpy as np
 
 from . import densities, prooflab
-from .densities import _read
-from .errors import (ConfigError, ExperimentError, InvalidInputError, InvalidParameterError,
-                     LipshiftError)
+from .errors import ExperimentError, InvalidInputError, InvalidParameterError, LipshiftError
 from .harness import ExperimentConfig, run_rate_experiment
 from .lipfit import RegressionSample, fit_lipschitz_lse
 from .spread import SpreadFunction
@@ -106,76 +104,13 @@ def _cmd_doubling(args, out):
     return 0
 
 
-# prooflab check -> its config keys with their defaults, and node counts' ranges
-_PROOFLAB_DEFAULTS = {
-    "perturbation": {"distribution": {"kind": "uniform"}, "n": 100, "K": 1.0, "delta": 0.5,
-                     "grid": (2001, "[2, inf)"), "center": 0.5},
-    "cover": {"a": 0.0, "b": 1.0, "r": 0.2},
-    "kl": {"P": {"kind": "uniform"}, "Q": {"kind": "uniform"}, "bump_height": 0.1,
-           "bump_center": 0.5, "n": 100, "m": 0},
-    "lowerbound": {"P": {"kind": "uniform"}, "Q": {"kind": "uniform"}, "n": 5000, "m": 5000},
-    "transfer-exponent": {"P": {"kind": "power", "alpha": 1.0}, "Q": {"kind": "uniform"},
-                          "gamma": 1.0, "eta_grid": [2.0 ** -k for k in range(3, 11)],
-                          "x_nodes": (1025, "[2, inf)")},
-}
-
-
-def _run_prooflab_check(check, cfg):
-    """Returns (passed, dict of measured quantities)."""
-    if check == "perturbation":
-        d = densities.from_spec(cfg["distribution"])
-        n, K = cfg["n"], cfg["K"]
-        s = SpreadFunction(d, n)
-        grid = np.linspace(0.0, 1.0, cfg["grid"])
-        center = cfg["center"]
-        height = 2.0 * K * s.at(center)
-        psi = lambda x: np.maximum(height - np.abs(np.asarray(x) - center), 0.0)  # noqa: E731
-        f = lambda x: np.zeros_like(np.asarray(x, float))  # noqa: E731
-        pert = prooflab.build_perturbation(psi, f, cfg["delta"], s, K, grid)
-        g = pert.g(grid)
-        ok = bool(
-            np.all(np.abs(np.diff(g)) <= np.diff(grid) + 1e-9)
-            and pert.x_ell <= pert.x_tilde <= pert.x_u
-        )
-        return ok, {"x_star": pert.x_star, "x_tilde": pert.x_tilde, "s_n": pert.s_n,
-                    "x_ell": pert.x_ell, "x_u": pert.x_u}
-    if check == "cover":
-        cover = prooflab.lipschitz_cover(cfg["a"], cfg["b"], cfg["r"])
-        return True, {"centers": len(cover), "cap": 3 ** int((cover.b - cover.a) / cover.r)}
-    if check == "kl":
-        P, Q = densities.from_spec(cfg["P"]), densities.from_spec(cfg["Q"])
-        h, c = cfg["bump_height"], cfg["bump_center"]
-        f = lambda x: np.maximum(h - np.abs(np.asarray(x) - c), 0.0)  # noqa: E731
-        g = lambda x: np.zeros_like(np.asarray(x, float))  # noqa: E731
-        val = prooflab.kl_divergence(f, g, P, Q, cfg["n"], cfg["m"])
-        return True, {"kl": val}
-    if check == "lowerbound":
-        P, Q = densities.from_spec(cfg["P"]), densities.from_spec(cfg["Q"])
-        n, m = cfg["n"], cfg["m"]
-        fam = prooflab.build_lower_bound_family(P, Q, n, m)
-        kls = [prooflab.kl_divergence(lambda x, j=j: fam.f(j, x),
-                                      lambda x: np.zeros_like(np.asarray(x, float)),
-                                      P, Q, n, m) for j in range(1, fam.count + 1)]
-        budget = np.log(n + m) / 36.0
-        ok = bool(np.mean(kls) <= budget + 1e-9)
-        return ok, {"count": fam.count, "psi_N": fam.psi_n,
-                    "mean_kl": float(np.mean(kls)), "kl_budget": budget}
-    # transfer-exponent, the last of the table's checks
-    P, Q = densities.from_spec(cfg["P"]), densities.from_spec(cfg["Q"])
-    xs = np.linspace(0.0, 1.0, cfg["x_nodes"])
-    val = prooflab.transfer_exponent_check(P, Q, cfg["gamma"], cfg["eta_grid"], xs)
-    return True, {"max_eta_gamma_rho": val}
-
-
 def _cmd_prooflab(args, out):
     obj = {}
     if args.config:
         with open(args.config) as fh:
             obj = json.load(fh)
-    cfg = _read(obj, _PROOFLAB_DEFAULTS[args.check], f"prooflab check {args.check!r}", ConfigError)
-    passed, measured = _run_prooflab_check(args.check, cfg)
-    status = "PASS" if passed else "FAIL"
-    print(f"{args.check}: {status}", file=out)
+    passed, measured = prooflab.run_check(args.check, obj)
+    print(f"{args.check}: {'PASS' if passed else 'FAIL'}", file=out)
     for key, value in measured.items():
         print(f"  {key} = {value}", file=out)
     return 0 if passed else 2
@@ -226,7 +161,7 @@ def build_parser():
     p.set_defaults(func=_cmd_doubling)
 
     p = sub.add_parser("prooflab", help="run one construction check")
-    p.add_argument("--check", required=True, choices=list(_PROOFLAB_DEFAULTS))
+    p.add_argument("--check", required=True, choices=list(prooflab._CHECKS))
     p.add_argument("--config", help="JSON file with check parameters")
     p.set_defaults(func=_cmd_prooflab)
 

@@ -41,10 +41,6 @@ class SizeCapError(LipshiftError, ValueError):
     """The covering construction would exceed the enumeration cap."""
 
 
-class DegenerateScaleError(LipshiftError, ValueError):
-    """The hypothesis-family scale is degenerate at this sample size."""
-
-
 class ConfigError(LipshiftError, ValueError):
     """Experiment configuration is invalid."""
 

@@ -1,16 +1,25 @@
 """Executable versions of the proof devices behind the local rate results.
 
-Four constructions, each stated as code so its claimed properties can be
-asserted numerically:
+Five constructions, each stated as code, and the claim that `run_check`
+asserts about each by its name in `_CHECKS`, returning (passed, measured
+quantities):
 
-* a local perturbation of a 1-Lipschitz function psi that stays between a
-  reference f and psi on a controlled support interval;
-* the explicit 3^k candidate set that covers Lipschitz functions supported
-  on [a, b] at sup-distance r;
-* the Kullback-Leibler divergence between two regression experiments with
-  standard normal noise;
-* the disjoint-bump hypothesis family driving the two-sample minimax lower
-  bound, with its separation and KL budget.
+* ``perturbation``: a local perturbation g of a 1-Lipschitz psi that stays
+  between a reference f and psi on a controlled support interval; for a
+  tent psi of height 2 K t_n(center) over f = 0, g has each property of
+  `perturbation_faults`;
+* ``cover``: the 3^k candidate set covering the Lipschitz functions
+  supported on [a, b] at sup-distance r; 200 random ones each lie within r
+  of the member `cover_center_for` picks;
+* ``kl``: the Kullback-Leibler divergence between two regression
+  experiments with standard normal noise; for a tent of half-width h
+  against zero it is in [0, (n sup p + m sup q) h^3 / 3], the upper end met
+  by uniform designs when the tent lies in [0, 1];
+* ``lowerbound``: the disjoint-bump hypothesis family behind the two-sample
+  minimax lower bound; its mean KL from f_0 = 0 is at most log(n + m) / 36;
+* ``transfer-exponent``: the eta^gamma-weighted mass ratio behind the
+  transfer exponent; its value at the smallest eta is at most 3 times the
+  one at the largest, as for a transfer exponent of at most gamma.
 """
 
 from __future__ import annotations
@@ -19,9 +28,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .densities import DesignDistribution, _simpson, interval_mass, mixture
+from .densities import DesignDistribution, _read, _simpson, from_spec, interval_mass, mixture
 from .errors import (
-    DegenerateScaleError,
+    ConfigError,
     InvalidParameterError,
     NonDoublingError,
     NoViolationError,
@@ -38,6 +47,8 @@ __all__ = [
     "kl_divergence",
     "build_lower_bound_family",
     "transfer_exponent_check",
+    "perturbation_faults",
+    "run_check",
 ]
 
 
@@ -257,10 +268,9 @@ def build_lower_bound_family(P: DesignDistribution, Q: DesignDistribution,
     centers = (2.0 * k - 1.0) * psi
     mixed = mixture(P, Q, n / N)
     masses = interval_mass(mixed, centers - psi, np.minimum(centers + psi, 1.0))
-    keep = masses >= psi
-    if not np.any(keep):
-        raise DegenerateScaleError("no cell carries mass psi_N under the pooled design")
-    centers = centers[keep]
+    # some cell is kept: the M cells cover [0, 1], so one has mass >= 1/M, and
+    # M < 1/psi - 1 since psi <= 1/4, so 1/M > psi
+    centers = centers[masses >= psi]
     t_nm = np.minimum(SpreadFunction(P, n).at(centers), SpreadFunction(Q, m).at(centers))
     return HypothesisFamily(centers=centers, heights=t_nm / 6.0, psi_n=float(psi))
 
@@ -286,3 +296,125 @@ def transfer_exponent_check(P: DesignDistribution, Q: DesignDistribution,
             raise NonDoublingError(f"zero interval mass at radius {eta}")
         best = max(best, eta**gamma * float(np.trapezoid(q / mass, x_grid)))
     return best
+
+
+def perturbation_faults(pert: Perturbation, grid) -> list:
+    """The names of the properties of pert that fail on grid.
+
+    g is psi off the support [x_ell, x_u] and between f and psi on it; the
+    support reaches s_n/4 either side of x~ (within [0, 1]) and no further
+    than s_n/delta; psi - g >= s_n/4 within s_n/8 of x~; g is 1-Lipschitz.
+    """
+    grid = np.asarray(grid, float)
+    psi, f, g = pert._psi(grid), pert._f(grid), pert.g(grid)
+    inside = (grid >= pert.x_ell) & (grid <= pert.x_u)
+    sn, xt = pert.s_n, pert.x_tilde
+    reach = sn / pert.delta
+    inner = (grid >= max(xt - sn / 8, 0.0)) & (grid <= min(xt + sn / 8, 1.0))
+    holds = {
+        "g = psi off the support": np.array_equal(g[~inside], psi[~inside]),
+        "g <= psi": np.all(g[inside] <= psi[inside] + 1e-9),
+        "g >= f": np.all(g[inside] >= f[inside] - 1e-9),
+        "x_ell >= x~ - s_n/delta": xt - reach - 1e-9 <= pert.x_ell,
+        "x_ell <= x~ - s_n/4": pert.x_ell <= max(xt - sn / 4.0, 0.0) + 1e-9,
+        "x_u >= x~ + s_n/4": min(xt + sn / 4.0, 1.0) - 1e-9 <= pert.x_u,
+        "x_u <= x~ + s_n/delta": pert.x_u <= xt + reach + 1e-9,
+        "psi - g >= s_n/4 near x~": np.all(psi[inner] - g[inner] >= sn / 4.0 - 1e-9),
+        "g 1-Lipschitz": np.max(np.abs(np.diff(g)) / np.diff(grid)) <= 1.0 + 1e-6,
+    }
+    return [name for name, ok in holds.items() if not ok]
+
+
+def _tent(center, height):
+    return lambda x: np.maximum(height - np.abs(np.asarray(x, float) - center), 0.0)
+
+
+def _zero(x):
+    return np.zeros_like(np.asarray(x, float))
+
+
+def _perturbation(distribution, n, K, delta, grid, center):
+    s = SpreadFunction(from_spec(distribution), n)
+    grid = np.linspace(0.0, 1.0, grid)
+    pert = build_perturbation(_tent(center, 2.0 * K * s.at(center)), _zero, delta, s, K, grid)
+    failed = perturbation_faults(pert, grid)
+    return not failed, {"x_star": pert.x_star, "x_tilde": pert.x_tilde, "s_n": pert.s_n,
+                        "x_ell": pert.x_ell, "x_u": pert.x_u, "failed": failed}
+
+
+def _random_lipschitz(rng, a, b):
+    """A random 1-Lipschitz function, linear between 21 knots on [a, b], zero
+    at a and b and outside [a, b]."""
+    knots = np.linspace(a, b, 21)
+    vals = np.concatenate([[0.0], np.cumsum(rng.uniform(-1.0, 1.0, 20) * np.diff(knots))])
+    vals -= np.linspace(0.0, vals[-1], 21)  # pin both ends at 0
+    vals /= max(1.0, np.max(np.abs(np.diff(vals)) / np.diff(knots)))
+
+    def g(x):
+        x = np.asarray(x, float)
+        return np.where((x < a) | (x > b), 0.0, np.interp(x, knots, vals))
+    return g
+
+
+def _cover(a, b, r):
+    cover = lipschitz_cover(a, b, r)
+    rng = np.random.default_rng(3)
+    xs = np.linspace(a, b, 1001)
+    within = members = 0
+    for _ in range(200):
+        g = _random_lipschitz(rng, a, b)
+        center = cover_center_for(g, cover)
+        within += bool(np.max(np.abs(g(xs) - np.interp(xs, cover.nodes, center))) <= r + 1e-9)
+        members += bool(np.any(np.all(np.isclose(cover.values, center, atol=1e-12), axis=1)))
+    return within == members == 200, {"centers": len(cover), "cap": 3 ** int((b - a) / r),
+                                      "within_r": within, "members": members}
+
+
+def _kl(P, Q, bump_height, bump_center, n, m):
+    P, Q = from_spec(P), from_spec(Q)
+    kl = kl_divergence(_tent(bump_center, bump_height), _zero, P, Q, n, m)
+    # the tent's square integrates to at most 2 h^3 / 3; the slack is Simpson's
+    # error, which stays below it for half-widths above about 0.01
+    bound = (n * P.sup_density + m * Q.sup_density) * bump_height**3 / 3.0
+    return 0.0 <= kl <= bound * (1.0 + 1e-3), {"kl": kl, "kl_bound": bound}
+
+
+def _lowerbound(P, Q, n, m):
+    P, Q = from_spec(P), from_spec(Q)
+    fam = build_lower_bound_family(P, Q, n, m)
+    mean_kl = float(np.mean([kl_divergence(lambda x, j=j: fam.f(j, x), _zero, P, Q, n, m)
+                             for j in range(1, fam.count + 1)]))
+    budget = float(np.log(n + m) / 36.0)
+    return mean_kl <= budget + 1e-9, {"count": fam.count, "psi_N": fam.psi_n,
+                                      "mean_kl": mean_kl, "kl_budget": budget}
+
+
+def _transfer_exponent(P, Q, gamma, eta_grid, x_nodes):
+    P, Q = from_spec(P), from_spec(Q)
+    xs = np.linspace(0.0, 1.0, x_nodes)
+    values = [float(transfer_exponent_check(P, Q, gamma, [eta], xs)) for eta in eta_grid]
+    ratio = values[int(np.argmin(eta_grid))] / values[int(np.argmax(eta_grid))]
+    return ratio <= 3.0, {"max_eta_gamma_rho": max(values), "ratio": ratio, "values": values}
+
+
+# check -> (its claim, its config keys with their defaults, and node counts' ranges)
+_CHECKS = {
+    "perturbation": (_perturbation, {"distribution": {"kind": "uniform"}, "n": 100, "K": 1.0,
+                                     "delta": 0.5, "grid": (2001, "[2, inf)"), "center": 0.5}),
+    "cover": (_cover, {"a": 0.0, "b": 1.0, "r": 0.2}),
+    "kl": (_kl, {"P": {"kind": "uniform"}, "Q": {"kind": "uniform"}, "bump_height": 0.1,
+                 "bump_center": 0.5, "n": 100, "m": 0}),
+    "lowerbound": (_lowerbound, {"P": {"kind": "uniform"}, "Q": {"kind": "uniform"},
+                                 "n": 5000, "m": 5000}),
+    "transfer-exponent": (_transfer_exponent,
+                          {"P": {"kind": "power", "alpha": 1.0}, "Q": {"kind": "uniform"},
+                           "gamma": 1.0, "eta_grid": [2.0 ** -k for k in range(3, 11)],
+                           "x_nodes": (1025, "[2, inf)")}),
+}
+
+
+def run_check(check: str, obj) -> tuple:
+    """(passed, measured quantities) of the claim `_CHECKS` names check,
+    with the keys of the JSON object obj over the check's defaults."""
+    claim, keys = _CHECKS[check]
+    return claim(**_read(obj, keys, f"prooflab check {check!r}", ConfigError))

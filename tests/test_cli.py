@@ -1,12 +1,13 @@
 import csv
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lipshift import densities, harness
-from lipshift.cli import _PROOFLAB_DEFAULTS, _read_xy_csv, main
+from lipshift import densities, harness, prooflab
+from lipshift.cli import _read_xy_csv, main
 from lipshift.errors import NondifferentiablePointError
 from lipshift.spread import EmpiricalSpread, SpreadFunction
 from lipshift.transfer import fit_transfer
@@ -149,11 +150,41 @@ def test_doubling_check_bad_eta_max_exits_3(eta_max, capsys):
     assert "eta_max" in captured.err and captured.out == ""
 
 
-@pytest.mark.parametrize("check", ["perturbation", "cover", "kl",
-                                   "lowerbound", "transfer-exponent"])
+@pytest.mark.parametrize("check", list(prooflab._CHECKS))
 def test_prooflab_checks_pass(check, capsys):
     assert main(["prooflab", "--check", check]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+_KL, _FAMILY, _RHO = (prooflab.kl_divergence, prooflab.build_lower_bound_family,
+                      prooflab.transfer_exponent_check)
+# check -> a fault planted in its construction: (owner, name, replacement)
+FAULTS = {
+    "perturbation": (prooflab.Perturbation, "g", lambda self, x: self._psi(x)),  # no dent
+    "cover": (prooflab, "cover_center_for", lambda g, cover: np.zeros(cover.nodes.size)),
+    "kl": (prooflab, "kl_divergence", lambda *args: 2.0 * _KL(*args)),
+    # bumps of height t_{n,m}, not t_{n,m}/6
+    "lowerbound": (prooflab, "build_lower_bound_family",
+                   lambda *args: replace(fam := _FAMILY(*args), heights=6.0 * fam.heights)),
+    # eta^gamma dropped
+    "transfer-exponent": (prooflab, "transfer_exponent_check",
+                          lambda P, Q, gamma, etas, xs: _RHO(P, Q, 0.0, etas, xs)),
+}
+
+
+@pytest.mark.parametrize("check, config",
+                         [(check, {}) for check in prooflab._CHECKS]
+                         + [("transfer-exponent", {"gamma": 0.5})],
+                         ids=[f"{check}-fault" for check in prooflab._CHECKS]
+                         + ["transfer-exponent-gamma-0.5"])
+def test_prooflab_check_fails_exits_2(tmp_path, capsys, monkeypatch, check, config):
+    # on its defaults each check fails with a fault planted; (Power(1), Uniform)
+    # has transfer exponent 1, so at gamma = 1/2 its weighted mass grows 26-fold
+    if not config:
+        monkeypatch.setattr(*FAULTS[check])
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(["prooflab", "--check", check, "--config", str(tmp_path / "config.json")]) == 2
+    assert f"{check}: FAIL" in capsys.readouterr().out
 
 
 def test_prooflab_config_file(tmp_path, capsys):
@@ -398,7 +429,7 @@ INPUTS = ([(f"dist-{kind}", {"kind": kind, **{key: VALID_LIST if isinstance(t, l
           + [(f"f0-{kind}", {"kind": kind}, keys, _simulate_f0)
              for kind, keys in harness._F0_DEFAULTS.items()]
           + [(f"prooflab-{check}", {}, keys, _prooflab(check))
-             for check, keys in _PROOFLAB_DEFAULTS.items()])
+             for check, (_, keys) in prooflab._CHECKS.items()])
 
 
 def _outside(entry):

@@ -11,9 +11,10 @@ from lipshift.errors import (
 from lipshift.prooflab import (
     build_lower_bound_family,
     build_perturbation,
-    cover_center_for,
     kl_divergence,
     lipschitz_cover,
+    perturbation_faults,
+    run_check,
     transfer_exponent_check,
 )
 from lipshift.spread import SpreadFunction
@@ -54,24 +55,7 @@ def test_perturbation_properties_randomized():
         except NoViolationError:
             continue
         built += 1
-        g = pert.g(GRID)
-        # g equals psi outside the support interval and sits between f and
-        # psi on it
-        inside = (GRID >= pert.x_ell) & (GRID <= pert.x_u)
-        assert np.array_equal(g[~inside], psi(GRID)[~inside])
-        assert np.all(g[inside] <= psi(GRID)[inside] + 1e-9)
-        assert np.all(g[inside] >= f(GRID)[inside] - 1e-9)
-        # support interval around x~ at scale s_n / delta
-        sn, d, xt = pert.s_n, pert.delta, pert.x_tilde
-        assert xt - sn / d - 1e-9 <= pert.x_ell
-        assert pert.x_ell <= max(xt - sn / 4.0, 0.0) + 1e-9
-        assert min(xt + sn / 4.0, 1.0) - 1e-9 <= pert.x_u
-        assert pert.x_u <= xt + sn / d + 1e-9
-        # a gap of at least s_n / 4 on the inner window
-        inner = GRID[(GRID >= max(xt - sn / 8, 0.0)) & (GRID <= min(xt + sn / 8, 1.0))]
-        assert np.all(psi(inner) - pert.g(inner) >= sn / 4.0 - 1e-9)
-        # g is 1-Lipschitz
-        assert np.max(np.abs(np.diff(g)) / np.diff(GRID)) <= 1.0 + 1e-6
+        assert perturbation_faults(pert, GRID) == []
     assert built >= 25
 
 
@@ -132,34 +116,11 @@ def test_cover_members_are_lipschitz_and_vanish_on_first_cell():
         assert cov.evaluate(i, 0.1) == 0.0 and cov.evaluate(i, 0.95) == 0.0
 
 
-def _random_lip_vanishing(rng, a, b):
-    """Random 1-Lipschitz function, zero at a and outside [a, b]."""
-    knots = np.linspace(a, b, 21)
-    steps = rng.uniform(-1.0, 1.0, 20) * np.diff(knots)
-    vals = np.concatenate([[0.0], np.cumsum(steps)])
-    vals -= np.linspace(0.0, vals[-1], 21)  # pin both ends at 0, still Lip(1) a.s.
-    slopes = np.abs(np.diff(vals)) / np.diff(knots)
-    vals /= max(1.0, slopes.max())
-    def g(x):
-        x = np.asarray(x, float)
-        out = np.interp(x, knots, vals)
-        return np.where((x < a) | (x > b), 0.0, out)
-    return g
-
-
 @pytest.mark.parametrize("r", [0.1, 0.2])
 def test_cover_hits_every_random_function(r):
-    rng = np.random.default_rng(3)
-    a, b = 0.0, 1.0
-    cov = lipschitz_cover(a, b, r)
-    xs = np.linspace(a, b, 1001)
-    for _ in range(200):
-        g = _random_lip_vanishing(rng, a, b)
-        center = np.interp(xs, cov.nodes, cover_center_for(g, cov))
-        assert np.max(np.abs(g(xs) - center)) <= r + 1e-9
-        # and that node profile really is one of the 3^k members
-        assert np.any(np.all(np.isclose(cov.values, cover_center_for(g, cov),
-                                        atol=1e-12), axis=1))
+    # each of 200 random Lip(1) functions lies within r of its center, a member
+    passed, measured = run_check("cover", {"r": r})
+    assert passed and measured["within_r"] == measured["members"] == 200
 
 
 def test_cover_size_cap():
@@ -177,11 +138,10 @@ def test_cover_bad_interval():
 # --- KL divergence ------------------------------------------------------
 
 def test_kl_bump_value():
-    u = densities.uniform()
-    bump = _tent(0.5, 0.1)
-    # (100/2) int_0^1 bump^2 = 50 * 2 * (0.1)^3 / 3 = 1/30
-    got = kl_divergence(bump, _zero, u, u, n=100, m=0)
-    assert got == pytest.approx(1.0 / 30.0, abs=1e-9)
+    # (100/2) int_0^1 bump^2 = 50 * 2 * (0.1)^3 / 3 = 1/30, the check's bound
+    passed, measured = run_check("kl", {})
+    assert passed and measured["kl"] == pytest.approx(1.0 / 30.0, abs=1e-9)
+    assert measured["kl_bound"] == pytest.approx(1.0 / 30.0, rel=1e-12)
 
 
 def test_kl_additive_in_samples():
@@ -234,13 +194,8 @@ def test_family_count_scales_like_cells():
 
 
 def test_family_kl_budget():
-    u = densities.uniform()
-    n = m = 5000
-    N = n + m
-    fam = build_lower_bound_family(u, u, n, m)
-    kls = [kl_divergence(lambda x, j=j: fam.f(j, x), _zero, u, u, n, m)
-           for j in range(1, fam.count + 1)]
-    assert np.mean(kls) <= np.log(N) / 36.0
+    passed, measured = run_check("lowerbound", {"n": 5000, "m": 5000})
+    assert passed and measured["mean_kl"] <= np.log(10_000) / 36.0
 
 
 def test_family_degenerate_inputs():
@@ -264,29 +219,23 @@ def test_family_drops_empty_cells():
 # --- transfer exponent --------------------------------------------------
 
 def test_transfer_exponent_gamma_one_bounded():
-    p, u = densities.power(1.0), densities.uniform()
-    xs = np.linspace(0, 1, 8193)
-    etas = [2.0**-k for k in range(3, 11)]
-    vals = [transfer_exponent_check(p, u, 1.0, [eta], xs) for eta in etas]
-    assert max(vals) <= 4.0
-    assert vals[-1] <= 3.0 * vals[0]
+    # (Power(1), Uniform) at eta = 2^-3 ... 2^-10: the value at the smallest
+    # eta is within 3 times the one at the largest
+    passed, measured = run_check("transfer-exponent", {"gamma": 1.0, "x_nodes": 8193})
+    assert passed and measured["max_eta_gamma_rho"] <= 4.0
 
 
 def test_transfer_exponent_gamma_half_diverges():
-    p, u = densities.power(1.0), densities.uniform()
-    xs = np.linspace(0, 1, 8193)
-    vals = [transfer_exponent_check(p, u, 0.5, [eta], xs)
-            for eta in (2.0**-3, 2.0**-6, 2.0**-10)]
-    assert vals[0] < vals[1] < vals[2]
-    assert vals[2] > 10.0 * vals[0]
+    passed, measured = run_check("transfer-exponent", {"gamma": 0.5, "x_nodes": 8193,
+                                                       "eta_grid": [2.0**-3, 2.0**-6, 2.0**-10]})
+    vals = measured["values"]
+    assert not passed and vals[0] < vals[1] < vals[2] and vals[2] > 10.0 * vals[0]
 
 
 def test_transfer_exponent_uniform_pair_stable():
-    u = densities.uniform()
-    xs = np.linspace(0, 1, 1001)
-    vals = [transfer_exponent_check(u, u, 1.0, [eta], xs)
-            for eta in (0.1, 0.01, 0.001)]
-    assert max(vals) <= 2.0 * min(vals) + 1.0
+    passed, measured = run_check("transfer-exponent", {"P": {"kind": "uniform"}, "x_nodes": 1001,
+                                                       "eta_grid": [0.1, 0.01, 0.001]})
+    assert passed and max(measured["values"]) <= 2.0 * min(measured["values"]) + 1.0
 
 
 def test_transfer_exponent_input_checks():
