@@ -220,21 +220,21 @@ void emp_spread(const double *p, int64_t n, double log_n, const double *xs, int6
     }
 }
 
-/* The t_n solve works on a buffer s that starts with three counts, as
- * doubles: n, k (the points still solving) and the round.  So each call
- * takes one argument, and ctypes converts one.  Rows of n doubles follow,
- * row r at s + 3 + r n.  X holds the solve's points, and each solved t in
- * place of its point.  The rows from IDX to BEFORE hold, for each point
- * still solving, compacted to the row's front in order: its index in X
- * (as a double), the threshold log n / n, half (0.5 THR before round 0),
- * the cube roots of THR and of 0.5 THR (the secant's target and the first
- * est), lo, hi and before.  For the k points of a round, E (4 rows) holds
- * the clipped ends x + a, x + b, x - a, x - b, then their unit-CDF values,
- * then g(a), g(b) (2k) followed by their cube roots (2k).  Numpy fills LEV
- * and EST and evaluates the CDF and the cube roots, the calls whose bits
- * come from its own loops. */
-enum { X, IDX, THR, HALF, LEV, EST, LO, HI, BEFORE, E };
-#define ROW(r) (s + 3 + (r) * (int64_t)s[0])
+/* The t_n solve works on a buffer s that starts with five doubles: n, k
+ * (the points still solving), the round, the threshold log n / n and its
+ * cube root (the secant's target).  So each call takes one argument, and
+ * ctypes converts one.  Rows of n doubles follow, row r at s + 5 + r n.  X
+ * holds the solve's points, and each solved t in place of its point.  The
+ * rows from IDX to BEFORE hold, for each point still solving, compacted to
+ * the row's front in order: its index in X (as a double), half, est (the
+ * cube root of half the threshold before round 0), lo, hi and before.  For
+ * the k points of a round, E (4 rows) holds the clipped ends x + a, x + b,
+ * x - a, x - b, then their unit-CDF values, then g(a), g(b) (2k) followed
+ * by their cube roots (2k).  Numpy fills the cube roots in the header and
+ * EST and evaluates the CDF and the cube roots, the calls whose bits come
+ * from its own loops. */
+enum { X, IDX, HALF, EST, LO, HI, BEFORE, E };
+#define ROW(r) (s + 5 + (r) * (int64_t)s[0])
 
 /* np.maximum and np.minimum: a NaN propagates, and a tie returns b; past
  * the NaN test each is one compare-and-select the compiler can emit as one
@@ -272,25 +272,25 @@ static inline void pair(double lo, double hi, double est, double half, double *a
 int64_t tn_round(double *s)
 {
     int64_t k = (int64_t)s[1], round = (int64_t)s[2], i, j = 0;
-    double *x = ROW(X), *idx = ROW(IDX), *thr = ROW(THR), *lev = ROW(LEV), *lo = ROW(LO);
-    double *hi = ROW(HI), *est = ROW(EST), *half = ROW(HALF), *before = ROW(BEFORE), *e = ROW(E);
+    double thr = s[3], lev = s[4], *x = ROW(X), *idx = ROW(IDX), *lo = ROW(LO), *hi = ROW(HI);
+    double *est = ROW(EST), *half = ROW(HALF), *before = ROW(BEFORE), *e = ROW(E);
     const double *g = e, *c = e + 2 * k;  /* read before the ends overwrite e */
     double a, b, lo2, hi2, sec, step, t, xi;
     int a_below, b_below, slow;
     for (i = 0; i < k; i++) {
         if (round == 0) {
             idx[i] = (double)i;
-            lo[i] = sqrt(thr[i]) * (1.0 - 1e-9);
+            lo[i] = sqrt(thr) * (1.0 - 1e-9);
             hi[i] = 1.0;
             half[i] = 0.5 * est[i];
             before[i] = INFINITY;
         } else {
             pair(lo[i], hi[i], est[i], half[i], &a, &b);
-            a_below = g[i] < thr[i];
-            b_below = g[k + i] < thr[i];
+            a_below = g[i] < thr;
+            b_below = g[k + i] < thr;
             lo2 = a_below ? (b_below ? b : a) : lo[i];
             hi2 = a_below ? (b_below ? hi[i] : b) : a;
-            sec = a + (lev[i] - c[i]) * (b - a) / (c[k + i] - c[i]);
+            sec = a + (lev - c[i]) * (b - a) / (c[k + i] - c[i]);
             if (!(sec > lo2 && sec < hi2))  /* no usable secant: step past the pair */
                 sec = b_below ? b + 2.0 * (b - a) : a - 2.0 * (b - a);
             step = fabs(sec - est[i]);
@@ -309,9 +309,7 @@ int64_t tn_round(double *s)
             continue;
         }
         idx[j] = idx[i];
-        thr[j] = thr[i];
         half[j] = half[i];
-        lev[j] = lev[i];
         est[j] = est[i];
         lo[j] = lo[i];
         hi[j] = hi[i];

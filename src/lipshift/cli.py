@@ -3,7 +3,8 @@
 Subcommands: spread, fit, transfer, doubling-check, prooflab, simulate-rates.
 Exit codes: 0 success, 1 the C kernels cannot be built or loaded (the
 import raises `KernelUnavailableError` before any argument is read), 2
-experiment failure, 3 bad configuration or input.
+experiment failure or a failed prooflab check, 3 bad configuration or
+input, argparse's usage errors included.
 """
 
 from __future__ import annotations
@@ -174,7 +175,12 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        if exc.code != 2:
+            raise
+        return 3
     try:
         code = args.func(args, sys.stdout)
     except (ExperimentError,) as exc:

@@ -11,9 +11,7 @@ Each estimator and each loss is defined once, in the tables ESTIMATORS and
 LOSSES that config validation, the experiment loop and the tests share.
 Estimators run in table order, whatever order the config lists them in.
 The weighted sup loss divides by t_n on the grid, which the parent solves
-before the workers fork, for every n of the run in one vector solve: the
-grid stacked once per n, each point with its own n's threshold, so each
-gets the bits of a solve for its n alone.
+once per n before the workers fork.
 
 The (n, replicate) cells are independent, so they run in worker processes
 that the caller forks itself (os.fork, no process pool), one per CPU in the
@@ -340,11 +338,7 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     q_grid = (config.target_distribution or config.distribution).density(grid)
     spreads = dict.fromkeys(config.n_grid)
     if "weighted_sup" in config.losses:
-        # t_n on the grid for every n in one solve, each point with its n's threshold
-        solvers = [SpreadFunction(config.distribution, n) for n in config.n_grid]
-        t = solvers[0]._at_points(np.tile(grid, len(solvers)),
-                                  np.repeat([s.threshold for s in solvers], grid.size))
-        spreads = dict(zip(config.n_grid, t.reshape(len(solvers), grid.size)))
+        spreads = {n: SpreadFunction(config.distribution, n).at(grid) for n in config.n_grid}
     m_grid = config.m_grid if config.m_grid is not None else [None] * len(config.n_grid)
     cells = [(n, m, rep) for n, m in zip(config.n_grid, m_grid) for rep in range(config.replicates)]
     results = iter(_run_cells(cells, (config, grid, spreads, q_grid, f0_grid)))

@@ -122,7 +122,6 @@ class RegressionSample:
 class LipschitzFit:
     knots: np.ndarray
     values: np.ndarray
-    budget: float
     objective: float
     kkt_residual: float
 
@@ -243,8 +242,7 @@ def fit_lipschitz_lse(sample: RegressionSample, budget: float) -> LipschitzFit:
 
     objective = float(np.sum(w * (f - ybar) ** 2) + extra)
     residual = _kkt_residual(f, ybar, c, gaps)
-    return LipschitzFit(knots=xu, values=f, budget=float(budget),
-                        objective=objective, kkt_residual=residual)
+    return LipschitzFit(knots=xu, values=f, objective=objective, kkt_residual=residual)
 
 
 def _kkt_residual(f, ybar, c, gaps):

@@ -374,7 +374,7 @@ def _kl(P, Q, bump_height, bump_center, n, m):
     P, Q = from_spec(P), from_spec(Q)
     kl = kl_divergence(_tent(bump_center, bump_height), _zero, P, Q, n, m)
     # the tent's square integrates to at most 2 h^3 / 3; the slack is Simpson's
-    # error, which stays below it for half-widths above about 0.01
+    # error, which stays below it for half-widths of at least 0.01, the key's range
     bound = (n * P.sup_density + m * Q.sup_density) * bump_height**3 / 3.0
     return 0.0 <= kl <= bound * (1.0 + 1e-3), {"kl": kl, "kl_bound": bound}
 
@@ -397,13 +397,14 @@ def _transfer_exponent(P, Q, gamma, eta_grid, x_nodes):
     return ratio <= 3.0, {"max_eta_gamma_rho": max(values), "ratio": ratio, "values": values}
 
 
-# check -> (its claim, its config keys with their defaults, and node counts' ranges)
+# check -> (its claim, its config keys with their defaults, and the ranges of
+# node counts and of the tent height where Simpson's error fits the 0.1 % slack)
 _CHECKS = {
     "perturbation": (_perturbation, {"distribution": {"kind": "uniform"}, "n": 100, "K": 1.0,
                                      "delta": 0.5, "grid": (2001, "[2, inf)"), "center": 0.5}),
     "cover": (_cover, {"a": 0.0, "b": 1.0, "r": 0.2}),
-    "kl": (_kl, {"P": {"kind": "uniform"}, "Q": {"kind": "uniform"}, "bump_height": 0.1,
-                 "bump_center": 0.5, "n": 100, "m": 0}),
+    "kl": (_kl, {"P": {"kind": "uniform"}, "Q": {"kind": "uniform"},
+                 "bump_height": (0.1, "[0.01, inf)"), "bump_center": 0.5, "n": 100, "m": 0}),
     "lowerbound": (_lowerbound, {"P": {"kind": "uniform"}, "Q": {"kind": "uniform"},
                                  "n": 5000, "m": 5000}),
     "transfer-exponent": (_transfer_exponent,

@@ -10,8 +10,7 @@ hi = 1) pins the (smallest, hence the) solution.  `SpreadFunction.at`
 shrinks that bracket with paired secant steps on g^(1/3) until lo and hi are
 adjacent floats, by one path for one point and for many.  Its rounds run in
 the C library that ``lipfit`` loads; numpy keeps the design CDF and the cube
-root, whose bits come from its own loops.  Each point takes its own
-threshold, so one solve can serve several n.  The empirical version finds
+root, whose bits come from its own loops.  The empirical version finds
 its crossing index by counting sample points within each candidate
 distance and selects one order statistic of the distances, both over the
 sorted sample and exact, in the C library too.  The numpy and Python loops
@@ -97,26 +96,24 @@ class SpreadFunction:
         t = self._at_points(x.ravel())
         return float(t[0]) if x.ndim == 0 else t.reshape(x.shape)
 
-    def _at_points(self, x, thr=None):
+    def _at_points(self, x):
         """`at` for a 1-d float64 array of points, solved together.
 
-        Each point carries its own threshold log(n) / n, from thr, an array
-        like x, or self.threshold for all when thr is None.  The rounds are
-        elementwise, so a point gets the bits of a solve for its n alone:
-        one call solves the grids of several n.  The kernel keeps the state
-        in one buffer (see ``tn_round``); each round makes one unit-CDF
-        call, one np.cbrt call and two kernel calls, on views that change
-        only when points finish.  The result owns its memory."""
+        The rounds are elementwise, so a point gets the bits of a solve for
+        it alone.  The kernel keeps the state in one buffer (see
+        ``tn_round``); each round makes one unit-CDF call, one np.cbrt call
+        and two kernel calls, on views that change only when points finish.
+        The result owns its memory."""
         kernel, cdf, n = lipfit._KERNEL, self.distribution.unit_cdf, x.size
-        thr = self.threshold if thr is None else thr
-        s = np.empty(3 + 13 * n)
-        s[:3] = n, n, 0  # n, the points still solving, the round
-        row = s[3:].reshape(13, n)  # the rows of ``tn_round``
-        row[0], row[2], row[3] = x, thr, 0.5 * thr
-        # the secant's target on g^(1/3) and the first estimate, the root for p = 1
-        np.cbrt(row[2:4], out=row[4:6])
+        thr = self.threshold
+        s = np.empty(5 + 11 * n)
+        # n, the points still solving, the round, and the threshold with its
+        # cube root, the secant's target
+        s[:5] = n, n, 0, thr, np.cbrt(thr)
+        row = s[5:].reshape(11, n)  # the rows of ``tn_round``
+        row[0], row[3] = x, np.cbrt(0.5 * thr)  # the first estimate, the root for p = 1
         addr = ctypes.addressof(ctypes.c_char.from_buffer(s))  # s.ctypes.data, faster
-        step, mass, ends, k = kernel.tn_round, kernel.tn_mass, row[9:].ravel(), 0
+        step, mass, ends, k = kernel.tn_round, kernel.tn_mass, row[7:].ravel(), 0
         while left := step(addr):  # 0 once every point is solved, at round 200 at last
             if left != k:
                 k = left

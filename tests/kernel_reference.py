@@ -200,18 +200,17 @@ def next_float(x, step):
     return (x.view(np.int64) + step).view(np.float64)
 
 
-def numpy_rounds(s, x, thr=None):
-    """``s._at_points(x, thr)`` for a `SpreadFunction` s in numpy, the
-    rounds of ``tn_round`` and ``tn_mass``: each round makes one
-    `interval_mass` call for every point still solving."""
-    d = s.distribution
-    thr = np.full_like(x, s.threshold) if thr is None else thr
+def numpy_rounds(s, x):
+    """``s._at_points(x)`` for a `SpreadFunction` s in numpy, the rounds of
+    ``tn_round`` and ``tn_mass``: each round makes one `interval_mass` call
+    for every point still solving."""
+    d, thr = s.distribution, s.threshold
     level = np.cbrt(thr)  # the secant's target on g^(1/3)
     out = np.empty_like(x)
     todo = np.arange(x.size)  # the points still solving; the arrays below follow it
-    lo = np.sqrt(thr) * (1.0 - 1e-9)
+    lo = np.full_like(x, np.sqrt(thr) * (1.0 - 1e-9))
     hi = np.ones_like(x)
-    est = np.cbrt(0.5 * thr)  # the root for p = 1
+    est = np.full_like(x, np.cbrt(0.5 * thr))  # the root for p = 1
     half = 0.5 * est
     before = np.full_like(x, np.inf)  # bracket width at the start of the last round
     for _ in range(200):
@@ -220,8 +219,8 @@ def numpy_rounds(s, x, thr=None):
         if done.any():
             out[todo[done]] = t[done]
             keep = ~done
-            todo, lo, hi, est, half, before, thr, level = (
-                v[keep] for v in (todo, lo, hi, est, half, before, thr, level))
+            todo, lo, hi, est, half, before = (
+                v[keep] for v in (todo, lo, hi, est, half, before))
         if todo.size == 0:
             break
         inner = next_float(lo, 1), next_float(hi, -1)

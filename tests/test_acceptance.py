@@ -25,6 +25,8 @@ from lipshift.errors import NoViolationError
 from lipshift.spread import EmpiricalSpread, SpreadFunction
 from lipshift.transfer import TransferFit, mixture_spread
 
+from test_lipfit import active_set_oracle, monotone_oracle
+
 SINE_F0 = {"kind": "sine", "amplitude": 0.9 / (2 * np.pi), "frequency": 1.0}
 EVAL_GRID = np.linspace(0.0, 1.0, 201)
 
@@ -71,31 +73,6 @@ def test_02_empirical_spread_consistency():
     assert time.perf_counter() - start < 30.0
 
 
-def _lipschitz_oracle(x, y, L):
-    """Exact minimum by active-set enumeration over adjacent constraints."""
-    n = len(x)
-    u = L * np.diff(x)
-    best = np.inf
-    for states in itertools.product((0, 1, -1), repeat=n - 1):
-        offs = np.zeros(n)
-        blocks, cur = [], [0]
-        for i, state in enumerate(states):
-            if state == 0:
-                blocks.append(cur)
-                cur = [i + 1]
-            else:
-                offs[i + 1] = offs[i] + state * u[i]
-                cur.append(i + 1)
-        blocks.append(cur)
-        f = np.zeros(n)
-        for b in blocks:
-            b = np.array(b)
-            f[b] = np.mean(y[b] - offs[b]) + offs[b]
-        if np.all(np.abs(np.diff(f)) <= u + 1e-12):
-            best = min(best, float(np.sum((y - f) ** 2)))
-    return best
-
-
 def test_03_lse_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(42)
@@ -105,7 +82,7 @@ def test_03_lse_oracle_equivalence():
         y = rng.normal(size=n) * 2.0
         L = float(rng.uniform(0.1, 1.0))
         fit = fit_lipschitz_lse(RegressionSample(x, y), L)
-        assert abs(fit.objective - _lipschitz_oracle(x, y, L)) <= 1e-4
+        assert abs(fit.objective - active_set_oracle(x, y, L)) <= 1e-4
         assert fit.kkt_residual <= 1e-8 * (1.0 + np.max(np.abs(y)))
     assert time.perf_counter() - start < 60.0
 
@@ -240,19 +217,6 @@ def test_09_proof_construction_suite():
     assert time.perf_counter() - start < 120.0
 
 
-def _monotone_oracle(y):
-    n = len(y)
-    best = np.inf
-    for mask in range(1 << (n - 1)):
-        cuts = [0] + [i + 1 for i in range(n - 1) if mask >> i & 1] + [n]
-        means = [np.mean(y[a:b]) for a, b in zip(cuts, cuts[1:])]
-        if all(b >= a for a, b in zip(means, means[1:])):
-            f = np.concatenate([[mu] * (b - a) for mu, (a, b)
-                                in zip(means, zip(cuts, cuts[1:]))])
-            best = min(best, float(np.sum((y - f) ** 2)))
-    return best
-
-
 def test_10_isotonic_oracle_and_pointwise_rate():
     start = time.perf_counter()
     rng = np.random.default_rng(7)
@@ -261,7 +225,7 @@ def test_10_isotonic_oracle_and_pointwise_rate():
         y = rng.normal(size=n)
         s = RegressionSample(np.sort(rng.random(n)), y)
         obj = float(np.sum((y - fit_isotonic_lse(s)) ** 2))
-        assert abs(obj - _monotone_oracle(y)) <= 1e-6
+        assert abs(obj - monotone_oracle(y)) <= 1e-6
     # pointwise error at 0.5 for the linear trend decays at the cube-root rate
     u = densities.uniform()
     f0 = lambda x: np.asarray(x, float) - 0.5  # noqa: E731

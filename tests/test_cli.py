@@ -59,6 +59,22 @@ def test_spread_bad_dist_json_exits_3(capsys):
     assert main(["spread", "--dist", "{not json", "--n", "100"]) == 3
 
 
+@pytest.mark.parametrize("argv", [["spread", "--n", "100"],
+                                  ["spread", "--dist", UNIFORM, "--n", "ten"],
+                                  ["prooflab", "--check", "nope"]],
+                         ids=["missing-dist", "n-not-int", "unknown-check"])
+def test_usage_error_exits_3(argv, capsys):
+    assert main(argv) == 3
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spread", "--help"])
+    assert exc.value.code == 0
+    assert "--dist" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("grid", ["0", "-1"])
 @pytest.mark.parametrize("command", ["spread", "transfer"])
 def test_grid_below_one_exits_3(tmp_path, capsys, command, grid):
@@ -209,12 +225,14 @@ def test_prooflab_config_file(tmp_path, capsys):
                           ("perturbation", {"K": 0}, "K must be > 0"),
                           ("transfer-exponent", {"x_nodes": -1}, "'x_nodes'"),
                           ("transfer-exponent", {"x_nodes": 1}, "'x_nodes'"),
-                          ("transfer-exponent", {"eta_grid": [-0.1]}, "eta_grid")],
+                          ("transfer-exponent", {"eta_grid": [-0.1]}, "eta_grid"),
+                          # below 0.01, Simpson's error passes the 0.1 % slack
+                          ("kl", {"bump_height": 0.00114}, "'bump_height'")],
                          ids=["not-an-object", "misspelt-key", "kl-n-string",
                               "transfer-exponent-x_nodes-float", "perturbation-grid-0",
                               "perturbation-grid-negative", "perturbation-K-0",
                               "transfer-exponent-x_nodes-negative", "transfer-exponent-x_nodes-1",
-                              "transfer-exponent-eta-negative"])
+                              "transfer-exponent-eta-negative", "kl-bump_height-small"])
 def test_prooflab_bad_config_exits_3(tmp_path, capsys, check, config, named):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))

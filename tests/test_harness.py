@@ -261,24 +261,29 @@ def test_report_contains_all_cells_and_metadata():
                                   for l in ("sup", "weighted_sup")}
 
 
-def test_weighted_sup_run_solves_spread_once(monkeypatch):
-    # t_n on the grid for every n of the run in one `_at_points` call, each
-    # point with its n's threshold; none without the weighted loss
-    calls = []
+def test_weighted_sup_run_solves_spread_once(monkeypatch, tmp_path):
+    # t_n on the grid once per n of the run, in the parent; none without
+    # the weighted loss.  Every solve goes through `_at_points`, and the
+    # log file sees the workers' calls too
+    log = tmp_path / "solves"
+    log.touch()
     at_points = SpreadFunction._at_points
 
-    def spy(self, x, thr=None):
-        calls.append((x.size, None if thr is None else np.unique(thr).tolist()))
-        return at_points(self, x, thr)
+    def spy(self, x):
+        with open(log, "a") as fh:
+            fh.write(f"{self.n} {x.size} {os.getpid()}\n")
+        return at_points(self, x)
+
+    def solves():
+        return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
 
     monkeypatch.setattr(SpreadFunction, "_at_points", spy)
     cfg = _config(n_grid=[64, 128, 256, 512], losses=["sup", "weighted_sup"])
     run_rate_experiment(cfg)
-    thresholds = sorted(SpreadFunction(cfg.distribution, n).threshold for n in cfg.n_grid)
-    assert calls == [(4 * harness.EVAL_GRID_SIZE, thresholds)]
-    calls.clear()
+    assert solves() == [(n, harness.EVAL_GRID_SIZE, os.getpid()) for n in cfg.n_grid]
+    log.write_text("")
     run_rate_experiment(_config())
-    assert calls == []
+    assert solves() == []
 
 
 def test_lse_sup_loss_decreases_with_n():

@@ -417,15 +417,16 @@ def test_readme_quick_start_runs():
     block = re.search(r"## Quick start\s+```python\n(.*?)```", README.read_text(), re.S)
     scope = {}
     exec(block.group(1), scope)
-    assert scope["fit"].budget == 1.0
-    assert scope["fit"].kkt_residual <= 1e-8 * (1.0 + np.max(np.abs(scope["y"])))
+    fit = scope["fit"]  # fitted with the README's budget, 1.0
+    assert np.all(np.abs(np.diff(fit.values)) <= np.diff(fit.knots) + 1e-12)
+    assert fit.kkt_residual <= 1e-8 * (1.0 + np.max(np.abs(scope["y"])))
 
 
 # --- evaluation ---------------------------------------------------------
 
 def test_evaluate_midpoint_and_extension():
     fit = LipschitzFit(knots=np.array([0.2, 0.4]), values=np.array([1.0, 1.2]),
-                       budget=1.0, objective=0.0, kkt_residual=0.0)
+                       objective=0.0, kkt_residual=0.0)
     assert fit.evaluate(0.3) == pytest.approx(1.1)
     assert fit.evaluate(0.0) == 1.0
     assert fit.evaluate(0.9) == pytest.approx(1.2)
