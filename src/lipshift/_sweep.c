@@ -1,9 +1,10 @@
 /* The two passes of the Lipschitz LSE, the isotonic fit, the empirical
- * spread and the rounds of the t_n solve in C.  Their references in
- * tests/kernel_reference.py (stack_roots and clip_roots, pava, search,
- * numpy_rounds) do the same float operations in the same order, so that
- * built with -O2 -std=c99 -ffp-contract=off (no fused multiply-add, no
- * fast-math) these give the references' bits.
+ * spread, the rounds of the t_n solve and a tabulated design's CDF and
+ * inverse CDF in C.  Their references in tests/kernel_reference.py
+ * (stack_roots and clip_roots, pava, search, numpy_rounds, tabulated_cdf
+ * and tabulated_ppf) do the same float operations in the same order, so
+ * that built with -O2 -std=c99 -ffp-contract=off (no fused multiply-add,
+ * no fast-math) these give the references' bits.
  *
  * The knots live in one buffer of 2n + 1 (position, value) pairs from the
  * caller: the left stack grows up from k[0], the right stack down from
@@ -231,8 +232,9 @@ void emp_spread(const double *p, int64_t n, double log_n, const double *xs, int6
  * the k points of a round, E (4 rows) holds the clipped ends x + a, x + b,
  * x - a, x - b, then their unit-CDF values, then g(a), g(b) (2k) followed
  * by their cube roots (2k).  Numpy fills the cube roots in the header and
- * EST and evaluates the CDF and the cube roots, the calls whose bits come
- * from its own loops. */
+ * EST and evaluates the cube roots, whose bits come from its own loops;
+ * the caller evaluates the design's unit CDF (tab_cdf below for a
+ * tabulated design). */
 enum { X, IDX, HALF, EST, LO, HI, BEFORE, E };
 #define ROW(r) (s + 5 + (r) * (int64_t)s[0])
 
@@ -340,5 +342,62 @@ void tn_mass(double *s)
         pair(lo[i], hi[i], est[i], half[i], &a, &b);
         e[i] = a * a * np_max(e[i] - e[2 * k + i], 0.0);
         e[k + i] = b * b * np_max(e[k + i] - e[3 * k + i], 0.0);
+    }
+}
+
+/* A tabulated design's table tab holds four rows of m doubles: its grid g
+ * (strictly ascending in [0, 1]), its renormalized node values v, the CDF
+ * at each node cum, and each segment's slope (m - 1, then one unused).
+ * Both kernels count nodes as np.searchsorted does, by a bisection whose
+ * steps select the next base instead of branching, which compilers emit
+ * as conditional moves: which segment a point falls in is not
+ * predictable. */
+
+/* The unit CDF at the n points x into out: the numpy body of
+ * kernel_reference.tabulated_cdf, x clamped to [g[0], g[m - 1]], its
+ * segment np.searchsorted(g, x, side="right") - 1 clipped to [0, m - 2],
+ * then the trapezoid integral from the nearer node.  A NaN x stays NaN,
+ * and the search puts it past every node, as numpy's sort order does. */
+void tab_cdf(const double *tab, int64_t m, const double *x, int64_t n, double *out)
+{
+    const double *g = tab, *v = tab + m, *cum = tab + 2 * m, *slope = tab + 3 * m;
+    for (int64_t t = 0; t < n; t++) {
+        double xi = np_min(g[m - 1], np_max(g[0], x[t])), dx, r;
+        const double *b = g;
+        int64_t len = m, i;
+        while (len > 1) {  /* b: the last node not above xi, or g */
+            b = xi < b[len / 2] ? b : b + len / 2;
+            len -= len / 2;
+        }
+        i = (b - g) + !(xi < *b) - 1;  /* the count of nodes not above xi, less one */
+        i = i < 0 ? 0 : i > m - 2 ? m - 2 : i;
+        dx = xi - g[i];
+        r = g[i + 1] - xi;
+        out[t] = r < dx ? cum[i + 1] - (v[i + 1] * r - 0.5 * slope[i] * (r * r))
+                        : cum[i] + v[i] * dx + 0.5 * slope[i] * (dx * dx);
+    }
+}
+
+/* The inverse CDF at the n levels u (each in [0, 1]) into out: the numpy
+ * body of kernel_reference.tabulated_ppf, the segment
+ * np.searchsorted(cum, u) - 1 clipped to [0, m - 2], then the root of the
+ * segment's quadratic in the form that does not cancel. */
+void tab_ppf(const double *tab, int64_t m, const double *u, int64_t n, double *out)
+{
+    const double *g = tab, *v = tab + m, *cum = tab + 2 * m, *slope = tab + 3 * m;
+    for (int64_t t = 0; t < n; t++) {
+        double du, den, dx;
+        const double *b = cum;
+        int64_t len = m, i;
+        while (len > 1) {  /* b: the last node mass below u, or cum */
+            b = b[len / 2] < u[t] ? b + len / 2 : b;
+            len -= len / 2;
+        }
+        i = (b - cum) + (*b < u[t]) - 1;  /* the count of masses below u, less one */
+        i = i < 0 ? 0 : i > m - 2 ? m - 2 : i;
+        du = np_max(u[t] - cum[i], 0.0);
+        den = v[i] + sqrt(np_max(v[i] * v[i] + 2.0 * slope[i] * du, 0.0));
+        dx = den > 0.0 ? 2.0 * du / den : 0.0;
+        out[t] = np_min(g[i] + dx, g[i + 1]);
     }
 }

@@ -14,7 +14,10 @@ itself.  Supported families:
   ``phi = min(1, n^(-1/4) log n)`` on the middle interval and linear ramps
   of slope 16(1 - phi) toward the endpoints.
 * ``tabulated`` -- piecewise-linear density between grid nodes with exact
-  trapezoid CDF (values are renormalized to total mass one).
+  trapezoid CDF (values are renormalized to total mass one); its CDF and
+  inverse CDF run in the C library that ``_kernel`` loads (``tab_cdf``,
+  ``tab_ppf`` in ``_sweep.c``), which gives the bits of the numpy bodies
+  they replaced, kept in ``tests/kernel_reference.py`` as references.
 * ``mixture`` -- convex combination of two existing distributions.
 
 Every inverse CDF is closed form and rejects NaN and levels outside [0, 1].
@@ -39,6 +42,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._kernel import KERNEL
 from .errors import (
     InvalidInputError,
     InvalidIntervalError,
@@ -60,7 +64,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignDistribution:
     """A distribution on [0, 1]: unit density and CDF (for x in [0, 1]), ppf."""
 
@@ -180,7 +184,8 @@ def tabulated(grid, values) -> DesignDistribution:
     dx = 2 (u - cum[i]) / (v_i + sqrt(v_i^2 + 2 s (u - cum[i]))), which has
     no cancellation for either sign of s.  At the mass of a zero-density
     stretch this gives the stretch's left end, the smallest x with
-    cdf(x) >= u.
+    cdf(x) >= u.  Both run in C (``tab_cdf``, ``tab_ppf``), on one table of
+    the grid, the values, the node masses cum and the slopes.
     """
     g = np.asarray(grid, float)
     v = np.asarray(values, float)
@@ -197,33 +202,47 @@ def tabulated(grid, values) -> DesignDistribution:
     if not 0.0 < mass < np.inf:
         raise InvalidParameterError(f"tabulated density must have a finite mass > 0, got {mass}")
     v = v / mass
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(g))])
-    cum[-1] = 1.0
+    table = _tabulated_table(g, v)
 
     def unit_density(x):
         return np.where((x < g[0]) | (x > g[-1]), 0.0, np.interp(x, g, v))
 
-    slope = np.diff(v) / np.diff(g)
-
     def unit_cdf(x):
-        x = np.minimum(g[-1], np.maximum(g[0], x))
-        i = np.minimum(np.maximum(np.searchsorted(g, x, side="right") - 1, 0), g.size - 2)
-        dx, r = x - g[i], g[i + 1] - x
-        # from the left node alone the terms cancel near a right node of
-        # zero density, and the sum is not monotone in its last bits there
-        return np.where(r < dx, cum[i + 1] - (v[i + 1] * r - 0.5 * slope[i] * r**2),
-                        cum[i] + v[i] * dx + 0.5 * slope[i] * dx**2)
+        return _tabulated_kernel(KERNEL.tab_cdf, table, np.asarray(x, float))
 
     def ppf(u):
-        u = _levels(u)
-        i = np.clip(np.searchsorted(cum, u) - 1, 0, g.size - 2)
-        du = np.maximum(u - cum[i], 0.0)
-        den = v[i] + np.sqrt(np.maximum(v[i] ** 2 + 2.0 * slope[i] * du, 0.0))
-        dx = np.divide(2.0 * du, den, out=np.zeros_like(du), where=den > 0.0)
-        return np.minimum(g[i] + dx, g[i + 1])
+        return _tabulated_kernel(KERNEL.tab_ppf, table, _levels(u))
 
     return DesignDistribution("tabulated", unit_density, unit_cdf, ppf, {"grid": g, "values": v},
                               sup_density=float(v.max()))
+
+
+def _tabulated_table(g, v):
+    """The C kernels' table of the design through (g, v), v of mass one: the
+    rows g, v, cum (the CDF at each node, the last set to 1) and each
+    segment's slope, then a zero, as one C-contiguous (4, m) float array."""
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(g))])
+    cum[-1] = 1.0
+    return np.stack([g, v, cum, np.append(np.diff(v) / np.diff(g), 0.0)])
+
+
+def _tabulated_kernel(entry, table, x):
+    """``KERNEL.tab_cdf`` or ``tab_ppf`` (entry) of the design's table at
+    each point of x, as an array shaped like x: table a C-contiguous float64
+    (4, m) array with m >= 2 and x a float64 array."""
+    m = table.shape[-1]
+    # the kernel reads raw memory: check what it assumes
+    if not (table.shape == (4, m) and m >= 2 and table.dtype == x.dtype == np.float64
+            and table.flags.c_contiguous):
+        raise ValueError("the C tabulated design needs a C-contiguous float64 (4, m) table "
+                         "(m >= 2) and float64 points")
+    xs = np.ascontiguousarray(x).ravel()
+    out = np.empty(x.shape)
+    # addresses by the array interface: .ctypes.data leaves objects in
+    # reference cycles, held until the next garbage collection
+    table_at, xs_at, out_at = (a.__array_interface__["data"][0] for a in (table, xs, out))
+    entry(table_at, m, xs_at, xs.size, out_at)
+    return out
 
 
 def mixture(p: DesignDistribution, q: DesignDistribution, weight_p: float) -> DesignDistribution:
@@ -370,8 +389,8 @@ def sample(d: DesignDistribution, count: int, seed) -> np.ndarray:
     mixture's also its component choices and one component's draws) and
     one block's temporaries, not several count-sized arrays.
     """
-    if count < 1:
-        raise InvalidParameterError(f"sample count must be >= 1, got {count}")
+    if not (_is_int(count) and count >= 1):
+        raise InvalidParameterError(f"sample count must be an integer >= 1, got {count!r}")
     rng = np.random.default_rng(seed)
     mixed = d.kind == "mixture"
     out = np.empty(count, bool if mixed else float)

@@ -37,40 +37,31 @@ arrays and writes the roots into one float buffer, which the backward pass
 clips in place into the fitted values.
 
 Both passes run in C (``lse_roots`` and ``lse_clip`` in ``_sweep.c``,
-loaded with ctypes at import), 30-70x faster at n = 2^14 to 2^20 than the
-same passes in Python, whose line-for-line copies in
-``tests/kernel_reference.py`` are the kernels' bit-for-bit references.
-The C keeps both stacks in one buffer of 2n + 1 knots, the left growing up
-from its start and the right down from its end.  The kernel is built once
-per source and flags, with the system C compiler ``cc``, into a file next
-to the source, and each import that loads it removes the builds of other
-sources there.  Where it cannot be built or loaded, the import raises
-`KernelUnavailableError`.  At its peak a fit holds about 64 bytes per
-point, in the C sweep: 40 (16-byte knots and the roots) beside the
-inputs.  The KKT residual builds its multipliers and masks in place,
-about 26.
+loaded with ctypes at import by ``_kernel``, which builds it), 30-70x
+faster at n = 2^14 to 2^20 than the same passes in Python, whose
+line-for-line copies in ``tests/kernel_reference.py`` are the kernels'
+bit-for-bit references.  The C keeps both stacks in one buffer of 2n + 1
+knots, the left growing up from its start and the right down from its
+end.  At its peak a fit holds about 64 bytes per point, in the C sweep:
+40 (16-byte knots and the roots) beside the inputs.  The KKT residual
+builds its multipliers and masks in place, about 26.
 
 The same file houses the isotonic LSE (pool adjacent violators) and a
 fixed-bandwidth triangular-kernel smoother.  PAVA runs in the same C
 library (``iso_fit``), with the blocks as (total, count) pairs in numpy
-buffers; so does the empirical spread of ``spread`` (``emp_spread``) and
-the rounds of its t_n solve (``tn_round``, ``tn_mass``), which read
-``_KERNEL`` here.  The losses that judge all of them, and the name ->
-estimator table that runs them, are in ``harness``.
+buffers.  The losses that judge all of them, and the name -> estimator
+table that runs them, are in ``harness``.
 """
 
 from __future__ import annotations
 
-import ctypes
-import os
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernel import KERNEL
 from .densities import DesignDistribution
-from .errors import (InvalidInputError, InvalidParameterError, KernelUnavailableError,
-                     ZeroDensityError)
+from .errors import InvalidInputError, InvalidParameterError, ZeroDensityError
 
 __all__ = [
     "RegressionSample",
@@ -151,69 +142,6 @@ def _merge_duplicates(x, y):
     return xu, ybar, w, extra
 
 
-# fixed, so that every add, multiply and divide rounds as Python's do
-_CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
-
-
-def _remove_stale_builds(path):
-    """Remove the builds of other sources or flags, ``_sweep-<8 hex digits>.so``,
-    beside the build at path; a concurrent builder's ``_sweep-<key>-<pid>.so``
-    does not match, and a file that cannot be removed stays."""
-    folder, keep = os.path.split(path)
-    for name in os.listdir(folder):
-        key = name[len("_sweep-"):-len(".so")]
-        if (name != keep and name.startswith("_sweep-") and name.endswith(".so")
-                and len(key) == 8 and all(ch in "0123456789abcdef" for ch in key)):
-            try:
-                os.remove(os.path.join(folder, name))
-            except OSError:
-                pass
-
-
-def _load_kernel():
-    """The C kernels ``_sweep.c`` as a ctypes library, built with the system C
-    compiler into a file keyed by the source and flags when no such file is
-    there yet; once it loads, it replaces the builds of other keys.  Raises
-    `KernelUnavailableError`, naming the reason, when it cannot be built or
-    loaded."""
-    source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sweep.c")
-    try:
-        with open(source, "rb") as fh:
-            key = zlib.crc32(" ".join(_CFLAGS).encode(), zlib.crc32(fh.read()))
-        path = f"{source[:-2]}-{key:08x}.so"
-        if not os.path.exists(path):
-            import subprocess
-            tmp = f"{source[:-2]}-{key:08x}-{os.getpid()}.so"
-            try:
-                proc = subprocess.run(["cc", *_CFLAGS, "-o", tmp, source],
-                                      capture_output=True, text=True)
-                if proc.returncode:
-                    raise OSError(f"cc exited {proc.returncode}: {proc.stderr.strip()}")
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.remove(tmp)
-        lib = ctypes.CDLL(path)
-        _remove_stale_builds(path)
-    except OSError as exc:
-        raise KernelUnavailableError(
-            f"lipshift needs its C kernels, built on first import by the C compiler cc "
-            f"on PATH into the package directory: {exc}") from exc
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.lse_roots.argtypes = [ptr, ptr, ptr, i64, ptr, ptr]
-    lib.lse_clip.argtypes = [ptr, ptr, i64]
-    lib.iso_fit.argtypes = [ptr, i64, ptr, ptr, ptr]
-    lib.emp_spread.argtypes = [ptr, i64, ctypes.c_double, ptr, i64, ptr]
-    lib.tn_round.argtypes = lib.tn_mass.argtypes = [ptr]
-    lib.lse_roots.restype = lib.lse_clip.restype = lib.iso_fit.restype = None
-    lib.emp_spread.restype = lib.tn_mass.restype = None
-    lib.tn_round.restype = i64
-    return lib
-
-
-_KERNEL = _load_kernel()
-
-
 def _fitted_values(y, c, u):
     """The roots of the forward sweep clipped by the backward pass, in C.  y,
     c = 2 w (n each) and u (n - 1) are C-contiguous float64 arrays."""
@@ -224,9 +152,9 @@ def _fitted_values(y, c, u):
         raise ValueError("the C sweep needs C-contiguous float64 y, c (n >= 1 each) and u (n - 1)")
     f = np.empty(n)
     knots = np.empty(2 * n + 1, complex)
-    _KERNEL.lse_roots(y.ctypes.data, c.ctypes.data, u.ctypes.data, n, knots.ctypes.data,
-                      f.ctypes.data)
-    _KERNEL.lse_clip(f.ctypes.data, u.ctypes.data, n)
+    KERNEL.lse_roots(y.ctypes.data, c.ctypes.data, u.ctypes.data, n, knots.ctypes.data,
+                     f.ctypes.data)
+    KERNEL.lse_clip(f.ctypes.data, u.ctypes.data, n)
     return f
 
 
@@ -289,7 +217,7 @@ def _isotonic_values(y):
     if not (n >= 1 and y.shape == (n,) and y.dtype == np.float64 and y.flags.c_contiguous):
         raise ValueError("the C isotonic fit needs a C-contiguous float64 y (n >= 1)")
     tot, cnt, out = np.empty(n), np.empty(n, np.int64), np.empty(n)
-    _KERNEL.iso_fit(y.ctypes.data, n, tot.ctypes.data, cnt.ctypes.data, out.ctypes.data)
+    KERNEL.iso_fit(y.ctypes.data, n, tot.ctypes.data, cnt.ctypes.data, out.ctypes.data)
     return out
 
 

@@ -9,13 +9,13 @@ nondecreasing, so a bracket [lo, hi] with g(lo) < log n / n <= g(hi) (or
 hi = 1) pins the (smallest, hence the) solution.  `SpreadFunction.at`
 shrinks that bracket with paired secant steps on g^(1/3) until lo and hi are
 adjacent floats, by one path for one point and for many.  Its rounds run in
-the C library that ``lipfit`` loads; numpy keeps the design CDF and the cube
-root, whose bits come from its own loops.  The empirical version finds
-its crossing index by counting sample points within each candidate
-distance and selects one order statistic of the distances, both over the
-sorted sample and exact, in the C library too.  The numpy and Python loops
-that the kernels replaced are their bit-for-bit references, in
-``tests/kernel_reference.py``.  Both evaluators take x of any shape and
+the C library that ``_kernel`` loads; the cube root stays in numpy, whose
+bits come from its own loops, and the CDF with the design.  The empirical
+version finds its crossing index by counting sample points within each
+candidate distance and selects one order statistic of the distances, both
+over the sorted sample and exact, in the C library too.  The numpy and
+Python loops that the kernels replaced are their bit-for-bit references,
+in ``tests/kernel_reference.py``.  Both evaluators take x of any shape and
 return a float for a 0-d x, else an array shaped like x.
 """
 
@@ -26,8 +26,8 @@ import math
 
 import numpy as np
 
-from . import lipfit
-from .densities import DesignDistribution
+from ._kernel import KERNEL
+from .densities import DesignDistribution, _is_int
 from .errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -54,11 +54,13 @@ class SpreadFunction:
     """Evaluator for t_n bound to a (distribution, n) pair."""
 
     def __init__(self, distribution: DesignDistribution, n: int):
-        if n <= 1:
-            raise InvalidParameterError(f"spread function needs n > 1, got {n}")
+        if not (_is_int(n) and n >= 2):
+            raise InvalidParameterError(f"spread function needs an integer n >= 2, got {n!r}")
         self.distribution = distribution
         self.n = int(n)
         self.threshold = np.log(n) / n
+        # every solve's secant target and first estimate, the root for p = 1
+        self._level, self._first = np.cbrt(self.threshold), np.cbrt(0.5 * self.threshold)
 
     def at(self, x):
         """Solve the defining equation by a bracketed paired secant; vectorized.
@@ -84,10 +86,11 @@ class SpreadFunction:
 
         The rounds run in the C kernel (``tn_round``, ``tn_mass`` in
         ``_sweep.c``), so a point gets the same iterates and the same bits,
-        alone or among others.  Numpy keeps the two calls
-        whose bits come from its own loops: the design's unit CDF on the
-        clipped interval ends and np.cbrt on g (libm's pow and cbrt differ
-        from them in the last bit at many points).  The result is a float
+        alone or among others.  Two calls stay outside it: the design's
+        unit CDF on the clipped interval ends (numpy's, or ``tab_cdf`` of
+        the same library for a tabulated design) and np.cbrt on g, whose
+        bits come from numpy's own loops (libm's pow and cbrt differ from
+        them in the last bit at many points).  The result is a float
         for a 0-d x and an array shaped like x otherwise.
         """
         if isinstance(x, float) and math.isfinite(x):  # numpy's float64 is one
@@ -104,16 +107,15 @@ class SpreadFunction:
         ``tn_round``); each round makes one unit-CDF call, one np.cbrt call
         and two kernel calls, on views that change only when points finish.
         The result owns its memory."""
-        kernel, cdf, n = lipfit._KERNEL, self.distribution.unit_cdf, x.size
-        thr = self.threshold
+        cdf, n = self.distribution.unit_cdf, x.size
         s = np.empty(5 + 11 * n)
         # n, the points still solving, the round, and the threshold with its
         # cube root, the secant's target
-        s[:5] = n, n, 0, thr, np.cbrt(thr)
+        s[:5] = n, n, 0, self.threshold, self._level
         row = s[5:].reshape(11, n)  # the rows of ``tn_round``
-        row[0], row[3] = x, np.cbrt(0.5 * thr)  # the first estimate, the root for p = 1
+        row[0], row[3] = x, self._first  # the points, the first estimate
         addr = ctypes.addressof(ctypes.c_char.from_buffer(s))  # s.ctypes.data, faster
-        step, mass, ends, k = kernel.tn_round, kernel.tn_mass, row[7:].ravel(), 0
+        step, mass, ends, k = KERNEL.tn_round, KERNEL.tn_mass, row[7:].ravel(), 0
         while left := step(addr):  # 0 once every point is solved, at round 200 at last
             if left != k:
                 k = left
@@ -250,6 +252,6 @@ def _kernel_spread(points, x):
                          "and float64 x")
     xs = np.ascontiguousarray(x).ravel()
     out = np.empty(x.shape)
-    lipfit._KERNEL.emp_spread(points.ctypes.data, n, np.log(n), xs.ctypes.data, xs.size,
-                              out.ctypes.data)
+    KERNEL.emp_spread(points.ctypes.data, n, np.log(n), xs.ctypes.data, xs.size,
+                      out.ctypes.data)
     return out

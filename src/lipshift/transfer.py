@@ -10,11 +10,12 @@ the target risk.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import DesignDistribution, _simpson, interval_mass, mixture
+from .densities import DesignDistribution, _is_int, _simpson, interval_mass, mixture
 from .errors import InvalidInputError, InvalidParameterError
 from .lipfit import LipschitzFit, RegressionSample, fit_lipschitz_lse
 from .spread import EmpiricalSpread, SpreadFunction
@@ -66,11 +67,21 @@ def fit_transfer(source: RegressionSample, target: RegressionSample,
 
 
 def mixture_spread(P: DesignDistribution, Q: DesignDistribution, n: int, m: int, x):
-    """Spread of the pooled design (n P + m Q)/(n + m) at sample size n + m."""
-    if n < 2 or m < 2:
-        raise InvalidParameterError("mixture spread needs n, m >= 2")
-    mixed = mixture(P, Q, n / (n + m))
-    return SpreadFunction(mixed, n + m).at(x)
+    """Spread of the pooled design (n P + m Q)/(n + m) at sample size n + m.
+
+    The pooled design and its `SpreadFunction` are built once per (P, Q, n,
+    m), designs compared by identity, and serve later calls with the same
+    arguments; each call solves for its own x."""
+    if not (_is_int(n) and _is_int(m) and n >= 2 and m >= 2):
+        raise InvalidParameterError(
+            f"mixture spread needs integers n, m >= 2, got n={n!r}, m={m!r}")
+    return _pooled_spread(P, Q, n, m).at(x)
+
+
+@functools.lru_cache(maxsize=16)
+def _pooled_spread(P, Q, n, m):
+    """`SpreadFunction` of the pooled design of `mixture_spread`."""
+    return SpreadFunction(mixture(P, Q, n / (n + m)), n + m)
 
 
 def transfer_risk_integrals(P: DesignDistribution, Q: DesignDistribution, n: int):

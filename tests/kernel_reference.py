@@ -15,7 +15,10 @@ library:
   (``emp_spread``, ``count_closer``, ``kth_distance``) in Python floats;
 - `numpy_rounds` and `next_float`: the rounds of ``SpreadFunction.at``
   (``tn_round``, ``tn_mass``, ``next_float``) in numpy, one `interval_mass`
-  call per round.
+  call per round;
+- `tabulated_cdf` and `tabulated_ppf`: the unit CDF and the inverse CDF of
+  ``densities.tabulated`` (``tab_cdf``, ``tab_ppf``) in numpy, on the
+  design's table of ``densities._tabulated_table``.
 """
 
 import math
@@ -247,3 +250,29 @@ def numpy_rounds(s, x):
         before, lo, hi = hi - lo, lo2, hi2
     out[todo] = 0.5 * (lo + hi)
     return out
+
+
+def tabulated_cdf(table, x):
+    """The unit CDF of the tabulated design with table (grid, values, node
+    masses, slopes) at the float array x, ``tab_cdf`` in C: x clamped to the
+    support, then the integral from the nearer node of its segment."""
+    g, v, cum, slope = table
+    x = np.minimum(g[-1], np.maximum(g[0], x))
+    i = np.minimum(np.maximum(np.searchsorted(g, x, side="right") - 1, 0), g.size - 2)
+    dx, r = x - g[i], g[i + 1] - x
+    # from the left node alone the terms cancel near a right node of
+    # zero density, and the sum is not monotone in its last bits there
+    return np.where(r < dx, cum[i + 1] - (v[i + 1] * r - 0.5 * slope[i] * r**2),
+                    cum[i] + v[i] * dx + 0.5 * slope[i] * dx**2)
+
+
+def tabulated_ppf(table, u):
+    """The inverse CDF of the tabulated design with table (grid, values, node
+    masses, slopes) at the float array u of levels in [0, 1], ``tab_ppf`` in
+    C."""
+    g, v, cum, slope = table
+    i = np.clip(np.searchsorted(cum, u) - 1, 0, g.size - 2)
+    du = np.maximum(u - cum[i], 0.0)
+    den = v[i] + np.sqrt(np.maximum(v[i] ** 2 + 2.0 * slope[i] * du, 0.0))
+    dx = np.divide(2.0 * du, den, out=np.zeros_like(du), where=den > 0.0)
+    return np.minimum(g[i] + dx, g[i + 1])

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
 from lipshift import densities
+from lipshift._kernel import KERNEL
 from lipshift.errors import (
     InvalidInputError,
     InvalidIntervalError,
     InvalidParameterError,
     NonDoublingError,
 )
+
+import kernel_reference
 
 
 def bisect_ppf(cdf, u, a, b):
@@ -163,6 +166,72 @@ def test_tabulated_cdf_monotone_next_to_zero_density_node():
     c = d.cdf(np.linspace(0.8229999, 0.823, 200_001))
     assert np.all(np.diff(c) >= 0.0)
     assert d.cdf(0.948) == d.cdf(1.0) == 1.0
+
+
+def _with_neighbours(x):
+    """x and the floats next to each of its points on both sides."""
+    return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(nodes=st.integers(2, 64), seed=st.integers(0, 2**32 - 1),
+       zeros=st.sampled_from([0.0, 0.3, 0.6]), ends=st.sampled_from(["unit", "inside", "random"]))
+def test_tabulated_kernels_match_numpy_reference(nodes, seed, zeros, ends):
+    # the C unit CDF and inverse CDF give the numpy bodies' bits, on random
+    # grids whose support is [0, 1] or lies inside it, with zero-density
+    # stretches, at the nodes, segment midpoints (where the CDF changes the
+    # node it integrates from) and node masses, their neighbouring floats,
+    # 0, 1, -0.0, points off the support and (for the CDF) NaN
+    rng = np.random.default_rng(seed)
+    lo, hi = {"unit": (0.0, 1.0), "inside": (0.1, 0.9),
+              "random": np.sort(rng.random(2))}[ends]
+    assume(hi - lo > 1e-3)
+    grid = np.unique(np.concatenate([[lo, hi], rng.uniform(lo, hi, nodes - 2)]))
+    values = rng.uniform(0.0, 3.0, grid.size)
+    values[rng.random(grid.size) < zeros] = 0.0
+    assume(np.trapezoid(values, grid) > 0.0)
+    d = densities.tabulated(grid, values)
+    table = densities._tabulated_table(d.params["grid"], d.params["values"])
+    mid = 0.5 * (grid[1:] + grid[:-1])
+    x = np.concatenate([_with_neighbours(np.concatenate([grid, mid, [0.0, 1.0]])),
+                        [-0.0, np.nan, -0.5, 1.5], rng.random(500)])
+    assert np.array_equal(_bits(d.unit_cdf(x)), _bits(kernel_reference.tabulated_cdf(table, x)))
+    assert np.array_equal(_bits(d.cdf(x)), _bits(kernel_reference.tabulated_cdf(
+        table, np.minimum(1.0, np.maximum(0.0, x)))))
+    u = _with_neighbours(np.concatenate([table[2], rng.random(500)]))
+    u = np.concatenate([u[(u >= 0.0) & (u <= 1.0)], [-0.0]])
+    assert np.array_equal(_bits(d.ppf(u)), _bits(kernel_reference.tabulated_ppf(table, u)))
+
+
+@pytest.mark.parametrize("entry", ["tab_cdf", "tab_ppf"])
+def test_tabulated_kernels_reject_other_buffers(entry):
+    # the kernels read raw memory: a table that is not a C-contiguous float64
+    # (4, m) array with m >= 2, or points that are not float64, are refused
+    d = densities.tabulated([0.0, 0.3, 0.7, 1.0], [0.5, 2.0, 1.0, 0.1])
+    table = densities._tabulated_table(d.params["grid"], d.params["values"])
+    call = getattr(KERNEL, entry)
+    x = np.linspace(0.0, 1.0, 7)
+    ok = densities._tabulated_kernel(call, table, x)
+    want = d.unit_cdf(x) if entry == "tab_cdf" else d.ppf(x)
+    assert np.array_equal(_bits(ok), _bits(want))
+    wide = np.zeros((4, 2 * table.shape[1]))
+    wide[:, ::2] = table
+    for bad_table, bad_x in [(np.asfortranarray(table), x), (wide[:, ::2], x),
+                             (table.astype(np.float32), x), (table[:3], x),
+                             (table[:, :1].copy(), x), (table.ravel(), x),
+                             (table, x.astype(np.float32))]:
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            densities._tabulated_kernel(call, bad_table, bad_x)
+
+
+def test_tabulated_ppf_block_memory(traced):
+    # one sample block's inverse CDF holds its output and not the numpy
+    # body's temporaries (about 56 B per level)
+    d = densities.tabulated([0.0, 0.3, 0.6, 1.0], [1.0, 0.0, 0.0, 2.0])
+    u = np.random.default_rng(4).random(densities._BLOCK)
+    d.ppf(u)
+    _, peak, _ = traced(d.ppf, u)
+    assert peak <= 12 * u.size
 
 
 @pytest.mark.parametrize("d", ALL_KINDS, ids=lambda d: d.kind + str(d.params.get("alpha", "")))
@@ -635,8 +704,11 @@ def test_invalid_parameters_rejected():
             densities.tabulated([0.0, bad, 1.0], [1.0, 1.0, 1.0])
         with pytest.raises(InvalidParameterError, match="grid"):
             densities.tabulated([0.0, 0.5, bad], [1.0, 1.0, 1.0])
-    with pytest.raises(InvalidParameterError):
-        densities.sample(densities.uniform(), 0, seed=0)
+    for d in (densities.uniform(), MIXTURE):
+        for count in (0, -3, 10.5, 5.0, np.inf, np.nan, True, "7"):
+            with pytest.raises(InvalidParameterError, match="integer >= 1"):
+                densities.sample(d, count, seed=0)
+        assert densities.sample(d, np.int64(3), seed=0).shape == (3,)
 
 
 @settings(max_examples=100, deadline=None)

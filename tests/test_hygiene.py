@@ -164,7 +164,7 @@ def _fresh(code):
 
 # modules that `import lipshift` must not load, by their name prefixes: scipy
 # is a test dependency, no run needs the pool modules, the harness imports
-# numpy's only when a run needs them, and lipfit runs the compiler
+# numpy's only when a run needs them, and _kernel runs the compiler
 # (subprocess) only when the C kernels are not built yet, since each would
 # add to the time of every import
 FORBIDDEN_AT_IMPORT = {"scipy": ("scipy",),
@@ -175,7 +175,7 @@ FORBIDDEN_AT_IMPORT = {"scipy": ("scipy",),
 
 @pytest.mark.parametrize("name", sorted(FORBIDDEN_AT_IMPORT))
 def test_import_loads_none_of(name):
-    import lipshift.lipfit  # noqa: F401  builds the C sweep if this checkout has none yet
+    import lipshift._kernel  # noqa: F401  builds the C kernels if this checkout has none yet
     prefixes = FORBIDDEN_AT_IMPORT[name]
     code = ("import sys, lipshift, lipshift.cli; "
             f"print(sorted(m for m in sys.modules for p in {prefixes!r} "
@@ -219,20 +219,20 @@ def test_every_kernel_entry_point_declares_its_types():
     # ctypes takes an undeclared result for a C int, so an entry point that
     # returns an int64_t count would come back truncated without a word:
     # every non-static function of _sweep.c gets its argtypes and restype in
-    # lipfit._load_kernel, and the loaded library carries its signature
-    from lipshift import lipfit
+    # _kernel._load_kernel, and the loaded library carries its signature
+    from lipshift._kernel import KERNEL
     entries = re.findall(r"^(void|int64_t|double) (\w+)\(([^)]*)\)\s*\{",
                          (SRC / "_sweep.c").read_text(), re.M)
-    load = next(node for node in ast.parse((SRC / "lipfit.py").read_text()).body
+    load = next(node for node in ast.parse((SRC / "_kernel.py").read_text()).body
                 if isinstance(node, ast.FunctionDef) and node.name == "_load_kernel")
     declared = {(t.value.attr, t.attr) for node in ast.walk(load) if isinstance(node, ast.Assign)
                 for t in node.targets if isinstance(t, ast.Attribute)
                 and isinstance(t.value, ast.Attribute)}
     results = {"void": None, "int64_t": ctypes.c_int64, "double": ctypes.c_double}
-    assert len(entries) >= 6
+    assert {"tab_cdf", "tab_ppf"} < {name for _, name, _ in entries} and len(entries) >= 8
     for result, name, params in entries:
         assert {(name, "argtypes"), (name, "restype")} <= declared, name
-        fn = getattr(lipfit._KERNEL, name)
+        fn = getattr(KERNEL, name)
         assert fn.restype is results[result] and len(fn.argtypes) == params.count(",") + 1, name
 
 
@@ -252,9 +252,9 @@ def test_kernel_build_removes_stale_builds(tmp_path):
     code = f"""
 import sys
 sys.path.insert(0, {str(tmp_path)!r})
-from lipshift import lipfit
-assert lipfit.__file__.startswith({str(tmp_path)!r})
-print(lipfit._KERNEL._name)
+from lipshift import _kernel
+assert _kernel.__file__.startswith({str(tmp_path)!r})
+print(_kernel.KERNEL._name)
 """
     built = os.path.basename(_fresh(code))
     assert re.fullmatch(r"_sweep-[0-9a-f]{8}\.so", built) and built not in stale

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lipshift import densities, lipfit
+from lipshift import densities
+from lipshift._kernel import KERNEL
 from lipshift.errors import InvalidInputError, InvalidParameterError, ZeroDensityError
 from lipshift.harness import EVAL_GRID_SIZE, LOSSES
 from lipshift.lipfit import (
@@ -330,7 +331,7 @@ def test_clip_roots_matches_min_max_formula(roots, gaps):
 
 def kernel_clip(roots, u):
     """`clip_roots` by the C kernel's backward pass."""
-    lipfit._KERNEL.lse_clip(roots.ctypes.data, u.ctypes.data, len(roots))
+    KERNEL.lse_clip(roots.ctypes.data, u.ctypes.data, len(roots))
     return roots
 
 

@@ -225,6 +225,16 @@ def test_solve_returns_its_own_array_within_the_numpy_loops_peak(kind, traced):
     assert peak <= numpy_peak
 
 
+def test_tabulated_solve_memory(traced):
+    # with the design's CDF in C, a 2,001-point solve holds the solver's
+    # buffer (88 B per point) and one CDF output (32), not the numpy CDF's
+    # nine arrays of the ends' size (381 B per point in all)
+    s, x = SpreadFunction(ORACLE_DESIGNS["tabulated"], 4096), np.linspace(0.0, 1.0, 2001)
+    s.at(x)
+    _, peak, _ = traced(s.at, x)
+    assert peak <= 140 * x.size
+
+
 # the oracle designs, a density that is zero on a whole stretch, and one
 # that vanishes to high order at 0
 BATCH_DESIGNS = {**ORACLE_DESIGNS,
@@ -517,8 +527,12 @@ def test_ldp_window_shrinks_with_n():
 
 
 def test_invalid_n():
-    with pytest.raises(InvalidParameterError):
-        SpreadFunction(densities.uniform(), 1)
+    # an integer n >= 2: a float n would be stored truncated while the
+    # threshold used it whole
+    for n in (1, 0, 2.5, 100.0, np.inf, np.nan, -np.inf, True, "100"):
+        with pytest.raises(InvalidParameterError, match="integer n >= 2"):
+            SpreadFunction(densities.uniform(), n)
+    assert SpreadFunction(densities.uniform(), np.int64(100)).threshold == np.log(100) / 100
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

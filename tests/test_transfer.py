@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lipshift import densities
-from lipshift.errors import InvalidInputError
+from lipshift import densities, transfer
+from lipshift.errors import InvalidInputError, InvalidParameterError
 from lipshift.harness import EVAL_GRID_SIZE, LOSSES
 from lipshift.lipfit import RegressionSample, fit_lipschitz_lse
 from lipshift.spread import EmpiricalSpread, SpreadFunction
@@ -159,3 +159,50 @@ def test_combined_risk_not_much_worse_than_best_single():
         fit = fit_transfer(src, tgt, 1.0)
         ratios.append(l2(fit) / min(l2(fit.fit1), l2(fit.fit2)))
     assert np.mean(ratios) <= 2.0
+
+
+def test_mixture_spread_builds_one_pooled_spread_per_arguments(monkeypatch):
+    # repeated calls with the same (P, Q, n, m) share one pooled
+    # SpreadFunction and each gives a fresh one's bits; designs are told
+    # apart by identity, so an equal but new P builds another
+    built = []
+
+    class Spy(SpreadFunction):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(transfer, "SpreadFunction", Spy)
+    transfer._pooled_spread.cache_clear()
+    P = densities.power(2.0)
+    Q = densities.tabulated([0.0, 0.3, 0.6, 1.0], [1.0, 0.0, 0.0, 2.0])
+    xs = np.linspace(0.0, 1.0, 9)
+    try:
+        for x in [*xs, xs, *xs]:
+            want = SpreadFunction(densities.mixture(P, Q, 300 / 340), 340).at(x)
+            got = mixture_spread(P, Q, 300, 40, x)
+            assert np.array_equal(np.float64(got).view(np.int64), np.float64(want).view(np.int64))
+        assert len(built) == 1 and built[0][1] == 340
+        for args in [(densities.power(2.0), Q, 300, 40), (P, densities.uniform(), 300, 40),
+                     (P, Q, 301, 40), (P, Q, 300, 41), (Q, P, 300, 40)]:
+            mixture_spread(*args, 0.3)
+        assert len(built) == 6
+        mixture_spread(P, Q, np.int64(300), 40, 0.3)
+        assert len(built) == 6
+    finally:
+        transfer._pooled_spread.cache_clear()
+
+
+@pytest.mark.parametrize("n, m", [(np.inf, 10), (10, np.inf), (np.nan, 10), (2.5, 10),
+                                  (10, 3.0), (1, 10), (10, 1), (True, 10)])
+def test_mixture_spread_needs_integer_sizes(n, m):
+    u = densities.uniform()
+    with pytest.raises(InvalidParameterError, match="integers n, m >= 2"):
+        mixture_spread(u, u, n, m, 0.3)
+
+
+@pytest.mark.parametrize("n", [np.inf, np.nan, 2.5, 1])
+def test_transfer_risk_integrals_need_an_integer_n(n):
+    u = densities.uniform()
+    with pytest.raises(InvalidParameterError, match="integer n >= 2"):
+        transfer_risk_integrals(u, u, n)
