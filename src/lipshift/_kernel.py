@@ -7,6 +7,10 @@ kernel is built once per source and flags, with the system C compiler
 ``cc``, into a file next to the source, and each import that loads it
 removes the builds of other sources there.  Where it cannot be built or
 loaded, the import raises `KernelUnavailableError`.
+
+The kernels read and write raw memory, so every array reaches them through
+`address`, which hands over the address of its data only when it has the
+shape and dtype the kernel reads and is C-contiguous.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from __future__ import annotations
 import ctypes
 import os
 import zlib
+
+import numpy as np
 
 from .errors import KernelUnavailableError
 
@@ -80,3 +86,14 @@ def _load_kernel():
 
 
 KERNEL = _load_kernel()
+
+
+def address(a, shape, dtype=np.float64):
+    """The address of a's data, for a kernel that reads it as a C-contiguous
+    array of that shape and dtype; raises ValueError unless a is one.  The
+    address comes from the array interface: ``a.ctypes.data`` leaves objects
+    in reference cycles, held until the next garbage collection."""
+    if not (a.shape == shape and a.dtype == dtype and a.flags.c_contiguous):
+        raise ValueError(f"a C kernel reads a C-contiguous {np.dtype(dtype)} array of shape "
+                         f"{shape}, got a {a.dtype} array of shape {a.shape}")
+    return a.__array_interface__["data"][0]

@@ -33,8 +33,9 @@ def _read_xy_csv(path):
             if not row or row[0].strip().lower() in ("x", "#"):
                 continue
             try:
-                rows.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError) as exc:
+                x, y = row
+                rows.append((float(x), float(y)))
+            except ValueError as exc:
                 raise InvalidInputError(
                     f"{path}, line {reader.line_num}: expected two numbers x,y, got {row!r}"
                 ) from exc

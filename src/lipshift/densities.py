@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._kernel import KERNEL
+from ._kernel import KERNEL, address
 from .errors import (
     InvalidInputError,
     InvalidIntervalError,
@@ -135,8 +135,8 @@ def _example3_phi(n: int) -> float:
 
 def example3(n: int) -> DesignDistribution:
     """Level phi on [1/4, 3/4] with linear ramps of slope 16(1 - phi) outside."""
-    if not 2 < n < np.inf:
-        raise InvalidParameterError(f"example3 requires a finite n > 2, got {n}")
+    if not (_is_int(n) and n > 2):
+        raise InvalidParameterError(f"example3 requires an integer n > 2, got {n!r}")
     phi = _example3_phi(n)
     ramp = 16.0 * (1.0 - phi)
     # piece boundaries of the CDF
@@ -228,20 +228,11 @@ def _tabulated_table(g, v):
 
 def _tabulated_kernel(entry, table, x):
     """``KERNEL.tab_cdf`` or ``tab_ppf`` (entry) of the design's table at
-    each point of x, as an array shaped like x: table a C-contiguous float64
-    (4, m) array with m >= 2 and x a float64 array."""
-    m = table.shape[-1]
-    # the kernel reads raw memory: check what it assumes
-    if not (table.shape == (4, m) and m >= 2 and table.dtype == x.dtype == np.float64
-            and table.flags.c_contiguous):
-        raise ValueError("the C tabulated design needs a C-contiguous float64 (4, m) table "
-                         "(m >= 2) and float64 points")
-    xs = np.ascontiguousarray(x).ravel()
-    out = np.empty(x.shape)
-    # addresses by the array interface: .ctypes.data leaves objects in
-    # reference cycles, held until the next garbage collection
-    table_at, xs_at, out_at = (a.__array_interface__["data"][0] for a in (table, xs, out))
-    entry(table_at, m, xs_at, xs.size, out_at)
+    each point of x, a float64 array, as an array shaped like x.  The
+    kernels read past a table of one node: `tabulated`, which builds every
+    table, refuses fewer than 2."""
+    m, xs, out = table.shape[-1], x.ravel(), np.empty(x.shape)
+    entry(address(table, (4, m)), m, address(xs, (xs.size,)), xs.size, address(out, x.shape))
     return out
 
 

@@ -37,7 +37,7 @@ arrays and writes the roots into one float buffer, which the backward pass
 clips in place into the fitted values.
 
 Both passes run in C (``lse_roots`` and ``lse_clip`` in ``_sweep.c``,
-loaded with ctypes at import by ``_kernel``, which builds it), 30-70x
+which ``_kernel`` builds and loads at import), 30-70x
 faster at n = 2^14 to 2^20 than the same passes in Python, whose
 line-for-line copies in ``tests/kernel_reference.py`` are the kernels'
 bit-for-bit references.  The C keeps both stacks in one buffer of 2n + 1
@@ -49,8 +49,10 @@ builds its multipliers and masks in place, about 26.
 The same file houses the isotonic LSE (pool adjacent violators) and a
 fixed-bandwidth triangular-kernel smoother.  PAVA runs in the same C
 library (``iso_fit``), with the blocks as (total, count) pairs in numpy
-buffers.  The losses that judge all of them, and the name -> estimator
-table that runs them, are in ``harness``.
+buffers.  Every buffer reaches a kernel through ``_kernel.address``, which
+refuses one of another shape or dtype or not C-contiguous.  The losses that
+judge all of them, and the name -> estimator table that runs them, are in
+``harness``.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernel import KERNEL
+from ._kernel import KERNEL, address
 from .densities import DesignDistribution
 from .errors import InvalidInputError, InvalidParameterError, ZeroDensityError
 
@@ -144,17 +146,14 @@ def _merge_duplicates(x, y):
 
 def _fitted_values(y, c, u):
     """The roots of the forward sweep clipped by the backward pass, in C.  y,
-    c = 2 w (n each) and u (n - 1) are C-contiguous float64 arrays."""
+    c = 2 w (n each) and u (n - 1) are C-contiguous float64 arrays; no
+    array has the shape (-1,), so n = 0 is refused."""
     n = len(y)
-    # the kernel reads raw memory: check what it assumes
-    if not (n >= 1 and c.shape == (n,) and u.shape == (n - 1,) and all(
-            a.dtype == np.float64 and a.flags.c_contiguous for a in (y, c, u))):
-        raise ValueError("the C sweep needs C-contiguous float64 y, c (n >= 1 each) and u (n - 1)")
-    f = np.empty(n)
-    knots = np.empty(2 * n + 1, complex)
-    KERNEL.lse_roots(y.ctypes.data, c.ctypes.data, u.ctypes.data, n, knots.ctypes.data,
-                     f.ctypes.data)
-    KERNEL.lse_clip(f.ctypes.data, u.ctypes.data, n)
+    f, knots = np.empty(n), np.empty(2 * n + 1, complex)
+    f_at, u_at = address(f, (n,)), address(u, (n - 1,))
+    KERNEL.lse_roots(address(y, (n,)), address(c, (n,)), u_at, n,
+                     address(knots, (2 * n + 1,), complex), f_at)
+    KERNEL.lse_clip(f_at, u_at, n)
     return f
 
 
@@ -211,21 +210,15 @@ def _kkt_residual(f, ybar, c, gaps):
     return float(max(res, only_upper, only_lower, neither))
 
 
-def _isotonic_values(y):
-    """PAVA on y, a C-contiguous float64 array, in C."""
-    n = len(y)
-    if not (n >= 1 and y.shape == (n,) and y.dtype == np.float64 and y.flags.c_contiguous):
-        raise ValueError("the C isotonic fit needs a C-contiguous float64 y (n >= 1)")
-    tot, cnt, out = np.empty(n), np.empty(n, np.int64), np.empty(n)
-    KERNEL.iso_fit(y.ctypes.data, n, tot.ctypes.data, cnt.ctypes.data, out.ctypes.data)
-    return out
-
-
 def fit_isotonic_lse(sample: RegressionSample) -> np.ndarray:
     """Nondecreasing least squares fit at the design points (pool adjacent
     violators, in C); identical to the min-max
     partial-sum formula."""
-    return _isotonic_values(sample.y)
+    y, n = sample.y, sample.n
+    tot, cnt, out = np.empty(n), np.empty(n, np.int64), np.empty(n)
+    KERNEL.iso_fit(address(y, (n,)), n, address(tot, (n,)), address(cnt, (n,), np.int64),
+                   address(out, (n,)))
+    return out
 
 
 def isotonic_evaluate(sample: RegressionSample, x) -> np.ndarray:

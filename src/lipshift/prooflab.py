@@ -28,7 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .densities import DesignDistribution, _read, _simpson, from_spec, interval_mass, mixture
+from .densities import (DesignDistribution, _is_int, _read, _simpson, from_spec, interval_mass,
+                        mixture)
 from .errors import (
     ConfigError,
     InvalidParameterError,
@@ -215,8 +216,8 @@ def kl_divergence(f, g, P: DesignDistribution, Q: DesignDistribution,
 
     Both integrals are taken by the composite Simpson rule on 4097
     equispaced nodes of [0, 1]."""
-    if n < 0 or m < 0:
-        raise InvalidParameterError("sample sizes must be non-negative")
+    if not (_is_int(n) and _is_int(m) and n >= 0 and m >= 0):
+        raise InvalidParameterError(f"sample sizes must be integers >= 0, got n={n!r}, m={m!r}")
     xs = np.linspace(0.0, 1.0, 4097)
     sq = (np.asarray(f(xs), float) - np.asarray(g(xs), float)) ** 2
     out = 0.0
@@ -257,8 +258,8 @@ def build_lower_bound_family(P: DesignDistribution, Q: DesignDistribution,
     t_{n,m}(center)/6 on each kept cell, where t_{n,m} is the smaller of the
     two spread functions.
     """
-    if n < 2 or m < 2:
-        raise InvalidParameterError("family needs n, m >= 2")
+    if not (_is_int(n) and _is_int(m) and n >= 2 and m >= 2):
+        raise InvalidParameterError(f"family needs integers n, m >= 2, got n={n!r}, m={m!r}")
     N = n + m
     psi = (np.log(N) / N) ** (1.0 / 3.0)
     if psi > 0.25:

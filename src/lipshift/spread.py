@@ -13,7 +13,8 @@ the C library that ``_kernel`` loads; the cube root stays in numpy, whose
 bits come from its own loops, and the CDF with the design.  The empirical
 version finds its crossing index by counting sample points within each
 candidate distance and selects one order statistic of the distances, both
-over the sorted sample and exact, in the C library too.  The numpy and
+over the sorted sample and exact, in the C library too; each buffer
+reaches a kernel through ``_kernel.address``.  The numpy and
 Python loops that the kernels replaced are their bit-for-bit references,
 in ``tests/kernel_reference.py``.  Both evaluators take x of any shape and
 return a float for a 0-d x, else an array shaped like x.
@@ -21,13 +22,12 @@ return a float for a 0-d x, else an array shaped like x.
 
 from __future__ import annotations
 
-import ctypes
 import math
 
 import numpy as np
 
-from ._kernel import KERNEL
-from .densities import DesignDistribution, _is_int
+from ._kernel import KERNEL, address
+from .densities import DesignDistribution, _is_finite, _is_int
 from .errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -114,7 +114,7 @@ class SpreadFunction:
         s[:5] = n, n, 0, self.threshold, self._level
         row = s[5:].reshape(11, n)  # the rows of ``tn_round``
         row[0], row[3] = x, self._first  # the points, the first estimate
-        addr = ctypes.addressof(ctypes.c_char.from_buffer(s))  # s.ctypes.data, faster
+        addr = address(s, (5 + 11 * n,))
         step, mass, ends, k = KERNEL.tn_round, KERNEL.tn_mass, row[7:].ravel(), 0
         while left := step(addr):  # 0 once every point is solved, at round 200 at last
             if left != k:
@@ -194,8 +194,9 @@ def vanishing_density_bounds(n: int, alpha: float, bound: float):
         ((a+1) log n / (bound n))^(1/(a+3)) <= t_n(x0)
             <= ((a+1) bound log n / n)^(1/(a+3)).
     """
-    if n <= 1 or alpha <= 0 or bound <= 0:
-        raise InvalidParameterError("need n > 1, alpha > 0, bound > 0")
+    if not (_is_int(n) and n >= 2 and all(_is_finite(v) and v > 0 for v in (alpha, bound))):
+        raise InvalidParameterError(f"need an integer n >= 2 and finite alpha, bound > 0, "
+                                    f"got n={n!r}, alpha={alpha!r}, bound={bound!r}")
     ln = np.log(n) / n
     e = 1.0 / (alpha + 3.0)
     return ((alpha + 1.0) * ln / bound) ** e, ((alpha + 1.0) * bound * ln) ** e
@@ -225,7 +226,8 @@ class EmpiricalSpread:
     operations as a table of all n would make.
 
     `at` runs in C (``emp_spread`` in ``_sweep.c``): float subtraction is
-    monotone, so each count is a bisection on its float test.
+    monotone, so each count is a bisection on its float test.  The kernel
+    reads the points as sorted and at least 2, as the constructor leaves them.
     """
 
     def __init__(self, points):
@@ -237,21 +239,7 @@ class EmpiricalSpread:
 
     def at(self, x):
         x = _finite(x)
-        out = _kernel_spread(self.points, x)
+        xs, out, n = x.ravel(), np.empty(x.shape), self.n
+        KERNEL.emp_spread(address(self.points, (n,)), n, np.log(n), address(xs, (xs.size,)),
+                          xs.size, address(out, x.shape))
         return float(out.flat[0]) if x.ndim == 0 else out
-
-
-def _kernel_spread(points, x):
-    """`EmpiricalSpread.at` by the C kernel, as an array shaped like x:
-    points sorted, C-contiguous float64 (n >= 2) and x a float64 array."""
-    n = len(points)
-    # the kernel reads raw memory: check what it assumes
-    if not (n >= 2 and points.shape == (n,) and points.dtype == x.dtype == np.float64
-            and points.flags.c_contiguous):
-        raise ValueError("the C empirical spread needs C-contiguous float64 points (n >= 2) "
-                         "and float64 x")
-    xs = np.ascontiguousarray(x).ravel()
-    out = np.empty(x.shape)
-    KERNEL.emp_spread(points.ctypes.data, n, np.log(n), xs.ctypes.data, xs.size,
-                      out.ctypes.data)
-    return out

@@ -110,7 +110,7 @@ def test_fit_nan_cell_exits_3(tmp_path, capsys):
     assert "NaN" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("row", [["0.5", "abc"], ["0.5"]])
+@pytest.mark.parametrize("row", [["0.5", "abc"], ["0.5"], ["0.5", "1.0", "9"]])
 def test_fit_malformed_row_exits_3(tmp_path, capsys, row):
     path = tmp_path / "d.csv"
     path.write_text("x,y\n0.1,0.0\n" + ",".join(row) + "\n0.9,1.0\n")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
 from lipshift import densities
-from lipshift._kernel import KERNEL
 from lipshift.errors import (
     InvalidInputError,
     InvalidIntervalError,
@@ -201,27 +200,6 @@ def test_tabulated_kernels_match_numpy_reference(nodes, seed, zeros, ends):
     u = _with_neighbours(np.concatenate([table[2], rng.random(500)]))
     u = np.concatenate([u[(u >= 0.0) & (u <= 1.0)], [-0.0]])
     assert np.array_equal(_bits(d.ppf(u)), _bits(kernel_reference.tabulated_ppf(table, u)))
-
-
-@pytest.mark.parametrize("entry", ["tab_cdf", "tab_ppf"])
-def test_tabulated_kernels_reject_other_buffers(entry):
-    # the kernels read raw memory: a table that is not a C-contiguous float64
-    # (4, m) array with m >= 2, or points that are not float64, are refused
-    d = densities.tabulated([0.0, 0.3, 0.7, 1.0], [0.5, 2.0, 1.0, 0.1])
-    table = densities._tabulated_table(d.params["grid"], d.params["values"])
-    call = getattr(KERNEL, entry)
-    x = np.linspace(0.0, 1.0, 7)
-    ok = densities._tabulated_kernel(call, table, x)
-    want = d.unit_cdf(x) if entry == "tab_cdf" else d.ppf(x)
-    assert np.array_equal(_bits(ok), _bits(want))
-    wide = np.zeros((4, 2 * table.shape[1]))
-    wide[:, ::2] = table
-    for bad_table, bad_x in [(np.asfortranarray(table), x), (wide[:, ::2], x),
-                             (table.astype(np.float32), x), (table[:3], x),
-                             (table[:, :1].copy(), x), (table.ravel(), x),
-                             (table, x.astype(np.float32))]:
-        with pytest.raises(ValueError, match="C-contiguous float64"):
-            densities._tabulated_kernel(call, bad_table, bad_x)
 
 
 def test_tabulated_ppf_block_memory(traced):
@@ -693,6 +671,9 @@ def test_invalid_parameters_rejected():
         densities.example3(2)
     with pytest.raises(InvalidParameterError):
         densities.tabulated([0.0, 0.5], [1.0, -1.0])
+    # the C kernels read past a table of one node; `tabulated` builds every table
+    with pytest.raises(InvalidParameterError, match=">= 2 nodes"):
+        densities.tabulated([0.5], [1.0])
     for bad in (np.nan, np.inf):
         with pytest.raises(InvalidParameterError, match="alpha|exponent"):
             densities.power(bad)

@@ -22,7 +22,11 @@ passed by some call in ``src/`` or ``perfbench/``.  An eighth is that the C
 kernels are required: where they cannot be built, ``import lipshift``
 raises ``KernelUnavailableError`` naming ``cc``, the CLI exits 1 and no
 build is left behind; where they are built, each entry point has its
-argument and result types declared.
+argument and result types declared.  A ninth is that the kernels are
+reached one way: in ``src/`` only ``_kernel`` imports ctypes or reads an
+array's address, and every pointer a kernel entry point takes is the result
+of ``_kernel.address``, which refuses an array of another shape or dtype or
+one that is not C-contiguous.
 """
 
 import ast
@@ -34,6 +38,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lipshift"
@@ -215,14 +220,19 @@ except ImportError as exc:
     assert list(pkg.glob("_sweep-*")) == []  # no build left behind
 
 
+def _entry_points():
+    """(result type, name, parameters) of each non-static function of _sweep.c."""
+    return re.findall(r"^(void|int64_t|double) (\w+)\(([^)]*)\)\s*\{",
+                      (SRC / "_sweep.c").read_text(), re.M)
+
+
 def test_every_kernel_entry_point_declares_its_types():
     # ctypes takes an undeclared result for a C int, so an entry point that
     # returns an int64_t count would come back truncated without a word:
     # every non-static function of _sweep.c gets its argtypes and restype in
     # _kernel._load_kernel, and the loaded library carries its signature
     from lipshift._kernel import KERNEL
-    entries = re.findall(r"^(void|int64_t|double) (\w+)\(([^)]*)\)\s*\{",
-                         (SRC / "_sweep.c").read_text(), re.M)
+    entries = _entry_points()
     load = next(node for node in ast.parse((SRC / "_kernel.py").read_text()).body
                 if isinstance(node, ast.FunctionDef) and node.name == "_load_kernel")
     declared = {(t.value.attr, t.attr) for node in ast.walk(load) if isinstance(node, ast.Assign)
@@ -234,6 +244,153 @@ def test_every_kernel_entry_point_declares_its_types():
         assert {(name, "argtypes"), (name, "restype")} <= declared, name
         fn = getattr(KERNEL, name)
         assert fn.restype is results[result] and len(fn.argtypes) == params.count(",") + 1, name
+
+
+def _entry(node):
+    """The entry point that node names as ``KERNEL.<entry>``, or None."""
+    if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "KERNEL":
+        return node.attr
+    return None
+
+
+def _bindings(fn):
+    """name -> the values that fn assigns to it, tuples unpacked pairwise."""
+    bound = {}
+    for node in ast.walk(fn):
+        for target in node.targets if isinstance(node, ast.Assign) else []:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = zip(target.elts, node.value.elts)
+            for name, value in pairs:
+                if isinstance(name, ast.Name):
+                    bound.setdefault(name.id, []).append(value)
+    return bound
+
+
+def _is_address(node, bound):
+    """Whether node is an ``address(...)`` call or a name bound only to such calls."""
+    if isinstance(node, ast.Name):
+        return all(_is_address(v, {}) for v in bound.get(node.id, [None]))
+    return isinstance(node, ast.Call) and "address" in (getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None))
+
+
+def _kernel_calls(tree):
+    """(call, its entry points, the bindings of its function) for each call
+    in tree of a C kernel entry point: ``KERNEL.<entry>(...)``, or a call
+    through a name that its function binds to ``KERNEL.<entry>`` or takes as
+    a parameter that some call passes ``KERNEL.<entry>``."""
+    passed = {}  # (function, positional slot) -> the entry points passed there
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call):
+            callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            for i, arg in enumerate(call.args):
+                if _entry(arg):
+                    passed.setdefault((callee, i), set()).add(_entry(arg))
+    found = {}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        bound = _bindings(fn)
+        via = {name: {_entry(v) for v in values} for name, values in bound.items()
+               if all(map(_entry, values))}
+        via.update({a.arg: passed[fn.name, i] for i, a in enumerate(fn.args.args)
+                    if (fn.name, i) in passed})
+        for call in ast.walk(fn):
+            if isinstance(call, ast.Call):
+                entries = {_entry(call.func)} - {None} or via.get(getattr(call.func, "id", None))
+                if entries:
+                    found[id(call)] = (call, entries, bound)
+    return list(found.values())
+
+
+RAW_ADDRESS = {"ctypes", "__array_interface__", "addressof"}
+
+
+def test_kernels_reached_only_through_address():
+    # the kernels read raw memory: outside _kernel nothing imports ctypes or
+    # reads an address, and each pointer argument (a c_void_p of the entry's
+    # declared argtypes) of each kernel call is an address(...) result
+    from lipshift._kernel import KERNEL
+    raw, unchecked, called = [], [], set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "_kernel.py":
+            continue
+        tree = ast.parse(path.read_text())
+        raw += [f"{path.stem}:{n.lineno}" for n in ast.walk(tree)
+                if isinstance(n, ast.Import) and any(a.name.split(".")[0] == "ctypes" for a in n.names)
+                or isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "ctypes"
+                or isinstance(n, ast.Attribute) and n.attr in RAW_ADDRESS
+                or isinstance(n, ast.Name) and n.id in RAW_ADDRESS]
+        for call, entries, bound in _kernel_calls(tree):
+            called |= entries
+            for entry in entries:
+                argtypes = getattr(KERNEL, entry).argtypes
+                assert len(call.args) == len(argtypes), f"{path.stem}:{call.lineno}"
+                unchecked += [f"{path.stem}:{call.lineno} {entry} argument {i}"
+                              for i, (arg, kind) in enumerate(zip(call.args, argtypes))
+                              if kind is ctypes.c_void_p and not _is_address(arg, bound)]
+    assert raw == [], f"ctypes or raw addresses outside _kernel: {raw}"
+    assert unchecked == [], f"kernel pointers not made by _kernel.address: {unchecked}"
+    assert called == {name for _, name, _ in _entry_points()}  # every entry point was found
+
+
+def _table():
+    from lipshift import densities
+    d = densities.tabulated([0.0, 0.3, 0.7, 1.0], [0.5, 2.0, 1.0, 0.1])
+    return densities._tabulated_table(d.params["grid"], d.params["values"])
+
+
+def _every_other(a):
+    """A strided view with a's values."""
+    wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],), a.dtype)
+    wide[..., ::2] = a
+    return wide[..., ::2]
+
+
+# (array, the shape and dtype a kernel reads) that address refuses: what the
+# sweep, PAVA, the empirical spread and the tabulated design's kernels were
+# each refused by their own checks, and the wrong dtype for PAVA's counts and
+# the sweep's knots
+REFUSED = {
+    "strided": (lambda: _every_other(np.arange(8.0)), (8,), np.float64),
+    "strided-table": (lambda: _every_other(_table()), (4, 4), np.float64),
+    "fortran-table": (lambda: np.asfortranarray(_table()), (4, 4), np.float64),
+    "float32": (lambda: np.arange(8.0, dtype=np.float32), (8,), np.float64),
+    "float32-table": (lambda: _table().astype(np.float32), (4, 4), np.float64),
+    "float32-points": (lambda: np.linspace(0.0, 1.0, 7, dtype=np.float32), (7,), np.float64),
+    "big-endian": (lambda: np.arange(8.0).astype(">f8"), (8,), np.float64),
+    "u-too-short": (lambda: np.full(6, 0.1), (7,), np.float64),  # n - 2 gaps for n = 8
+    "empty": (lambda: np.empty(0), (8,), np.float64),
+    "sweep-n-0": (lambda: np.empty(0), (-1,), np.float64),  # u of the sweep at n = 0
+    "2-d": (lambda: np.arange(8.0).reshape(2, 4), (8,), np.float64),
+    "1-d-table": (lambda: _table().ravel(), (4, 4), np.float64),
+    "3-row-table": (lambda: _table()[:3], (4, 4), np.float64),
+    "float-cnt": (lambda: np.empty(8), (8,), np.int64),
+    "int32-cnt": (lambda: np.empty(8, np.int32), (8,), np.int64),
+    "float-knots": (lambda: np.empty(17), (17,), complex),
+    "complex64-knots": (lambda: np.empty(17, np.complex64), (17,), complex),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_address_refuses_other_buffers(case):
+    from lipshift._kernel import address
+    make, shape, dtype = REFUSED[case]
+    with pytest.raises(ValueError, match=r"^a C kernel reads a C-contiguous \w+ array of shape "
+                                         r"\(.*\), got a \S+ array of shape \(.*\)$"):
+        address(make(), shape, dtype)
+
+
+def test_address_of_accepted_buffers():
+    # the address of the array's first element, views at an offset included
+    from lipshift._kernel import address
+    s = np.arange(23.0)
+    cases = [(s, (23,), np.float64), (s[1:], (22,), np.float64),
+             (s[3:].reshape(4, 5)[1], (5,), np.float64), (_table(), (4, 4), np.float64),
+             (np.empty(8, np.int64), (8,), np.int64), (np.empty(17, complex), (17,), complex)]
+    for a, shape, dtype in cases:
+        assert address(a, shape, dtype) == a.ctypes.data
 
 
 def test_kernel_build_removes_stale_builds(tmp_path):

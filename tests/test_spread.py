@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lipshift import densities, spread
+from lipshift import densities, prooflab, spread
 from lipshift.errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -418,16 +418,6 @@ def test_kernel_matches_python_search_bit_for_bit(n, seed, levels, negative_zero
     assert _bits(e.at(xs[-1])) == _bits(search(e, xs[-1:]))[0]
 
 
-def test_spread_kernel_checks_its_buffers():
-    # the kernel reads raw memory, so strided, short or non-float64 points
-    # and non-float64 x must not reach it
-    pts, x = np.linspace(0.0, 1.0, 8), np.linspace(0.0, 1.0, 3)
-    for bad_pts, bad_x in [(pts[::2], x), (pts[:1], x), (pts.astype(np.float32), x),
-                           (pts.reshape(2, 4), x), (pts, x.astype(np.float32))]:
-        with pytest.raises(ValueError, match="C empirical spread"):
-            spread._kernel_spread(bad_pts, bad_x)
-
-
 def test_empirical_spread_memory_bounded(traced):
     e = EmpiricalSpread(densities.sample(densities.uniform(), 10**5, seed=3))
     _, peak, _ = traced(e.at, np.linspace(0.0, 1.0, 201))
@@ -654,6 +644,33 @@ def test_vanishing_density_bounds_bracket_power_spread():
     t0 = SpreadFunction(densities.power(1.0), n).at(0.0)
     lo, hi = vanishing_density_bounds(n, alpha=1.0, bound=2.1)
     assert lo <= t0 <= hi
+
+
+_U = densities.uniform()
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: vanishing_density_bounds(math.nan, 1.0, 2.0), "n=nan"),
+    (lambda: vanishing_density_bounds(100, math.nan, 2.0), "alpha=nan"),
+    (lambda: vanishing_density_bounds(2.5, 1.0, 2.0), "n=2.5"),
+    (lambda: vanishing_density_bounds(100, 1.0, math.inf), "bound=inf"),
+    (lambda: vanishing_density_bounds(1, 1.0, 2.0), "n=1"),
+    (lambda: vanishing_density_bounds(100, True, 2.0), "alpha=True"),
+    (lambda: densities.example3(2.5), "2.5"),
+    (lambda: densities.example3(100.0), "100.0"),
+    (lambda: prooflab.build_lower_bound_family(_U, _U, math.nan, 5000), "n=nan"),
+    (lambda: prooflab.build_lower_bound_family(_U, _U, 5000, 2.5), "m=2.5"),
+    (lambda: prooflab.kl_divergence(np.zeros_like, np.zeros_like, _U, _U, math.nan, 0), "n=nan"),
+    (lambda: prooflab.kl_divergence(np.zeros_like, np.zeros_like, _U, _U, 2.5, 0), "n=2.5"),
+    (lambda: prooflab.kl_divergence(np.zeros_like, np.zeros_like, _U, _U, 10, -1), "m=-1"),
+], ids=["bounds-n-nan", "bounds-alpha-nan", "bounds-n-2.5", "bounds-bound-inf", "bounds-n-1",
+        "bounds-alpha-bool", "example3-2.5", "example3-float", "family-n-nan", "family-m-2.5",
+        "kl-n-nan", "kl-n-2.5", "kl-m-negative"])
+def test_sample_sizes_are_integers_and_parameters_finite(call, bad):
+    # a sample size is an integer with a stated minimum and alpha, bound are
+    # finite and > 0; anything else is refused by an error that names it
+    with pytest.raises(InvalidParameterError, match=re.escape(bad)):
+        call()
 
 
 # --- empirical spread ---------------------------------------------------
