@@ -1,12 +1,13 @@
 """The C kernels of ``_sweep.c``, built and loaded once for every module.
 
 ``lipfit`` (the LSE sweep, PAVA), ``spread`` (the t_n rounds, the
-empirical spread) and ``densities`` (the tabulated design's CDF and inverse
-CDF) call the one library `KERNEL` that this module loads at import.  The
-kernel is built once per source and flags, with the system C compiler
-``cc``, into a file next to the source, and each import that loads it
-removes the builds of other sources there.  Where it cannot be built or
-loaded, the import raises `KernelUnavailableError`.
+empirical spread) and ``densities`` (the designs' unit CDFs, the
+tabulated design's inverse CDF) call the one library `KERNEL` that this
+module loads at import.  The kernel is built once per source and flags,
+with the system C compiler ``cc``, into a file next to the source, and
+each import that loads it removes the builds of other sources there.
+Where it cannot be built or loaded, the import raises
+`KernelUnavailableError`.
 
 The kernels read and write raw memory, so every array reaches them through
 `address`, which hands over the address of its data only when it has the
@@ -77,10 +78,11 @@ def _load_kernel():
     lib.iso_fit.argtypes = [ptr, i64, ptr, ptr, ptr]
     lib.emp_spread.argtypes = [ptr, i64, ctypes.c_double, ptr, i64, ptr]
     lib.tn_round.argtypes = lib.tn_mass.argtypes = [ptr]
-    lib.tab_cdf.argtypes = lib.tab_ppf.argtypes = [ptr, i64, ptr, i64, ptr]
+    lib.unit_cdf.argtypes = [ptr, ptr, ptr, i64, ptr]
+    lib.tab_ppf.argtypes = [ptr, i64, ptr, i64, ptr]
     lib.lse_roots.restype = lib.lse_clip.restype = lib.iso_fit.restype = None
     lib.emp_spread.restype = lib.tn_mass.restype = None
-    lib.tab_cdf.restype = lib.tab_ppf.restype = None
+    lib.unit_cdf.restype = lib.tab_ppf.restype = None
     lib.tn_round.restype = i64
     return lib
 

@@ -1,11 +1,13 @@
 /* The two passes of the Lipschitz LSE, the isotonic fit, the empirical
- * spread, the rounds of the t_n solve and a tabulated design's CDF and
- * inverse CDF in C.  Their references in tests/kernel_reference.py
- * (stack_roots and clip_roots, pava, search, numpy_rounds, tabulated_cdf
- * and tabulated_ppf) do the same float operations in the same order, so
- * that built with -O2 -std=c99 -ffp-contract=off (no fused multiply-add,
- * no fast-math) these give the references' bits.
- *
+ * spread, the closed-form designs' unit CDFs, a tabulated design's inverse
+ * CDF and the rounds of the t_n solve, which evaluate the design's unit
+ * CDF here too, in C.  Their references in tests/kernel_reference.py
+ * (stack_roots and clip_roots, pava, search, unit_cdf with example3_cdf
+ * and tabulated_cdf, tabulated_ppf, numpy_rounds) do the same float
+ * operations in the same order, so that built with -O2 -std=c99
+ * -ffp-contract=off (no fused multiply-add, no fast-math) these give the
+ * references' bits.  Power and cube roots stay in numpy, whose SIMD loops
+ * round differently from libm's pow and cbrt. *
  * The knots live in one buffer of 2n + 1 (position, value) pairs from the
  * caller: the left stack grows up from k[0], the right stack down from
  * k[2n], so the buffer holds the knots in order with a gap at the root.
@@ -221,28 +223,171 @@ void emp_spread(const double *p, int64_t n, double log_n, const double *xs, int6
     }
 }
 
-/* The t_n solve works on a buffer s that starts with five doubles: n, k
- * (the points still solving), the round, the threshold log n / n and its
- * cube root (the secant's target).  So each call takes one argument, and
- * ctypes converts one.  Rows of n doubles follow, row r at s + 5 + r n.  X
- * holds the solve's points, and each solved t in place of its point.  The
- * rows from IDX to BEFORE hold, for each point still solving, compacted to
- * the row's front in order: its index in X (as a double), half, est (the
- * cube root of half the threshold before round 0), lo, hi and before.  For
- * the k points of a round, E (4 rows) holds the clipped ends x + a, x + b,
- * x - a, x - b, then their unit-CDF values, then g(a), g(b) (2k) followed
- * by their cube roots (2k).  Numpy fills the cube roots in the header and
- * EST and evaluates the cube roots, whose bits come from its own loops;
- * the caller evaluates the design's unit CDF (tab_cdf below for a
- * tabulated design). */
-enum { X, IDX, HALF, EST, LO, HI, BEFORE, E };
-#define ROW(r) (s + 5 + (r) * (int64_t)s[0])
-
 /* np.maximum and np.minimum: a NaN propagates, and a tie returns b; past
  * the NaN test each is one compare-and-select the compiler can emit as one
  * instruction */
 static double np_max(double a, double b) { return a != a ? a : a > b ? a : b; }
 static double np_min(double a, double b) { return a != a ? a : a < b ? a : b; }
+
+/* A tabulated design's table tab holds four rows of m doubles: its grid g
+ * (strictly ascending in [0, 1]), its renormalized node values v, the CDF
+ * at each node cum, and each segment's slope (m - 1, then one unused).
+ * Both searches count nodes as np.searchsorted does, by a bisection whose
+ * steps select the next base instead of branching, which compilers emit
+ * as conditional moves: which segment a point falls in is not
+ * predictable. */
+
+/* The unit CDF at x: the numpy body of kernel_reference.tabulated_cdf, x
+ * clamped to [g[0], g[m - 1]], its segment np.searchsorted(g, x,
+ * side="right") - 1 clipped to [0, m - 2], then the trapezoid integral
+ * from the nearer node.  A NaN x stays NaN, and the search puts it past
+ * every node, as numpy's sort order does. */
+static double tab_at(const double *tab, int64_t m, double x)
+{
+    const double *g = tab, *v = tab + m, *cum = tab + 2 * m, *slope = tab + 3 * m, *b = g;
+    double xi = np_min(g[m - 1], np_max(g[0], x)), dx, r;
+    int64_t len = m, i;
+    while (len > 1) {  /* b: the last node not above xi, or g */
+        b = xi < b[len / 2] ? b : b + len / 2;
+        len -= len / 2;
+    }
+    i = (b - g) + !(xi < *b) - 1;  /* the count of nodes not above xi, less one */
+    i = i < 0 ? 0 : i > m - 2 ? m - 2 : i;
+    dx = xi - g[i];
+    r = g[i + 1] - xi;
+    return r < dx ? cum[i + 1] - (v[i + 1] * r - 0.5 * slope[i] * (r * r))
+                  : cum[i] + v[i] * dx + 0.5 * slope[i] * (dx * dx);
+}
+
+/* A design's unit CDF as a tree of nodes, written in one array of doubles
+ * in prefix order: each node's kind, its numbers, then a mixture's two
+ * components.  Each kind does the float operations of its numpy body in
+ * kernel_reference.unit_cdf, in the same order:
+ *   UNIFORM    the point itself;
+ *   EXAMPLE3   phi, ramp, f14, f34: the left ramp, the level and the
+ *              right ramp, split at 1/4 and 3/4;
+ *   TABULATED  m, then the (4, m) table of tab_at;
+ *   MIXTURE    w, then P's tree and Q's: w * F_P + (1.0 - w) * F_Q;
+ *   LEAF       a CDF the kernel does not know (a power design's np.power,
+ *              whose bits libm's pow does not share), which numpy
+ *              evaluated into a row of leaf values.
+ * The leaves' rows are in the order of the LEAF nodes.  The tree is walked
+ * once per block of up to BLOCK points, so that each node's loop runs
+ * over a block and a mixture holds its Q values in one block on the
+ * stack. */
+enum { UNIFORM, EXAMPLE3, TABULATED, MIXTURE, LEAF };
+enum { BLOCK = 256 };
+
+/* The unit CDF of the tree at *tree, which then points past it, at the n
+ * <= BLOCK points x: the values in out, or where they already are (x for
+ * a uniform node, *leaf for a leaf, which moves *leaf stride doubles on,
+ * to the next leaf's row).  Returns where the values are. */
+static const double *tree_cdf(const double **tree, const double **leaf, int64_t stride,
+                              const double *x, int64_t n, double *out)
+{
+    const double *c = *tree, *fp, *fq;
+    /* a node's numbers in locals: the compiler cannot tell that out and c
+     * do not overlap, and would read them again after each store */
+    double q[BLOCK], v, w, phi, ramp, f14, f34;
+    int64_t i, m;
+    switch ((int)c[0]) {
+    case UNIFORM:
+        *tree = c + 1;
+        return x;
+    case EXAMPLE3:  /* np.where(x <= 0.25, left, np.where(x <= 0.75, mid, right)) */
+        phi = c[1];
+        ramp = c[2];
+        f14 = c[3];
+        f34 = c[4];
+        *tree = c + 5;
+        for (i = 0; i < n; i++) {
+            v = x[i];
+            if (v <= 0.25)
+                out[i] = phi * v + ramp * (v / 4.0 - v * v / 2.0);
+            else if (v <= 0.75)
+                out[i] = f14 + phi * (v - 0.25);
+            else {
+                v -= 0.75;
+                out[i] = f34 + phi * v + ramp / 2.0 * (v * v);
+            }
+        }
+        return out;
+    case TABULATED:
+        m = (int64_t)c[1];
+        *tree = c + 2 + 4 * m;
+        for (i = 0; i < n; i++)
+            out[i] = tab_at(c + 2, m, x[i]);
+        return out;
+    case MIXTURE:  /* Q's values never land in out, which P's may fill */
+        w = c[1];
+        *tree = c + 2;
+        fp = tree_cdf(tree, leaf, stride, x, n, out);
+        fq = tree_cdf(tree, leaf, stride, x, n, q);
+        for (i = 0; i < n; i++)
+            out[i] = w * fp[i] + (1.0 - w) * fq[i];
+        return out;
+    default:  /* LEAF */
+        *tree = c + 1;
+        fp = *leaf;
+        *leaf += stride;
+        return fp;
+    }
+}
+
+/* The unit CDF of the given tree at the n points x into out; leaf j's
+ * value at point t is leaf[j n + t]. */
+void unit_cdf(const double *tree, const double *leaf, const double *x, int64_t n, double *out)
+{
+    for (int64_t t = 0; t < n; t += BLOCK) {
+        const double *c = tree, *l = leaf + t, *f;
+        int64_t b = n - t < BLOCK ? n - t : BLOCK;
+        f = tree_cdf(&c, &l, n, x + t, b, out + t);
+        if (f != out + t)
+            memcpy(out + t, f, b * sizeof *out);
+    }
+}
+
+/* The inverse CDF at the n levels u (each in [0, 1]) into out: the numpy
+ * body of kernel_reference.tabulated_ppf, the segment
+ * np.searchsorted(cum, u) - 1 clipped to [0, m - 2], then the root of the
+ * segment's quadratic in the form that does not cancel. */
+void tab_ppf(const double *tab, int64_t m, const double *u, int64_t n, double *out)
+{
+    const double *g = tab, *v = tab + m, *cum = tab + 2 * m, *slope = tab + 3 * m;
+    for (int64_t t = 0; t < n; t++) {
+        double du, den, dx;
+        const double *b = cum;
+        int64_t len = m, i;
+        while (len > 1) {  /* b: the last node mass below u, or cum */
+            b = b[len / 2] < u[t] ? b + len / 2 : b;
+            len -= len / 2;
+        }
+        i = (b - cum) + (*b < u[t]) - 1;  /* the count of masses below u, less one */
+        i = i < 0 ? 0 : i > m - 2 ? m - 2 : i;
+        du = np_max(u[t] - cum[i], 0.0);
+        den = v[i] + sqrt(np_max(v[i] * v[i] + 2.0 * slope[i] * du, 0.0));
+        dx = den > 0.0 ? 2.0 * du / den : 0.0;
+        out[t] = np_min(g[i] + dx, g[i + 1]);
+    }
+}
+
+/* The t_n solve works on a buffer s that starts with six doubles: n, k
+ * (the points still solving), the round, the threshold log n / n, its
+ * cube root (the secant's target) and L, the leaves of the design's unit
+ * CDF.  So each call takes one argument, and ctypes converts one.  Rows of
+ * n doubles follow, row r at s + 6 + r n.  X holds the solve's points, and
+ * each solved t in place of its point.  The rows from IDX to BEFORE hold,
+ * for each point still solving, compacted to the row's front in order: its
+ * index in X (as a double), half, est (the cube root of half the threshold
+ * before round 0), lo, hi and before.  For the k points of a round, E (4
+ * rows) holds the clipped ends x + a, x + b, x - a, x - b, then g(a), g(b)
+ * (2k) followed by their cube roots (2k).  Each leaf has the next 4 rows,
+ * whose first 4k doubles hold its CDF at E's ends, and the tree of the
+ * unit CDF (see tree_cdf) follows the last of them.  Numpy fills the
+ * header, X, EST, the tree, the leaves' rows and the cube roots, whose
+ * bits come from its own loops. */
+enum { X, IDX, HALF, EST, LO, HI, BEFORE, E, LEAVES = E + 4 };
+#define ROW(r) (s + 6 + (r) * (int64_t)s[0])
 
 /* kernel_reference.next_float: the neighbouring integer of x's bit pattern */
 static double next_float(double x, int64_t step)
@@ -331,73 +476,27 @@ int64_t tn_round(double *s)
 }
 
 /* g = pair^2 max(F(x + pair) - F(x - pair), 0.0) for the k points' pairs,
- * from the unit-CDF values in E, into E's first 2k: the loop's
- * `interval_mass`.  Each entry is read before it is written. */
+ * the unit CDF F evaluated on the ends in E by its tree and its leaves'
+ * rows, a block of points at a time, into E's first 2k: the loop's
+ * `interval_mass`.  A block's ends are read before its entries are
+ * written. */
 void tn_mass(double *s)
 {
-    int64_t k = (int64_t)s[1];
+    int64_t n = (int64_t)s[0], k = (int64_t)s[1], i, j, t, nb;
     const double *lo = ROW(LO), *hi = ROW(HI), *est = ROW(EST), *half = ROW(HALF);
-    double *e = ROW(E), a, b;
-    for (int64_t i = 0; i < k; i++) {
-        pair(lo[i], hi[i], est[i], half[i], &a, &b);
-        e[i] = a * a * np_max(e[i] - e[2 * k + i], 0.0);
-        e[k + i] = b * b * np_max(e[k + i] - e[3 * k + i], 0.0);
-    }
-}
-
-/* A tabulated design's table tab holds four rows of m doubles: its grid g
- * (strictly ascending in [0, 1]), its renormalized node values v, the CDF
- * at each node cum, and each segment's slope (m - 1, then one unused).
- * Both kernels count nodes as np.searchsorted does, by a bisection whose
- * steps select the next base instead of branching, which compilers emit
- * as conditional moves: which segment a point falls in is not
- * predictable. */
-
-/* The unit CDF at the n points x into out: the numpy body of
- * kernel_reference.tabulated_cdf, x clamped to [g[0], g[m - 1]], its
- * segment np.searchsorted(g, x, side="right") - 1 clipped to [0, m - 2],
- * then the trapezoid integral from the nearer node.  A NaN x stays NaN,
- * and the search puts it past every node, as numpy's sort order does. */
-void tab_cdf(const double *tab, int64_t m, const double *x, int64_t n, double *out)
-{
-    const double *g = tab, *v = tab + m, *cum = tab + 2 * m, *slope = tab + 3 * m;
-    for (int64_t t = 0; t < n; t++) {
-        double xi = np_min(g[m - 1], np_max(g[0], x[t])), dx, r;
-        const double *b = g;
-        int64_t len = m, i;
-        while (len > 1) {  /* b: the last node not above xi, or g */
-            b = xi < b[len / 2] ? b : b + len / 2;
-            len -= len / 2;
+    const double *leaf = ROW(LEAVES), *tree = ROW(LEAVES + 4 * (int64_t)s[5]), *c, *l, *f[4];
+    double *e = ROW(E), out[4][BLOCK], a, b;
+    for (t = 0; t < k; t += BLOCK) {
+        nb = k - t < BLOCK ? k - t : BLOCK;
+        for (j = 0; j < 4; j++) {  /* F at x + a, x + b, x - a, x - b */
+            c = tree;
+            l = leaf + j * k + t;
+            f[j] = tree_cdf(&c, &l, 4 * n, e + j * k + t, nb, out[j]);
         }
-        i = (b - g) + !(xi < *b) - 1;  /* the count of nodes not above xi, less one */
-        i = i < 0 ? 0 : i > m - 2 ? m - 2 : i;
-        dx = xi - g[i];
-        r = g[i + 1] - xi;
-        out[t] = r < dx ? cum[i + 1] - (v[i + 1] * r - 0.5 * slope[i] * (r * r))
-                        : cum[i] + v[i] * dx + 0.5 * slope[i] * (dx * dx);
-    }
-}
-
-/* The inverse CDF at the n levels u (each in [0, 1]) into out: the numpy
- * body of kernel_reference.tabulated_ppf, the segment
- * np.searchsorted(cum, u) - 1 clipped to [0, m - 2], then the root of the
- * segment's quadratic in the form that does not cancel. */
-void tab_ppf(const double *tab, int64_t m, const double *u, int64_t n, double *out)
-{
-    const double *g = tab, *v = tab + m, *cum = tab + 2 * m, *slope = tab + 3 * m;
-    for (int64_t t = 0; t < n; t++) {
-        double du, den, dx;
-        const double *b = cum;
-        int64_t len = m, i;
-        while (len > 1) {  /* b: the last node mass below u, or cum */
-            b = b[len / 2] < u[t] ? b + len / 2 : b;
-            len -= len / 2;
+        for (i = 0; i < nb; i++) {  /* f may point into e: each entry read before it is written */
+            pair(lo[t + i], hi[t + i], est[t + i], half[t + i], &a, &b);
+            e[t + i] = a * a * np_max(f[0][i] - f[2][i], 0.0);
+            e[k + t + i] = b * b * np_max(f[1][i] - f[3][i], 0.0);
         }
-        i = (b - cum) + (*b < u[t]) - 1;  /* the count of masses below u, less one */
-        i = i < 0 ? 0 : i > m - 2 ? m - 2 : i;
-        du = np_max(u[t] - cum[i], 0.0);
-        den = v[i] + sqrt(np_max(v[i] * v[i] + 2.0 * slope[i] * du, 0.0));
-        dx = den > 0.0 ? 2.0 * du / den : 0.0;
-        out[t] = np_min(g[i] + dx, g[i + 1]);
     }
 }

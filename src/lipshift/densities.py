@@ -14,11 +14,20 @@ itself.  Supported families:
   ``phi = min(1, n^(-1/4) log n)`` on the middle interval and linear ramps
   of slope 16(1 - phi) toward the endpoints.
 * ``tabulated`` -- piecewise-linear density between grid nodes with exact
-  trapezoid CDF (values are renormalized to total mass one); its CDF and
-  inverse CDF run in the C library that ``_kernel`` loads (``tab_cdf``,
-  ``tab_ppf`` in ``_sweep.c``), which gives the bits of the numpy bodies
-  they replaced, kept in ``tests/kernel_reference.py`` as references.
+  trapezoid CDF (values are renormalized to total mass one); its inverse
+  CDF runs in the C library that ``_kernel`` loads (``tab_ppf`` in
+  ``_sweep.c``).
 * ``mixture`` -- convex combination of two existing distributions.
+
+The unit CDFs of the example3, tabulated and mixture designs are one
+evaluator in that library, ``unit_cdf``, which reads a design's CDF as a
+tree of nodes (`_KernelCdf`; the uniform design's, the point itself, is a
+node that Python evaluates without it); a power design's CDF, ``np.power``,
+stays in numpy, whose bits libm's ``pow`` does not share, and enters a
+mixture's tree as a leaf, as does any other unit CDF.  The t_n solve of
+``spread`` evaluates the same tree.  The kernels give the bits of the
+numpy bodies they replaced, kept in ``tests/kernel_reference.py`` as
+references.
 
 Every inverse CDF is closed form and rejects NaN and levels outside [0, 1].
 The mixture's `ppf` raises: a mixture is drawn by composition instead.
@@ -104,8 +113,48 @@ def _clip01(x):
     return np.minimum(1.0, np.maximum(0.0, np.asarray(x, float)))
 
 
+# the node kinds of a unit CDF's tree, numbered as in ``_sweep.c``
+_UNIFORM, _EXAMPLE3, _TABULATED, _MIXTURE, _LEAF = range(5)
+
+
+class _KernelCdf:
+    """A unit CDF that the C kernel evaluates (``unit_cdf`` in ``_sweep.c``).
+
+    ``tree`` holds its nodes in prefix order as one float array: a node's
+    kind, its numbers, then a mixture's two components.  ``leaves`` are the
+    unit CDFs the kernel does not know, in the order of their leaf nodes:
+    numpy evaluates each into a row that the kernel reads.  The t_n solve
+    reads both from the design's unit CDF, so it evaluates this one."""
+
+    __slots__ = ("tree", "leaves")
+
+    def __init__(self, tree, leaves):
+        self.tree, self.leaves = np.array(tree, float), tuple(leaves)
+
+    def __call__(self, x):
+        x = np.asarray(x, float)
+        if self.tree[0] == _UNIFORM:  # the point itself, with no kernel call
+            return x
+        xs, out, n = x.ravel(), np.empty(x.shape), x.size
+        rows = np.empty((len(self.leaves), n))
+        for row, f in zip(rows, self.leaves):
+            row[...] = f(xs)
+        KERNEL.unit_cdf(address(self.tree, self.tree.shape), address(rows, (len(self.leaves), n)),
+                        address(xs, (n,)), n, address(out, x.shape))
+        return out
+
+
+def _cdf_tree(cdf):
+    """(tree, leaves) of the unit CDF cdf: its own for a `_KernelCdf`; any
+    other function is one leaf."""
+    if isinstance(cdf, _KernelCdf):
+        return cdf.tree, cdf.leaves
+    return np.array([_LEAF], float), (cdf,)
+
+
 def uniform() -> DesignDistribution:
-    return DesignDistribution("uniform", lambda x: 1.0, lambda x: x, _levels, sup_density=1.0)
+    return DesignDistribution("uniform", lambda x: 1.0, _KernelCdf([_UNIFORM], ()), _levels,
+                              sup_density=1.0)
 
 
 def power(alpha: float) -> DesignDistribution:
@@ -146,13 +195,6 @@ def example3(n: int) -> DesignDistribution:
     def unit_density(x):
         return phi + ramp * np.maximum(np.maximum(0.25 - x, 0.0), x - 0.75)
 
-    def unit_cdf(x):
-        left = phi * x + ramp * (x / 4.0 - x**2 / 2.0)
-        mid = f14 + phi * (x - 0.25)
-        s = x - 0.75
-        right = f34 + phi * s + (ramp / 2.0) * s**2
-        return np.where(x <= 0.25, left, np.where(x <= 0.75, mid, right))
-
     def ppf(u):
         u = _levels(u)
         if phi >= 1.0:
@@ -168,8 +210,9 @@ def example3(n: int) -> DesignDistribution:
         right = 0.75 + (-phi + np.sqrt(disc_r)) / (2.0 * a)
         return np.where(u <= f14, left, np.where(u <= f34, mid, right))
 
-    return DesignDistribution("example3", unit_density, unit_cdf, ppf, {"n": int(n), "phi": phi},
-                              sup_density=phi + ramp / 4.0)
+    return DesignDistribution("example3", unit_density,
+                              _KernelCdf([_EXAMPLE3, phi, ramp, f14, f34], ()), ppf,
+                              {"n": int(n), "phi": phi}, sup_density=phi + ramp / 4.0)
 
 
 def tabulated(grid, values) -> DesignDistribution:
@@ -184,8 +227,9 @@ def tabulated(grid, values) -> DesignDistribution:
     dx = 2 (u - cum[i]) / (v_i + sqrt(v_i^2 + 2 s (u - cum[i]))), which has
     no cancellation for either sign of s.  At the mass of a zero-density
     stretch this gives the stretch's left end, the smallest x with
-    cdf(x) >= u.  Both run in C (``tab_cdf``, ``tab_ppf``), on one table of
-    the grid, the values, the node masses cum and the slopes.
+    cdf(x) >= u.  Both run in C (a tabulated node of ``unit_cdf``,
+    ``tab_ppf``), on one table of the grid, the values, the node masses cum
+    and the slopes.
     """
     g = np.asarray(grid, float)
     v = np.asarray(values, float)
@@ -202,19 +246,21 @@ def tabulated(grid, values) -> DesignDistribution:
     if not 0.0 < mass < np.inf:
         raise InvalidParameterError(f"tabulated density must have a finite mass > 0, got {mass}")
     v = v / mass
-    table = _tabulated_table(g, v)
+    m, table = g.size, _tabulated_table(g, v)
 
     def unit_density(x):
         return np.where((x < g[0]) | (x > g[-1]), 0.0, np.interp(x, g, v))
 
-    def unit_cdf(x):
-        return _tabulated_kernel(KERNEL.tab_cdf, table, np.asarray(x, float))
-
     def ppf(u):
-        return _tabulated_kernel(KERNEL.tab_ppf, table, _levels(u))
+        u = _levels(u)
+        us, out = u.ravel(), np.empty(u.shape)
+        KERNEL.tab_ppf(address(table, (4, m)), m, address(us, (us.size,)), us.size,
+                       address(out, u.shape))
+        return out
 
-    return DesignDistribution("tabulated", unit_density, unit_cdf, ppf, {"grid": g, "values": v},
-                              sup_density=float(v.max()))
+    return DesignDistribution("tabulated", unit_density,
+                              _KernelCdf(np.concatenate([[_TABULATED, m], table.ravel()]), ()), ppf,
+                              {"grid": g, "values": v}, sup_density=float(v.max()))
 
 
 def _tabulated_table(g, v):
@@ -226,32 +272,22 @@ def _tabulated_table(g, v):
     return np.stack([g, v, cum, np.append(np.diff(v) / np.diff(g), 0.0)])
 
 
-def _tabulated_kernel(entry, table, x):
-    """``KERNEL.tab_cdf`` or ``tab_ppf`` (entry) of the design's table at
-    each point of x, a float64 array, as an array shaped like x.  The
-    kernels read past a table of one node: `tabulated`, which builds every
-    table, refuses fewer than 2."""
-    m, xs, out = table.shape[-1], x.ravel(), np.empty(x.shape)
-    entry(address(table, (4, m)), m, address(xs, (xs.size,)), xs.size, address(out, x.shape))
-    return out
-
-
 def mixture(p: DesignDistribution, q: DesignDistribution, weight_p: float) -> DesignDistribution:
     """Convex combination weight_p * P + (1 - weight_p) * Q."""
     if not 0.0 <= weight_p <= 1.0:
         raise InvalidParameterError(f"mixture weight must be in [0, 1], got {weight_p}")
     w = float(weight_p)
+    (p_tree, p_leaves), (q_tree, q_leaves) = _cdf_tree(p.unit_cdf), _cdf_tree(q.unit_cdf)
 
     def unit_density(x):
         return w * p.unit_density(x) + (1.0 - w) * q.unit_density(x)
 
-    def unit_cdf(x):
-        return w * p.unit_cdf(x) + (1.0 - w) * q.unit_cdf(x)
-
     def ppf(u):
         raise InvalidParameterError("a mixture has no inverse CDF: draw it with `densities.sample`")
 
-    return DesignDistribution("mixture", unit_density, unit_cdf, ppf,
+    return DesignDistribution("mixture", unit_density,
+                              _KernelCdf(np.concatenate([[_MIXTURE, w], p_tree, q_tree]),
+                                         p_leaves + q_leaves), ppf,
                               {"weight_p": w, "p": p, "q": q},
                               sup_density=w * p.sup_density + (1.0 - w) * q.sup_density)
 

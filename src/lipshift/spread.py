@@ -9,8 +9,10 @@ nondecreasing, so a bracket [lo, hi] with g(lo) < log n / n <= g(hi) (or
 hi = 1) pins the (smallest, hence the) solution.  `SpreadFunction.at`
 shrinks that bracket with paired secant steps on g^(1/3) until lo and hi are
 adjacent floats, by one path for one point and for many.  Its rounds run in
-the C library that ``_kernel`` loads; the cube root stays in numpy, whose
-bits come from its own loops, and the CDF with the design.  The empirical
+the C library that ``_kernel`` loads, and so does the design's unit CDF
+wherever the library knows its form: the cube root stays in numpy, whose
+bits come from its own loops, and so does a power design's ``np.power``, a
+leaf of the CDF that numpy evaluates once per round.  The empirical
 version finds its crossing index by counting sample points within each
 candidate distance and selects one order statistic of the distances, both
 over the sorted sample and exact, in the C library too; each buffer
@@ -27,7 +29,7 @@ import math
 import numpy as np
 
 from ._kernel import KERNEL, address
-from .densities import DesignDistribution, _is_finite, _is_int
+from .densities import DesignDistribution, _cdf_tree, _is_finite, _is_int
 from .errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -43,8 +45,13 @@ __all__ = [
 
 
 def _finite(x):
-    """x as a float array; NaN or infinite points are rejected."""
-    x = np.asarray(x, float)
+    """x as a float array; points that are not bools, integers or floats
+    (strings, complex numbers, objects), NaN and infinite points are
+    rejected."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuf":
+        raise InvalidInputError(f"spread evaluated at points of dtype {x.dtype}, not numbers")
+    x = x.astype(float, copy=False)
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("spread evaluated at a NaN or infinite point")
     return x
@@ -61,6 +68,8 @@ class SpreadFunction:
         self.threshold = np.log(n) / n
         # every solve's secant target and first estimate, the root for p = 1
         self._level, self._first = np.cbrt(self.threshold), np.cbrt(0.5 * self.threshold)
+        # the tree of the unit CDF itself, so that a replaced one is what gets solved
+        self._tree, self._leaves = _cdf_tree(distribution.unit_cdf)
 
     def at(self, x):
         """Solve the defining equation by a bracketed paired secant; vectorized.
@@ -86,12 +95,14 @@ class SpreadFunction:
 
         The rounds run in the C kernel (``tn_round``, ``tn_mass`` in
         ``_sweep.c``), so a point gets the same iterates and the same bits,
-        alone or among others.  Two calls stay outside it: the design's
-        unit CDF on the clipped interval ends (numpy's, or ``tab_cdf`` of
-        the same library for a tabulated design) and np.cbrt on g, whose
-        bits come from numpy's own loops (libm's pow and cbrt differ from
-        them in the last bit at many points).  The result is a float
-        for a 0-d x and an array shaped like x otherwise.
+        alone or among others; ``tn_mass`` evaluates the design's unit CDF
+        on the clipped interval ends from its tree of nodes.  Outside it
+        stay np.cbrt on g and each leaf of that tree (a power design's
+        np.power, or a unit CDF the kernel does not know), one call per
+        round each, whose bits come from numpy's own loops (libm's pow and
+        cbrt differ from them in the last bit at many points); a design
+        without a power component makes no Python CDF call.  The result is
+        a float for a 0-d x and an array shaped like x otherwise.
         """
         if isinstance(x, float) and math.isfinite(x):  # numpy's float64 is one
             return float(self._at_points(np.array([x]))[0])
@@ -103,25 +114,31 @@ class SpreadFunction:
         """`at` for a 1-d float64 array of points, solved together.
 
         The rounds are elementwise, so a point gets the bits of a solve for
-        it alone.  The kernel keeps the state in one buffer (see
-        ``tn_round``); each round makes one unit-CDF call, one np.cbrt call
-        and two kernel calls, on views that change only when points finish.
-        The result owns its memory."""
-        cdf, n = self.distribution.unit_cdf, x.size
-        s = np.empty(5 + 11 * n)
-        # n, the points still solving, the round, and the threshold with its
-        # cube root, the secant's target
-        s[:5] = n, n, 0, self.threshold, self._level
-        row = s[5:].reshape(11, n)  # the rows of ``tn_round``
+        it alone.  The kernel keeps the state, the leaves' rows and the
+        CDF's tree in one buffer (see ``tn_round``); each round makes one
+        call per leaf, one np.cbrt call and two kernel calls, on views that
+        change only when points finish.  The result owns its memory."""
+        tree, leaves, n = self._tree, self._leaves, x.size
+        lead, rows = 6 + 11 * n, 11 + 4 * len(leaves)  # the first leaf row, all rows
+        s = np.empty(6 + rows * n + tree.size)
+        # n, the points still solving, the round, the threshold with its cube
+        # root, the secant's target, and the number of leaves; the tree last
+        s[:6] = n, n, 0, self.threshold, self._level, len(leaves)
+        s[6 + rows * n:] = tree
+        row = s[6:lead].reshape(11, n)  # the rows of ``tn_round``
         row[0], row[3] = x, self._first  # the points, the first estimate
-        addr = address(s, (5 + 11 * n,))
-        step, mass, ends, k = KERNEL.tn_round, KERNEL.tn_mass, row[7:].ravel(), 0
+        addr = address(s, (6 + rows * n + tree.size,))
+        step, mass, ends, k, rounds = KERNEL.tn_round, KERNEL.tn_mass, row[7:].ravel(), 0, []
+        leaf = s[lead:lead + 4 * n * len(leaves)].reshape(len(leaves), 4 * n)  # 4 rows each
         while left := step(addr):  # 0 once every point is solved, at round 200 at last
             if left != k:
                 k = left
-                e = ends[:4 * k]  # the ends, their CDF, then g and its cube root
+                e = ends[:4 * k]  # the ends, then g and its cube root
                 g, c = e[:2 * k], e[2 * k:]
-            e[...] = cdf(e)
+                if leaves:
+                    rounds = list(zip(leaves, leaf[:, :4 * k]))
+            for f, values in rounds:  # each leaf's CDF at the ends
+                values[...] = f(e)
             mass(addr)
             np.cbrt(g, out=c)
         return row[0].copy()  # each point's t in its place

@@ -16,9 +16,14 @@ library:
 - `numpy_rounds` and `next_float`: the rounds of ``SpreadFunction.at``
   (``tn_round``, ``tn_mass``, ``next_float``) in numpy, one `interval_mass`
   call per round;
-- `tabulated_cdf` and `tabulated_ppf`: the unit CDF and the inverse CDF of
-  ``densities.tabulated`` (``tab_cdf``, ``tab_ppf``) in numpy, on the
-  design's table of ``densities._tabulated_table``.
+- `unit_cdf`, with `example3_cdf` and `tabulated_cdf`: the unit CDFs of
+  the uniform, example3, tabulated and mixture designs in numpy, the node
+  kinds of ``unit_cdf`` in C (``tree_cdf``, ``tab_at``), which also
+  evaluates them in ``tn_mass``; a power design's ``np.power`` stays the
+  library's own, a leaf of the C tree;
+- `tabulated_ppf`: the inverse CDF of ``densities.tabulated``
+  (``tab_ppf``) in numpy, on the design's table of
+  ``densities._tabulated_table``.
 """
 
 import math
@@ -27,7 +32,7 @@ from itertools import chain, count
 
 import numpy as np
 
-from lipshift.densities import interval_mass
+from lipshift.densities import _tabulated_table, interval_mass
 
 
 def cut(stack, sign, a, b):
@@ -252,9 +257,39 @@ def numpy_rounds(s, x):
     return out
 
 
+def unit_cdf(d, x):
+    """The unit CDF of design d at the float array x in numpy, by d's kind:
+    the bodies that the C tree's nodes replaced, and d's own unit CDF (its
+    np.power) for a power design, a leaf of the tree."""
+    if d.kind == "uniform":
+        return x
+    if d.kind == "example3":
+        return example3_cdf(d.params["phi"], x)
+    if d.kind == "tabulated":
+        return tabulated_cdf(_tabulated_table(d.params["grid"], d.params["values"]), x)
+    if d.kind == "mixture":
+        w, p, q = d.params["weight_p"], d.params["p"], d.params["q"]
+        return w * unit_cdf(p, x) + (1.0 - w) * unit_cdf(q, x)
+    return d.unit_cdf(x)
+
+
+def example3_cdf(phi, x):
+    """The unit CDF of ``densities.example3`` with level phi at the float
+    array x: the left ramp, the level and the right ramp, an EXAMPLE3 node
+    of ``tree_cdf`` in C."""
+    ramp = 16.0 * (1.0 - phi)
+    f14 = phi / 4.0 + (1.0 - phi) / 2.0
+    f34 = f14 + phi / 2.0
+    left = phi * x + ramp * (x / 4.0 - x**2 / 2.0)
+    mid = f14 + phi * (x - 0.25)
+    s = x - 0.75
+    right = f34 + phi * s + (ramp / 2.0) * s**2
+    return np.where(x <= 0.25, left, np.where(x <= 0.75, mid, right))
+
+
 def tabulated_cdf(table, x):
     """The unit CDF of the tabulated design with table (grid, values, node
-    masses, slopes) at the float array x, ``tab_cdf`` in C: x clamped to the
+    masses, slopes) at the float array x, ``tab_at`` in C: x clamped to the
     support, then the integral from the nearer node of its segment."""
     g, v, cum, slope = table
     x = np.minimum(g[-1], np.maximum(g[0], x))

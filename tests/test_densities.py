@@ -202,6 +202,55 @@ def test_tabulated_kernels_match_numpy_reference(nodes, seed, zeros, ends):
     assert np.array_equal(_bits(d.ppf(u)), _bits(kernel_reference.tabulated_ppf(table, u)))
 
 
+def _component(kind, seed):
+    """A design of the given kind for the C evaluator's tests, its numbers
+    drawn from seed: power and example3 exponents and sizes, or a tabulated
+    design on up to 24 random nodes with zero-density stretches."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return densities.uniform()
+    if kind == "power":
+        return densities.power(float(rng.choice([0.5, 1.0, 2.0, rng.uniform(0.1, 6.0)])))
+    if kind == "example3":
+        return densities.example3(int(rng.integers(3, 10**12)))
+    lo, hi = rng.choice([(0.0, 1.0), (0.1, 0.9), tuple(np.sort(rng.random(2)))])
+    grid = np.unique(np.concatenate([[lo, hi], rng.uniform(lo, hi, int(rng.integers(0, 23)))]))
+    values = rng.uniform(0.0, 3.0, grid.size)
+    values[rng.random(grid.size) < 0.3] = 0.0
+    values[grid.size // 2] = 1.0  # a mass > 0 on every grid of two nodes or more
+    return densities.tabulated(grid, values)
+
+
+COMPONENTS = ["uniform", "power", "example3", "tabulated"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kinds=st.lists(st.sampled_from(COMPONENTS), min_size=3, max_size=3),
+       seed=st.integers(0, 2**32 - 1),
+       weights=st.lists(st.sampled_from([0.0, 0.3, 0.6, 1.0, 16384 / 17408]) | st.floats(0.0, 1.0),
+                        min_size=2, max_size=2),
+       nested_left=st.booleans())
+def test_kernel_cdf_matches_numpy_reference(kinds, seed, weights, nested_left):
+    # the C evaluator gives the bits of the numpy bodies it replaced for
+    # every node kind alone and in mixtures nested two deep, power leaves
+    # included: at 0.25 and 0.75 (where example3 changes piece) and their
+    # neighbouring floats, 0, 1, -0.0, NaN and random points, more than the
+    # kernel's two blocks of 256
+    parts = [_component(kind, seed + i) for i, kind in enumerate(kinds)]
+    inner = densities.mixture(parts[0], parts[1], weights[0])
+    designs = parts + [inner, densities.mixture(inner, parts[2], weights[1])
+                       if nested_left else densities.mixture(parts[2], inner, weights[1])]
+    x = np.concatenate([_with_neighbours(np.array([0.25, 0.75])),
+                        [0.0, 1.0, -0.0, np.nan],
+                        np.random.default_rng(seed).random(600)])
+    for d in designs:
+        want = kernel_reference.unit_cdf(d, x)
+        assert np.array_equal(_bits(d.unit_cdf(x)), _bits(want)), d
+        assert np.array_equal(_bits(d.unit_cdf(x.reshape(2, -1))).ravel(), _bits(want)), d
+        assert np.array_equal(_bits(d.cdf(x)), _bits(kernel_reference.unit_cdf(
+            d, np.minimum(1.0, np.maximum(0.0, x))))), d
+
+
 def test_tabulated_ppf_block_memory(traced):
     # one sample block's inverse CDF holds its output and not the numpy
     # body's temporaries (about 56 B per level)

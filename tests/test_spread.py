@@ -86,14 +86,20 @@ def _bits(a):
     return np.asarray(a, float).view(np.int64)
 
 
+TABULATED = densities.tabulated([0.0, 0.2, 0.5, 0.8, 1.0], [1.0, 3.0, 0.5, 2.0, 1.0])
+
 ORACLE_DESIGNS = {
-    "tabulated": densities.tabulated([0.0, 0.2, 0.5, 0.8, 1.0], [1.0, 3.0, 0.5, 2.0, 1.0]),
+    "tabulated": TABULATED,
     "vanishing_tabulated": densities.tabulated([0.0, 0.5, 1.0], [0.0, 2.0, 0.0]),
     "mixture": densities.mixture(densities.power(2.0), densities.uniform(), 0.7),
     "power2": densities.power(2.0),
     "power.5": densities.power(0.5),
     "example3": densities.example3(4096),
     "uniform": densities.uniform(),
+    # every node kind of the kernel's CDF tree, and a power leaf two levels down
+    "nested_mixture": densities.mixture(densities.mixture(densities.power(2.0), TABULATED, 0.3),
+                                        densities.example3(4096), 0.6),
+    "example3_tabulated": densities.mixture(densities.example3(4096), TABULATED, 0.5),
 }
 
 
@@ -186,6 +192,71 @@ def test_paired_secant_mass_evaluations(monkeypatch):
         cdf_calls[0] = 0
         SpreadFunction(counted(d), 4096).at(np.linspace(0.0, 1.0, 2001))
         assert cdf_calls[0] <= 30 and mass_calls[0] == 0
+
+
+def _counting(f, calls):
+    """f, counting its calls in calls[0]."""
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return f(*args, **kwargs)
+    return counted
+
+
+@pytest.mark.parametrize("d", [densities.uniform(), densities.example3(4096), TABULATED,
+                               ORACLE_DESIGNS["example3_tabulated"],
+                               densities.mixture(ORACLE_DESIGNS["example3_tabulated"],
+                                                 densities.uniform(), 0.2)],
+                         ids=["uniform", "example3", "tabulated", "mixture", "nested_mixture"])
+def test_kernel_designs_solve_without_python_cdf_calls(d):
+    # the kernel evaluates these designs' unit CDFs itself: a solve calls no
+    # unit CDF from Python in any of its rounds (counted by np.cbrt calls)
+    cdf_calls, rounds, s = [0], [0], SpreadFunction(d, 4096)
+    with mock.patch.object(densities._KernelCdf, "__call__",
+                           _counting(densities._KernelCdf.__call__, cdf_calls)), \
+            mock.patch.object(spread.np, "cbrt", _counting(np.cbrt, rounds)):
+        t = s.at(np.linspace(0.0, 1.0, 201))
+        one = s.at(0.3)
+    assert cdf_calls[0] == 0 and rounds[0] > 2
+    assert np.array_equal(_bits(t), _bits(numpy_rounds(s, np.linspace(0.0, 1.0, 201))))
+    assert one == numpy_rounds(s, np.array([0.3]))[0]
+
+
+def test_power_leaf_called_once_per_round():
+    # a power component stays numpy's np.power: the one-point solve of
+    # mixture(power(2), uniform) evaluates it once per round, on the 4 ends
+    power_calls, rounds, sizes, np_power = [0], [0], [], np.power
+
+    def power(x, a):
+        power_calls[0] += 1
+        sizes.append(np.size(x))
+        return np_power(x, a)
+
+    s = SpreadFunction(densities.mixture(densities.power(2.0), densities.uniform(), 0.94), 17408)
+    with mock.patch.object(densities.np, "power", power), \
+            mock.patch.object(spread.np, "cbrt", _counting(np.cbrt, rounds)):
+        t = s.at(0.3)
+    assert power_calls[0] == rounds[0] > 2 and set(sizes) == {4}
+    assert t == numpy_rounds(s, np.array([0.3]))[0]
+
+
+def test_replaced_unit_cdf_is_what_gets_solved():
+    # a design built by dataclasses.replace(d, unit_cdf=f) is solved through
+    # f, alone and as a mixture's component, whatever its kind and params say
+    xs = np.linspace(0.0, 1.0, 101)
+    ex3, uni = densities.example3(4096), densities.uniform()
+    as_uniform = dataclasses.replace(ex3, unit_cdf=uni.unit_cdf)
+    assert np.array_equal(SpreadFunction(as_uniform, 4096).at(xs),
+                          SpreadFunction(uni, 4096).at(xs))
+    mixed = densities.mixture(as_uniform, TABULATED, 0.4)
+    assert np.array_equal(SpreadFunction(mixed, 4096).at(xs),
+                          SpreadFunction(densities.mixture(uni, TABULATED, 0.4), 4096).at(xs))
+    for d in (ex3, ORACLE_DESIGNS["nested_mixture"]):
+        calls, rounds = [0], [0]
+        s = SpreadFunction(dataclasses.replace(d, unit_cdf=_counting(d.unit_cdf, calls)), 4096)
+        with mock.patch.object(spread.np, "cbrt", _counting(np.cbrt, rounds)):
+            t = s.at(xs)
+        assert calls[0] == rounds[0] > 2
+        assert np.array_equal(_bits(t), _bits(SpreadFunction(d, 4096).at(xs)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -536,6 +607,37 @@ def test_evaluators_reject_nonfinite_points(bad):
                  lambda: EmpiricalSpread([0.1, bad, 0.9])):
         with pytest.raises(InvalidInputError):
             call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda s, e: s.at("abc"),
+    lambda s, e: s.at("0.5"),
+    lambda s, e: s.at(1 + 2j),
+    lambda s, e: s.at(np.array([0.5, 0.25j])),
+    lambda s, e: s.at([0.5, None]),
+    lambda s, e: s.derivative(1j),
+    lambda s, e: e.at("0.5"),
+    lambda s, e: e.at(1 + 0j),
+    lambda s, e: EmpiricalSpread(["0.1", "0.5", "0.9"]),
+], ids=["at-text", "at-numeric-text", "at-complex", "at-complex-array", "at-object",
+        "derivative-complex", "empirical-at-text", "empirical-at-complex", "empirical-text-points"])
+def test_evaluators_reject_points_that_are_not_numbers(call):
+    # only bools, integers and floats are points: a string is not parsed, and
+    # a complex number is not cut to its real part
+    s = SpreadFunction(densities.uniform(), 100)
+    e = EmpiricalSpread([0.1, 0.5, 0.9])
+    with pytest.raises(InvalidInputError, match="not numbers"):
+        call(s, e)
+
+
+def test_evaluators_take_bools_integers_and_floats():
+    s = SpreadFunction(densities.uniform(), 100)
+    e = EmpiricalSpread(np.array([0, 1, 1], np.int32))
+    assert s.at(True) == s.at(1) == s.at(np.int64(1)) == s.at(1.0)
+    assert s.at(np.float32(0.5)) == s.at(0.5)
+    assert np.array_equal(s.at(np.array([0, 1], np.uint8)), s.at(np.array([0.0, 1.0])))
+    assert s.derivative(np.float32(0.5)) == s.derivative(0.5)
+    assert e.at(True) == e.at(1.0) == EmpiricalSpread([0.0, 1.0, 1.0]).at(1.0)
 
 
 # --- derivative ---------------------------------------------------------
