@@ -1,6 +1,6 @@
 """The C kernels of ``_sweep.c``, built and loaded once for every module.
 
-``lipfit`` (the LSE sweep, PAVA), ``spread`` (the t_n rounds, the
+``lipfit`` (the LSE sweep, PAVA), ``spread`` (the t_n solve, the
 empirical spread) and ``densities`` (the designs' unit CDFs, the
 tabulated design's inverse CDF) call the one library `KERNEL` that this
 module loads at import.  The kernel is built once per source and flags,
@@ -24,8 +24,9 @@ import numpy as np
 
 from .errors import KernelUnavailableError
 
-# fixed, so that every add, multiply and divide rounds as Python's do
-_CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
+# fixed, so that every add, multiply and divide rounds as Python's do; libm
+# last, after the source, for the solve's cbrt
+_CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared", "-lm")
 
 
 def _remove_stale_builds(path):
@@ -58,7 +59,7 @@ def _load_kernel():
             import subprocess
             tmp = f"{source[:-2]}-{key:08x}-{os.getpid()}.so"
             try:
-                proc = subprocess.run(["cc", *_CFLAGS, "-o", tmp, source],
+                proc = subprocess.run(["cc", "-o", tmp, source, *_CFLAGS],
                                       capture_output=True, text=True)
                 if proc.returncode:
                     raise OSError(f"cc exited {proc.returncode}: {proc.stderr.strip()}")
@@ -77,13 +78,12 @@ def _load_kernel():
     lib.lse_clip.argtypes = [ptr, ptr, i64]
     lib.iso_fit.argtypes = [ptr, i64, ptr, ptr, ptr]
     lib.emp_spread.argtypes = [ptr, i64, ctypes.c_double, ptr, i64, ptr]
-    lib.tn_round.argtypes = lib.tn_mass.argtypes = [ptr]
-    lib.unit_cdf.argtypes = [ptr, ptr, ptr, i64, ptr]
+    lib.tn_solve.argtypes = [ptr]
+    lib.unit_cdf.argtypes = [ptr, ptr, i64, i64]
     lib.tab_ppf.argtypes = [ptr, i64, ptr, i64, ptr]
     lib.lse_roots.restype = lib.lse_clip.restype = lib.iso_fit.restype = None
-    lib.emp_spread.restype = lib.tn_mass.restype = None
-    lib.unit_cdf.restype = lib.tab_ppf.restype = None
-    lib.tn_round.restype = i64
+    lib.emp_spread.restype = lib.unit_cdf.restype = lib.tab_ppf.restype = None
+    lib.tn_solve.restype = i64
     return lib
 
 

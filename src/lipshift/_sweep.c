@@ -1,13 +1,15 @@
 /* The two passes of the Lipschitz LSE, the isotonic fit, the empirical
  * spread, the closed-form designs' unit CDFs, a tabulated design's inverse
- * CDF and the rounds of the t_n solve, which evaluate the design's unit
- * CDF here too, in C.  Their references in tests/kernel_reference.py
- * (stack_roots and clip_roots, pava, search, unit_cdf with example3_cdf
- * and tabulated_cdf, tabulated_ppf, numpy_rounds) do the same float
+ * CDF and the t_n solve, which evaluates the design's unit CDF here too,
+ * in C.  Their references in tests/kernel_reference.py (stack_roots and
+ * clip_roots, pava, search, unit_cdf with power_cdf, example3_cdf and
+ * tabulated_cdf, tabulated_ppf, numpy_rounds) do the same float
  * operations in the same order, so that built with -O2 -std=c99
  * -ffp-contract=off (no fused multiply-add, no fast-math) these give the
- * references' bits.  Power and cube roots stay in numpy, whose SIMD loops
- * round differently from libm's pow and cbrt. *
+ * references' bits.  An integer power is a product of its base, never
+ * libm's pow, whose last bits differ from numpy's; the solve's one libm
+ * call, cbrt, only steers its secant (see tn_solve).
+ *
  * The knots live in one buffer of 2n + 1 (position, value) pairs from the
  * caller: the left stack grows up from k[0], the right stack down from
  * k[2n], so the buffer holds the knots in order with a gap at the root.
@@ -264,18 +266,21 @@ static double tab_at(const double *tab, int64_t m, double x)
  * components.  Each kind does the float operations of its numpy body in
  * kernel_reference.unit_cdf, in the same order:
  *   UNIFORM    the point itself;
+ *   POWER      k (at most densities._POWER_MAX): the point times itself
+ *              k - 1 times, left to right, a power design's x^(alpha + 1)
+ *              for an integer alpha + 1;
  *   EXAMPLE3   phi, ramp, f14, f34: the left ramp, the level and the
  *              right ramp, split at 1/4 and 3/4;
  *   TABULATED  m, then the (4, m) table of tab_at;
  *   MIXTURE    w, then P's tree and Q's: w * F_P + (1.0 - w) * F_Q;
- *   LEAF       a CDF the kernel does not know (a power design's np.power,
- *              whose bits libm's pow does not share), which numpy
- *              evaluated into a row of leaf values.
+ *   LEAF       a CDF the kernel does not know (np.power with an exponent
+ *              that is no integer, or a function set in its place), which
+ *              numpy evaluated into a row of leaf values.
  * The leaves' rows are in the order of the LEAF nodes.  The tree is walked
  * once per block of up to BLOCK points, so that each node's loop runs
  * over a block and a mixture holds its Q values in one block on the
- * stack. */
-enum { UNIFORM, EXAMPLE3, TABULATED, MIXTURE, LEAF };
+ * stack.  densities numbers the kinds as this enum does. */
+enum { UNIFORM, POWER, EXAMPLE3, TABULATED, MIXTURE, LEAF };
 enum { BLOCK = 256 };
 
 /* The unit CDF of the tree at *tree, which then points past it, at the n
@@ -289,11 +294,21 @@ static const double *tree_cdf(const double **tree, const double **leaf, int64_t 
     /* a node's numbers in locals: the compiler cannot tell that out and c
      * do not overlap, and would read them again after each store */
     double q[BLOCK], v, w, phi, ramp, f14, f34;
-    int64_t i, m;
+    int64_t i, j, m;
     switch ((int)c[0]) {
     case UNIFORM:
         *tree = c + 1;
         return x;
+    case POWER:  /* ((x x) x) ... x, as numpy's x * x * ... * x */
+        m = (int64_t)c[1];
+        *tree = c + 2;
+        for (i = 0; i < n; i++) {
+            v = w = x[i];
+            for (j = 1; j < m; j++)
+                w *= v;
+            out[i] = w;
+        }
+        return out;
     case EXAMPLE3:  /* np.where(x <= 0.25, left, np.where(x <= 0.75, mid, right)) */
         phi = c[1];
         ramp = c[2];
@@ -334,14 +349,18 @@ static const double *tree_cdf(const double **tree, const double **leaf, int64_t 
     }
 }
 
-/* The unit CDF of the given tree at the n points x into out; leaf j's
- * value at point t is leaf[j n + t]. */
-void unit_cdf(const double *tree, const double *leaf, const double *x, int64_t n, double *out)
+/* The unit CDF of the given tree at n points, in place: buf holds the
+ * rows of its L leaves, leaf j's value at point t at buf[j n + t], then
+ * the points, which the values replace.  Each block of points is copied
+ * out first, since a mixture reads its points again after P's values. */
+void unit_cdf(const double *tree, double *buf, int64_t n, int64_t leaves)
 {
+    double x[BLOCK], *out = buf + leaves * n;
     for (int64_t t = 0; t < n; t += BLOCK) {
-        const double *c = tree, *l = leaf + t, *f;
+        const double *c = tree, *l = buf + t, *f;
         int64_t b = n - t < BLOCK ? n - t : BLOCK;
-        f = tree_cdf(&c, &l, n, x + t, b, out + t);
+        memcpy(x, out + t, b * sizeof *x);
+        f = tree_cdf(&c, &l, n, x, b, out + t);
         if (f != out + t)
             memcpy(out + t, f, b * sizeof *out);
     }
@@ -371,23 +390,22 @@ void tab_ppf(const double *tab, int64_t m, const double *u, int64_t n, double *o
     }
 }
 
-/* The t_n solve works on a buffer s that starts with six doubles: n, k
+/* The t_n solve works on a buffer s that starts with seven doubles: n, k
  * (the points still solving), the round, the threshold log n / n, its
- * cube root (the secant's target) and L, the leaves of the design's unit
- * CDF.  So each call takes one argument, and ctypes converts one.  Rows of
- * n doubles follow, row r at s + 6 + r n.  X holds the solve's points, and
- * each solved t in place of its point.  The rows from IDX to BEFORE hold,
- * for each point still solving, compacted to the row's front in order: its
- * index in X (as a double), half, est (the cube root of half the threshold
- * before round 0), lo, hi and before.  For the k points of a round, E (4
- * rows) holds the clipped ends x + a, x + b, x - a, x - b, then g(a), g(b)
- * (2k) followed by their cube roots (2k).  Each leaf has the next 4 rows,
+ * cube root (the secant's target), the first estimate (the cube root of
+ * half the threshold) and L, the leaves of the design's unit CDF.  So each
+ * call takes one argument, and ctypes converts one.  Rows of n doubles
+ * follow, row r at s + 7 + r n.  X holds the solve's points, and each
+ * solved t in place of its point.  The rows from IDX to BEFORE hold, for
+ * each point still solving, compacted to the row's front in order: its
+ * index in X (as a double), half, est, lo, hi and before.  For the k
+ * points of a round, E (4 rows) holds the clipped ends x + a, x + b,
+ * x - a, x - b, then g(a), g(b) (2k).  Each leaf has the next 4 rows,
  * whose first 4k doubles hold its CDF at E's ends, and the tree of the
- * unit CDF (see tree_cdf) follows the last of them.  Numpy fills the
- * header, X, EST, the tree, the leaves' rows and the cube roots, whose
- * bits come from its own loops. */
+ * unit CDF (see tree_cdf) follows the last of them.  The caller fills the
+ * header, X and the tree, and the leaves' rows whenever tn_solve asks. */
 enum { X, IDX, HALF, EST, LO, HI, BEFORE, E, LEAVES = E + 4 };
-#define ROW(r) (s + 6 + (r) * (int64_t)s[0])
+#define ROW(r) (s + 7 + (r) * (int64_t)s[0])
 
 /* kernel_reference.next_float: the neighbouring integer of x's bit pattern */
 static double next_float(double x, int64_t step)
@@ -411,25 +429,26 @@ static inline void pair(double lo, double hi, double est, double half, double *a
 
 /* One round of kernel_reference.numpy_rounds on the k points still
  * solving.  Round 0 starts each bracket; a later round first moves it by
- * the signs of g(a), g(b) and takes the next estimate, as the end of the
- * previous round of the loop does.  Then a point whose midpoint rounds to
- * lo or hi (every point at round 200, the cap) is solved, the others move
- * to the rows' fronts, and E gets their clipped ends.  Returns the number
- * still solving, the new k. */
-int64_t tn_round(double *s)
+ * the signs of g(a), g(b) and takes the next estimate from the secant on
+ * their cube roots, as the end of the previous round of the loop does.
+ * Then a point whose midpoint rounds to lo or hi (every point at round
+ * 200, the cap) is solved, the others move to the rows' fronts, and E gets
+ * their clipped ends.  Returns the number still solving, the new k. */
+static int64_t tn_round(double *s)
 {
     int64_t k = (int64_t)s[1], round = (int64_t)s[2], i, j = 0;
     double thr = s[3], lev = s[4], *x = ROW(X), *idx = ROW(IDX), *lo = ROW(LO), *hi = ROW(HI);
     double *est = ROW(EST), *half = ROW(HALF), *before = ROW(BEFORE), *e = ROW(E);
-    const double *g = e, *c = e + 2 * k;  /* read before the ends overwrite e */
-    double a, b, lo2, hi2, sec, step, t, xi;
+    const double *g = e;  /* read before the ends overwrite e */
+    double a, b, lo2, hi2, ca, sec, step, t, xi;
     int a_below, b_below, slow;
     for (i = 0; i < k; i++) {
         if (round == 0) {
             idx[i] = (double)i;
             lo[i] = sqrt(thr) * (1.0 - 1e-9);
             hi[i] = 1.0;
-            half[i] = 0.5 * est[i];
+            est[i] = s[5];
+            half[i] = 0.5 * s[5];
             before[i] = INFINITY;
         } else {
             pair(lo[i], hi[i], est[i], half[i], &a, &b);
@@ -437,18 +456,25 @@ int64_t tn_round(double *s)
             b_below = g[k + i] < thr;
             lo2 = a_below ? (b_below ? b : a) : lo[i];
             hi2 = a_below ? (b_below ? hi[i] : b) : a;
-            sec = a + (lev - c[i]) * (b - a) / (c[k + i] - c[i]);
-            if (!(sec > lo2 && sec < hi2))  /* no usable secant: step past the pair */
-                sec = b_below ? b + 2.0 * (b - a) : a - 2.0 * (b - a);
-            step = fabs(sec - est[i]);
-            half[i] = a_below && !b_below ? 0.5 * step : 2.0 * np_max(half[i], step);
             slow = hi2 - lo2 > 0.5 * before[i];
-            est[i] = np_min(np_max(slow ? 0.5 * (lo2 + hi2) : sec, lo2), hi2);
-            if (slow)
-                half[i] = 0.25 * (hi2 - lo2);
             before[i] = hi[i] - lo[i];
             lo[i] = lo2;
             hi[i] = hi2;
+            t = 0.5 * (lo2 + hi2);
+            if (slow) {
+                est[i] = np_min(np_max(t, lo2), hi2);
+                half[i] = 0.25 * (hi2 - lo2);
+            } else if (t != lo2 && t != hi2) {  /* the secant, for a point still solving */
+                /* libm's cbrt, whose last bits differ from numpy's: it only
+                 * steers the secant, and g itself certifies the result */
+                ca = cbrt(g[i]);
+                sec = a + (lev - ca) * (b - a) / (cbrt(g[k + i]) - ca);
+                if (!(sec > lo2 && sec < hi2))  /* no usable secant: step past the pair */
+                    sec = b_below ? b + 2.0 * (b - a) : a - 2.0 * (b - a);
+                step = fabs(sec - est[i]);
+                half[i] = a_below && !b_below ? 0.5 * step : 2.0 * np_max(half[i], step);
+                est[i] = np_min(np_max(sec, lo2), hi2);
+            }
         }
         t = 0.5 * (lo[i] + hi[i]);
         if (round == 200 || t == lo[i] || t == hi[i]) {
@@ -480,11 +506,11 @@ int64_t tn_round(double *s)
  * rows, a block of points at a time, into E's first 2k: the loop's
  * `interval_mass`.  A block's ends are read before its entries are
  * written. */
-void tn_mass(double *s)
+static void tn_mass(double *s)
 {
     int64_t n = (int64_t)s[0], k = (int64_t)s[1], i, j, t, nb;
     const double *lo = ROW(LO), *hi = ROW(HI), *est = ROW(EST), *half = ROW(HALF);
-    const double *leaf = ROW(LEAVES), *tree = ROW(LEAVES + 4 * (int64_t)s[5]), *c, *l, *f[4];
+    const double *leaf = ROW(LEAVES), *tree = ROW(LEAVES + 4 * (int64_t)s[6]), *c, *l, *f[4];
     double *e = ROW(E), out[4][BLOCK], a, b;
     for (t = 0; t < k; t += BLOCK) {
         nb = k - t < BLOCK ? k - t : BLOCK;
@@ -499,4 +525,19 @@ void tn_mass(double *s)
             e[k + t + i] = b * b * np_max(f[1][i] - f[3][i], 0.0);
         }
     }
+}
+
+/* The rounds of the solve on s, until every point is solved (returns 0)
+ * or, for a design with leaves, until a round needs its leaves' rows:
+ * then it returns the number k of points still solving, whose 4k ends in
+ * E each leaf's row takes the CDF of, and the next call goes on from
+ * there.  Nothing else leaves the kernel between rounds. */
+int64_t tn_solve(double *s)
+{
+    int64_t k;
+    if (s[2] > 0.0)  /* a round's leaves were filled: its masses */
+        tn_mass(s);
+    while ((k = tn_round(s)) && !s[6])
+        tn_mass(s);
+    return k;
 }

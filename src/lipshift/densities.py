@@ -19,15 +19,17 @@ itself.  Supported families:
   ``_sweep.c``).
 * ``mixture`` -- convex combination of two existing distributions.
 
-The unit CDFs of the example3, tabulated and mixture designs are one
-evaluator in that library, ``unit_cdf``, which reads a design's CDF as a
-tree of nodes (`_KernelCdf`; the uniform design's, the point itself, is a
-node that Python evaluates without it); a power design's CDF, ``np.power``,
-stays in numpy, whose bits libm's ``pow`` does not share, and enters a
-mixture's tree as a leaf, as does any other unit CDF.  The t_n solve of
-``spread`` evaluates the same tree.  The kernels give the bits of the
-numpy bodies they replaced, kept in ``tests/kernel_reference.py`` as
-references.
+The unit CDFs of the example3, tabulated and mixture designs and of most
+power designs are one evaluator in that library, ``unit_cdf``, which reads
+a design's CDF as a tree of nodes (`_KernelCdf`).  A power design whose alpha + 1 is an
+integer k up to `_POWER_MAX` (alpha = 1, 2, 6, 10, ...) is a node that
+multiplies x by itself k - 1 times, never libm's ``pow``; the uniform
+design's node is the point itself, and either, alone, is evaluated in
+numpy with the same float operations, without a kernel call.  Any other
+power design keeps ``np.power`` and enters a mixture's tree as a leaf that
+numpy evaluates, as does any other unit CDF.  The t_n solve of ``spread``
+evaluates the same tree.  The kernels give the bits of the numpy bodies
+they replaced, kept in ``tests/kernel_reference.py`` as references.
 
 Every inverse CDF is closed form and rejects NaN and levels outside [0, 1].
 The mixture's `ppf` raises: a mixture is drawn by composition instead.
@@ -114,7 +116,10 @@ def _clip01(x):
 
 
 # the node kinds of a unit CDF's tree, numbered as in ``_sweep.c``
-_UNIFORM, _EXAMPLE3, _TABULATED, _MIXTURE, _LEAF = range(5)
+_UNIFORM, _POWER, _EXAMPLE3, _TABULATED, _MIXTURE, _LEAF = range(6)
+# the largest integer exponent alpha + 1 of a power node; a larger one or
+# one that is no integer stays np.power, a leaf
+_POWER_MAX = 16
 
 
 class _KernelCdf:
@@ -123,8 +128,10 @@ class _KernelCdf:
     ``tree`` holds its nodes in prefix order as one float array: a node's
     kind, its numbers, then a mixture's two components.  ``leaves`` are the
     unit CDFs the kernel does not know, in the order of their leaf nodes:
-    numpy evaluates each into a row that the kernel reads.  The t_n solve
-    reads both from the design's unit CDF, so it evaluates this one."""
+    numpy evaluates each into a row that the kernel reads.  A uniform or
+    power tree alone is evaluated here in numpy with the kernel's float
+    operations, since a kernel call costs more than the products.  The t_n
+    solve reads both from the design's unit CDF, so it evaluates this one."""
 
     __slots__ = ("tree", "leaves")
 
@@ -133,15 +140,23 @@ class _KernelCdf:
 
     def __call__(self, x):
         x = np.asarray(x, float)
-        if self.tree[0] == _UNIFORM:  # the point itself, with no kernel call
+        kind = self.tree[0]
+        if kind == _UNIFORM:  # the point itself
             return x
-        xs, out, n = x.ravel(), np.empty(x.shape), x.size
-        rows = np.empty((len(self.leaves), n))
-        for row, f in zip(rows, self.leaves):
-            row[...] = f(xs)
-        KERNEL.unit_cdf(address(self.tree, self.tree.shape), address(rows, (len(self.leaves), n)),
-                        address(xs, (n,)), n, address(out, x.shape))
-        return out
+        if kind == _POWER:  # ((x x) x) ... x, the kernel's products
+            y = x
+            for _ in range(int(self.tree[1]) - 1):
+                y = y * x
+            return y
+        # the leaves' rows, then the points, which the kernel replaces by the CDF
+        n, rows = x.size, len(self.leaves)
+        buf = np.empty((rows + 1) * n)
+        out = buf[rows * n:]
+        out[...] = x.ravel()
+        for j, f in enumerate(self.leaves):
+            buf[j * n:(j + 1) * n] = f(out)
+        KERNEL.unit_cdf(address(self.tree, self.tree.shape), address(buf, buf.shape), n, rows)
+        return out.reshape(x.shape)
 
 
 def _cdf_tree(cdf):
@@ -158,9 +173,11 @@ def uniform() -> DesignDistribution:
 
 
 def power(alpha: float) -> DesignDistribution:
-    """Density (alpha + 1) x^alpha on [0, 1]; CDF x^(alpha + 1)."""
-    if not 0.0 < alpha < np.inf:
-        raise InvalidParameterError(f"power exponent must be a finite number > 0, got {alpha}")
+    """Density (alpha + 1) x^alpha on [0, 1]; CDF x^(alpha + 1), for an
+    integer alpha + 1 up to `_POWER_MAX` the product of alpha + 1 factors x,
+    a node of the C kernel's tree, and np.power otherwise."""
+    if not (_is_finite(alpha) and alpha > 0.0):
+        raise InvalidParameterError(f"power exponent must be a finite number > 0, got {alpha!r}")
     a = float(alpha)
 
     # np.power, not **: _clip01 gives a numpy scalar for a 0-d x, and the
@@ -170,6 +187,9 @@ def power(alpha: float) -> DesignDistribution:
 
     def unit_cdf(x):
         return np.power(x, a + 1.0)
+
+    if (a + 1.0).is_integer() and a + 1.0 <= _POWER_MAX:
+        unit_cdf = _KernelCdf([_POWER, a + 1.0], ())
 
     def ppf(u):
         return _levels(u) ** (1.0 / (a + 1.0))
@@ -274,8 +294,8 @@ def _tabulated_table(g, v):
 
 def mixture(p: DesignDistribution, q: DesignDistribution, weight_p: float) -> DesignDistribution:
     """Convex combination weight_p * P + (1 - weight_p) * Q."""
-    if not 0.0 <= weight_p <= 1.0:
-        raise InvalidParameterError(f"mixture weight must be in [0, 1], got {weight_p}")
+    if not (_is_finite(weight_p) and 0.0 <= weight_p <= 1.0):
+        raise InvalidParameterError(f"mixture weight must be a number in [0, 1], got {weight_p!r}")
     w = float(weight_p)
     (p_tree, p_leaves), (q_tree, q_leaves) = _cdf_tree(p.unit_cdf), _cdf_tree(q.unit_cdf)
 
@@ -375,14 +395,15 @@ def from_spec(spec) -> DesignDistribution:
 
 
 def interval_mass(d: DesignDistribution, a, b):
-    """Mass of [a, b] clipped to [0, 1].  Vectorized; raises if a > b.
+    """Mass of [a, b] clipped to [0, 1].  Vectorized; raises if a > b or
+    an endpoint is NaN (an infinite one is clipped).
 
     d.cdf(b) - d.cdf(a) floored at 0.0: a zero difference comes out as +0.0
     whatever the signs of the zeros that made it."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
-    if (a > b).any():
-        raise InvalidIntervalError("interval endpoints out of order (a > b)")
+    if not (a <= b).all():  # False where either is NaN
+        raise InvalidIntervalError("interval endpoints NaN or out of order (a > b)")
     return np.maximum(d.cdf(b) - d.cdf(a), 0.0)
 
 
@@ -446,7 +467,7 @@ def doubling_constant(d: DesignDistribution, eta_max: float) -> float:
     block with an interval of zero mass, and InvalidParameterError unless
     eta_max is a finite number > 0.
     """
-    if not 0.0 < eta_max < np.inf:
+    if not (_is_finite(eta_max) and eta_max > 0.0):
         raise InvalidParameterError(f"eta_max must be a finite number > 0, got {eta_max!r}")
     x = np.linspace(0.0, 1.0, 512)[:, None]
     etas = np.geomspace(eta_max / 512.0, eta_max, 64)

@@ -6,7 +6,7 @@ class LipshiftError(Exception):
 
 
 class InvalidIntervalError(LipshiftError, ValueError):
-    """Interval endpoints are out of order."""
+    """Interval endpoints are NaN or out of order."""
 
 
 class InvalidParameterError(LipshiftError, ValueError):

@@ -8,11 +8,13 @@ Since both factors are nondecreasing in t, g(t) = t^2 P([x +- t]) is
 nondecreasing, so a bracket [lo, hi] with g(lo) < log n / n <= g(hi) (or
 hi = 1) pins the (smallest, hence the) solution.  `SpreadFunction.at`
 shrinks that bracket with paired secant steps on g^(1/3) until lo and hi are
-adjacent floats, by one path for one point and for many.  Its rounds run in
-the C library that ``_kernel`` loads, and so does the design's unit CDF
-wherever the library knows its form: the cube root stays in numpy, whose
-bits come from its own loops, and so does a power design's ``np.power``, a
-leaf of the CDF that numpy evaluates once per round.  The empirical
+adjacent floats, by one path for one point and for many.  The whole solve
+runs in the C library that ``_kernel`` loads, the design's unit CDF
+included wherever the library knows its form (integer powers among them):
+one call per solve, and one more per round only for a leaf of the CDF that
+numpy evaluates, such as ``np.power`` with an exponent that is no integer.
+The secant's cube root is libm's there, not numpy's; it only steers the
+solve, and g's sign test certifies each result.  The empirical
 version finds its crossing index by counting sample points within each
 candidate distance and selects one order statistic of the distances, both
 over the sorted sample and exact, in the C library too; each buffer
@@ -93,16 +95,18 @@ class SpreadFunction:
         bisection steps; points far outside [0, 1] and larger n take more
         (at most 79 seen, at n = 10^15).
 
-        The rounds run in the C kernel (``tn_round``, ``tn_mass`` in
-        ``_sweep.c``), so a point gets the same iterates and the same bits,
-        alone or among others; ``tn_mass`` evaluates the design's unit CDF
-        on the clipped interval ends from its tree of nodes.  Outside it
-        stay np.cbrt on g and each leaf of that tree (a power design's
-        np.power, or a unit CDF the kernel does not know), one call per
-        round each, whose bits come from numpy's own loops (libm's pow and
-        cbrt differ from them in the last bit at many points); a design
-        without a power component makes no Python CDF call.  The result is
-        a float for a 0-d x and an array shaped like x otherwise.
+        The rounds run in the C kernel (``tn_solve`` in ``_sweep.c``), so
+        a point gets the same iterates and the same bits, alone or among
+        others; the kernel evaluates the design's unit CDF on the clipped
+        interval ends from its tree of nodes, and returns to Python once
+        per round only while the tree has leaves (np.power with an
+        exponent that is no integer up to 16, or a unit CDF the kernel does
+        not know), which numpy evaluates.  The secant's cube root is
+        libm's cbrt: it only picks the next pair, and the result is the
+        midpoint of the adjacent floats that g's sign test brackets, so
+        numpy's cube root, which differs from it in the last bit at many
+        points, gives the same t.  The result is a float for a 0-d x and an
+        array shaped like x otherwise.
         """
         if isinstance(x, float) and math.isfinite(x):  # numpy's float64 is one
             return float(self._at_points(np.array([x]))[0])
@@ -115,33 +119,25 @@ class SpreadFunction:
 
         The rounds are elementwise, so a point gets the bits of a solve for
         it alone.  The kernel keeps the state, the leaves' rows and the
-        CDF's tree in one buffer (see ``tn_round``); each round makes one
-        call per leaf, one np.cbrt call and two kernel calls, on views that
-        change only when points finish.  The result owns its memory."""
+        CDF's tree in one buffer (see ``tn_solve``) and runs every round in
+        one call, unless the tree has leaves: then it returns once per
+        round for numpy to fill their rows at the round's interval ends.
+        The result owns its memory."""
         tree, leaves, n = self._tree, self._leaves, x.size
-        lead, rows = 6 + 11 * n, 11 + 4 * len(leaves)  # the first leaf row, all rows
-        s = np.empty(6 + rows * n + tree.size)
-        # n, the points still solving, the round, the threshold with its cube
-        # root, the secant's target, and the number of leaves; the tree last
-        s[:6] = n, n, 0, self.threshold, self._level, len(leaves)
-        s[6 + rows * n:] = tree
-        row = s[6:lead].reshape(11, n)  # the rows of ``tn_round``
-        row[0], row[3] = x, self._first  # the points, the first estimate
-        addr = address(s, (6 + rows * n + tree.size,))
-        step, mass, ends, k, rounds = KERNEL.tn_round, KERNEL.tn_mass, row[7:].ravel(), 0, []
-        leaf = s[lead:lead + 4 * n * len(leaves)].reshape(len(leaves), 4 * n)  # 4 rows each
-        while left := step(addr):  # 0 once every point is solved, at round 200 at last
-            if left != k:
-                k = left
-                e = ends[:4 * k]  # the ends, then g and its cube root
-                g, c = e[:2 * k], e[2 * k:]
-                if leaves:
-                    rounds = list(zip(leaves, leaf[:, :4 * k]))
-            for f, values in rounds:  # each leaf's CDF at the ends
-                values[...] = f(e)
-            mass(addr)
-            np.cbrt(g, out=c)
-        return row[0].copy()  # each point's t in its place
+        rows = 11 + 4 * len(leaves)
+        s = np.empty(7 + rows * n + tree.size)
+        # n, the points still solving, the round, the threshold, the secant's
+        # target, the first estimate and the number of leaves; the tree last
+        s[:7] = n, n, 0, self.threshold, self._level, self._first, len(leaves)
+        s[7:7 + n] = x
+        s[7 + rows * n:] = tree
+        solve, addr = KERNEL.tn_solve, address(s, s.shape)
+        while k := solve(addr):  # k points still solving, whose 4k ends each leaf takes
+            ends = s[7 + 7 * n:7 + 7 * n + 4 * k]
+            for j, f in enumerate(leaves):
+                row = 7 + (11 + 4 * j) * n
+                s[row:row + 4 * k] = f(ends)
+        return s[7:7 + n].copy()  # each point's t in its place
 
     def derivative(self, x, t=None):
         """Closed-form derivative of t_n; undefined where t_n(x) hits x or 1-x.
@@ -178,8 +174,11 @@ class SpreadFunction:
           a_n = (log n / (2^(a+1) n))^(1/(a+3));
         * example3: the smooth-density sandwich
           (log n/(3 n p(x)))^(1/3) <= t_n <= (2 log n/(n p(x)))^(1/3).
+
+        x is read as `at` reads it: NaN, infinite and non-numeric points
+        raise InvalidInputError.
         """
-        x = np.asarray(x, float)
+        x = _finite(x)
         d = self.distribution
         ln = self.threshold
         if d.kind == "uniform":

@@ -13,14 +13,16 @@ library:
 - `pava`: pool adjacent violators (``iso_fit``);
 - `search`, `count_closer` and `kth_distance`: ``EmpiricalSpread.at``
   (``emp_spread``, ``count_closer``, ``kth_distance``) in Python floats;
-- `numpy_rounds` and `next_float`: the rounds of ``SpreadFunction.at``
-  (``tn_round``, ``tn_mass``, ``next_float``) in numpy, one `interval_mass`
-  call per round;
-- `unit_cdf`, with `example3_cdf` and `tabulated_cdf`: the unit CDFs of
-  the uniform, example3, tabulated and mixture designs in numpy, the node
-  kinds of ``unit_cdf`` in C (``tree_cdf``, ``tab_at``), which also
-  evaluates them in ``tn_mass``; a power design's ``np.power`` stays the
-  library's own, a leaf of the C tree;
+- `numpy_rounds`, `libm_cbrt` and `next_float`: the rounds of
+  ``SpreadFunction.at`` (``tn_solve``, ``tn_round``, ``tn_mass``,
+  ``next_float``) in numpy, one `interval_mass` call per round, the secant
+  steered by libm's cube root as in C (or by any other);
+- `unit_cdf`, with `power_cdf`, `example3_cdf` and `tabulated_cdf`: the
+  unit CDFs of the uniform, power, example3, tabulated and mixture designs
+  in numpy, the node kinds of ``unit_cdf`` in C (``tree_cdf``, ``tab_at``),
+  which also evaluates them in ``tn_mass``; a power design whose exponent
+  is no integer up to ``densities._POWER_MAX`` keeps ``np.power``, a leaf
+  of the C tree;
 - `tabulated_ppf`: the inverse CDF of ``densities.tabulated``
   (``tab_ppf``) in numpy, on the design's table of
   ``densities._tabulated_table``.
@@ -32,7 +34,7 @@ from itertools import chain, count
 
 import numpy as np
 
-from lipshift.densities import _tabulated_table, interval_mass
+from lipshift.densities import _POWER_MAX, _tabulated_table, interval_mass
 
 
 def cut(stack, sign, a, b):
@@ -208,10 +210,16 @@ def next_float(x, step):
     return (x.view(np.int64) + step).view(np.float64)
 
 
-def numpy_rounds(s, x):
+def libm_cbrt(v):
+    """libm's cube root (math.cbrt) of each entry of the float array v, the
+    kernel's ``cbrt``: its last bits differ from np.cbrt's at many points."""
+    return np.array([math.cbrt(u) for u in v.tolist()], float)
+
+
+def numpy_rounds(s, x, cbrt=libm_cbrt):
     """``s._at_points(x)`` for a `SpreadFunction` s in numpy, the rounds of
-    ``tn_round`` and ``tn_mass``: each round makes one `interval_mass` call
-    for every point still solving."""
+    ``tn_solve``: each round makes one `interval_mass` call for every point
+    still solving, and steers the secant by the cube root cbrt of g."""
     d, thr = s.distribution, s.threshold
     level = np.cbrt(thr)  # the secant's target on g^(1/3)
     out = np.empty_like(x)
@@ -241,7 +249,7 @@ def numpy_rounds(s, x):
         a_below, b_below = ga < thr, gb < thr
         lo2 = np.where(a_below, np.where(b_below, b, a), lo)
         hi2 = np.where(a_below, np.where(b_below, hi, b), a)
-        ca, cb = np.cbrt(ga), np.cbrt(gb)
+        ca, cb = cbrt(ga), cbrt(gb)
         with np.errstate(divide="ignore", invalid="ignore"):
             secant = a + (level - ca) * (b - a) / (cb - ca)
         # no usable secant (flat or off the bracket): step past the pair
@@ -259,10 +267,13 @@ def numpy_rounds(s, x):
 
 def unit_cdf(d, x):
     """The unit CDF of design d at the float array x in numpy, by d's kind:
-    the bodies that the C tree's nodes replaced, and d's own unit CDF (its
-    np.power) for a power design, a leaf of the tree."""
+    the bodies of the C tree's nodes, and np.power for a power design whose
+    exponent is no integer up to `_POWER_MAX`, a leaf of the tree."""
     if d.kind == "uniform":
         return x
+    if d.kind == "power":
+        k = d.params["alpha"] + 1.0
+        return power_cdf(k, x) if k.is_integer() and k <= _POWER_MAX else np.power(x, k)
     if d.kind == "example3":
         return example3_cdf(d.params["phi"], x)
     if d.kind == "tabulated":
@@ -270,7 +281,17 @@ def unit_cdf(d, x):
     if d.kind == "mixture":
         w, p, q = d.params["weight_p"], d.params["p"], d.params["q"]
         return w * unit_cdf(p, x) + (1.0 - w) * unit_cdf(q, x)
-    return d.unit_cdf(x)
+    raise ValueError(f"no reference unit CDF for kind {d.kind!r}")
+
+
+def power_cdf(k, x):
+    """x^k for an integer k >= 1 at the float array x as the product
+    ((x x) x) ... x of k factors, left to right, a POWER node of
+    ``tree_cdf`` in C."""
+    y = x
+    for _ in range(int(k) - 1):
+        y = y * x
+    return y
 
 
 def example3_cdf(phi, x):

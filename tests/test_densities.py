@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
 from lipshift import densities
+from lipshift._kernel import KERNEL, address
 from lipshift.errors import (
     InvalidInputError,
     InvalidIntervalError,
@@ -251,6 +253,74 @@ def test_kernel_cdf_matches_numpy_reference(kinds, seed, weights, nested_left):
             d, np.minimum(1.0, np.maximum(0.0, x))))), d
 
 
+def _kernel_cdf(tree, x):
+    """The C evaluator's unit CDF of the leafless tree at the float array x."""
+    tree, out = np.array(tree, float), np.array(x, float)
+    KERNEL.unit_cdf(address(tree, tree.shape), address(out, out.shape), out.size, 0)
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, densities._POWER_MAX + 1))
+def test_power_node_gives_numpys_products(k):
+    # the C POWER node and a power design's numpy CDF both give the bits of
+    # numpy's x * x * ... * x of k factors, at 0, 1, -0.0 and NaN, their
+    # neighbouring floats and random points; they are nondecreasing on
+    # sorted points in [0, 1], and exactly 1 at 1
+    x = np.concatenate([_with_neighbours(np.array([0.0, 1.0, -0.0])), [np.nan],
+                        np.random.default_rng(k).random(600)])
+    want = kernel_reference.power_cdf(k, x)
+    c = _kernel_cdf([densities._POWER, k], x)
+    assert np.array_equal(_bits(c), _bits(want))
+    if k > 1:
+        d = densities.power(k - 1.0)
+        assert isinstance(d.unit_cdf, densities._KernelCdf)
+        assert np.array_equal(_bits(d.unit_cdf(x)), _bits(want))
+        assert _bits(d.unit_cdf(x[4])) == _bits(want[4])  # a 0-d point, 1.0's lower neighbour
+    inside = np.sort(x[(x >= 0.0) & (x <= 1.0)])
+    assert np.all(np.diff(_kernel_cdf([densities._POWER, k], inside)) >= 0.0)
+    assert _kernel_cdf([densities._POWER, k], [1.0])[0] == 1.0
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.5, 16.0, 1e3])
+def test_other_power_exponents_stay_numpy_power(alpha):
+    # an exponent alpha + 1 that is no integer up to _POWER_MAX keeps
+    # np.power, and a mixture takes it as a leaf
+    d = densities.power(alpha)
+    assert not isinstance(d.unit_cdf, densities._KernelCdf)
+    x = np.random.default_rng(5).random(300)
+    assert np.array_equal(_bits(d.unit_cdf(x)), _bits(np.power(x, alpha + 1.0)))
+    mixed = densities.mixture(d, densities.uniform(), 0.5).unit_cdf
+    assert mixed.leaves == (d.unit_cdf,)
+
+
+@pytest.mark.parametrize("d, calls", [
+    (densities.uniform(), 0), (densities.power(2.0), 0),
+    (densities.mixture(densities.power(2.0), densities.uniform(), 0.8), 2),
+    (densities.mixture(densities.power(0.5), densities.uniform(), 0.8), 2),
+    (densities.tabulated([0.0, 0.3, 0.7, 1.0], [0.5, 2.0, 1.0, 0.1]), 2),
+], ids=["uniform", "power2", "mixture", "leaf_mixture", "tabulated"])
+def test_cdf_kernel_calls_take_at_most_two_addresses(d, calls):
+    # a kernel CDF call hands the kernel its tree and one buffer of leaf
+    # rows and points; the uniform and integer power CDFs, and so their
+    # interval masses and doubling constants, make no kernel call
+    counted = [0]
+
+    def counting(*args):
+        counted[0] += 1
+        return address(*args)
+
+    x = np.linspace(-0.1, 1.1, 2049)
+    with mock.patch.object(densities, "address", counting):
+        d.cdf(x)
+        assert counted[0] == calls
+        counted[0] = 0
+        densities.interval_mass(d, x - 0.1, x)
+        assert counted[0] == 2 * calls
+        if calls == 0:
+            densities.doubling_constant(d, 0.1)
+            assert counted[0] == 0
+
+
 def test_tabulated_ppf_block_memory(traced):
     # one sample block's inverse CDF holds its output and not the numpy
     # body's temporaries (about 56 B per level)
@@ -437,10 +507,14 @@ def clip_reference(kind, **params):
         cdf_p, cdf_q = clip_reference(p.kind, **p.params)[1], clip_reference(q.kind, **q.params)[1]
         return None, lambda x: w * cdf_p(x) + (1.0 - w) * cdf_q(x)
     if kind == "power":
-        # np.power, as in densities: a numpy scalar's ** rounds differently
-        a = params["alpha"]
+        # np.power, as in densities: a numpy scalar's ** rounds differently;
+        # an integer exponent alpha + 1 up to _POWER_MAX is the C kernel's
+        # product of alpha + 1 factors
+        a, k = params["alpha"], params["alpha"] + 1.0
+        power = (np.power if not (k.is_integer() and k <= densities._POWER_MAX)
+                 else lambda x, k: kernel_reference.power_cdf(k, x))
         return (_zero_outside(lambda x: (a + 1.0) * np.power(np.clip(x, 0.0, 1.0), a)),
-                (lambda x: np.power(np.clip(np.asarray(x, float), 0.0, 1.0), a + 1.0)))
+                (lambda x: power(np.clip(np.asarray(x, float), 0.0, 1.0), k)))
     if kind == "example3":
         phi = params["phi"]
         ramp = 16.0 * (1.0 - phi)

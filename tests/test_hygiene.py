@@ -239,11 +239,43 @@ def test_every_kernel_entry_point_declares_its_types():
                 for t in node.targets if isinstance(t, ast.Attribute)
                 and isinstance(t.value, ast.Attribute)}
     results = {"void": None, "int64_t": ctypes.c_int64, "double": ctypes.c_double}
-    assert {"unit_cdf", "tab_ppf"} < {name for _, name, _ in entries} and len(entries) >= 8
+    assert {name for _, name, _ in entries} == {"lse_roots", "lse_clip", "iso_fit", "emp_spread",
+                                                "unit_cdf", "tab_ppf", "tn_solve"}
     for result, name, params in entries:
         assert {(name, "argtypes"), (name, "restype")} <= declared, name
         fn = getattr(KERNEL, name)
         assert fn.restype is results[result] and len(fn.argtypes) == params.count(",") + 1, name
+
+
+def _c_node_kinds(source):
+    """The node kinds of a unit CDF's tree in the C source, in the order of
+    their enum, the one that starts with UNIFORM."""
+    return re.search(r"enum \{ (UNIFORM\b[^}]*)\};", source).group(1).replace(" ", "").split(",")
+
+
+def _python_node_kinds(source):
+    """The node kinds that the densities source numbers with one
+    ``_UNIFORM, ... = range(k)``, without their underscore, in order."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple)
+                and getattr(getattr(node.value, "func", None), "id", None) == "range"):
+            names = [name.id.lstrip("_") for name in node.targets[0].elts]
+            if names[0] == "UNIFORM":
+                return names
+    return None
+
+
+def test_node_kinds_numbered_alike_in_c_and_python():
+    # densities writes each node of a CDF's tree with the number that the
+    # C enum gives its kind: a kind added, removed or moved on one side
+    # only would be read as another; a copy with two kinds swapped differs
+    c, py = (SRC / "_sweep.c").read_text(), (SRC / "densities.py").read_text()
+    kinds = _c_node_kinds(c)
+    assert _python_node_kinds(py) == kinds and {"UNIFORM", "POWER", "LEAF"} <= set(kinds)
+    from lipshift import densities
+    assert [getattr(densities, "_" + kind) for kind in kinds] == list(range(len(kinds)))
+    swapped = c.replace(f"{kinds[1]}, {kinds[2]}", f"{kinds[2]}, {kinds[1]}", 1)
+    assert _c_node_kinds(swapped) != _python_node_kinds(py)
 
 
 def _entry(node):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from lipshift import densities, prooflab, spread
 from lipshift.errors import (
     InvalidInputError,
+    InvalidIntervalError,
     InvalidParameterError,
     NoBoundAvailableError,
     NondifferentiablePointError,
@@ -96,10 +97,12 @@ ORACLE_DESIGNS = {
     "power.5": densities.power(0.5),
     "example3": densities.example3(4096),
     "uniform": densities.uniform(),
-    # every node kind of the kernel's CDF tree, and a power leaf two levels down
+    # every node kind of the kernel's CDF tree, a power node two levels down
     "nested_mixture": densities.mixture(densities.mixture(densities.power(2.0), TABULATED, 0.3),
                                         densities.example3(4096), 0.6),
     "example3_tabulated": densities.mixture(densities.example3(4096), TABULATED, 0.5),
+    # a leaf in a mixture: np.power with an exponent that is no integer
+    "leaf_mixture": densities.mixture(densities.power(0.5), TABULATED, 0.4),
 }
 
 
@@ -205,43 +208,59 @@ def _counting(f, calls):
 @pytest.mark.parametrize("d", [densities.uniform(), densities.example3(4096), TABULATED,
                                ORACLE_DESIGNS["example3_tabulated"],
                                densities.mixture(ORACLE_DESIGNS["example3_tabulated"],
-                                                 densities.uniform(), 0.2)],
-                         ids=["uniform", "example3", "tabulated", "mixture", "nested_mixture"])
+                                                 densities.uniform(), 0.2),
+                               densities.power(2.0), ORACLE_DESIGNS["mixture"],
+                               ORACLE_DESIGNS["nested_mixture"],
+                               densities.mixture(densities.power(15.0), densities.uniform(), 0.94)],
+                         ids=["uniform", "example3", "tabulated", "mixture", "nested_mixture",
+                              "power2", "power2_mixture", "power2_nested_mixture",
+                              "power15_mixture"])
 def test_kernel_designs_solve_without_python_cdf_calls(d):
-    # the kernel evaluates these designs' unit CDFs itself: a solve calls no
-    # unit CDF from Python in any of its rounds (counted by np.cbrt calls)
-    cdf_calls, rounds, s = [0], [0], SpreadFunction(d, 4096)
+    # the kernel evaluates these designs' unit CDFs itself, powers with an
+    # integer alpha + 1 up to _POWER_MAX included: a solve is one kernel
+    # call, which calls no unit CDF and no np.power from Python
+    cdf_calls, power_calls, solves, s = [0], [0], [0], SpreadFunction(d, 4096)
     with mock.patch.object(densities._KernelCdf, "__call__",
                            _counting(densities._KernelCdf.__call__, cdf_calls)), \
-            mock.patch.object(spread.np, "cbrt", _counting(np.cbrt, rounds)):
+            mock.patch.object(densities.np, "power", _counting(np.power, power_calls)), \
+            mock.patch.object(spread.KERNEL, "tn_solve", _counting(spread.KERNEL.tn_solve, solves)):
         t = s.at(np.linspace(0.0, 1.0, 201))
         one = s.at(0.3)
-    assert cdf_calls[0] == 0 and rounds[0] > 2
+    assert cdf_calls[0] == power_calls[0] == 0 and solves[0] == 2
     assert np.array_equal(_bits(t), _bits(numpy_rounds(s, np.linspace(0.0, 1.0, 201))))
     assert one == numpy_rounds(s, np.array([0.3]))[0]
 
 
 def test_power_leaf_called_once_per_round():
-    # a power component stays numpy's np.power: the one-point solve of
-    # mixture(power(2), uniform) evaluates it once per round, on the 4 ends
-    power_calls, rounds, sizes, np_power = [0], [0], [], np.power
+    # a power exponent alpha + 1 that is no integer up to _POWER_MAX stays
+    # numpy's np.power, a leaf: the one-point solve of mixture(power(alpha),
+    # uniform) evaluates it once per round on the 4 ends, the kernel
+    # returning to Python for each round
+    for alpha in (0.5, 2.5, 16.0):
+        power_calls, solves, sizes, rounds, np_power = [0], [0], [], [0], np.power
 
-    def power(x, a):
-        power_calls[0] += 1
-        sizes.append(np.size(x))
-        return np_power(x, a)
+        def power(x, a):
+            power_calls[0] += 1
+            sizes.append(np.size(x))
+            return np_power(x, a)
 
-    s = SpreadFunction(densities.mixture(densities.power(2.0), densities.uniform(), 0.94), 17408)
-    with mock.patch.object(densities.np, "power", power), \
-            mock.patch.object(spread.np, "cbrt", _counting(np.cbrt, rounds)):
-        t = s.at(0.3)
-    assert power_calls[0] == rounds[0] > 2 and set(sizes) == {4}
-    assert t == numpy_rounds(s, np.array([0.3]))[0]
+        s = SpreadFunction(densities.mixture(densities.power(alpha), densities.uniform(), 0.94),
+                           17408)
+        with mock.patch.object(densities.np, "power", power), \
+                mock.patch.object(spread.KERNEL, "tn_solve",
+                                  _counting(spread.KERNEL.tn_solve, solves)):
+            t = s.at(0.3)
+        with mock.patch.object(kernel_reference, "interval_mass",
+                               _counting(densities.interval_mass, rounds)):
+            assert t == numpy_rounds(s, np.array([0.3]))[0]
+        assert power_calls[0] == solves[0] - 1 == rounds[0] > 2 and set(sizes) == {4}
 
 
 def test_replaced_unit_cdf_is_what_gets_solved():
     # a design built by dataclasses.replace(d, unit_cdf=f) is solved through
-    # f, alone and as a mixture's component, whatever its kind and params say
+    # f, alone and as a mixture's component, whatever its kind and params
+    # say: f is a leaf, called once per round, each round a return of the
+    # kernel to Python
     xs = np.linspace(0.0, 1.0, 101)
     ex3, uni = densities.example3(4096), densities.uniform()
     as_uniform = dataclasses.replace(ex3, unit_cdf=uni.unit_cdf)
@@ -251,12 +270,27 @@ def test_replaced_unit_cdf_is_what_gets_solved():
     assert np.array_equal(SpreadFunction(mixed, 4096).at(xs),
                           SpreadFunction(densities.mixture(uni, TABULATED, 0.4), 4096).at(xs))
     for d in (ex3, ORACLE_DESIGNS["nested_mixture"]):
-        calls, rounds = [0], [0]
+        calls, solves = [0], [0]
         s = SpreadFunction(dataclasses.replace(d, unit_cdf=_counting(d.unit_cdf, calls)), 4096)
-        with mock.patch.object(spread.np, "cbrt", _counting(np.cbrt, rounds)):
+        with mock.patch.object(spread.KERNEL, "tn_solve",
+                               _counting(spread.KERNEL.tn_solve, solves)):
             t = s.at(xs)
-        assert calls[0] == rounds[0] > 2
+        assert calls[0] == solves[0] - 1 > 2
         assert np.array_equal(_bits(t), _bits(SpreadFunction(d, 4096).at(xs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(ORACLE_DESIGNS)),
+       n=st.integers(2, 10**9),
+       xs=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=20))
+def test_cube_root_only_steers_the_solve(kind, n, xs):
+    # the kernel takes libm's cube root, whose last bits differ from
+    # numpy's: the secant it steers may differ, but the bracket that g's
+    # sign test certifies, and so each t, does not
+    s, xs = SpreadFunction(ORACLE_DESIGNS[kind], n), np.array(xs + [0.0, 0.5, 1.0])
+    libm = numpy_rounds(s, xs)
+    assert np.array_equal(_bits(libm), _bits(numpy_rounds(s, xs, cbrt=np.cbrt)))
+    assert np.array_equal(_bits(libm), _bits(s.at(xs)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -773,6 +807,32 @@ def test_sample_sizes_are_integers_and_parameters_finite(call, bad):
     # finite and > 0; anything else is refused by an error that names it
     with pytest.raises(InvalidParameterError, match=re.escape(bad)):
         call()
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: densities.power(True), InvalidParameterError),
+    (lambda: densities.power(np.True_), InvalidParameterError),
+    (lambda: densities.mixture(_U, _U, True), InvalidParameterError),
+    (lambda: densities.doubling_constant(_U, True), InvalidParameterError),
+    (lambda: SpreadFunction(_U, 100).closed_form_bounds(math.nan), InvalidInputError),
+    (lambda: SpreadFunction(_U, 100).closed_form_bounds(np.array([0.5, math.nan])),
+     InvalidInputError),
+    (lambda: densities.interval_mass(_U, math.nan, 0.5), InvalidIntervalError),
+    (lambda: densities.interval_mass(densities.power(2.0), 0.1, math.nan), InvalidIntervalError),
+    (lambda: densities.interval_mass(_U, np.array([0.1, 0.2]), np.array([0.3, math.nan])),
+     InvalidIntervalError),
+], ids=["power-bool", "power-numpy-bool", "mixture-weight-bool", "doubling-eta-bool",
+        "bounds-nan", "bounds-nan-in-array", "mass-nan-a", "mass-nan-b", "mass-nan-in-array"])
+def test_edges_reject_bools_and_nan(call, error):
+    # a bool is no number and NaN no point or endpoint: each is refused by a
+    # typed error instead of being read as 1.0 or passed through as NaN
+    with pytest.raises(error):
+        call()
+
+
+def test_infinite_interval_ends_are_clipped():
+    assert densities.interval_mass(_U, -math.inf, math.inf) == 1.0
+    assert densities.interval_mass(densities.power(2.0), 0.5, math.inf) == 1.0 - 0.125
 
 
 # --- empirical spread ---------------------------------------------------
