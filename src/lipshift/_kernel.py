@@ -25,7 +25,7 @@ import numpy as np
 from .errors import KernelUnavailableError
 
 # fixed, so that every add, multiply and divide rounds as Python's do; libm
-# last, after the source, for the solve's cbrt
+# last, after the source, for the solve's cbrt and the power designs' pow
 _CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared", "-lm")
 
 
@@ -79,7 +79,7 @@ def _load_kernel():
     lib.iso_fit.argtypes = [ptr, i64, ptr, ptr, ptr]
     lib.emp_spread.argtypes = [ptr, i64, ctypes.c_double, ptr, i64, ptr]
     lib.tn_solve.argtypes = [ptr]
-    lib.unit_cdf.argtypes = [ptr, ptr, i64, i64]
+    lib.unit_cdf.argtypes = [ptr, ptr, i64]
     lib.tab_ppf.argtypes = [ptr, i64, ptr, i64, ptr]
     lib.lse_roots.restype = lib.lse_clip.restype = lib.iso_fit.restype = None
     lib.emp_spread.restype = lib.unit_cdf.restype = lib.tab_ppf.restype = None

@@ -1,14 +1,14 @@
 /* The two passes of the Lipschitz LSE, the isotonic fit, the empirical
- * spread, the closed-form designs' unit CDFs, a tabulated design's inverse
- * CDF and the t_n solve, which evaluates the design's unit CDF here too,
- * in C.  Their references in tests/kernel_reference.py (stack_roots and
- * clip_roots, pava, search, unit_cdf with power_cdf, example3_cdf and
- * tabulated_cdf, tabulated_ppf, numpy_rounds) do the same float
- * operations in the same order, so that built with -O2 -std=c99
- * -ffp-contract=off (no fused multiply-add, no fast-math) these give the
- * references' bits.  An integer power is a product of its base, never
- * libm's pow, whose last bits differ from numpy's; the solve's one libm
- * call, cbrt, only steers its secant (see tn_solve).
+ * spread, the designs' unit CDFs, a tabulated design's inverse CDF and the
+ * t_n solve, which evaluates the design's unit CDF here too, in C.  Their
+ * references in tests/kernel_reference.py (stack_roots and clip_roots,
+ * pava, search, unit_cdf with power_cdf, pow_cdf, example3_cdf and
+ * tabulated_cdf, tabulated_ppf, numpy_rounds) do the same float operations
+ * in the same order, so that built with -O2 -std=c99 -ffp-contract=off (no
+ * fused multiply-add, no fast-math) these give the references' bits.  An
+ * integer power is a product of its base; any other power is libm's pow,
+ * whose bits are Python's math.pow's; the solve's cbrt only steers its
+ * secant (see tn_solve).
  *
  * The knots live in one buffer of 2n + 1 (position, value) pairs from the
  * caller: the left stack grows up from k[0], the right stack down from
@@ -273,22 +273,18 @@ static double tab_at(const double *tab, int64_t m, double x)
  *              right ramp, split at 1/4 and 3/4;
  *   TABULATED  m, then the (4, m) table of tab_at;
  *   MIXTURE    w, then P's tree and Q's: w * F_P + (1.0 - w) * F_Q;
- *   LEAF       a CDF the kernel does not know (np.power with an exponent
- *              that is no integer, or a function set in its place), which
- *              numpy evaluated into a row of leaf values.
- * The leaves' rows are in the order of the LEAF nodes.  The tree is walked
- * once per block of up to BLOCK points, so that each node's loop runs
- * over a block and a mixture holds its Q values in one block on the
- * stack.  densities numbers the kinds as this enum does. */
-enum { UNIFORM, POWER, EXAMPLE3, TABULATED, MIXTURE, LEAF };
+ *   POW        e: libm's pow(x, e), a power design's x^(alpha + 1) for
+ *              any other alpha.
+ * The tree is walked once per block of up to BLOCK points, so that each
+ * node's loop runs over a block and a mixture holds its Q values in one
+ * block on the stack.  densities numbers the kinds as this enum does. */
+enum { UNIFORM, POWER, EXAMPLE3, TABULATED, MIXTURE, POW };
 enum { BLOCK = 256 };
 
 /* The unit CDF of the tree at *tree, which then points past it, at the n
  * <= BLOCK points x: the values in out, or where they already are (x for
- * a uniform node, *leaf for a leaf, which moves *leaf stride doubles on,
- * to the next leaf's row).  Returns where the values are. */
-static const double *tree_cdf(const double **tree, const double **leaf, int64_t stride,
-                              const double *x, int64_t n, double *out)
+ * a uniform node).  Returns where the values are. */
+static const double *tree_cdf(const double **tree, const double *x, int64_t n, double *out)
 {
     const double *c = *tree, *fp, *fq;
     /* a node's numbers in locals: the compiler cannot tell that out and c
@@ -336,33 +332,33 @@ static const double *tree_cdf(const double **tree, const double **leaf, int64_t 
     case MIXTURE:  /* Q's values never land in out, which P's may fill */
         w = c[1];
         *tree = c + 2;
-        fp = tree_cdf(tree, leaf, stride, x, n, out);
-        fq = tree_cdf(tree, leaf, stride, x, n, q);
+        fp = tree_cdf(tree, x, n, out);
+        fq = tree_cdf(tree, x, n, q);
         for (i = 0; i < n; i++)
             out[i] = w * fp[i] + (1.0 - w) * fq[i];
         return out;
-    default:  /* LEAF */
-        *tree = c + 1;
-        fp = *leaf;
-        *leaf += stride;
-        return fp;
+    default:  /* POW */
+        v = c[1];
+        *tree = c + 2;
+        for (i = 0; i < n; i++)
+            out[i] = pow(x[i], v);
+        return out;
     }
 }
 
-/* The unit CDF of the given tree at n points, in place: buf holds the
- * rows of its L leaves, leaf j's value at point t at buf[j n + t], then
- * the points, which the values replace.  Each block of points is copied
- * out first, since a mixture reads its points again after P's values. */
-void unit_cdf(const double *tree, double *buf, int64_t n, int64_t leaves)
+/* The unit CDF of the given tree at the n points x, in place.  Each block
+ * of points is copied out first, since a mixture reads its points again
+ * after P's values. */
+void unit_cdf(const double *tree, double *x, int64_t n)
 {
-    double x[BLOCK], *out = buf + leaves * n;
+    double in[BLOCK];
     for (int64_t t = 0; t < n; t += BLOCK) {
-        const double *c = tree, *l = buf + t, *f;
+        const double *c = tree, *f;
         int64_t b = n - t < BLOCK ? n - t : BLOCK;
-        memcpy(x, out + t, b * sizeof *x);
-        f = tree_cdf(&c, &l, n, x, b, out + t);
-        if (f != out + t)
-            memcpy(out + t, f, b * sizeof *out);
+        memcpy(in, x + t, b * sizeof *in);
+        f = tree_cdf(&c, in, b, x + t);
+        if (f != x + t)
+            memcpy(x + t, f, b * sizeof *x);
     }
 }
 
@@ -390,22 +386,20 @@ void tab_ppf(const double *tab, int64_t m, const double *u, int64_t n, double *o
     }
 }
 
-/* The t_n solve works on a buffer s that starts with seven doubles: n, k
+/* The t_n solve works on a buffer s that starts with six doubles: n, k
  * (the points still solving), the round, the threshold log n / n, its
- * cube root (the secant's target), the first estimate (the cube root of
- * half the threshold) and L, the leaves of the design's unit CDF.  So each
- * call takes one argument, and ctypes converts one.  Rows of n doubles
- * follow, row r at s + 7 + r n.  X holds the solve's points, and each
- * solved t in place of its point.  The rows from IDX to BEFORE hold, for
- * each point still solving, compacted to the row's front in order: its
- * index in X (as a double), half, est, lo, hi and before.  For the k
- * points of a round, E (4 rows) holds the clipped ends x + a, x + b,
- * x - a, x - b, then g(a), g(b) (2k).  Each leaf has the next 4 rows,
- * whose first 4k doubles hold its CDF at E's ends, and the tree of the
- * unit CDF (see tree_cdf) follows the last of them.  The caller fills the
- * header, X and the tree, and the leaves' rows whenever tn_solve asks. */
-enum { X, IDX, HALF, EST, LO, HI, BEFORE, E, LEAVES = E + 4 };
-#define ROW(r) (s + 7 + (r) * (int64_t)s[0])
+ * cube root (the secant's target) and the first estimate (the cube root of
+ * half the threshold).  So each call takes one argument, and ctypes
+ * converts one.  Rows of n doubles follow, row r at s + 6 + r n.  X holds
+ * the solve's points, and each solved t in place of its point.  The rows
+ * from IDX to BEFORE hold, for each point still solving, compacted to the
+ * row's front in order: its index in X (as a double), half, est, lo, hi
+ * and before.  For the k points of a round, E (4 rows) holds the clipped
+ * ends x + a, x + b, x - a, x - b, then g(a), g(b) (2k).  The tree of the
+ * unit CDF (see tree_cdf) follows E.  The caller fills the header, X and
+ * the tree. */
+enum { X, IDX, HALF, EST, LO, HI, BEFORE, E, TREE = E + 4 };
+#define ROW(r) (s + 6 + (r) * (int64_t)s[0])
 
 /* kernel_reference.next_float: the neighbouring integer of x's bit pattern */
 static double next_float(double x, int64_t step)
@@ -502,22 +496,20 @@ static int64_t tn_round(double *s)
 }
 
 /* g = pair^2 max(F(x + pair) - F(x - pair), 0.0) for the k points' pairs,
- * the unit CDF F evaluated on the ends in E by its tree and its leaves'
- * rows, a block of points at a time, into E's first 2k: the loop's
- * `interval_mass`.  A block's ends are read before its entries are
- * written. */
+ * the unit CDF F evaluated on the ends in E by its tree, a block of points
+ * at a time, into E's first 2k: the loop's `interval_mass`.  A block's
+ * ends are read before its entries are written. */
 static void tn_mass(double *s)
 {
-    int64_t n = (int64_t)s[0], k = (int64_t)s[1], i, j, t, nb;
+    int64_t k = (int64_t)s[1], i, j, t, nb;
     const double *lo = ROW(LO), *hi = ROW(HI), *est = ROW(EST), *half = ROW(HALF);
-    const double *leaf = ROW(LEAVES), *tree = ROW(LEAVES + 4 * (int64_t)s[6]), *c, *l, *f[4];
+    const double *tree = ROW(TREE), *c, *f[4];
     double *e = ROW(E), out[4][BLOCK], a, b;
     for (t = 0; t < k; t += BLOCK) {
         nb = k - t < BLOCK ? k - t : BLOCK;
         for (j = 0; j < 4; j++) {  /* F at x + a, x + b, x - a, x - b */
             c = tree;
-            l = leaf + j * k + t;
-            f[j] = tree_cdf(&c, &l, 4 * n, e + j * k + t, nb, out[j]);
+            f[j] = tree_cdf(&c, e + j * k + t, nb, out[j]);
         }
         for (i = 0; i < nb; i++) {  /* f may point into e: each entry read before it is written */
             pair(lo[t + i], hi[t + i], est[t + i], half[t + i], &a, &b);
@@ -527,17 +519,13 @@ static void tn_mass(double *s)
     }
 }
 
-/* The rounds of the solve on s, until every point is solved (returns 0)
- * or, for a design with leaves, until a round needs its leaves' rows:
- * then it returns the number k of points still solving, whose 4k ends in
- * E each leaf's row takes the CDF of, and the next call goes on from
- * there.  Nothing else leaves the kernel between rounds. */
+/* Every round of the solve on s, until every point is solved; returns the
+ * number of rounds that evaluated g, one `interval_mass` call each in
+ * kernel_reference.numpy_rounds. */
 int64_t tn_solve(double *s)
 {
-    int64_t k;
-    if (s[2] > 0.0)  /* a round's leaves were filled: its masses */
+    int64_t rounds = 0;
+    for (; tn_round(s); rounds++)
         tn_mass(s);
-    while ((k = tn_round(s)) && !s[6])
-        tn_mass(s);
-    return k;
+    return rounds;
 }

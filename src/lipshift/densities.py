@@ -5,8 +5,9 @@ mixture an exact inverse CDF, all vectorized over numpy arrays.  A design
 writes its density and CDF once, for points already in [0, 1] (its "unit"
 density and CDF, which clip nothing).  `density` and `cdf` clip x once in
 front of them, the density reading zero outside [0, 1]; `interval_mass`
-goes through `cdf`, and the one-point spread solve clips its interval ends
-itself.  Supported families:
+goes through `cdf`, and the spread solve clips its interval ends itself.
+One reader, `_points`, reads every design's points: bools, integers and
+floats, not strings, complex numbers or objects.  Supported families:
 
 * ``uniform`` -- density 1 on [0, 1].
 * ``power`` -- density (alpha + 1) x^alpha, a low-density region near 0.
@@ -19,17 +20,17 @@ itself.  Supported families:
   ``_sweep.c``).
 * ``mixture`` -- convex combination of two existing distributions.
 
-The unit CDFs of the example3, tabulated and mixture designs and of most
-power designs are one evaluator in that library, ``unit_cdf``, which reads
-a design's CDF as a tree of nodes (`_KernelCdf`).  A power design whose alpha + 1 is an
-integer k up to `_POWER_MAX` (alpha = 1, 2, 6, 10, ...) is a node that
-multiplies x by itself k - 1 times, never libm's ``pow``; the uniform
-design's node is the point itself, and either, alone, is evaluated in
-numpy with the same float operations, without a kernel call.  Any other
-power design keeps ``np.power`` and enters a mixture's tree as a leaf that
-numpy evaluates, as does any other unit CDF.  The t_n solve of ``spread``
-evaluates the same tree.  The kernels give the bits of the numpy bodies
-they replaced, kept in ``tests/kernel_reference.py`` as references.
+Every design's unit CDF is one evaluator in that library, ``unit_cdf``,
+which reads it as a tree of nodes (`_KernelCdf`).  A power design whose
+alpha + 1 is an integer k up to `_POWER_MAX` (alpha = 1, 2, 6, 10, ...) is
+a node that multiplies x by itself k - 1 times; any other power design is a
+node of libm's ``pow``, whose bits are Python's ``math.pow``'s.  The
+uniform design's node is the point itself, and it or an integer power,
+alone, is evaluated in numpy with the same float operations, without a
+kernel call.  The t_n solve of ``spread`` evaluates the same tree, so a
+unit CDF of any other form is refused there and in `mixture`.  The kernels
+give the bits of the numpy bodies they replaced (and of ``math.pow``), kept
+in ``tests/kernel_reference.py`` as references.
 
 Every inverse CDF is closed form and rejects NaN and levels outside [0, 1].
 The mixture's `ppf` raises: a mixture is drawn by composition instead.
@@ -88,7 +89,7 @@ class DesignDistribution:
 
     def density(self, x):
         """The density at x, zero outside [0, 1] (and at NaN)."""
-        x = np.asarray(x, float)
+        x = _points(x)
         return np.where((x >= 0.0) & (x <= 1.0), self.unit_density(_clip01(x)), 0.0)
 
     def cdf(self, x):
@@ -107,18 +108,28 @@ def _levels(u):
     return u
 
 
+def _points(x):
+    """x as a float array; points that are not bools, integers or floats
+    (strings, complex numbers, objects) are rejected.  NaN and infinite
+    points pass: each caller decides what they mean."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuf":
+        raise InvalidInputError(f"points of dtype {x.dtype} are not numbers")
+    return x.astype(float, copy=False)
+
+
 def _clip01(x):
-    """x clipped to [0, 1] as np.clip(x, 0.0, 1.0) does, -0.0 and NaN
-    included: np.maximum and np.minimum return their second argument on a
-    tie.  np.clip itself runs through Python-level wrappers, a cost that
-    short arrays pay on every call."""
-    return np.minimum(1.0, np.maximum(0.0, np.asarray(x, float)))
+    """The points x (by `_points`) clipped to [0, 1] as np.clip(x, 0.0, 1.0)
+    does, -0.0 and NaN included: np.maximum and np.minimum return their
+    second argument on a tie.  np.clip itself runs through Python-level
+    wrappers, a cost that short arrays pay on every call."""
+    return np.minimum(1.0, np.maximum(0.0, _points(x)))
 
 
 # the node kinds of a unit CDF's tree, numbered as in ``_sweep.c``
-_UNIFORM, _POWER, _EXAMPLE3, _TABULATED, _MIXTURE, _LEAF = range(6)
+_UNIFORM, _POWER, _EXAMPLE3, _TABULATED, _MIXTURE, _POW = range(6)
 # the largest integer exponent alpha + 1 of a power node; a larger one or
-# one that is no integer stays np.power, a leaf
+# one that is no integer is a pow node
 _POWER_MAX = 16
 
 
@@ -126,17 +137,16 @@ class _KernelCdf:
     """A unit CDF that the C kernel evaluates (``unit_cdf`` in ``_sweep.c``).
 
     ``tree`` holds its nodes in prefix order as one float array: a node's
-    kind, its numbers, then a mixture's two components.  ``leaves`` are the
-    unit CDFs the kernel does not know, in the order of their leaf nodes:
-    numpy evaluates each into a row that the kernel reads.  A uniform or
+    kind, its numbers, then a mixture's two components.  A uniform or
     power tree alone is evaluated here in numpy with the kernel's float
     operations, since a kernel call costs more than the products.  The t_n
-    solve reads both from the design's unit CDF, so it evaluates this one."""
+    solve reads the tree from the design's unit CDF, so it evaluates this
+    one."""
 
-    __slots__ = ("tree", "leaves")
+    __slots__ = ("tree",)
 
-    def __init__(self, tree, leaves):
-        self.tree, self.leaves = np.array(tree, float), tuple(leaves)
+    def __init__(self, tree):
+        self.tree = np.array(tree, float)
 
     def __call__(self, x):
         x = np.asarray(x, float)
@@ -148,54 +158,43 @@ class _KernelCdf:
             for _ in range(int(self.tree[1]) - 1):
                 y = y * x
             return y
-        # the leaves' rows, then the points, which the kernel replaces by the CDF
-        n, rows = x.size, len(self.leaves)
-        buf = np.empty((rows + 1) * n)
-        out = buf[rows * n:]
-        out[...] = x.ravel()
-        for j, f in enumerate(self.leaves):
-            buf[j * n:(j + 1) * n] = f(out)
-        KERNEL.unit_cdf(address(self.tree, self.tree.shape), address(buf, buf.shape), n, rows)
-        return out.reshape(x.shape)
+        out = x.copy()  # C-contiguous; the kernel replaces the points by the CDF
+        KERNEL.unit_cdf(address(self.tree, self.tree.shape), address(out, out.shape), out.size)
+        return out
 
 
 def _cdf_tree(cdf):
-    """(tree, leaves) of the unit CDF cdf: its own for a `_KernelCdf`; any
-    other function is one leaf."""
-    if isinstance(cdf, _KernelCdf):
-        return cdf.tree, cdf.leaves
-    return np.array([_LEAF], float), (cdf,)
+    """The tree of the unit CDF cdf, which must be a `_KernelCdf`: the t_n
+    solve and a mixture evaluate no other."""
+    if not isinstance(cdf, _KernelCdf):
+        raise InvalidParameterError(f"a unit CDF the C kernel cannot evaluate: {cdf!r}")
+    return cdf.tree
 
 
 def uniform() -> DesignDistribution:
-    return DesignDistribution("uniform", lambda x: 1.0, _KernelCdf([_UNIFORM], ()), _levels,
+    return DesignDistribution("uniform", lambda x: 1.0, _KernelCdf([_UNIFORM]), _levels,
                               sup_density=1.0)
 
 
 def power(alpha: float) -> DesignDistribution:
-    """Density (alpha + 1) x^alpha on [0, 1]; CDF x^(alpha + 1), for an
-    integer alpha + 1 up to `_POWER_MAX` the product of alpha + 1 factors x,
-    a node of the C kernel's tree, and np.power otherwise."""
+    """Density (alpha + 1) x^alpha on [0, 1]; CDF x^(alpha + 1), a node of
+    the C kernel's tree: for an integer alpha + 1 up to `_POWER_MAX` the
+    product of alpha + 1 factors x, and libm's pow otherwise."""
     if not (_is_finite(alpha) and alpha > 0.0):
         raise InvalidParameterError(f"power exponent must be a finite number > 0, got {alpha!r}")
-    a = float(alpha)
+    a, k = float(alpha), float(alpha) + 1.0
 
     # np.power, not **: _clip01 gives a numpy scalar for a 0-d x, and the
     # scalar ** rounds differently from the array power
     def unit_density(x):
-        return (a + 1.0) * np.power(x, a)
-
-    def unit_cdf(x):
-        return np.power(x, a + 1.0)
-
-    if (a + 1.0).is_integer() and a + 1.0 <= _POWER_MAX:
-        unit_cdf = _KernelCdf([_POWER, a + 1.0], ())
+        return k * np.power(x, a)
 
     def ppf(u):
-        return _levels(u) ** (1.0 / (a + 1.0))
+        return _levels(u) ** (1.0 / k)
 
-    return DesignDistribution("power", unit_density, unit_cdf, ppf, {"alpha": a},
-                              sup_density=a + 1.0)
+    return DesignDistribution("power", unit_density,
+                              _KernelCdf([_POWER if k.is_integer() and k <= _POWER_MAX
+                                          else _POW, k]), ppf, {"alpha": a}, sup_density=k)
 
 
 def _example3_phi(n: int) -> float:
@@ -231,7 +230,7 @@ def example3(n: int) -> DesignDistribution:
         return np.where(u <= f14, left, np.where(u <= f34, mid, right))
 
     return DesignDistribution("example3", unit_density,
-                              _KernelCdf([_EXAMPLE3, phi, ramp, f14, f34], ()), ppf,
+                              _KernelCdf([_EXAMPLE3, phi, ramp, f14, f34]), ppf,
                               {"n": int(n), "phi": phi}, sup_density=phi + ramp / 4.0)
 
 
@@ -279,7 +278,7 @@ def tabulated(grid, values) -> DesignDistribution:
         return out
 
     return DesignDistribution("tabulated", unit_density,
-                              _KernelCdf(np.concatenate([[_TABULATED, m], table.ravel()]), ()), ppf,
+                              _KernelCdf(np.concatenate([[_TABULATED, m], table.ravel()])), ppf,
                               {"grid": g, "values": v}, sup_density=float(v.max()))
 
 
@@ -297,7 +296,7 @@ def mixture(p: DesignDistribution, q: DesignDistribution, weight_p: float) -> De
     if not (_is_finite(weight_p) and 0.0 <= weight_p <= 1.0):
         raise InvalidParameterError(f"mixture weight must be a number in [0, 1], got {weight_p!r}")
     w = float(weight_p)
-    (p_tree, p_leaves), (q_tree, q_leaves) = _cdf_tree(p.unit_cdf), _cdf_tree(q.unit_cdf)
+    p_tree, q_tree = _cdf_tree(p.unit_cdf), _cdf_tree(q.unit_cdf)
 
     def unit_density(x):
         return w * p.unit_density(x) + (1.0 - w) * q.unit_density(x)
@@ -306,8 +305,7 @@ def mixture(p: DesignDistribution, q: DesignDistribution, weight_p: float) -> De
         raise InvalidParameterError("a mixture has no inverse CDF: draw it with `densities.sample`")
 
     return DesignDistribution("mixture", unit_density,
-                              _KernelCdf(np.concatenate([[_MIXTURE, w], p_tree, q_tree]),
-                                         p_leaves + q_leaves), ppf,
+                              _KernelCdf(np.concatenate([[_MIXTURE, w], p_tree, q_tree])), ppf,
                               {"weight_p": w, "p": p, "q": q},
                               sup_density=w * p.sup_density + (1.0 - w) * q.sup_density)
 
@@ -396,12 +394,11 @@ def from_spec(spec) -> DesignDistribution:
 
 def interval_mass(d: DesignDistribution, a, b):
     """Mass of [a, b] clipped to [0, 1].  Vectorized; raises if a > b or
-    an endpoint is NaN (an infinite one is clipped).
+    an endpoint is NaN (an infinite one is clipped) or not a number.
 
     d.cdf(b) - d.cdf(a) floored at 0.0: a zero difference comes out as +0.0
     whatever the signs of the zeros that made it."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
+    a, b = _points(a), _points(b)
     if not (a <= b).all():  # False where either is NaN
         raise InvalidIntervalError("interval endpoints NaN or out of order (a > b)")
     return np.maximum(d.cdf(b) - d.cdf(a), 0.0)

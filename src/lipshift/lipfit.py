@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernel import KERNEL, address
-from .densities import DesignDistribution
+from .densities import DesignDistribution, _is_finite
 from .errors import InvalidInputError, InvalidParameterError, ZeroDensityError
 
 __all__ = [
@@ -160,8 +160,8 @@ def _fitted_values(y, c, u):
 def fit_lipschitz_lse(sample: RegressionSample, budget: float) -> LipschitzFit:
     """Exact minimizer of the slope-constrained least squares problem with
     Lipschitz constant L = budget in (0, 1]."""
-    if not 0.0 < budget <= 1.0:
-        raise InvalidParameterError(f"Lipschitz budget must be in (0, 1], got {budget}")
+    if not (_is_finite(budget) and 0.0 < budget <= 1.0):
+        raise InvalidParameterError(f"Lipschitz budget must be a number in (0, 1], got {budget!r}")
     xu, ybar, w, extra = _merge_duplicates(sample.x, sample.y)
     gaps = budget * np.diff(xu)
     c = 2.0 * w
@@ -246,8 +246,8 @@ def kernel_smoother(sample: RegressionSample, d: DesignDistribution, h: float, x
     the terms, and so the rounding of their differences, small.  Cost:
     O(n + G log n) time and O(n + G) memory for G points x.
     """
-    if not 0.0 < h < np.inf:
-        raise InvalidParameterError(f"bandwidth must be positive and finite, got {h}")
+    if not (_is_finite(h) and h > 0.0):
+        raise InvalidParameterError(f"bandwidth must be a positive and finite number, got {h!r}")
     x = np.asarray(x, float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)

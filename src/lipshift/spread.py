@@ -10,11 +10,9 @@ hi = 1) pins the (smallest, hence the) solution.  `SpreadFunction.at`
 shrinks that bracket with paired secant steps on g^(1/3) until lo and hi are
 adjacent floats, by one path for one point and for many.  The whole solve
 runs in the C library that ``_kernel`` loads, the design's unit CDF
-included wherever the library knows its form (integer powers among them):
-one call per solve, and one more per round only for a leaf of the CDF that
-numpy evaluates, such as ``np.power`` with an exponent that is no integer.
-The secant's cube root is libm's there, not numpy's; it only steers the
-solve, and g's sign test certifies each result.  The empirical
+included: every t_n solve is one kernel call.  The secant's cube root is
+libm's there, not numpy's; it only steers the solve, and g's sign test
+certifies each result.  The empirical
 version finds its crossing index by counting sample points within each
 candidate distance and selects one order statistic of the distances, both
 over the sorted sample and exact, in the C library too; each buffer
@@ -31,7 +29,7 @@ import math
 import numpy as np
 
 from ._kernel import KERNEL, address
-from .densities import DesignDistribution, _cdf_tree, _is_finite, _is_int
+from .densities import DesignDistribution, _cdf_tree, _is_finite, _is_int, _points
 from .errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -47,13 +45,9 @@ __all__ = [
 
 
 def _finite(x):
-    """x as a float array; points that are not bools, integers or floats
-    (strings, complex numbers, objects), NaN and infinite points are
-    rejected."""
-    x = np.asarray(x)
-    if x.dtype.kind not in "biuf":
-        raise InvalidInputError(f"spread evaluated at points of dtype {x.dtype}, not numbers")
-    x = x.astype(float, copy=False)
+    """x as a float array by `densities._points`; NaN and infinite points
+    are rejected too."""
+    x = _points(x)
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("spread evaluated at a NaN or infinite point")
     return x
@@ -70,8 +64,9 @@ class SpreadFunction:
         self.threshold = np.log(n) / n
         # every solve's secant target and first estimate, the root for p = 1
         self._level, self._first = np.cbrt(self.threshold), np.cbrt(0.5 * self.threshold)
-        # the tree of the unit CDF itself, so that a replaced one is what gets solved
-        self._tree, self._leaves = _cdf_tree(distribution.unit_cdf)
+        # the tree of the unit CDF itself, so that a replaced one is what gets
+        # solved; a unit CDF the kernel cannot evaluate is refused
+        self._tree = _cdf_tree(distribution.unit_cdf)
 
     def at(self, x):
         """Solve the defining equation by a bracketed paired secant; vectorized.
@@ -95,13 +90,11 @@ class SpreadFunction:
         bisection steps; points far outside [0, 1] and larger n take more
         (at most 79 seen, at n = 10^15).
 
-        The rounds run in the C kernel (``tn_solve`` in ``_sweep.c``), so
-        a point gets the same iterates and the same bits, alone or among
-        others; the kernel evaluates the design's unit CDF on the clipped
-        interval ends from its tree of nodes, and returns to Python once
-        per round only while the tree has leaves (np.power with an
-        exponent that is no integer up to 16, or a unit CDF the kernel does
-        not know), which numpy evaluates.  The secant's cube root is
+        The rounds run in one call of the C kernel (``tn_solve`` in
+        ``_sweep.c``), so a point gets the same iterates and the same bits,
+        alone or among others; the kernel evaluates the design's unit CDF
+        on the clipped interval ends from its tree of nodes.  The secant's
+        cube root is
         libm's cbrt: it only picks the next pair, and the result is the
         midpoint of the adjacent floats that g's sign test brackets, so
         numpy's cube root, which differs from it in the last bit at many
@@ -118,26 +111,18 @@ class SpreadFunction:
         """`at` for a 1-d float64 array of points, solved together.
 
         The rounds are elementwise, so a point gets the bits of a solve for
-        it alone.  The kernel keeps the state, the leaves' rows and the
-        CDF's tree in one buffer (see ``tn_solve``) and runs every round in
-        one call, unless the tree has leaves: then it returns once per
-        round for numpy to fill their rows at the round's interval ends.
-        The result owns its memory."""
-        tree, leaves, n = self._tree, self._leaves, x.size
-        rows = 11 + 4 * len(leaves)
-        s = np.empty(7 + rows * n + tree.size)
+        it alone.  The kernel keeps the state and the CDF's tree in one
+        buffer (see ``tn_solve``) and runs every round in one call.  The
+        result owns its memory."""
+        n = x.size
+        s = np.empty(6 + 11 * n + self._tree.size)
         # n, the points still solving, the round, the threshold, the secant's
-        # target, the first estimate and the number of leaves; the tree last
-        s[:7] = n, n, 0, self.threshold, self._level, self._first, len(leaves)
-        s[7:7 + n] = x
-        s[7 + rows * n:] = tree
-        solve, addr = KERNEL.tn_solve, address(s, s.shape)
-        while k := solve(addr):  # k points still solving, whose 4k ends each leaf takes
-            ends = s[7 + 7 * n:7 + 7 * n + 4 * k]
-            for j, f in enumerate(leaves):
-                row = 7 + (11 + 4 * j) * n
-                s[row:row + 4 * k] = f(ends)
-        return s[7:7 + n].copy()  # each point's t in its place
+        # target and the first estimate; the points, 10 rows of state, the tree
+        s[:6] = n, n, 0, self.threshold, self._level, self._first
+        s[6:6 + n] = x
+        s[6 + 11 * n:] = self._tree
+        KERNEL.tn_solve(address(s, s.shape))
+        return s[6:6 + n].copy()  # each point's t in its place
 
     def derivative(self, x, t=None):
         """Closed-form derivative of t_n; undefined where t_n(x) hits x or 1-x.
@@ -148,11 +133,15 @@ class SpreadFunction:
                     / [2 log(n)/(n t^3) + p(x+t) 1(t<=1-x) + p(x-t) 1(t<=x)].
 
         Vectorized; pass t = self.at(x) when it is at hand, to solve only
-        once.  A scalar x outside (0, 1) or within 1e-6 of a kink raises
-        NondifferentiablePointError; in an array such points are NaN.
+        once: t is read as x is, and must have x's shape
+        (InvalidInputError otherwise).  A scalar x outside (0, 1) or within
+        1e-6 of a kink raises NondifferentiablePointError; in an array such
+        points are NaN.
         """
         x = _finite(x)
-        t = np.asarray(self.at(x) if t is None else t, float)
+        t = _finite(self.at(x) if t is None else t)
+        if t.shape != x.shape:
+            raise InvalidInputError(f"t of shape {t.shape} for points of shape {x.shape}")
         undefined = ((x <= 0.0) | (x >= 1.0)
                      | (np.abs(t - x) <= 1e-6) | (np.abs(t - (1.0 - x)) <= 1e-6))
         if x.ndim == 0 and undefined:

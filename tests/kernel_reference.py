@@ -17,12 +17,14 @@ library:
   ``SpreadFunction.at`` (``tn_solve``, ``tn_round``, ``tn_mass``,
   ``next_float``) in numpy, one `interval_mass` call per round, the secant
   steered by libm's cube root as in C (or by any other);
-- `unit_cdf`, with `power_cdf`, `example3_cdf` and `tabulated_cdf`: the
-  unit CDFs of the uniform, power, example3, tabulated and mixture designs
-  in numpy, the node kinds of ``unit_cdf`` in C (``tree_cdf``, ``tab_at``),
-  which also evaluates them in ``tn_mass``; a power design whose exponent
-  is no integer up to ``densities._POWER_MAX`` keeps ``np.power``, a leaf
-  of the C tree;
+- `unit_cdf`, with `power_cdf`, `pow_cdf`, `example3_cdf` and
+  `tabulated_cdf`: the unit CDFs of the uniform, power, example3, tabulated
+  and mixture designs in numpy, the node kinds of ``unit_cdf`` in C
+  (``tree_cdf``, ``tab_at``), which also evaluates them in ``tn_mass``, so
+  that every t_n solve is one kernel call; a power design whose exponent is
+  no integer up to ``densities._POWER_MAX`` is Python's ``math.pow``, which
+  gives libm's ``pow``'s bits as the C tree's pow node does (numpy's
+  ``np.power`` differs from it in the last bit at many points);
 - `tabulated_ppf`: the inverse CDF of ``densities.tabulated``
   (``tab_ppf``) in numpy, on the design's table of
   ``densities._tabulated_table``.
@@ -267,13 +269,13 @@ def numpy_rounds(s, x, cbrt=libm_cbrt):
 
 def unit_cdf(d, x):
     """The unit CDF of design d at the float array x in numpy, by d's kind:
-    the bodies of the C tree's nodes, and np.power for a power design whose
-    exponent is no integer up to `_POWER_MAX`, a leaf of the tree."""
+    the bodies of the C tree's nodes, math.pow's for a power design whose
+    exponent is no integer up to `_POWER_MAX`."""
     if d.kind == "uniform":
         return x
     if d.kind == "power":
         k = d.params["alpha"] + 1.0
-        return power_cdf(k, x) if k.is_integer() and k <= _POWER_MAX else np.power(x, k)
+        return power_cdf(k, x) if k.is_integer() and k <= _POWER_MAX else pow_cdf(k, x)
     if d.kind == "example3":
         return example3_cdf(d.params["phi"], x)
     if d.kind == "tabulated":
@@ -292,6 +294,13 @@ def power_cdf(k, x):
     for _ in range(int(k) - 1):
         y = y * x
     return y
+
+
+def pow_cdf(e, x):
+    """math.pow(v, e) for each v of the float array x, which holds points
+    in [0, 1], -0.0 or NaN, as an array shaped like x: a POW node of
+    ``tree_cdf`` in C."""
+    return np.array([math.pow(v, e) for v in x.ravel().tolist()], float).reshape(x.shape)
 
 
 def example3_cdf(phi, x):

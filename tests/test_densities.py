@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from unittest import mock
 
@@ -233,11 +232,11 @@ COMPONENTS = ["uniform", "power", "example3", "tabulated"]
                         min_size=2, max_size=2),
        nested_left=st.booleans())
 def test_kernel_cdf_matches_numpy_reference(kinds, seed, weights, nested_left):
-    # the C evaluator gives the bits of the numpy bodies it replaced for
-    # every node kind alone and in mixtures nested two deep, power leaves
-    # included: at 0.25 and 0.75 (where example3 changes piece) and their
-    # neighbouring floats, 0, 1, -0.0, NaN and random points, more than the
-    # kernel's two blocks of 256
+    # the C evaluator gives the bits of the numpy bodies it replaced (and
+    # of math.pow, for a pow node) for every node kind alone and in
+    # mixtures nested two deep: at 0.25 and 0.75 (where example3 changes
+    # piece) and their neighbouring floats, 0, 1, -0.0, NaN and random
+    # points, more than the kernel's two blocks of 256
     parts = [_component(kind, seed + i) for i, kind in enumerate(kinds)]
     inner = densities.mixture(parts[0], parts[1], weights[0])
     designs = parts + [inner, densities.mixture(inner, parts[2], weights[1])
@@ -254,9 +253,9 @@ def test_kernel_cdf_matches_numpy_reference(kinds, seed, weights, nested_left):
 
 
 def _kernel_cdf(tree, x):
-    """The C evaluator's unit CDF of the leafless tree at the float array x."""
+    """The C evaluator's unit CDF of the tree at the float array x."""
     tree, out = np.array(tree, float), np.array(x, float)
-    KERNEL.unit_cdf(address(tree, tree.shape), address(out, out.shape), out.size, 0)
+    KERNEL.unit_cdf(address(tree, tree.shape), address(out, out.shape), out.size)
     return out
 
 
@@ -282,15 +281,39 @@ def test_power_node_gives_numpys_products(k):
 
 
 @pytest.mark.parametrize("alpha", [0.5, 2.5, 16.0, 1e3])
-def test_other_power_exponents_stay_numpy_power(alpha):
-    # an exponent alpha + 1 that is no integer up to _POWER_MAX keeps
-    # np.power, and a mixture takes it as a leaf
+def test_other_power_exponents_are_libm_pow(alpha):
+    # an exponent alpha + 1 that is no integer up to _POWER_MAX is a pow
+    # node, alone and in a mixture: libm's pow, which gives math.pow's bits
+    # at 0, 1, -0.0, NaN and random points, and not np.power's at all of them
     d = densities.power(alpha)
-    assert not isinstance(d.unit_cdf, densities._KernelCdf)
-    x = np.random.default_rng(5).random(300)
-    assert np.array_equal(_bits(d.unit_cdf(x)), _bits(np.power(x, alpha + 1.0)))
+    assert np.array_equal(d.unit_cdf.tree, [densities._POW, alpha + 1.0])
+    x = np.concatenate([[0.0, 1.0, -0.0, np.nan], np.random.default_rng(5).random(3000)])
+    want = kernel_reference.pow_cdf(alpha + 1.0, x)
+    assert np.array_equal(_bits(d.unit_cdf(x)), _bits(want))
+    assert np.array_equal(_bits(_kernel_cdf([densities._POW, alpha + 1.0], x)), _bits(want))
+    assert _bits(d.unit_cdf(x[5])) == _bits(want[5])  # a 0-d point
+    assert np.any(want[4:] != np.power(x[4:], alpha + 1.0))
     mixed = densities.mixture(d, densities.uniform(), 0.5).unit_cdf
-    assert mixed.leaves == (d.unit_cdf,)
+    assert np.array_equal(mixed.tree, [densities._MIXTURE, 0.5, densities._POW, alpha + 1.0,
+                                       densities._UNIFORM])
+
+
+# a design of each kind of `_KINDS`, by its spec
+KIND_SPECS = {"uniform": {}, "power": {"alpha": 2.0}, "example3": {"n": 4096},
+              "tabulated": {"grid": [0.0, 0.5, 1.0], "values": [1.0, 0.0, 2.0]},
+              "mixture": {"p": {"kind": "power", "alpha": 0.5}, "q": {"kind": "uniform"},
+                          "weight_p": 0.3}}
+
+
+def test_every_design_cdf_is_a_kernel_tree():
+    # the C kernel evaluates every design's unit CDF, so that every t_n
+    # solve is one kernel call: each kind's constructor, and power designs
+    # whose alpha + 1 is no integer or one above _POWER_MAX, give a tree
+    assert sorted(KIND_SPECS) == sorted(densities._KINDS)
+    designs = [densities.from_spec({"kind": kind, **spec}) for kind, spec in KIND_SPECS.items()]
+    designs += [densities.power(alpha) for alpha in (0.5, 2.5, 16.0, 1e3)]
+    for d in designs:
+        assert isinstance(d.unit_cdf, densities._KernelCdf), d
 
 
 @pytest.mark.parametrize("d, calls", [
@@ -298,11 +321,13 @@ def test_other_power_exponents_stay_numpy_power(alpha):
     (densities.mixture(densities.power(2.0), densities.uniform(), 0.8), 2),
     (densities.mixture(densities.power(0.5), densities.uniform(), 0.8), 2),
     (densities.tabulated([0.0, 0.3, 0.7, 1.0], [0.5, 2.0, 1.0, 0.1]), 2),
-], ids=["uniform", "power2", "mixture", "leaf_mixture", "tabulated"])
+    (densities.power(0.5), 2),
+], ids=["uniform", "power2", "mixture", "leaf_mixture", "tabulated", "power.5"])
 def test_cdf_kernel_calls_take_at_most_two_addresses(d, calls):
-    # a kernel CDF call hands the kernel its tree and one buffer of leaf
-    # rows and points; the uniform and integer power CDFs, and so their
-    # interval masses and doubling constants, make no kernel call
+    # a kernel CDF call hands the kernel its tree and the buffer of points
+    # that the CDF replaces (leaf_mixture: a pow node as a mixture's leaf);
+    # the uniform and integer power CDFs, and so their interval masses and
+    # doubling constants, make no kernel call
     counted = [0]
 
     def counting(*args):
@@ -372,12 +397,12 @@ def _zero_stretch_tabulated(seed):
     return densities.tabulated(grid, values)
 
 
-def _counting(d, calls):
-    def unit_cdf(x):
-        calls[0] += np.size(x)
-        return d.unit_cdf(x)
-
-    return dataclasses.replace(d, unit_cdf=unit_cdf)
+def _counting(f, calls):
+    """f, counting its calls in calls[0]."""
+    def counted(*args):
+        calls[0] += 1
+        return f(*args)
+    return counted
 
 
 def test_mixture_sample_memory_bounded(traced):
@@ -421,11 +446,14 @@ def one_shot_sample(d, count, rng):
 
 @pytest.mark.parametrize("d", [MIXTURE, NESTED_MIXTURE], ids=["mixture", "nested"])
 def test_mixture_sample_matches_mixture_cdf(d):
-    # composition draws from the components and never inverts the mixture CDF
+    # composition draws from the components and never inverts the mixture
+    # CDF: no unit CDF is evaluated, in Python or in the kernel
     calls = [0]
-    counted = densities.mixture(_counting(d.params["p"], calls),
-                                _counting(d.params["q"], calls), d.params["weight_p"])
-    x = np.sort(densities.sample(counted, 100_000, seed=12))
+    with mock.patch.object(densities._KernelCdf, "__call__",
+                           _counting(densities._KernelCdf.__call__, calls)), \
+            mock.patch.object(densities.KERNEL, "unit_cdf",
+                              _counting(densities.KERNEL.unit_cdf, calls)):
+        x = np.sort(densities.sample(d, 100_000, seed=12))
     assert calls[0] == 0
     cdf = d.cdf(x)
     ks = max(np.max(np.arange(1, x.size + 1) / x.size - cdf),
@@ -507,14 +535,15 @@ def clip_reference(kind, **params):
         cdf_p, cdf_q = clip_reference(p.kind, **p.params)[1], clip_reference(q.kind, **q.params)[1]
         return None, lambda x: w * cdf_p(x) + (1.0 - w) * cdf_q(x)
     if kind == "power":
-        # np.power, as in densities: a numpy scalar's ** rounds differently;
-        # an integer exponent alpha + 1 up to _POWER_MAX is the C kernel's
-        # product of alpha + 1 factors
+        # np.power in the density, as in densities: a numpy scalar's **
+        # rounds differently; the CDF is the C kernel's, for an integer
+        # exponent alpha + 1 up to _POWER_MAX the product of alpha + 1
+        # factors, and math.pow's (libm's pow) otherwise
         a, k = params["alpha"], params["alpha"] + 1.0
-        power = (np.power if not (k.is_integer() and k <= densities._POWER_MAX)
-                 else lambda x, k: kernel_reference.power_cdf(k, x))
+        power = (kernel_reference.power_cdf if k.is_integer() and k <= densities._POWER_MAX
+                 else kernel_reference.pow_cdf)
         return (_zero_outside(lambda x: (a + 1.0) * np.power(np.clip(x, 0.0, 1.0), a)),
-                (lambda x: power(np.clip(np.asarray(x, float), 0.0, 1.0), k)))
+                (lambda x: power(k, np.clip(np.asarray(x, float), 0.0, 1.0))))
     if kind == "example3":
         phi = params["phi"]
         ramp = 16.0 * (1.0 - phi)
@@ -633,6 +662,37 @@ def test_density_zero_outside_unit_interval(d):
     assert np.array_equal(d.density(np.array(out)), np.zeros(4))
     assert np.array_equal(d.density(np.array([out, out])), np.zeros((2, 4)))
     assert [float(d.density(x)) for x in out] == [0.0] * 4
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: d.cdf("0.5"),
+    lambda d: d.density("0.5"),
+    lambda d: densities.interval_mass(d, "0.1", "0.2"),
+    lambda d: d.cdf(0.5j),
+    lambda d: d.density(np.array([0.5, 0.25j])),
+    lambda d: densities.interval_mass(d, 0.1, 0.2 + 0j),
+    lambda d: d.cdf([0.5, None]),
+], ids=["cdf-text", "density-text", "mass-text", "cdf-complex", "density-complex-array",
+        "mass-complex", "cdf-object"])
+@pytest.mark.parametrize("d", [densities.uniform(), densities.power(0.5), MIXTURE],
+                         ids=["uniform", "power.5", "mixture"])
+def test_design_evaluators_reject_points_that_are_not_numbers(call, d):
+    # one reader takes a design's points: bools, integers and floats; a
+    # string is not parsed and a complex number not cut to its real part
+    with pytest.raises(InvalidInputError, match="not numbers"):
+        call(d)
+
+
+def test_design_evaluators_take_bools_integers_floats_and_nan():
+    d = densities.power(0.5)
+    assert d.cdf(True) == d.cdf(1) == d.cdf(np.int64(1)) == d.cdf(1.0) == 1.0
+    assert np.array_equal(d.cdf(np.array([0, 1], np.uint8)), d.cdf(np.array([0.0, 1.0])))
+    assert d.density(np.float32(0.5)) == d.density(0.5)
+    # NaN: the CDF passes it through, the density reads zero, an interval refuses it
+    assert np.isnan(d.cdf(np.nan)) and d.density(np.nan) == 0.0
+    with pytest.raises(InvalidIntervalError):
+        densities.interval_mass(d, np.nan, 0.5)
+    assert densities.interval_mass(d, False, 1) == 1.0
 
 
 def test_sample_deterministic_and_in_range():

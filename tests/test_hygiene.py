@@ -271,7 +271,7 @@ def test_node_kinds_numbered_alike_in_c_and_python():
     # only would be read as another; a copy with two kinds swapped differs
     c, py = (SRC / "_sweep.c").read_text(), (SRC / "densities.py").read_text()
     kinds = _c_node_kinds(c)
-    assert _python_node_kinds(py) == kinds and {"UNIFORM", "POWER", "LEAF"} <= set(kinds)
+    assert _python_node_kinds(py) == kinds and {"UNIFORM", "POWER", "POW"} <= set(kinds)
     from lipshift import densities
     assert [getattr(densities, "_" + kind) for kind in kinds] == list(range(len(kinds)))
     swapped = c.replace(f"{kinds[1]}, {kinds[2]}", f"{kinds[2]}, {kinds[1]}", 1)

@@ -260,6 +260,18 @@ def test_bad_budget_rejected():
             fit_lipschitz_lse(s, L)
 
 
+@pytest.mark.parametrize("bad", [True, np.True_, "0.5", None, 0.5j],
+                         ids=["bool", "numpy-bool", "text", "none", "complex"])
+def test_budget_and_bandwidth_must_be_numbers(bad):
+    # a bool is not a Lipschitz budget or a bandwidth of 1, and a string or
+    # None is refused by a typed error, not a bare TypeError
+    s = RegressionSample([0.1, 0.5, 0.9], [0.0, 1.0, 0.0])
+    with pytest.raises(InvalidParameterError, match="budget"):
+        fit_lipschitz_lse(s, bad)
+    with pytest.raises(InvalidParameterError, match="bandwidth"):
+        kernel_smoother(s, densities.uniform(), bad, np.linspace(0.0, 1.0, 11))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=25),
        st.floats(0.05, 1.0))

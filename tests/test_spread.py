@@ -101,7 +101,7 @@ ORACLE_DESIGNS = {
     "nested_mixture": densities.mixture(densities.mixture(densities.power(2.0), TABULATED, 0.3),
                                         densities.example3(4096), 0.6),
     "example3_tabulated": densities.mixture(densities.example3(4096), TABULATED, 0.5),
-    # a leaf in a mixture: np.power with an exponent that is no integer
+    # a pow node (libm's pow, an exponent that is no integer) as a mixture's leaf
     "leaf_mixture": densities.mixture(densities.power(0.5), TABULATED, 0.4),
 }
 
@@ -155,46 +155,38 @@ def test_next_float_matches_nextafter():
 
 
 def test_paired_secant_mass_evaluations(monkeypatch):
-    # rounds counted by unit-CDF calls, which every CDF evaluation goes
-    # through: the kernel's solve makes one per round, on the clipped ends
-    # of every point's pair, for one point and for many, and no
-    # interval_mass call, in as many rounds as the numpy loop makes
+    # rounds counted by the kernel: its one call per solve returns the
+    # rounds that evaluated g on the clipped ends of every point's pair, the
+    # same for one point and for many, with no interval_mass call and no
+    # unit-CDF call from Python, in as many rounds as the numpy loop makes
     # interval_mass calls; bisection to adjacent floats takes 53 to 59
     # rounds, on the pooled design of transfer.mixture_spread as anywhere
-    cdf_calls, mass_calls = [0], [0]
-    mass = densities.interval_mass
-
-    def counted_mass(*args):
-        mass_calls[0] += 1
-        return mass(*args)
-
-    def counted(d):
-        def unit_cdf(x):
-            cdf_calls[0] += 1
-            return d.unit_cdf(x)
-        return dataclasses.replace(d, unit_cdf=unit_cdf)
-
-    monkeypatch.setattr(densities, "interval_mass", counted_mass)
-    monkeypatch.setattr(kernel_reference, "interval_mass", counted_mass)
-    s = SpreadFunction(counted(densities.mixture(densities.power(2.0), densities.uniform(),
-                                                 16384 / (16384 + 1024))), 16384 + 1024)
+    rounds, cdf_calls, mass_calls = [], [0], [0]
+    monkeypatch.setattr(densities, "interval_mass", _counting(densities.interval_mass, mass_calls))
+    monkeypatch.setattr(kernel_reference, "interval_mass", densities.interval_mass)
+    monkeypatch.setattr(spread.KERNEL, "tn_solve", _rounds(spread.KERNEL.tn_solve, rounds))
+    monkeypatch.setattr(densities._KernelCdf, "__call__",
+                        _counting(densities._KernelCdf.__call__, cdf_calls))
+    monkeypatch.setattr(densities.KERNEL, "unit_cdf",
+                        _counting(densities.KERNEL.unit_cdf, cdf_calls))
+    s = SpreadFunction(densities.mixture(densities.power(2.0), densities.uniform(),
+                                         16384 / (16384 + 1024)), 16384 + 1024)
     total = 0
     for x in np.linspace(0.0, 1.0, 65):
-        cdf_calls[0] = 0
+        rounds.clear()
         s.at(x)
-        one_point = cdf_calls[0]
-        cdf_calls[0] = 0
         s.at(np.array([x, x]))
-        assert cdf_calls[0] == one_point and mass_calls[0] == 0  # the same rounds
+        assert len(rounds) == 2 and rounds[0] == rounds[1]  # one call each, the same rounds
+        assert cdf_calls[0] == mass_calls[0] == 0
         numpy_rounds(s, np.array([x]))
-        assert mass_calls[0] == one_point
-        mass_calls[0] = 0
-        total += one_point
+        assert mass_calls[0] == rounds[0]
+        mass_calls[0] = cdf_calls[0] = 0
+        total += rounds[0]
     assert total <= 12 * 65
     for d in ORACLE_DESIGNS.values():
-        cdf_calls[0] = 0
-        SpreadFunction(counted(d), 4096).at(np.linspace(0.0, 1.0, 2001))
-        assert cdf_calls[0] <= 30 and mass_calls[0] == 0
+        rounds.clear()
+        SpreadFunction(d, 4096).at(np.linspace(0.0, 1.0, 2001))
+        assert len(rounds) == 1 and rounds[0] <= 30 and cdf_calls[0] == mass_calls[0] == 0
 
 
 def _counting(f, calls):
@@ -202,6 +194,14 @@ def _counting(f, calls):
     def counted(*args, **kwargs):
         calls[0] += 1
         return f(*args, **kwargs)
+    return counted
+
+
+def _rounds(solve, rounds):
+    """The kernel's tn_solve, appending the rounds each call ran to rounds."""
+    def counted(addr):
+        rounds.append(solve(addr))
+        return rounds[-1]
     return counted
 
 
@@ -231,36 +231,42 @@ def test_kernel_designs_solve_without_python_cdf_calls(d):
     assert one == numpy_rounds(s, np.array([0.3]))[0]
 
 
-def test_power_leaf_called_once_per_round():
-    # a power exponent alpha + 1 that is no integer up to _POWER_MAX stays
-    # numpy's np.power, a leaf: the one-point solve of mixture(power(alpha),
-    # uniform) evaluates it once per round on the 4 ends, the kernel
-    # returning to Python for each round
-    for alpha in (0.5, 2.5, 16.0):
-        power_calls, solves, sizes, rounds, np_power = [0], [0], [], [0], np.power
-
-        def power(x, a):
-            power_calls[0] += 1
-            sizes.append(np.size(x))
-            return np_power(x, a)
-
-        s = SpreadFunction(densities.mixture(densities.power(alpha), densities.uniform(), 0.94),
-                           17408)
-        with mock.patch.object(densities.np, "power", power), \
+@pytest.mark.parametrize("d", [
+    densities.power(0.5), ORACLE_DESIGNS["leaf_mixture"],
+    densities.mixture(densities.uniform(), densities.power(0.5), 0.5),
+    densities.mixture(densities.power(2.5), densities.uniform(), 0.94),
+    densities.mixture(densities.power(16.0), densities.uniform(), 0.94),
+], ids=["power.5", "power.5_tabulated", "uniform_power.5", "power2.5_mixture", "power16_mixture"])
+def test_pow_designs_solve_in_one_kernel_call(d):
+    # a power exponent alpha + 1 that is no integer up to _POWER_MAX is a
+    # pow node of the kernel's tree, alone and in a mixture (the third is
+    # the pooled design of test_08's mixture_spread): one point and a
+    # 2,001-point grid are each one kernel call, which calls no unit CDF and
+    # no np.power from Python, in the numpy loop's rounds and with its bits
+    s, grid = SpreadFunction(d, 1000), np.linspace(0.0, 1.0, 2001)
+    for x in (0.3, grid):
+        rounds, cdf_calls, power_calls, mass_calls = [], [0], [0], [0]
+        with mock.patch.object(densities._KernelCdf, "__call__",
+                               _counting(densities._KernelCdf.__call__, cdf_calls)), \
+                mock.patch.object(densities.KERNEL, "unit_cdf",
+                                  _counting(densities.KERNEL.unit_cdf, cdf_calls)), \
+                mock.patch.object(densities.np, "power", _counting(np.power, power_calls)), \
                 mock.patch.object(spread.KERNEL, "tn_solve",
-                                  _counting(spread.KERNEL.tn_solve, solves)):
-            t = s.at(0.3)
+                                  _rounds(spread.KERNEL.tn_solve, rounds)):
+            t = s.at(x)
+        assert len(rounds) == 1 and cdf_calls[0] == power_calls[0] == 0
         with mock.patch.object(kernel_reference, "interval_mass",
-                               _counting(densities.interval_mass, rounds)):
-            assert t == numpy_rounds(s, np.array([0.3]))[0]
-        assert power_calls[0] == solves[0] - 1 == rounds[0] > 2 and set(sizes) == {4}
+                               _counting(densities.interval_mass, mass_calls)):
+            want = numpy_rounds(s, np.atleast_1d(np.asarray(x, float)))
+        assert np.array_equal(_bits(t), _bits(want if np.ndim(x) else want[0]))
+        assert rounds[0] == mass_calls[0] > 2
 
 
 def test_replaced_unit_cdf_is_what_gets_solved():
     # a design built by dataclasses.replace(d, unit_cdf=f) is solved through
     # f, alone and as a mixture's component, whatever its kind and params
-    # say: f is a leaf, called once per round, each round a return of the
-    # kernel to Python
+    # say, when f is a tree of the kernel; the solve and a mixture evaluate
+    # nothing else, so they refuse any other f, which `cdf` still evaluates
     xs = np.linspace(0.0, 1.0, 101)
     ex3, uni = densities.example3(4096), densities.uniform()
     as_uniform = dataclasses.replace(ex3, unit_cdf=uni.unit_cdf)
@@ -269,14 +275,14 @@ def test_replaced_unit_cdf_is_what_gets_solved():
     mixed = densities.mixture(as_uniform, TABULATED, 0.4)
     assert np.array_equal(SpreadFunction(mixed, 4096).at(xs),
                           SpreadFunction(densities.mixture(uni, TABULATED, 0.4), 4096).at(xs))
-    for d in (ex3, ORACLE_DESIGNS["nested_mixture"]):
-        calls, solves = [0], [0]
-        s = SpreadFunction(dataclasses.replace(d, unit_cdf=_counting(d.unit_cdf, calls)), 4096)
-        with mock.patch.object(spread.KERNEL, "tn_solve",
-                               _counting(spread.KERNEL.tn_solve, solves)):
-            t = s.at(xs)
-        assert calls[0] == solves[0] - 1 > 2
-        assert np.array_equal(_bits(t), _bits(SpreadFunction(d, 4096).at(xs)))
+    for d in (ex3, ORACLE_DESIGNS["nested_mixture"], densities.power(0.5)):
+        plain = dataclasses.replace(d, unit_cdf=lambda x, f=d.unit_cdf: f(x))
+        for build in (lambda: SpreadFunction(plain, 4096),
+                      lambda: densities.mixture(plain, TABULATED, 0.4),
+                      lambda: densities.mixture(TABULATED, plain, 0.4)):
+            with pytest.raises(InvalidParameterError, match="cannot evaluate"):
+                build()
+        assert np.array_equal(_bits(plain.cdf(xs)), _bits(d.cdf(xs)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -675,6 +681,18 @@ def test_evaluators_take_bools_integers_and_floats():
 
 
 # --- derivative ---------------------------------------------------------
+
+@pytest.mark.parametrize("x, t", [
+    ([0.3, 0.4], [0.1]), ([0.3, 0.4], 0.1), (0.3, [0.1, 0.2]),
+    (0.3, np.nan), (0.3, np.inf), ([0.3, 0.4], [0.1, np.nan]), (0.3, "a"), (0.3, 0.1j),
+], ids=["short", "scalar-for-array", "array-for-scalar", "nan", "inf", "nan-in-array",
+        "text", "complex"])
+def test_derivative_reads_t_as_it_reads_x(x, t):
+    # a given t is read as the points are, and must have their shape: it
+    # is neither broadcast nor passed through as NaN
+    with pytest.raises(InvalidInputError):
+        SpreadFunction(densities.uniform(), 100).derivative(x, t)
+
 
 def test_derivative_zero_by_symmetry():
     assert SpreadFunction(densities.uniform(), 100).derivative(0.5) == 0.0

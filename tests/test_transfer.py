@@ -62,6 +62,13 @@ def test_small_samples_rejected():
         fit_transfer(two, one, 1.0)
 
 
+@pytest.mark.parametrize("bad", [True, "0.5", 0.0, np.nan])
+def test_fit_transfer_checks_its_budget(bad):
+    two = RegressionSample([0.2, 0.8], [0.0, 0.0])
+    with pytest.raises(InvalidParameterError, match="budget"):
+        fit_transfer(two, two, bad)
+
+
 def test_selector_tracks_sample_size_imbalance():
     # same design, ten times more source data: t_hat^P < t_hat^Q nearly
     # everywhere, so the selector should pick the source fit
