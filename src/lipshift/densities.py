@@ -2,10 +2,11 @@
 
 Each distribution carries an exact density and CDF, and every design but the
 mixture an exact inverse CDF, all vectorized over numpy arrays.  A design
-writes its density and CDF once, for points already in [0, 1] (its "unit"
-density and CDF, which clip nothing).  `density` and `cdf` clip x once in
-front of them, the density reading zero outside [0, 1]; `interval_mass`
-goes through `cdf`, and the spread solve clips its interval ends itself.
+writes its density once, for points already in [0, 1] (its "unit" density,
+which clips nothing), and its CDF as a tree of kernel nodes (below).
+`density` and `cdf` clip x once in front of them, the density reading zero
+outside [0, 1]; `interval_mass` goes through `cdf`, and the spread solve
+clips its interval ends itself.
 One reader, `_points`, reads every design's points: bools, integers and
 floats, not strings, complex numbers or objects.  Supported families:
 
@@ -20,17 +21,17 @@ floats, not strings, complex numbers or objects.  Supported families:
   ``_sweep.c``).
 * ``mixture`` -- convex combination of two existing distributions.
 
-Every design's unit CDF is one evaluator in that library, ``unit_cdf``,
-which reads it as a tree of nodes (`_KernelCdf`).  A power design whose
-alpha + 1 is an integer k up to `_POWER_MAX` (alpha = 1, 2, 6, 10, ...) is
-a node that multiplies x by itself k - 1 times; any other power design is a
-node of libm's ``pow``, whose bits are Python's ``math.pow``'s.  The
-uniform design's node is the point itself, and it or an integer power,
-alone, is evaluated in numpy with the same float operations, without a
-kernel call.  The t_n solve of ``spread`` evaluates the same tree, so a
-unit CDF of any other form is refused there and in `mixture`.  The kernels
-give the bits of the numpy bodies they replaced (and of ``math.pow``), kept
-in ``tests/kernel_reference.py`` as references.
+Every design's CDF is its `DesignDistribution.tree`, which one evaluator
+in that library, ``unit_cdf``, reads; a mixture's tree holds its
+components' trees.  A power design whose alpha + 1 is an integer k up to
+`_POWER_MAX` (alpha = 1, 2, 6, 10, ...) is a node that multiplies x by
+itself k - 1 times; any other power design is a node of libm's ``pow``,
+whose bits are Python's ``math.pow``'s.  The uniform design's node is the
+point itself, and it or an integer power, alone, is evaluated in numpy
+with the same float operations, without a kernel call.  The t_n solve of
+``spread`` evaluates the same tree.  The kernels give the bits of the
+numpy bodies they replaced (and of ``math.pow``), kept in
+``tests/kernel_reference.py`` as references.
 
 Every inverse CDF is closed form and rejects NaN and levels outside [0, 1].
 The mixture's `ppf` raises: a mixture is drawn by composition instead.
@@ -78,11 +79,15 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DesignDistribution:
-    """A distribution on [0, 1]: unit density and CDF (for x in [0, 1]), ppf."""
+    """A distribution on [0, 1]: unit density (for x in [0, 1]), CDF tree, ppf.
+
+    ``tree`` holds the CDF's kernel nodes in prefix order as one float64
+    array: a node's kind, its numbers, then a mixture's two components.
+    Only the constructors build it."""
 
     kind: str
     unit_density: Callable
-    unit_cdf: Callable
+    tree: np.ndarray
     ppf: Callable
     params: dict = field(default_factory=dict)
     sup_density: float = np.inf
@@ -93,8 +98,22 @@ class DesignDistribution:
         return np.where((x >= 0.0) & (x <= 1.0), self.unit_density(_clip01(x)), 0.0)
 
     def cdf(self, x):
-        """The CDF at x: the unit CDF at x clipped to [0, 1]."""
-        return self.unit_cdf(_clip01(x))
+        """The CDF at x clipped to [0, 1], by the C kernel's ``unit_cdf`` on
+        the tree.  A uniform or power tree alone is evaluated here in numpy
+        with the kernel's float operations, since a kernel call costs more
+        than the products."""
+        x = np.asarray(_clip01(x))
+        kind = self.tree[0]
+        if kind == _UNIFORM:  # the point itself
+            return x
+        if kind == _POWER:  # ((x x) x) ... x, the kernel's products
+            y = x
+            for _ in range(int(self.tree[1]) - 1):
+                y = y * x
+            return y
+        out = x.copy()  # C-contiguous; the kernel replaces the points by the CDF
+        KERNEL.unit_cdf(address(self.tree, self.tree.shape), address(out, out.shape), out.size)
+        return out
 
     def __repr__(self):
         return f"DesignDistribution(kind={self.kind!r}, params={self.params!r})"
@@ -126,53 +145,15 @@ def _clip01(x):
     return np.minimum(1.0, np.maximum(0.0, _points(x)))
 
 
-# the node kinds of a unit CDF's tree, numbered as in ``_sweep.c``
+# the node kinds of a CDF's tree, numbered as in ``_sweep.c``
 _UNIFORM, _POWER, _EXAMPLE3, _TABULATED, _MIXTURE, _POW = range(6)
 # the largest integer exponent alpha + 1 of a power node; a larger one or
 # one that is no integer is a pow node
 _POWER_MAX = 16
 
 
-class _KernelCdf:
-    """A unit CDF that the C kernel evaluates (``unit_cdf`` in ``_sweep.c``).
-
-    ``tree`` holds its nodes in prefix order as one float array: a node's
-    kind, its numbers, then a mixture's two components.  A uniform or
-    power tree alone is evaluated here in numpy with the kernel's float
-    operations, since a kernel call costs more than the products.  The t_n
-    solve reads the tree from the design's unit CDF, so it evaluates this
-    one."""
-
-    __slots__ = ("tree",)
-
-    def __init__(self, tree):
-        self.tree = np.array(tree, float)
-
-    def __call__(self, x):
-        x = np.asarray(x, float)
-        kind = self.tree[0]
-        if kind == _UNIFORM:  # the point itself
-            return x
-        if kind == _POWER:  # ((x x) x) ... x, the kernel's products
-            y = x
-            for _ in range(int(self.tree[1]) - 1):
-                y = y * x
-            return y
-        out = x.copy()  # C-contiguous; the kernel replaces the points by the CDF
-        KERNEL.unit_cdf(address(self.tree, self.tree.shape), address(out, out.shape), out.size)
-        return out
-
-
-def _cdf_tree(cdf):
-    """The tree of the unit CDF cdf, which must be a `_KernelCdf`: the t_n
-    solve and a mixture evaluate no other."""
-    if not isinstance(cdf, _KernelCdf):
-        raise InvalidParameterError(f"a unit CDF the C kernel cannot evaluate: {cdf!r}")
-    return cdf.tree
-
-
 def uniform() -> DesignDistribution:
-    return DesignDistribution("uniform", lambda x: 1.0, _KernelCdf([_UNIFORM]), _levels,
+    return DesignDistribution("uniform", lambda x: 1.0, np.array([_UNIFORM], float), _levels,
                               sup_density=1.0)
 
 
@@ -193,8 +174,8 @@ def power(alpha: float) -> DesignDistribution:
         return _levels(u) ** (1.0 / k)
 
     return DesignDistribution("power", unit_density,
-                              _KernelCdf([_POWER if k.is_integer() and k <= _POWER_MAX
-                                          else _POW, k]), ppf, {"alpha": a}, sup_density=k)
+                              np.array([_POWER if k.is_integer() and k <= _POWER_MAX else _POW, k]),
+                              ppf, {"alpha": a}, sup_density=k)
 
 
 def _example3_phi(n: int) -> float:
@@ -203,8 +184,7 @@ def _example3_phi(n: int) -> float:
 
 def example3(n: int) -> DesignDistribution:
     """Level phi on [1/4, 3/4] with linear ramps of slope 16(1 - phi) outside."""
-    if not (_is_int(n) and n > 2):
-        raise InvalidParameterError(f"example3 requires an integer n > 2, got {n!r}")
+    _check_sizes("example3", 3, n)
     phi = _example3_phi(n)
     ramp = 16.0 * (1.0 - phi)
     # piece boundaries of the CDF
@@ -230,7 +210,7 @@ def example3(n: int) -> DesignDistribution:
         return np.where(u <= f14, left, np.where(u <= f34, mid, right))
 
     return DesignDistribution("example3", unit_density,
-                              _KernelCdf([_EXAMPLE3, phi, ramp, f14, f34]), ppf,
+                              np.array([_EXAMPLE3, phi, ramp, f14, f34]), ppf,
                               {"n": int(n), "phi": phi}, sup_density=phi + ramp / 4.0)
 
 
@@ -261,11 +241,13 @@ def tabulated(grid, values) -> DesignDistribution:
         raise InvalidParameterError("tabulated grid must lie in [0, 1]")
     if not np.all((v >= 0) & (v < np.inf)):
         raise InvalidParameterError("tabulated density values must be finite and non-negative")
-    mass = np.trapezoid(v, g)
-    if not 0.0 < mass < np.inf:
-        raise InvalidParameterError(f"tabulated density must have a finite mass > 0, got {mass}")
-    v = v / mass
-    m, table = g.size, _tabulated_table(g, v)
+    with np.errstate(all="ignore"):  # a mass, value or slope out of range is refused below
+        mass = np.trapezoid(v, g)
+        v = v / mass
+        m, table = g.size, _tabulated_table(g, v)
+    if not (0.0 < mass < np.inf and np.all(np.isfinite(table))):
+        raise InvalidParameterError(f"tabulated density must have a finite mass > 0 (got {mass}) "
+                                    f"and finite renormalized values and segment slopes")
 
     def unit_density(x):
         return np.where((x < g[0]) | (x > g[-1]), 0.0, np.interp(x, g, v))
@@ -278,7 +260,7 @@ def tabulated(grid, values) -> DesignDistribution:
         return out
 
     return DesignDistribution("tabulated", unit_density,
-                              _KernelCdf(np.concatenate([[_TABULATED, m], table.ravel()])), ppf,
+                              np.concatenate([[_TABULATED, m], table.ravel()]), ppf,
                               {"grid": g, "values": v}, sup_density=float(v.max()))
 
 
@@ -296,7 +278,6 @@ def mixture(p: DesignDistribution, q: DesignDistribution, weight_p: float) -> De
     if not (_is_finite(weight_p) and 0.0 <= weight_p <= 1.0):
         raise InvalidParameterError(f"mixture weight must be a number in [0, 1], got {weight_p!r}")
     w = float(weight_p)
-    p_tree, q_tree = _cdf_tree(p.unit_cdf), _cdf_tree(q.unit_cdf)
 
     def unit_density(x):
         return w * p.unit_density(x) + (1.0 - w) * q.unit_density(x)
@@ -305,7 +286,7 @@ def mixture(p: DesignDistribution, q: DesignDistribution, weight_p: float) -> De
         raise InvalidParameterError("a mixture has no inverse CDF: draw it with `densities.sample`")
 
     return DesignDistribution("mixture", unit_density,
-                              _KernelCdf(np.concatenate([[_MIXTURE, w], p_tree, q_tree])), ppf,
+                              np.concatenate([[_MIXTURE, w], p.tree, q.tree]), ppf,
                               {"weight_p": w, "p": p, "q": q},
                               sup_density=w * p.sup_density + (1.0 - w) * q.sup_density)
 
@@ -318,6 +299,21 @@ def _is_int(v):
 def _is_finite(v):
     """v is a real number within the range of finite floats, and not a bool."""
     return (_is_int(v) or isinstance(v, (float, np.floating))) and abs(v) <= sys.float_info.max
+
+
+def _check_sizes(what, least, n, m=None):
+    """Raise InvalidParameterError, naming what and the sizes, unless the
+    sample size n, and the size m if given, are integers >= least whose sum
+    is below 2**64: np.log makes an object array of a larger Python integer
+    and raises TypeError."""
+    if (_is_int(n) and n >= least and (m is None or _is_int(m) and m >= least)
+            and int(n) + (0 if m is None else int(m)) < 2**64):
+        return
+    if m is None:
+        raise InvalidParameterError(f"{what} needs an integer n >= {least} with n < 2**64, "
+                                    f"got n={n!r}")
+    raise InvalidParameterError(f"{what} needs integers n, m >= {least} with n + m < 2**64, "
+                                f"got n={n!r}, m={m!r}")
 
 
 def _within(v, rng):

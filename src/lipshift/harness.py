@@ -184,7 +184,7 @@ _CONFIG = {"distribution": None, "f0_spec": None, "target_distribution": None,
            "delta": (float, "(0, 1)"), "budget": (float, "(0, 1]"), "noise_sd": (float, "[0, inf)"),
            "bandwidth": (float, "(0, inf)", "rate"), "replicates": (int, "[1, inf)"),
            "seed": (int, "[0, inf)"), "n_grid": ([int], "[1, inf)"),
-           "m_grid": ([int], "[1, inf)", None), "estimators": ([str], ESTIMATORS),
+           "m_grid": ([int], "[2, inf)", None), "estimators": ([str], ESTIMATORS),
            "losses": ([str], LOSSES)}
 
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .densities import (DesignDistribution, _is_int, _read, _simpson, from_spec, interval_mass,
-                        mixture)
+from .densities import (DesignDistribution, _check_sizes, _is_int, _read, _simpson, from_spec,
+                        interval_mass, mixture)
 from .errors import (
     ConfigError,
     InvalidParameterError,
@@ -258,8 +258,7 @@ def build_lower_bound_family(P: DesignDistribution, Q: DesignDistribution,
     t_{n,m}(center)/6 on each kept cell, where t_{n,m} is the smaller of the
     two spread functions.
     """
-    if not (_is_int(n) and _is_int(m) and n >= 2 and m >= 2):
-        raise InvalidParameterError(f"family needs integers n, m >= 2, got n={n!r}, m={m!r}")
+    _check_sizes("family", 2, n, m)
     N = n + m
     psi = (np.log(N) / N) ** (1.0 / 3.0)
     if psi > 0.25:

@@ -9,14 +9,14 @@ nondecreasing, so a bracket [lo, hi] with g(lo) < log n / n <= g(hi) (or
 hi = 1) pins the (smallest, hence the) solution.  `SpreadFunction.at`
 shrinks that bracket with paired secant steps on g^(1/3) until lo and hi are
 adjacent floats, by one path for one point and for many.  The whole solve
-runs in the C library that ``_kernel`` loads, the design's unit CDF
-included: every t_n solve is one kernel call.  The secant's cube root is
-libm's there, not numpy's; it only steers the solve, and g's sign test
-certifies each result.  The empirical
-version finds its crossing index by counting sample points within each
-candidate distance and selects one order statistic of the distances, both
-over the sorted sample and exact, in the C library too; each buffer
-reaches a kernel through ``_kernel.address``.  The numpy and
+runs in the C library that ``_kernel`` loads, the design's CDF included,
+read from its tree of nodes (`DesignDistribution.tree`): every t_n solve
+is one kernel call.  The secant's cube root is libm's there, not numpy's;
+it only steers the solve, and g's sign test certifies each result.  The
+empirical version finds its crossing index by counting sample points
+within each candidate distance and selects one order statistic of the
+distances, both over the sorted sample and exact, in the C library too;
+each buffer reaches a kernel through ``_kernel.address``.  The numpy and
 Python loops that the kernels replaced are their bit-for-bit references,
 in ``tests/kernel_reference.py``.  Both evaluators take x of any shape and
 return a float for a 0-d x, else an array shaped like x.
@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from ._kernel import KERNEL, address
-from .densities import DesignDistribution, _cdf_tree, _is_finite, _is_int, _points
+from .densities import DesignDistribution, _check_sizes, _is_finite, _points
 from .errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -57,16 +57,13 @@ class SpreadFunction:
     """Evaluator for t_n bound to a (distribution, n) pair."""
 
     def __init__(self, distribution: DesignDistribution, n: int):
-        if not (_is_int(n) and n >= 2):
-            raise InvalidParameterError(f"spread function needs an integer n >= 2, got {n!r}")
+        _check_sizes("spread function", 2, n)
         self.distribution = distribution
         self.n = int(n)
         self.threshold = np.log(n) / n
         # every solve's secant target and first estimate, the root for p = 1
         self._level, self._first = np.cbrt(self.threshold), np.cbrt(0.5 * self.threshold)
-        # the tree of the unit CDF itself, so that a replaced one is what gets
-        # solved; a unit CDF the kernel cannot evaluate is refused
-        self._tree = _cdf_tree(distribution.unit_cdf)
+        self._tree = distribution.tree
 
     def at(self, x):
         """Solve the defining equation by a bracketed paired secant; vectorized.
@@ -92,10 +89,10 @@ class SpreadFunction:
 
         The rounds run in one call of the C kernel (``tn_solve`` in
         ``_sweep.c``), so a point gets the same iterates and the same bits,
-        alone or among others; the kernel evaluates the design's unit CDF
-        on the clipped interval ends from its tree of nodes.  The secant's
-        cube root is
-        libm's cbrt: it only picks the next pair, and the result is the
+        alone or among others; the kernel evaluates the design's CDF on the
+        clipped interval ends from its tree of nodes, the one `tree` that
+        the design's `cdf` reads too.  The secant's cube root is libm's
+        cbrt: it only picks the next pair, and the result is the
         midpoint of the adjacent floats that g's sign test brackets, so
         numpy's cube root, which differs from it in the last bit at many
         points, gives the same t.  The result is a float for a 0-d x and an
@@ -199,9 +196,10 @@ def vanishing_density_bounds(n: int, alpha: float, bound: float):
         ((a+1) log n / (bound n))^(1/(a+3)) <= t_n(x0)
             <= ((a+1) bound log n / n)^(1/(a+3)).
     """
-    if not (_is_int(n) and n >= 2 and all(_is_finite(v) and v > 0 for v in (alpha, bound))):
-        raise InvalidParameterError(f"need an integer n >= 2 and finite alpha, bound > 0, "
-                                    f"got n={n!r}, alpha={alpha!r}, bound={bound!r}")
+    _check_sizes("vanishing_density_bounds", 2, n)
+    if not all(_is_finite(v) and v > 0 for v in (alpha, bound)):
+        raise InvalidParameterError(f"vanishing_density_bounds needs finite alpha, bound > 0, "
+                                    f"got alpha={alpha!r}, bound={bound!r}")
     ln = np.log(n) / n
     e = 1.0 / (alpha + 3.0)
     return ((alpha + 1.0) * ln / bound) ** e, ((alpha + 1.0) * bound * ln) ** e

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import DesignDistribution, _is_int, _simpson, interval_mass, mixture
-from .errors import InvalidInputError, InvalidParameterError
+from .densities import DesignDistribution, _check_sizes, _simpson, interval_mass, mixture
+from .errors import InvalidInputError
 from .lipfit import LipschitzFit, RegressionSample, fit_lipschitz_lse
 from .spread import EmpiricalSpread, SpreadFunction
 
@@ -72,9 +72,7 @@ def mixture_spread(P: DesignDistribution, Q: DesignDistribution, n: int, m: int,
     The pooled design and its `SpreadFunction` are built once per (P, Q, n,
     m), designs compared by identity, and serve later calls with the same
     arguments; each call solves for its own x."""
-    if not (_is_int(n) and _is_int(m) and n >= 2 and m >= 2):
-        raise InvalidParameterError(
-            f"mixture spread needs integers n, m >= 2, got n={n!r}, m={m!r}")
+    _check_sizes("mixture spread", 2, n, m)
     return _pooled_spread(P, Q, n, m).at(x)
 
 

@@ -59,6 +59,13 @@ def test_spread_bad_dist_json_exits_3(capsys):
     assert main(["spread", "--dist", "{not json", "--n", "100"]) == 3
 
 
+def test_spread_sample_size_of_2_to_the_64_exits_3(capsys):
+    # np.log cannot read so large a Python integer: a typed refusal, not a
+    # traceback and the missing compiler's exit code 1
+    assert main(["spread", "--dist", UNIFORM, "--n", str(10**23)]) == 3
+    assert "n=100000000000000000000000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["spread", "--n", "100"],
                                   ["spread", "--dist", UNIFORM, "--n", "ten"],
                                   ["prooflab", "--check", "nope"]],
@@ -342,7 +349,8 @@ def test_simulate_rates_non_doubling_design_reports_null(tmp_path, capsys):
 
 
 # bad entries put into a grid, then bad whole values
-BAD_ENTRIES = [(key, v) for key in ("n_grid", "m_grid") for v in [0, -5, 1.5, True]]
+BAD_ENTRIES = ([(key, v) for key in ("n_grid", "m_grid") for v in [0, -5, 1.5, True]]
+               + [("m_grid", 1)])  # every transfer replicate would fail at m = 1
 BAD_CONFIG = [("replicates", 1.5), ("replicates", True), ("seed", 1.5), ("seed", -1),
               ("seed", True), ("budget", 2), ("budget", np.nan), ("bandwidth", "fast"),
               ("bandwidth", 0), ("bandwidth", -0.5), ("noise_sd", -1), ("noise_sd", np.nan),

@@ -1,4 +1,5 @@
 import json
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -158,6 +159,20 @@ def test_tabulated_ppf_flat_stretch_takes_left_end(grid):
     assert np.all(np.abs(x - bisect_ppf(d.cdf, u, grid[0], grid[-1])) <= 1e-8)
 
 
+@pytest.mark.parametrize("grid, values", [
+    ([0.0, 5e-324, 1.0], [0.0, 1.0, 1.0]), ([0.0, 5e-324], [1.0, 1.0]),
+    ([0.0, 1.0], [1e308, 1e308]), ([0.0, 0.5, 1.0], [1e308, 1e308, 0.0]),
+], ids=["slope", "value", "mass", "mass_inside"])
+def test_tabulated_refuses_overflow_without_warnings(grid, values):
+    # a slope 1 / 5e-324 = inf once gave NaN CDFs and a wrong t_n; it, a
+    # renormalized value or a mass that overflows is refused, and no
+    # RuntimeWarning comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="tabulated density must have"):
+            densities.tabulated(grid, values)
+
+
 def test_tabulated_cdf_monotone_next_to_zero_density_node():
     # evaluated from the segment's left node, the CDF cancels next to a right
     # node of zero density and decreases 94,246 times on these points
@@ -195,7 +210,8 @@ def test_tabulated_kernels_match_numpy_reference(nodes, seed, zeros, ends):
     mid = 0.5 * (grid[1:] + grid[:-1])
     x = np.concatenate([_with_neighbours(np.concatenate([grid, mid, [0.0, 1.0]])),
                         [-0.0, np.nan, -0.5, 1.5], rng.random(500)])
-    assert np.array_equal(_bits(d.unit_cdf(x)), _bits(kernel_reference.tabulated_cdf(table, x)))
+    assert np.array_equal(_bits(_kernel_cdf(d.tree, x)),
+                          _bits(kernel_reference.tabulated_cdf(table, x)))
     assert np.array_equal(_bits(d.cdf(x)), _bits(kernel_reference.tabulated_cdf(
         table, np.minimum(1.0, np.maximum(0.0, x)))))
     u = _with_neighbours(np.concatenate([table[2], rng.random(500)]))
@@ -245,11 +261,11 @@ def test_kernel_cdf_matches_numpy_reference(kinds, seed, weights, nested_left):
                         [0.0, 1.0, -0.0, np.nan],
                         np.random.default_rng(seed).random(600)])
     for d in designs:
-        want = kernel_reference.unit_cdf(d, x)
-        assert np.array_equal(_bits(d.unit_cdf(x)), _bits(want)), d
-        assert np.array_equal(_bits(d.unit_cdf(x.reshape(2, -1))).ravel(), _bits(want)), d
-        assert np.array_equal(_bits(d.cdf(x)), _bits(kernel_reference.unit_cdf(
-            d, np.minimum(1.0, np.maximum(0.0, x))))), d
+        assert np.array_equal(_bits(_kernel_cdf(d.tree, x)),
+                              _bits(kernel_reference.unit_cdf(d, x))), d
+        want = kernel_reference.unit_cdf(d, np.minimum(1.0, np.maximum(0.0, x)))
+        assert np.array_equal(_bits(d.cdf(x)), _bits(want)), d
+        assert np.array_equal(_bits(d.cdf(x.reshape(2, -1))).ravel(), _bits(want)), d
 
 
 def _kernel_cdf(tree, x):
@@ -261,10 +277,11 @@ def _kernel_cdf(tree, x):
 
 @pytest.mark.parametrize("k", range(1, densities._POWER_MAX + 1))
 def test_power_node_gives_numpys_products(k):
-    # the C POWER node and a power design's numpy CDF both give the bits of
-    # numpy's x * x * ... * x of k factors, at 0, 1, -0.0 and NaN, their
-    # neighbouring floats and random points; they are nondecreasing on
-    # sorted points in [0, 1], and exactly 1 at 1
+    # the C POWER node gives the bits of numpy's x * x * ... * x of k
+    # factors, at 0, 1, -0.0 and NaN, their neighbouring floats and random
+    # points, and a power design's numpy CDF gives them at the clipped
+    # points; they are nondecreasing on sorted points in [0, 1], and
+    # exactly 1 at 1
     x = np.concatenate([_with_neighbours(np.array([0.0, 1.0, -0.0])), [np.nan],
                         np.random.default_rng(k).random(600)])
     want = kernel_reference.power_cdf(k, x)
@@ -272,9 +289,10 @@ def test_power_node_gives_numpys_products(k):
     assert np.array_equal(_bits(c), _bits(want))
     if k > 1:
         d = densities.power(k - 1.0)
-        assert isinstance(d.unit_cdf, densities._KernelCdf)
-        assert np.array_equal(_bits(d.unit_cdf(x)), _bits(want))
-        assert _bits(d.unit_cdf(x[4])) == _bits(want[4])  # a 0-d point, 1.0's lower neighbour
+        assert np.array_equal(d.tree, [densities._POWER, k])
+        clipped = kernel_reference.power_cdf(k, np.minimum(1.0, np.maximum(0.0, x)))
+        assert np.array_equal(_bits(d.cdf(x)), _bits(clipped))
+        assert _bits(d.cdf(x[4])) == _bits(want[4])  # a 0-d point, 1.0's lower neighbour
     inside = np.sort(x[(x >= 0.0) & (x <= 1.0)])
     assert np.all(np.diff(_kernel_cdf([densities._POWER, k], inside)) >= 0.0)
     assert _kernel_cdf([densities._POWER, k], [1.0])[0] == 1.0
@@ -286,14 +304,14 @@ def test_other_power_exponents_are_libm_pow(alpha):
     # node, alone and in a mixture: libm's pow, which gives math.pow's bits
     # at 0, 1, -0.0, NaN and random points, and not np.power's at all of them
     d = densities.power(alpha)
-    assert np.array_equal(d.unit_cdf.tree, [densities._POW, alpha + 1.0])
+    assert np.array_equal(d.tree, [densities._POW, alpha + 1.0])
     x = np.concatenate([[0.0, 1.0, -0.0, np.nan], np.random.default_rng(5).random(3000)])
     want = kernel_reference.pow_cdf(alpha + 1.0, x)
-    assert np.array_equal(_bits(d.unit_cdf(x)), _bits(want))
-    assert np.array_equal(_bits(_kernel_cdf([densities._POW, alpha + 1.0], x)), _bits(want))
-    assert _bits(d.unit_cdf(x[5])) == _bits(want[5])  # a 0-d point
+    assert np.array_equal(_bits(d.cdf(x)), _bits(want))
+    assert np.array_equal(_bits(_kernel_cdf(d.tree, x)), _bits(want))
+    assert _bits(d.cdf(x[5])) == _bits(want[5])  # a 0-d point
     assert np.any(want[4:] != np.power(x[4:], alpha + 1.0))
-    mixed = densities.mixture(d, densities.uniform(), 0.5).unit_cdf
+    mixed = densities.mixture(d, densities.uniform(), 0.5)
     assert np.array_equal(mixed.tree, [densities._MIXTURE, 0.5, densities._POW, alpha + 1.0,
                                        densities._UNIFORM])
 
@@ -306,14 +324,17 @@ KIND_SPECS = {"uniform": {}, "power": {"alpha": 2.0}, "example3": {"n": 4096},
 
 
 def test_every_design_cdf_is_a_kernel_tree():
-    # the C kernel evaluates every design's unit CDF, so that every t_n
-    # solve is one kernel call: each kind's constructor, and power designs
-    # whose alpha + 1 is no integer or one above _POWER_MAX, give a tree
+    # the C kernel evaluates every design's CDF, so that every t_n solve is
+    # one kernel call: each kind's constructor, and power designs whose
+    # alpha + 1 is no integer or one above _POWER_MAX, give a float64 tree
+    # whose kernel CDF is the design's `cdf`, numpy shortcuts included
     assert sorted(KIND_SPECS) == sorted(densities._KINDS)
     designs = [densities.from_spec({"kind": kind, **spec}) for kind, spec in KIND_SPECS.items()]
     designs += [densities.power(alpha) for alpha in (0.5, 2.5, 16.0, 1e3)]
+    x = np.concatenate([[0.0, 1.0, -0.0, np.nan], np.random.default_rng(8).random(600)])
     for d in designs:
-        assert isinstance(d.unit_cdf, densities._KernelCdf), d
+        assert d.tree.dtype == np.float64 and d.tree.ndim == 1, d
+        assert np.array_equal(_bits(_kernel_cdf(d.tree, x)), _bits(d.cdf(x))), d
 
 
 @pytest.mark.parametrize("d, calls", [
@@ -447,10 +468,10 @@ def one_shot_sample(d, count, rng):
 @pytest.mark.parametrize("d", [MIXTURE, NESTED_MIXTURE], ids=["mixture", "nested"])
 def test_mixture_sample_matches_mixture_cdf(d):
     # composition draws from the components and never inverts the mixture
-    # CDF: no unit CDF is evaluated, in Python or in the kernel
+    # CDF: no CDF is evaluated, in Python or in the kernel
     calls = [0]
-    with mock.patch.object(densities._KernelCdf, "__call__",
-                           _counting(densities._KernelCdf.__call__, calls)), \
+    with mock.patch.object(densities.DesignDistribution, "cdf",
+                           _counting(densities.DesignDistribution.cdf, calls)), \
             mock.patch.object(densities.KERNEL, "unit_cdf",
                               _counting(densities.KERNEL.unit_cdf, calls)):
         x = np.sort(densities.sample(d, 100_000, seed=12))
@@ -860,7 +881,7 @@ def test_invalid_parameters_rejected():
     for bad in (np.nan, np.inf):
         with pytest.raises(InvalidParameterError, match="alpha|exponent"):
             densities.power(bad)
-        with pytest.raises(InvalidParameterError, match="n > 2"):
+        with pytest.raises(InvalidParameterError, match="n >= 3"):
             densities.example3(bad)
         with pytest.raises(InvalidParameterError, match="values"):
             densities.tabulated([0.0, 0.5, 1.0], [1.0, bad, 1.0])

@@ -180,14 +180,15 @@ BAD_VALUES = {"replicates": [1.5, True], "seed": [1.5, -1, True],
 BAD_SIZES = [0, -5, 1.5, 64.0, True, "64", None]
 # whole n_grid values: repeated sizes would redraw the same streams
 BAD_GRIDS = [[64, 64, 64], [32, 64, 64], [64, 32, 128]]
-# bad entries put into a grid, then bad whole values
-BAD_ENTRIES = [(key, v) for key in ("n_grid", "m_grid") for v in BAD_SIZES]
+# bad entries put into a grid (m_grid also 1: m is the target size of
+# `transfer`, which needs two points), then bad whole values
+BAD_ENTRIES = [(key, v) for key in ("n_grid", "m_grid") for v in BAD_SIZES] + [("m_grid", 1)]
 BAD_CONFIG = ([("n_grid", grid) for grid in BAD_GRIDS]
               + [(key, v) for key, values in BAD_VALUES.items() for v in values])
 # whole grids that are not lists, for both grid keys
 NOT_LISTS = [(key, v) for key in ("n_grid", "m_grid") for v in (64, "abc")]
 # the edge value that passes for each key, numpy integers included
-EDGE = {"n_grid": [1, 64, 128], "m_grid": [16, np.int64(1), 32], "replicates": np.int64(1),
+EDGE = {"n_grid": [1, 64, 128], "m_grid": [16, np.int64(2), 32], "replicates": np.int64(1),
         "seed": 0, "budget": 1, "bandwidth": 1e-3, "noise_sd": 0.0, "delta": np.float64(1e-3),
         "estimators": ["kernel"], "losses": ["l2_q"], "f0": {}}
 
@@ -500,9 +501,8 @@ def test_report_write_and_json(tmp_path):
 
 
 def test_failure_rate_guard():
-    # a target distribution is configured but m is tiny, so every transfer
-    # replicate dies and the failure guard trips
-    cfg = _config(estimators=["transfer"], m_grid=[1, 1, 1],
-                  target_distribution=densities.uniform())
-    with pytest.raises(ExperimentError):
+    # the kernel smoother divides by the design density, which vanishes at
+    # x = 0 for power(1), so every replicate dies and the failure guard trips
+    cfg = _config(estimators=["kernel"], distribution=densities.power(1.0))
+    with pytest.raises(ExperimentError, match="9/9 replicates failed"):
         run_rate_experiment(cfg)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lipshift import densities, prooflab, spread
+from lipshift import densities, prooflab, spread, transfer
 from lipshift.errors import (
     InvalidInputError,
     InvalidIntervalError,
@@ -158,15 +158,15 @@ def test_paired_secant_mass_evaluations(monkeypatch):
     # rounds counted by the kernel: its one call per solve returns the
     # rounds that evaluated g on the clipped ends of every point's pair, the
     # same for one point and for many, with no interval_mass call and no
-    # unit-CDF call from Python, in as many rounds as the numpy loop makes
+    # design CDF call from Python, in as many rounds as the numpy loop makes
     # interval_mass calls; bisection to adjacent floats takes 53 to 59
     # rounds, on the pooled design of transfer.mixture_spread as anywhere
     rounds, cdf_calls, mass_calls = [], [0], [0]
     monkeypatch.setattr(densities, "interval_mass", _counting(densities.interval_mass, mass_calls))
     monkeypatch.setattr(kernel_reference, "interval_mass", densities.interval_mass)
     monkeypatch.setattr(spread.KERNEL, "tn_solve", _rounds(spread.KERNEL.tn_solve, rounds))
-    monkeypatch.setattr(densities._KernelCdf, "__call__",
-                        _counting(densities._KernelCdf.__call__, cdf_calls))
+    monkeypatch.setattr(densities.DesignDistribution, "cdf",
+                        _counting(densities.DesignDistribution.cdf, cdf_calls))
     monkeypatch.setattr(densities.KERNEL, "unit_cdf",
                         _counting(densities.KERNEL.unit_cdf, cdf_calls))
     s = SpreadFunction(densities.mixture(densities.power(2.0), densities.uniform(),
@@ -216,12 +216,12 @@ def _rounds(solve, rounds):
                               "power2", "power2_mixture", "power2_nested_mixture",
                               "power15_mixture"])
 def test_kernel_designs_solve_without_python_cdf_calls(d):
-    # the kernel evaluates these designs' unit CDFs itself, powers with an
+    # the kernel evaluates these designs' CDF trees itself, powers with an
     # integer alpha + 1 up to _POWER_MAX included: a solve is one kernel
-    # call, which calls no unit CDF and no np.power from Python
+    # call, which calls no design CDF and no np.power from Python
     cdf_calls, power_calls, solves, s = [0], [0], [0], SpreadFunction(d, 4096)
-    with mock.patch.object(densities._KernelCdf, "__call__",
-                           _counting(densities._KernelCdf.__call__, cdf_calls)), \
+    with mock.patch.object(densities.DesignDistribution, "cdf",
+                           _counting(densities.DesignDistribution.cdf, cdf_calls)), \
             mock.patch.object(densities.np, "power", _counting(np.power, power_calls)), \
             mock.patch.object(spread.KERNEL, "tn_solve", _counting(spread.KERNEL.tn_solve, solves)):
         t = s.at(np.linspace(0.0, 1.0, 201))
@@ -241,13 +241,13 @@ def test_pow_designs_solve_in_one_kernel_call(d):
     # a power exponent alpha + 1 that is no integer up to _POWER_MAX is a
     # pow node of the kernel's tree, alone and in a mixture (the third is
     # the pooled design of test_08's mixture_spread): one point and a
-    # 2,001-point grid are each one kernel call, which calls no unit CDF and
+    # 2,001-point grid are each one kernel call, which calls no design CDF and
     # no np.power from Python, in the numpy loop's rounds and with its bits
     s, grid = SpreadFunction(d, 1000), np.linspace(0.0, 1.0, 2001)
     for x in (0.3, grid):
         rounds, cdf_calls, power_calls, mass_calls = [], [0], [0], [0]
-        with mock.patch.object(densities._KernelCdf, "__call__",
-                               _counting(densities._KernelCdf.__call__, cdf_calls)), \
+        with mock.patch.object(densities.DesignDistribution, "cdf",
+                               _counting(densities.DesignDistribution.cdf, cdf_calls)), \
                 mock.patch.object(densities.KERNEL, "unit_cdf",
                                   _counting(densities.KERNEL.unit_cdf, cdf_calls)), \
                 mock.patch.object(densities.np, "power", _counting(np.power, power_calls)), \
@@ -263,26 +263,18 @@ def test_pow_designs_solve_in_one_kernel_call(d):
 
 
 def test_replaced_unit_cdf_is_what_gets_solved():
-    # a design built by dataclasses.replace(d, unit_cdf=f) is solved through
-    # f, alone and as a mixture's component, whatever its kind and params
-    # say, when f is a tree of the kernel; the solve and a mixture evaluate
-    # nothing else, so they refuse any other f, which `cdf` still evaluates
+    # a design built by dataclasses.replace(d, tree=other.tree) is solved
+    # and evaluated as other, alone and as a mixture's component, whatever
+    # its kind and params say
     xs = np.linspace(0.0, 1.0, 101)
     ex3, uni = densities.example3(4096), densities.uniform()
-    as_uniform = dataclasses.replace(ex3, unit_cdf=uni.unit_cdf)
+    as_uniform = dataclasses.replace(ex3, tree=uni.tree)
     assert np.array_equal(SpreadFunction(as_uniform, 4096).at(xs),
                           SpreadFunction(uni, 4096).at(xs))
-    mixed = densities.mixture(as_uniform, TABULATED, 0.4)
-    assert np.array_equal(SpreadFunction(mixed, 4096).at(xs),
-                          SpreadFunction(densities.mixture(uni, TABULATED, 0.4), 4096).at(xs))
-    for d in (ex3, ORACLE_DESIGNS["nested_mixture"], densities.power(0.5)):
-        plain = dataclasses.replace(d, unit_cdf=lambda x, f=d.unit_cdf: f(x))
-        for build in (lambda: SpreadFunction(plain, 4096),
-                      lambda: densities.mixture(plain, TABULATED, 0.4),
-                      lambda: densities.mixture(TABULATED, plain, 0.4)):
-            with pytest.raises(InvalidParameterError, match="cannot evaluate"):
-                build()
-        assert np.array_equal(_bits(plain.cdf(xs)), _bits(d.cdf(xs)))
+    assert np.array_equal(_bits(as_uniform.cdf(xs)), _bits(uni.cdf(xs)))
+    mixed, want = (densities.mixture(d, TABULATED, 0.4) for d in (as_uniform, uni))
+    assert np.array_equal(SpreadFunction(mixed, 4096).at(xs), SpreadFunction(want, 4096).at(xs))
+    assert np.array_equal(_bits(mixed.cdf(xs)), _bits(want.cdf(xs)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -825,6 +817,36 @@ def test_sample_sizes_are_integers_and_parameters_finite(call, bad):
     # finite and > 0; anything else is refused by an error that names it
     with pytest.raises(InvalidParameterError, match=re.escape(bad)):
         call()
+
+
+_HUGE = 10**23
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: SpreadFunction(_U, _HUGE), "n=100000000000000000000000"),
+    (lambda: SpreadFunction(_U, 2**64), "n=18446744073709551616"),
+    (lambda: densities.example3(_HUGE), "n=100000000000000000000000"),
+    (lambda: vanishing_density_bounds(_HUGE, 1.0, 2.0), "n=100000000000000000000000"),
+    (lambda: transfer.mixture_spread(_U, _U, _HUGE, 2, 0.5), "n=100000000000000000000000"),
+    (lambda: transfer.mixture_spread(_U, _U, 2**64 - 2, 2, 0.5), "n + m < 2**64"),
+    (lambda: transfer.transfer_risk_integrals(_U, _U, _HUGE), "n=100000000000000000000000"),
+    (lambda: prooflab.build_lower_bound_family(_U, _U, _HUGE, 5), "n=100000000000000000000000"),
+], ids=["spread", "spread-2**64", "example3", "bounds", "mixture", "mixture-pooled",
+        "risk-integrals", "family"])
+def test_sample_sizes_of_2_to_the_64_are_refused(call, bad):
+    # np.log makes an object array of a Python integer >= 2^64 and raises
+    # TypeError on it: such a size, or such a pooled size n + m, is refused
+    with pytest.raises(InvalidParameterError, match=re.escape(bad)):
+        call()
+
+
+def test_largest_sample_size_still_works():
+    n = 2**64 - 1
+    t = SpreadFunction(_U, n).at(0.5)
+    assert t == SpreadFunction(_U, np.uint64(n)).at(0.5)
+    assert t == pytest.approx((np.log(float(n)) / (2.0 * n)) ** (1.0 / 3.0), rel=1e-12)
+    assert densities.example3(n).params["n"] == n
+    assert all(0.0 < b < 1.0 for b in vanishing_density_bounds(n, 1.0, 2.0))
 
 
 @pytest.mark.parametrize("call, error", [
