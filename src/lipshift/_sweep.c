@@ -1,14 +1,15 @@
 /* The two passes of the Lipschitz LSE, the isotonic fit, the empirical
- * spread, the designs' unit CDFs, a tabulated design's inverse CDF and the
- * t_n solve, which evaluates the design's unit CDF here too, in C.  Their
- * references in tests/kernel_reference.py (stack_roots and clip_roots,
- * pava, search, unit_cdf with power_cdf, pow_cdf, example3_cdf and
- * tabulated_cdf, tabulated_ppf, numpy_rounds) do the same float operations
- * in the same order, so that built with -O2 -std=c99 -ffp-contract=off (no
- * fused multiply-add, no fast-math) these give the references' bits.  An
- * integer power is a product of its base; any other power is libm's pow,
- * whose bits are Python's math.pow's; the solve's cbrt only steers its
- * secant (see tn_solve).
+ * spread's k* search (one selection per probe), the designs' unit CDFs, a
+ * tabulated design's inverse CDF and the t_n solve, which evaluates the
+ * design's unit CDF here too, in C.  Their references in
+ * tests/kernel_reference.py (stack_roots and clip_roots, pava, search,
+ * unit_cdf with power_cdf, pow_cdf, example3_cdf and tabulated_cdf,
+ * tabulated_ppf, numpy_rounds) do the same float operations in the same
+ * order, so that built with -O2 -std=c99 -ffp-contract=off (no fused
+ * multiply-add, no fast-math) these give the references' bits.  An integer
+ * power is a product of its base; any other power is libm's pow, whose
+ * bits are Python's math.pow's; the solve's cbrt only steers its secant
+ * (see tn_solve).
  *
  * The knots live in one buffer of 2n + 1 (position, value) pairs from the
  * caller: the left stack grows up from k[0], the right stack down from
@@ -149,32 +150,6 @@ void iso_fit(const double *y, int64_t n, double *tot, int64_t *cnt, double *out)
     }
 }
 
-/* #{i : x - p_i < phi} over the points p_i below index s plus #{i : p_i -
- * x < phi} over the rest.  Float subtraction is monotone, so each set is a
- * run next to s, and a binary search on the test itself finds its end. */
-static int64_t count_closer(const double *p, int64_t n, int64_t s, double x, double phi)
-{
-    int64_t lo = 0, hi = s, mid, j;
-    while (lo < hi) {  /* the first i < s with x - p_i < phi, or s */
-        mid = lo + (hi - lo) / 2;
-        if (x - p[mid] < phi)
-            hi = mid;
-        else
-            lo = mid + 1;
-    }
-    j = lo;
-    hi = n;
-    lo = s;
-    while (lo < hi) {  /* the first i >= s with p_i - x >= phi, or n */
-        mid = lo + (hi - lo) / 2;
-        if (p[mid] - x < phi)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return lo - j;
-}
-
 /* The k-th smallest distance (1 <= k <= n): the split search of
  * kernel_reference.kth_distance over how many of the k smallest lie below
  * s, and its choice `left if left > right else right` between the two
@@ -197,8 +172,9 @@ static double kth_distance(const double *p, int64_t n, int64_t s, double x, int6
 
 /* EmpiricalSpread.at on the n sorted points p for each of the g points xs:
  * min(r_k*, sqrt(log n / (k* - 1))) with k* = min{k : r_k >= sqrt(log n /
- * k)} found by binary search, as kernel_reference.search does.  log_n is
- * numpy's log(n), whose last bit libm's log need not share. */
+ * k)}, as kernel_reference.search does.  r_k is nondecreasing in k and the
+ * floor decreasing, so a binary search finds k*, each probe selecting its
+ * r_k.  log_n is numpy's log(n), whose last bit libm's log need not share. */
 void emp_spread(const double *p, int64_t n, double log_n, const double *xs, int64_t g,
                 double *out)
 {
@@ -213,8 +189,8 @@ void emp_spread(const double *p, int64_t n, double log_n, const double *xs, int6
                 e = mid;
         }
         while (lo < hi) {  /* k* in [1, n + 1]; n + 1: r_k < sqrt(log n / k) for all k */
-            k = lo + (hi - lo) / 2;
-            if (k > n || count_closer(p, n, s, x, sqrt(log_n / (double)k)) < k)
+            k = lo + (hi - lo) / 2;  /* below hi, so at most n */
+            if (kth_distance(p, n, s, x, k) >= sqrt(log_n / (double)k))
                 hi = k;
             else
                 lo = k + 1;

@@ -304,16 +304,24 @@ def _is_finite(v):
 def _check_sizes(what, least, n, m=None):
     """Raise InvalidParameterError, naming what and the sizes, unless the
     sample size n, and the size m if given, are integers >= least whose sum
-    is below 2**64: np.log makes an object array of a larger Python integer
-    and raises TypeError."""
-    if (_is_int(n) and n >= least and (m is None or _is_int(m) and m >= least)
-            and int(n) + (0 if m is None else int(m)) < 2**64):
+    is below 2**64 (np.log makes an object array of a larger Python integer
+    and raises TypeError) and whose sum n + m, as the callers take it, does
+    not wrap around, as a sum of two numpy integers may."""
+    ok = (_is_int(n) and n >= least and (m is None or _is_int(m) and m >= least)
+          and int(n) + (0 if m is None else int(m)) < 2**64)
+    if ok and m is not None:
+        try:
+            with np.errstate(over="ignore"):
+                ok = bool(n + m >= n)  # a wrapped sum is below n
+        except OverflowError:  # a Python integer beyond the other size's numpy type
+            ok = False
+    if ok:
         return
     if m is None:
         raise InvalidParameterError(f"{what} needs an integer n >= {least} with n < 2**64, "
                                     f"got n={n!r}")
-    raise InvalidParameterError(f"{what} needs integers n, m >= {least} with n + m < 2**64, "
-                                f"got n={n!r}, m={m!r}")
+    raise InvalidParameterError(f"{what} needs integers n, m >= {least} with n + m < 2**64 "
+                                f"in their own type, got n={n!r}, m={m!r}")
 
 
 def _within(v, rng):

@@ -179,12 +179,13 @@ LOSSES = {
     "l2_q": lambda err, grid, t, q: float(np.trapezoid(err**2 * q, grid)),
 }
 
-# config field -> its type and range, by `densities._read`; None: checked where used
+# config field -> its type and range, by `densities._read`; None: checked where used.
+# A sample size is below 2**63, numpy's largest array length.
 _CONFIG = {"distribution": None, "f0_spec": None, "target_distribution": None,
            "delta": (float, "(0, 1)"), "budget": (float, "(0, 1]"), "noise_sd": (float, "[0, inf)"),
            "bandwidth": (float, "(0, inf)", "rate"), "replicates": (int, "[1, inf)"),
-           "seed": (int, "[0, inf)"), "n_grid": ([int], "[1, inf)"),
-           "m_grid": ([int], "[2, inf)", None), "estimators": ([str], ESTIMATORS),
+           "seed": (int, "[0, inf)"), "n_grid": ([int], "[1, 9223372036854775808)"),
+           "m_grid": ([int], "[2, 9223372036854775808)", None), "estimators": ([str], ESTIMATORS),
            "losses": ([str], LOSSES)}
 
 

@@ -13,12 +13,12 @@ runs in the C library that ``_kernel`` loads, the design's CDF included,
 read from its tree of nodes (`DesignDistribution.tree`): every t_n solve
 is one kernel call.  The secant's cube root is libm's there, not numpy's;
 it only steers the solve, and g's sign test certifies each result.  The
-empirical version finds its crossing index by counting sample points
-within each candidate distance and selects one order statistic of the
-distances, both over the sorted sample and exact, in the C library too;
-each buffer reaches a kernel through ``_kernel.address``.  The numpy and
-Python loops that the kernels replaced are their bit-for-bit references,
-in ``tests/kernel_reference.py``.  Both evaluators take x of any shape and
+empirical version finds its crossing index by a binary search that
+selects one order statistic of the distances per probe, over the sorted
+sample and exact, in the C library too; each buffer reaches a kernel
+through ``_kernel.address``.  The numpy and Python loops that the kernels
+replaced are their bit-for-bit references, in
+``tests/kernel_reference.py``.  Both evaluators take x of any shape and
 return a float for a 0-d x, else an array shaped like x.
 """
 
@@ -217,20 +217,19 @@ class EmpiricalSpread:
     k* = min{k : r_k >= sqrt(log n / k)} the minimum is
     min(sqrt(log n / (k* - 1)), r_k*).  The distances from x form two
     ascending runs, x - X_(i) for the points below x and X_(i) - x for the
-    rest.  `at` finds k* by binary search and decides each probe by
-    counting: with phi_k = sqrt(log n / k), r_k >= phi_k exactly when fewer
-    than k distances lie below phi_k.  Then it selects r_k* once, by a
-    binary search over how many of the k* smallest come from the first run.
-    Each distance is the same float subtraction as |X_i - x|, so the result
-    is exact.  Cost per call: O(G log^2 n) time and O(G) memory for G points
-    x, after the O(n log n) sort of the points at construction.  The object
-    holds the n sorted points and nothing else n-sized: phi_k is computed
-    for the G values of k that a probe or the result needs, the same float
-    operations as a table of all n would make.
+    rest.  `at` finds k* by binary search, and each probe selects r_k and
+    compares it with sqrt(log n / k); a selection is a binary search over
+    how many of the k smallest distances come from the first run, and one
+    more gives r_k*.  Each distance is the same float subtraction as
+    |X_i - x|, so the result is exact.  Cost per call: O(G log^2 n) time and
+    O(G) memory for G points x, after the O(n log n) sort of the points at
+    construction.  The object holds the n sorted points and nothing else
+    n-sized: sqrt(log n / k) is computed for the G values of k that a probe
+    or the result needs, the same float operations as a table of all n
+    would make.
 
-    `at` runs in C (``emp_spread`` in ``_sweep.c``): float subtraction is
-    monotone, so each count is a bisection on its float test.  The kernel
-    reads the points as sorted and at least 2, as the constructor leaves them.
+    `at` runs in C (``emp_spread`` in ``_sweep.c``), which reads the points
+    as sorted and at least 2, as the constructor leaves them.
     """
 
     def __init__(self, points):

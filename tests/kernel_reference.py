@@ -11,8 +11,9 @@ library:
   p + q i, so that a move between the stacks is one complex add (which
   rounds its two parts as two float adds would);
 - `pava`: pool adjacent violators (``iso_fit``);
-- `search`, `count_closer` and `kth_distance`: ``EmpiricalSpread.at``
-  (``emp_spread``, ``count_closer``, ``kth_distance``) in Python floats;
+- `search` and `kth_distance`: ``EmpiricalSpread.at`` (``emp_spread``,
+  ``kth_distance``) in Python floats, one selection per probe of its k*
+  search;
 - `numpy_rounds`, `libm_cbrt` and `next_float`: the rounds of
   ``SpreadFunction.at`` (``tn_solve``, ``tn_round``, ``tn_mass``,
   ``next_float``) in numpy, one `interval_mass` call per round, the secant
@@ -31,7 +32,7 @@ library:
 """
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import chain, count
 
 import numpy as np
@@ -161,7 +162,7 @@ def pava(y):
 def search(e, x):
     """``EmpiricalSpread.at`` of e for a float array x, in Python floats
     point by point, as an array shaped like x: ``emp_spread`` line for
-    line."""
+    line, each probe of the k* search one `kth_distance` call."""
     p, n = memoryview(e.points), e.n
     log_n = float(np.log(n))  # the kernel's, whose last bit libm's log need not share
     out = []
@@ -169,8 +170,8 @@ def search(e, x):
         s = bisect_left(p, v)
         lo, hi = 1, n + 1  # k* in [1, n + 1]; n + 1: r_k < sqrt(log n / k) for all k
         while lo < hi:
-            k = (lo + hi) // 2
-            if k > n or count_closer(p, s, v, math.sqrt(log_n / k)) < k:
+            k = (lo + hi) // 2  # below hi, so at most n
+            if kth_distance(p, s, v, k) >= math.sqrt(log_n / k):
                 hi = k
             else:
                 lo = k + 1
@@ -178,15 +179,6 @@ def search(e, x):
         cap = math.sqrt(log_n / (hi - 1)) if hi >= 2 else math.inf
         out.append(r if r < cap else cap)
     return np.array(out, float).reshape(x.shape)
-
-
-def count_closer(p, s, x, phi):
-    """#{i : x - p_i < phi} over the sorted points p below index s plus
-    #{i : p_i - x < phi} over the rest, ``count_closer`` in C: fl(p_i - x)
-    = -fl(x - p_i), so the first test is p_i - x > -phi, and each run is a
-    bisection on p_i - x."""
-    d = lambda v: v - x  # noqa: E731
-    return bisect_left(p, phi, s, len(p), key=d) - bisect_right(p, -phi, 0, s, key=d)
 
 
 def kth_distance(p, s, x, k):

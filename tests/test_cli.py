@@ -357,7 +357,8 @@ BAD_CONFIG = [("replicates", 1.5), ("replicates", True), ("seed", 1.5), ("seed",
               ("delta", "0.1"), ("delta", None), ("estimators", "lse"),
               ("estimators", [["lse"]]), ("estimators", []), ("losses", "sup"),
               ("losses", [["sup"]]), ("losses", []), ("f0", "sine"), ("f0", {"kind": 3}),
-              ("n_grid", [64, 64, 64]), ("f0", {"kind": "sine", "amplitud": 0.5}),
+              ("n_grid", [64, 64, 64]), ("n_grid", [32, 64, 10**23]),
+              ("f0", {"kind": "sine", "amplitud": 0.5}),
               ("f0", {"kind": "zero", "amplitude": 0.1}),
               ("f0", {"kind": "triangle", "slope": np.nan}),
               ("f0", {"kind": "triangle", "center": np.nan}),

@@ -177,9 +177,11 @@ BAD_VALUES = {"replicates": [1.5, True], "seed": [1.5, -1, True],
                      {"kind": "triangle", "center": np.nan}, {"kind": "sine", "amplitude": "x"},
                      {"kind": "triangle", "slope": False}, {"kind": "sine", "frequency": np.inf},
                      {"kind": "Sine"}]}
-BAD_SIZES = [0, -5, 1.5, 64.0, True, "64", None]
-# whole n_grid values: repeated sizes would redraw the same streams
-BAD_GRIDS = [[64, 64, 64], [32, 64, 64], [64, 32, 128]]
+# 10**23: past numpy's largest array length, 2**63 - 1
+BAD_SIZES = [0, -5, 1.5, 64.0, True, "64", None, 10**23]
+# whole n_grid values: repeated sizes would redraw the same streams, and an
+# ascending grid may still end past numpy's largest array
+BAD_GRIDS = [[64, 64, 64], [32, 64, 64], [64, 32, 128], [32, 64, 10**23]]
 # bad entries put into a grid (m_grid also 1: m is the target size of
 # `transfer`, which needs two points), then bad whole values
 BAD_ENTRIES = [(key, v) for key in ("n_grid", "m_grid") for v in BAD_SIZES] + [("m_grid", 1)]

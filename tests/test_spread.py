@@ -1,9 +1,8 @@
 import dataclasses
 import math
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import groupby
-from operator import itemgetter
 from unittest import mock
 
 import numpy as np
@@ -57,10 +56,19 @@ def sorted_distance_oracle(points, x):
     return np.min(np.maximum(r, floor[:, None]), axis=0)
 
 
+def count_closer(p, s, x, phi):
+    """#{i : x - p_i < phi} over the sorted points p below index s plus
+    #{i : p_i - x < phi} over the rest: fl(p_i - x) = -fl(x - p_i), so the
+    first test is p_i - x > -phi, and each run is a bisection on p_i - x."""
+    d = lambda v: v - x  # noqa: E731
+    return bisect_left(p, phi, s, len(p), key=d) - bisect_right(p, -phi, 0, s, key=d)
+
+
 class FloorTableSpread(EmpiricalSpread):
     """Oracle: EmpiricalSpread.at as it was with the n-sized table
     sqrt(log n / k), k = 1..n, built at construction and indexed by k, in a
-    per-point loop on the counting and selection helpers."""
+    per-point loop that decides each probe of the k* search by counting:
+    r_k >= phi_k exactly when fewer than k distances lie below phi_k."""
 
     def __init__(self, points):
         super().__init__(points)
@@ -74,7 +82,7 @@ class FloorTableSpread(EmpiricalSpread):
             lo, hi = 1, n + 1
             while lo < hi:
                 k = (lo + hi) // 2
-                if k > n or kernel_reference.count_closer(p, s, v, floor[k - 1]) < k:
+                if k > n or count_closer(p, s, v, floor[k - 1]) < k:
                     hi = k
                 else:
                     lo = k + 1
@@ -419,9 +427,10 @@ def _floats_near(v, ulps):
 def _boundary_sample(rng, n, k, x, block=1):
     """n points: k - 1 at distances below phi_k / 2 from x, `block` copies
     of one value within 3 ulps of x +- phi_k (phi_k = sqrt(log n / k)), and
-    the rest beyond 2 phi_k.  The counting search's verdict at k then
-    hinges on the float test for the tied value, and a wrong verdict moves
-    k* by one and changes the last bits of the result."""
+    the rest beyond 2 phi_k.  The search's verdict at k, whether r_k >=
+    phi_k (fewer than k distances below phi_k, for the counting oracle),
+    then hinges on the float test for the tied value, and a wrong verdict
+    moves k* by one and changes the last bits of the result."""
     phi = np.sqrt(np.log(n) / k)
     sign = rng.choice([-1.0, 1.0], n)
     near = x + sign[:k - 1] * rng.uniform(0.0, 0.5, k - 1) * phi
@@ -439,7 +448,7 @@ def _assert_counting_exact(pts, k, x, xs):
     # the count itself is exact, also where a wrong one would leave t_hat as it is
     phi = float(np.sqrt(np.log(pts.size) / k))
     p = memoryview(e.points)
-    count = kernel_reference.count_closer(p, bisect_left(p, x), x, phi)
+    count = count_closer(p, bisect_left(p, x), x, phi)
     assert count == np.count_nonzero(np.abs(pts - x) < phi)
 
 
@@ -466,29 +475,25 @@ def test_counting_search_exact_on_tied_block():
         _assert_counting_exact(pts, k, x, xs)
 
 
-def test_counting_search_selects_once():
+def test_search_only_selects():
     pts = densities.sample(densities.power(2.0), 10**4, seed=8)
     e = EmpiricalSpread(pts)
     xs = np.concatenate([np.linspace(-0.25, 1.25, 201), pts[:5]])
-    calls = []  # (helper, x) of each call, in order
+    calls = []  # x of each selection, in order
+    select = kernel_reference.kth_distance
 
-    def logged(name, helper):
-        def call(p, s, x, arg):
-            calls.append((name, x))
-            return helper(p, s, x, arg)
-        return call
+    def logged(p, s, x, k):
+        calls.append(x)
+        return select(p, s, x, k)
 
-    # the reference search, which counts and selects with these helpers
-    with mock.patch.object(kernel_reference, "count_closer",
-                           logged("c", kernel_reference.count_closer)), \
-            mock.patch.object(kernel_reference, "kth_distance",
-                              logged("s", kernel_reference.kth_distance)):
+    # the reference search, whose probes and result select with this helper
+    with mock.patch.object(kernel_reference, "kth_distance", logged):
         t = search(e, xs)
         assert search(e, np.array(0.3)) == sorted_distance_oracle(pts, 0.3)[0]
-    # per point: the k* search only counts, then one selection at most, for r_k*
-    runs = [(x, "".join(name for name, _ in group)) for x, group in groupby(calls, itemgetter(1))]
+    # per point: one selection per probe of the k* search and one for r_k*
+    runs = [(x, len(list(group))) for x, group in groupby(calls)]
     assert [x for x, _ in runs] == [*xs.tolist(), 0.3]
-    assert all(re.fullmatch("c+s?", names) for _, names in runs)
+    assert all(1 <= size <= math.ceil(math.log2(e.n + 1)) + 1 for _, size in runs)
     assert np.array_equal(t, sorted_distance_oracle(pts, xs))
 
 
@@ -820,6 +825,7 @@ def test_sample_sizes_are_integers_and_parameters_finite(call, bad):
 
 
 _HUGE = 10**23
+_INT64_HALF = np.int64(2**62)  # two of them sum to -2**63 as int64
 
 
 @pytest.mark.parametrize("call, bad", [
@@ -831,11 +837,19 @@ _HUGE = 10**23
     (lambda: transfer.mixture_spread(_U, _U, 2**64 - 2, 2, 0.5), "n + m < 2**64"),
     (lambda: transfer.transfer_risk_integrals(_U, _U, _HUGE), "n=100000000000000000000000"),
     (lambda: prooflab.build_lower_bound_family(_U, _U, _HUGE, 5), "n=100000000000000000000000"),
+    (lambda: transfer.mixture_spread(_U, densities.power(2.0), _INT64_HALF, _INT64_HALF, 0.5),
+     "n=np.int64(4611686018427387904), m=np.int64(4611686018427387904)"),
+    (lambda: prooflab.build_lower_bound_family(_U, _U, _INT64_HALF, _INT64_HALF),
+     "n=np.int64(4611686018427387904), m=np.int64(4611686018427387904)"),
+    (lambda: transfer.mixture_spread(_U, _U, 2**63, np.int64(5), 0.5),
+     "n=9223372036854775808, m=np.int64(5)"),
 ], ids=["spread", "spread-2**64", "example3", "bounds", "mixture", "mixture-pooled",
-        "risk-integrals", "family"])
+        "risk-integrals", "family", "mixture-int64-sum", "family-int64-sum",
+        "mixture-past-int64"])
 def test_sample_sizes_of_2_to_the_64_are_refused(call, bad):
     # np.log makes an object array of a Python integer >= 2^64 and raises
-    # TypeError on it: such a size, or such a pooled size n + m, is refused
+    # TypeError on it: such a size, or such a pooled size n + m, is refused;
+    # so is a pair of numpy sizes whose own sum n + m wraps around
     with pytest.raises(InvalidParameterError, match=re.escape(bad)):
         call()
 
