@@ -10,8 +10,9 @@ or sample sizes never disturbs existing draws.
 Each estimator and each loss is defined once, in the tables ESTIMATORS and
 LOSSES that config validation, the experiment loop and the tests share.
 Estimators run in table order, whatever order the config lists them in.
-The weighted sup loss divides by t_n on the grid, which the parent solves
-once per n before the workers fork.
+Every run has one local rate, t_n of its design on the grid (`_rate`),
+which the parent solves once per n before the workers fork; the losses
+read it, and the weighted sup loss divides by it.
 
 The (n, replicate) cells are independent, so they run in worker processes
 that the caller forks itself (os.fork, no process pool), one per CPU in the
@@ -237,25 +238,27 @@ def _median(vals):
     return float(0.0 + s[h]) if s.size % 2 else float((0.0 + s[h - 1] + s[h]) / 2)
 
 
-def _replicate_losses(config, n, m, rep, grid, spread_grid, q_grid, f0_grid):
-    """All requested (estimator, loss) values for one replicate."""
-    sample = generate(config, n, [config.seed, n, rep])
-    out = {}
-    for est, estimate in ESTIMATORS.items():
-        if est in config.estimators:
-            err = estimate(config, sample, grid, m, rep) - f0_grid
-            for loss in config.losses:
-                out[(est, loss)] = LOSSES[loss](err, grid, spread_grid, q_grid)
-    return out
+def _rate(config, n, grid):
+    """The run's local rate at sample size n: t_n of its design on the grid.
+    NaN at n = 1, where log n / n = 0 leaves t_n undefined, so that only a
+    loss that reads it fails there."""
+    return SpreadFunction(config.distribution, n).at(grid) if n > 1 else np.full_like(grid, np.nan)
 
 
 def _cell(state, n, m, rep):
     """One (n, replicate) cell in a worker: (failure, losses), where failure is
-    None or the (type name, message) that the failure ledger records; state is
-    the run's (config, grid, spread grid by n, q_grid, f0_grid)."""
-    config, grid, spreads, q_grid, f0_grid = state
+    None or the (type name, message) that the failure ledger records, and
+    losses maps each requested (estimator, loss) to its value; state is the
+    run's (config, grid, `_rate` on the grid by n, q_grid, f0_grid)."""
+    config, grid, rates, q_grid, f0_grid = state
+    vals = {}
     try:
-        vals = _replicate_losses(config, n, m, rep, grid, spreads[n], q_grid, f0_grid)
+        sample = generate(config, n, [config.seed, n, rep])
+        for est, estimate in ESTIMATORS.items():
+            if est in config.estimators:
+                err = estimate(config, sample, grid, m, rep) - f0_grid
+                for loss in config.losses:
+                    vals[(est, loss)] = LOSSES[loss](err, grid, rates[n], q_grid)
     except Exception as exc:
         return (type(exc).__name__, str(exc)), None
     bad = next((key for key, v in vals.items() if not math.isfinite(v)), None)
@@ -337,21 +340,17 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     grid = np.linspace(0.0, 1.0, EVAL_GRID_SIZE)
     f0_grid = config.f0(grid)
     q_grid = (config.target_distribution or config.distribution).density(grid)
-    spreads = dict.fromkeys(config.n_grid)
-    if "weighted_sup" in config.losses:
-        spreads = {n: SpreadFunction(config.distribution, n).at(grid) for n in config.n_grid}
+    rates = {n: _rate(config, n, grid) for n in config.n_grid}
     m_grid = config.m_grid if config.m_grid is not None else [None] * len(config.n_grid)
     cells = [(n, m, rep) for n, m in zip(config.n_grid, m_grid) for rep in range(config.replicates)]
-    results = iter(_run_cells(cells, (config, grid, spreads, q_grid, f0_grid)))
+    results = iter(_run_cells(cells, (config, grid, rates, q_grid, f0_grid)))
     rows, loss_records = [], []
-    failures = 0
     ledger = {}  # exception type name -> {"count", "first_message"}
     for n, m in zip(config.n_grid, m_grid):
         cell = {}
         for rep in range(config.replicates):
             failure, vals = next(results)
             if failure is not None:
-                failures += 1
                 entry = ledger.setdefault(failure[0], {"count": 0, "first_message": failure[1]})
                 entry["count"] += 1
                 continue
@@ -368,21 +367,20 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
                 raise ExperimentError(f"{est}/{loss} at n={n}: aggregates {stats} are not finite")
             rows.append({"estimator": est, "loss": loss, "n": n, "m": m, **stats,
                          "replicates": int(vals.size)})
+    failures = sum(e["count"] for e in ledger.values())
     if failures > 0.05 * len(cells):
         kinds = "; ".join(f"{name} x{e['count']} ({e['first_message']})"
                           for name, e in ledger.items())
         raise ExperimentError(f"{failures}/{len(cells)} replicates failed: {kinds}")
     slopes = {}
-    if len(config.n_grid) >= 3:
-        for est in config.estimators:
-            for loss in config.losses:
-                pts = [(r["n"], r["mean"]) for r in rows
-                       if r["estimator"] == est and r["loss"] == loss]
-                # machine-precision losses (e.g. noiseless exact recovery)
-                # carry no rate information; leave the slope undefined
-                if len(pts) >= 3 and all(v > 1e-12 for _, v in pts):
-                    s, se = fit_loglog_slope(pts)
-                    slopes[(est, loss)] = {"slope": s, "stderr": se}
+    for est in config.estimators:
+        for loss in config.losses:
+            pts = [(r["n"], r["mean"]) for r in rows if r["estimator"] == est and r["loss"] == loss]
+            # machine-precision losses (e.g. noiseless exact recovery)
+            # carry no rate information; leave the slope undefined
+            if len(pts) >= 3 and all(v > 1e-12 for _, v in pts):
+                s, se = fit_loglog_slope(pts)
+                slopes[(est, loss)] = {"slope": s, "stderr": se}
     try:
         doubling = densities.doubling_constant(config.distribution, 0.1)
     except NonDoublingError:  # a zero-mass interval on the grid: no constant

@@ -78,8 +78,9 @@ def mixture_spread(P: DesignDistribution, Q: DesignDistribution, n: int, m: int,
 
 @functools.lru_cache(maxsize=16)
 def _pooled_spread(P, Q, n, m):
-    """`SpreadFunction` of the pooled design of `mixture_spread`."""
-    return SpreadFunction(mixture(P, Q, n / (n + m)), n + m)
+    """`SpreadFunction` of the pooled design of `mixture_spread`.  Its size is
+    a Python integer: two numpy sizes of mixed signedness sum to a float."""
+    return SpreadFunction(mixture(P, Q, n / (n + m)), int(n) + int(m))
 
 
 def transfer_risk_integrals(P: DesignDistribution, Q: DesignDistribution, n: int):

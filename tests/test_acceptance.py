@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from lipshift import densities
+from lipshift import densities, harness
 from lipshift.harness import LOSSES, ExperimentConfig, _draw, run_rate_experiment
 from lipshift.lipfit import (
     RegressionSample,
@@ -231,3 +231,64 @@ def test_10_isotonic_oracle_and_pointwise_rate():
     slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert -0.45 <= slope <= -0.22
     assert time.perf_counter() - start < 300.0
+
+
+# the main theorem's designs: t_n weights the sup norm by each one's own
+# non-uniformity, with a vanishing power density at 0, a mixture and a zero stretch
+THEOREM_DESIGNS = {
+    "uniform": densities.uniform(),
+    "power(2)": densities.power(2.0),
+    "power(6)": densities.power(6.0),
+    "mixture": densities.mixture(densities.power(6.0), densities.uniform(), 0.9),
+    "tab-zero": densities.tabulated([0, .4, .4000001, .6, .6000001, 1], [1, 1, 0, 0, 1, 1]),
+}
+THEOREM_N = [2**k for k in range(10, 17)]
+
+
+def _weighted_sup_report(design, estimators=("lse",)):
+    cfg = ExperimentConfig(distribution=design, f0_spec=SINE_F0, n_grid=THEOREM_N,
+                           replicates=20, seed=0, estimators=list(estimators),
+                           losses=["weighted_sup"])
+    return run_rate_experiment(cfg)
+
+
+def theorem_faults(designs):
+    """The gates of the main theorem that the LSE fails on these designs:
+    max |f_hat - f0| / t_n may not grow with n (its slope at most 3 stderr
+    above 0; one-sided, since the theorem is an upper bound), and its means
+    at the largest n lie within 1.5x of each other across designs."""
+    faults, last = [], {}
+    for name, design in designs.items():
+        report = _weighted_sup_report(design)
+        fit = report.slopes[("lse", "weighted_sup")]
+        if fit["slope"] > 3.0 * fit["stderr"]:
+            faults.append(f"{name} slope {fit['slope']:+.3f} > 3 x {fit['stderr']:.3f}")
+        last[name] = report.rows[-1]["mean"]
+    if max(last.values()) > 1.5 * min(last.values()):
+        faults.append(f"means at n = {THEOREM_N[-1]}: {last}")
+    return faults
+
+
+def test_11_main_theorem_across_designs():
+    start = time.perf_counter()
+    # slopes -0.017 ... +0.008 with stderr 0.011 - 0.019, means 0.75 - 0.82
+    assert theorem_faults(THEOREM_DESIGNS) == []
+    # the kernel smoother divides by p(x), so on a density of 0.02 over
+    # [0.4, 0.6] its weighted loss is 23 - 60x the LSE's
+    low = densities.tabulated([0, .4, .4000001, .6, .6000001, 1], [1, 1, .02, .02, 1, 1])
+    means = {(r["estimator"], r["n"]): r["mean"]
+             for r in _weighted_sup_report(low, ("lse", "kernel")).rows}
+    assert all(means["kernel", n] >= 5.0 * means["lse", n] for n in THEOREM_N)
+    assert time.perf_counter() - start < 60.0
+
+
+def test_11_gates_fail_on_the_uniform_rate(monkeypatch):
+    # the weighting the gates must see: with the uniform design's t_n in
+    # place of the design's, power(6)'s slope is +0.192 +- 0.028 and its
+    # largest-n mean 3.40 (power(2): +0.108 +- 0.033 and 1.87)
+    uniform = ExperimentConfig(distribution=densities.uniform())
+    rate = harness._rate
+    monkeypatch.setattr(harness, "_rate", lambda config, n, grid: rate(uniform, n, grid))
+    faults = theorem_faults({name: THEOREM_DESIGNS[name] for name in ("power(2)", "power(6)")})
+    assert any(f.startswith("power(6) slope") for f in faults), faults
+    assert faults[-1].startswith("means at n"), faults

@@ -265,7 +265,7 @@ def test_report_contains_all_cells_and_metadata():
 
 
 def test_weighted_sup_run_solves_spread_once(monkeypatch, tmp_path):
-    # t_n on the grid once per n of the run, in the parent; none without
+    # t_n on the grid once per n of the run, in the parent, with or without
     # the weighted loss.  Every solve goes through `_at_points`, and the
     # log file sees the workers' calls too
     log = tmp_path / "solves"
@@ -285,8 +285,21 @@ def test_weighted_sup_run_solves_spread_once(monkeypatch, tmp_path):
     run_rate_experiment(cfg)
     assert solves() == [(n, harness.EVAL_GRID_SIZE, os.getpid()) for n in cfg.n_grid]
     log.write_text("")
-    run_rate_experiment(_config())
-    assert solves() == []
+    cfg = _config(estimators=list(ESTIMATORS), m_grid=[32, 64, 128],
+                  target_distribution=densities.power(1.0))
+    run_rate_experiment(cfg)
+    assert solves() == [(n, harness.EVAL_GRID_SIZE, os.getpid()) for n in cfg.n_grid]
+
+
+def test_weighted_sup_fails_where_the_rate_is_undefined():
+    # log n / n = 0 at n = 1: a run there still reports its sup loss, and
+    # only a loss that reads the rate fails, as a non-finite loss
+    report = run_rate_experiment(_config(n_grid=[1, 2, 4]))
+    assert [r["n"] for r in report.rows] == [1, 2, 4]
+    cfg = _config(n_grid=[1, 2, 4], losses=["sup", "weighted_sup"])
+    msg = r"NonFiniteLoss x3 \(lse/weighted_sup loss is nan at n=1\)"
+    with pytest.raises(ExperimentError, match=msg):
+        run_rate_experiment(cfg)
 
 
 def test_lse_sup_loss_decreases_with_n():
@@ -343,22 +356,18 @@ def test_failure_ledger_records_type_and_first_message(monkeypatch, tmp_path):
 
 def serial_oracle(config):
     """(rows, losses, ledger) of the cells run one after another in this
-    process, in table order: what run_rate_experiment must report."""
+    process by `_cell`, in table order: what run_rate_experiment must report."""
     grid = np.linspace(0.0, 1.0, harness.EVAL_GRID_SIZE)
-    f0_grid = config.f0(grid)
+    rates = {n: harness._rate(config, n, grid) for n in config.n_grid}
     q_grid = (config.target_distribution or config.distribution).density(grid)
+    state = (config, grid, rates, q_grid, config.f0(grid))
     rows, losses, ledger = [], [], {}
     for n, m in zip(config.n_grid, config.m_grid or [None] * len(config.n_grid)):
-        spread_grid = SpreadFunction(config.distribution, n).at(grid) \
-            if "weighted_sup" in config.losses else None
         cell = {}
         for rep in range(config.replicates):
-            try:
-                vals = harness._replicate_losses(config, n, m, rep, grid, spread_grid,
-                                                 q_grid, f0_grid)
-            except Exception as exc:
-                entry = ledger.setdefault(type(exc).__name__,
-                                          {"count": 0, "first_message": str(exc)})
+            failure, vals = harness._cell(state, n, m, rep)
+            if failure is not None:
+                entry = ledger.setdefault(failure[0], {"count": 0, "first_message": failure[1]})
                 entry["count"] += 1
                 continue
             for key, v in vals.items():

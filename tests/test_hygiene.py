@@ -16,9 +16,11 @@ and CDF call ``_clip01``.  A sixth,
 also in a fresh interpreter, is that a run stays lean: a cell in a forked
 worker imports no module, the report imports no ``numpy.ma``, and a run
 loads neither ``multiprocessing`` nor ``concurrent.futures``, since the
-harness forks its workers itself.  A seventh is that a function has no
-option nobody sets: every optional parameter of a function in ``src/`` is
-passed by some call in ``src/`` or ``perfbench/``.  An eighth is that the C
+harness forks its workers itself; and the run and its cells name no
+loss, so no loss gets a code path of its own.  A seventh is that a
+function has no option nobody sets: every optional parameter of a
+function in ``src/`` is passed by some call in ``src/`` or
+``perfbench/``.  An eighth is that the C
 kernels are required: where they cannot be built, ``import lipshift``
 raises ``KernelUnavailableError`` naming ``cc``, the CLI exits 1 and no
 build is left behind; where they are built, each entry point has its
@@ -475,7 +477,7 @@ def test_forked_cell_imports_nothing():
     # the wrapper is in place before the harness forks, so every worker runs it;
     # a module that a cell imports, each worker imports again on every run
     code = RUN + """
-inner = harness._replicate_losses
+inner = harness._cell
 def checked(*args):
     before = set(sys.modules)
     out = inner(*args)
@@ -483,7 +485,7 @@ def checked(*args):
     if new:
         raise ImportError(f"the cell imported {new}")
     return out
-harness._replicate_losses = checked
+harness._cell = checked
 print(harness.run_rate_experiment(cfg).metadata["failures"])
 """
     assert _fresh(code) == "{}"
@@ -505,6 +507,20 @@ harness.run_rate_experiment(cfg)
 print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
 """
     assert _fresh(code) == "[]"
+
+
+def test_run_names_no_loss():
+    # every run has one rate and every cell computes each requested loss
+    # alike, so neither the run nor its cells branch on a loss's name
+    tree = ast.parse((SRC / "harness.py").read_text())
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "LOSSES" for t in node.targets))
+    losses = {key.value for key in table.keys}
+    assert losses >= {"sup", "weighted_sup"}
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("run_rate_experiment", "_cell"):
+        named = {node.value for node in ast.walk(functions[name]) if isinstance(node, ast.Constant)}
+        assert not named & losses, (name, sorted(named & losses))
 
 
 def test_only_sample_calls_ppf():

@@ -861,6 +861,12 @@ def test_largest_sample_size_still_works():
     assert t == pytest.approx((np.log(float(n)) / (2.0 * n)) ** (1.0 / 3.0), rel=1e-12)
     assert densities.example3(n).params["n"] == n
     assert all(0.0 < b < 1.0 for b in vanishing_density_bounds(n, 1.0, 2.0))
+    # numpy sizes of mixed signedness sum to a float, but the pooled size is
+    # their integer sum; new designs, so the pooled spread is not a cached one
+    x = np.linspace(0.0, 1.0, 11)
+    mixed = transfer.mixture_spread(_U, densities.power(2.0), np.uint64(100), np.int64(50), x)
+    ints = transfer.mixture_spread(_U, densities.power(2.0), 100, 50, x)
+    assert mixed.tobytes() == ints.tobytes()
 
 
 @pytest.mark.parametrize("call, error", [

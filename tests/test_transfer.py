@@ -138,6 +138,33 @@ def test_i1_bounded_by_tail_integral():
         assert i1 <= rhs + 1e-9
 
 
+# source -> target design pairs on which the three risk functionals are compared
+RISK_PAIRS = [
+    (densities.uniform(), densities.uniform()),
+    (densities.power(1.0), densities.uniform()),
+    (densities.power(2.0), densities.uniform()),
+    (densities.power(6.0), densities.uniform()),
+    (densities.uniform(), densities.power(0.5)),
+    (densities.mixture(densities.power(6.0), densities.uniform(), 0.9), densities.uniform()),
+    (densities.example3(2**16), densities.uniform()),
+]
+
+
+@pytest.mark.parametrize("P, Q", RISK_PAIRS, ids=["uniform", "power(1)", "power(2)", "power(6)",
+                                                  "target-power(0.5)", "mixture", "example3"])
+def test_risk_integrals_chain(P, Q):
+    # t^2 P([x +- t]) = log n / n makes I2 = int t Q([x +- t]), so
+    # t^2 q <= 4 t Q([x +- t]) gives I1 <= 4 I2, and P([x +- t]) <= 2 t sup p
+    # gives I2 <= I3; both on the same 2049 Simpson nodes
+    xs = np.linspace(0.0, 1.0, 2049)
+    for n in (2**10, 2**14, 2**18, 2**22):
+        i1, i2, i3 = transfer_risk_integrals(P, Q, n)
+        t = SpreadFunction(P, n).at(xs)
+        tail = densities._simpson(t * densities.interval_mass(Q, xs - t, xs + t), xs)
+        assert i2 == pytest.approx(tail, rel=1e-12, abs=0.0)
+        assert i1 <= 4.0 * i2 <= 4.0 * i3
+
+
 def test_power_source_rate_stays_bounded():
     # alpha = 1 < 3/2: I1 scaled by (n/log n)^(2/3) stays of order one
     P, Q = densities.power(1.0), densities.uniform()
